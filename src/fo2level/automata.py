@@ -69,6 +69,10 @@ class Regex:
 
 _METACHARS = "|*()~"
 
+# The parser and the NFA construction recurse once or twice per parenthesis
+# level, so nesting is capped well below the interpreter's recursion limit.
+MAX_REGEX_NESTING = 100
+
 
 def _concat(parts) -> RegexNode:
     flat = []
@@ -108,6 +112,7 @@ class _RegexParser:
     def __init__(self, text: str, declared: frozenset | None):
         self.text = text
         self.i = 0
+        self.depth = 0
         self.declared = declared
 
     def peek(self):
@@ -144,8 +149,13 @@ class _RegexParser:
         c = self.peek()
         pos = self.i
         if c == "(":
+            if self.depth >= MAX_REGEX_NESTING:
+                raise RegexSyntaxError(
+                    f"parentheses nested more than {MAX_REGEX_NESTING} deep", pos)
             self.i += 1
+            self.depth += 1
             node = self.parse_union()
+            self.depth -= 1
             if self.peek() != ")":
                 raise RegexSyntaxError("unbalanced parenthesis", pos)
             self.i += 1

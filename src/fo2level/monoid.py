@@ -14,7 +14,9 @@ operations are pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,18 +31,19 @@ class MonoidTooLargeError(ValueError):
     """Transition monoid exceeds the configured size cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreensData:
-    """Divisibility preorders and the induced class partitions.
+    """Green's class partitions, with the divisibility preorders on request.
 
-    jleq[u, v] holds when u is in MvM, rleq[u, v] when u is in vM, and
-    lleq[u, v] when u is in Mv.  Class labels are numbered by smallest
-    contained element.
+    r_class, l_class and j_class label each element by its R-, L- and
+    J-class; labels are numbered by smallest contained element.  The
+    preorders jleq[u, v] (u in MvM), rleq[u, v] (u in vM) and lleq[u, v]
+    (u in Mv) are n x n matrices built from the table only when first read;
+    no decision needs them, since the class labels answer every question
+    the decision routes ask.
     """
 
-    jleq: np.ndarray
-    rleq: np.ndarray
-    lleq: np.ndarray
+    table: np.ndarray
     j_class: np.ndarray
     r_class: np.ndarray
     l_class: np.ndarray
@@ -57,16 +60,78 @@ class GreensData:
     def num_l(self) -> int:
         return int(self.l_class.max()) + 1
 
+    @cached_property
+    def rleq(self) -> np.ndarray:
+        T = self.table
+        out = np.zeros(T.shape, dtype=bool)
+        for v in range(T.shape[0]):
+            out[T[v, :], v] = True
+        return out
 
-def _class_labels(eq: np.ndarray) -> np.ndarray:
-    n = eq.shape[0]
-    labels = np.full(n, -1, dtype=np.int32)
-    nxt = 0
-    for i in range(n):
-        if labels[i] < 0:
-            labels[eq[i]] = nxt
-            nxt += 1
-    return labels
+    @cached_property
+    def lleq(self) -> np.ndarray:
+        T = self.table
+        out = np.zeros(T.shape, dtype=bool)
+        for v in range(T.shape[0]):
+            out[T[:, v], v] = True
+        return out
+
+    @cached_property
+    def jleq(self) -> np.ndarray:
+        T = self.table
+        out = np.zeros(T.shape, dtype=bool)
+        for v in range(T.shape[0]):
+            out[T[:, T[v, :]].ravel(), v] = True
+        return out
+
+
+def _scc_labels(succ: list[list[int]]) -> np.ndarray:
+    """Strongly connected components of a graph given by successor lists.
+
+    Iterative Tarjan, O(vertices + edges); components are labelled in the
+    order of their smallest vertex.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+    relabel: dict[int, int] = {}
+    return np.array([relabel.setdefault(c, len(relabel)) for c in comp], dtype=np.int32)
 
 
 class FiniteMonoid:
@@ -177,21 +242,25 @@ class FiniteMonoid:
         return self._omega
 
     def greens(self) -> GreensData:
+        """R-, L- and J-classes as strongly connected components.
+
+        The R-class of x is its component in the right Cayley graph
+        x -> x*g, the L-class its component in the left graph x -> g*x, and
+        the J-class its component in their union, g ranging over the
+        generator images (over all elements when there is no generator
+        map).  Cost O(|M|*|A|) with a generator map; the preorders on the
+        result are built only when read.
+        """
         if self._greens is None:
             T = self._table
-            n = self.size
-            rleq = np.zeros((n, n), dtype=bool)
-            lleq = np.zeros((n, n), dtype=bool)
-            jleq = np.zeros((n, n), dtype=bool)
-            for v in range(n):
-                rleq[T[v, :], v] = True
-                lleq[T[:, v], v] = True
-                jleq[T[:, T[v, :]].ravel(), v] = True
+            gens = list(self.gens.values()) if self.gens is not None else slice(None)
+            right = T[:, gens].tolist()
+            left = T[gens, :].T.tolist()
             self._greens = GreensData(
-                jleq=jleq, rleq=rleq, lleq=lleq,
-                j_class=_class_labels(jleq & jleq.T),
-                r_class=_class_labels(rleq & rleq.T),
-                l_class=_class_labels(lleq & lleq.T),
+                table=T,
+                j_class=_scc_labels([r + l for r, l in zip(right, left)]),
+                r_class=_scc_labels(right),
+                l_class=_scc_labels(left),
             )
         return self._greens
 
@@ -250,12 +319,36 @@ class FiniteMonoid:
         return f"FiniteMonoid(size={self.size})"
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_table_fits(n: int) -> None:
+    """Refuse an n x n int32 table larger than physical memory, before allocating it."""
+    need = n * n * np.dtype(np.int32).itemsize
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MonoidTooLargeError(
+            f"transition monoid has {n} elements; its {n}x{n} table needs "
+            f"{need / 2**30:.1f} GiB but the machine has {have / 2**30:.1f} GiB")
+
+
 def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
     """Close the letter transformations of a complete DFA under composition.
 
     Elements are discovered breadth-first from the identity transformation,
     extending by letters in alphabet order, which makes element indices (and
-    the stored shortest generating words) reproducible.
+    the stored shortest generating words) reproducible.  The search records
+    each element's parent, its last letter and the right Cayley graph
+    R[x, a] = x*a, at cost O(|M|*|A|*states).  The table is then filled
+    from the Cayley graph, one column per element in discovery order: column
+    0 is the identity, and an element j = parent[j]*a gives
+    x*j = R[x*parent[j], a], one vectorised gather per column, O(|M|^2) in
+    all.  The table is checked against physical memory before allocation.
     """
     S = dfa.n_states
     letter_maps = [tuple(dfa.delta[s][ai] for s in range(S)) for ai in range(len(dfa.alphabet))]
@@ -263,29 +356,38 @@ def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
     index = {ident: 0}
     elems = [ident]
     words = [""]
+    parent = [0]
+    letter = [0]
+    right = []
     qi = 0
     while qi < len(elems):
         t = elems[qi]
+        row = []
         for ai, a in enumerate(dfa.alphabet):
             lm = letter_maps[ai]
             u = tuple(lm[x] for x in t)
-            if u not in index:
+            j = index.get(u)
+            if j is None:
                 if len(elems) >= max_size:
                     raise MonoidTooLargeError(
                         f"transition monoid exceeds {max_size} elements; "
                         "raise the cap to proceed")
-                index[u] = len(elems)
+                j = index[u] = len(elems)
                 elems.append(u)
                 words.append(words[qi] + a)
+                parent.append(qi)
+                letter.append(ai)
+            row.append(j)
+        right.append(row)
         qi += 1
     n = len(elems)
+    _check_table_fits(n)
+    right_by_letter = np.array(right, dtype=np.int32).T.copy()
     table = np.empty((n, n), dtype=np.int32)
-    arrs = [np.array(e, dtype=np.int32) for e in elems]
-    for i in range(n):
-        ei = arrs[i]
-        for j in range(n):
-            table[i, j] = index[tuple(arrs[j][ei])]
-    gens = {a: index[letter_maps[ai]] for ai, a in enumerate(dfa.alphabet)}
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    for j in range(1, n):
+        table[:, j] = right_by_letter[letter[j]][table[:, parent[j]]]
+    gens = {a: right[0][ai] for ai, a in enumerate(dfa.alphabet)}
     return FiniteMonoid(table, 0, gens=gens, words=words, validate=False)
 
 

@@ -572,15 +572,14 @@ def r_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
     """
     if monoid.gens is None:
         raise ValueError("factorization needs a monoid with a generator map")
-    g = monoid.greens()
-    req = g.rleq & g.rleq.T
+    rcls = monoid.greens().r_class
     segments: list[str] = []
     markers: list[str] = []
     cur = monoid.identity
     seg: list[str] = []
     for ch in u:
         nxt = monoid.mul(cur, monoid.eval_word(ch))
-        if req[nxt, cur]:
+        if rcls[nxt] == rcls[cur]:
             seg.append(ch)
         else:
             segments.append("".join(seg))
@@ -600,15 +599,14 @@ def l_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
     """
     if monoid.gens is None:
         raise ValueError("factorization needs a monoid with a generator map")
-    g = monoid.greens()
-    leq = g.lleq & g.lleq.T
+    lcls = monoid.greens().l_class
     segments_rev: list[str] = []
     markers_rev: list[str] = []
     cur = monoid.identity
     seg: list[str] = []
     for ch in reversed(u):
         nxt = monoid.mul(monoid.eval_word(ch), cur)
-        if leq[nxt, cur]:
+        if lcls[nxt] == lcls[cur]:
             seg.append(ch)
         else:
             segments_rev.append("".join(reversed(seg)))

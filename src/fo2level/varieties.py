@@ -61,7 +61,7 @@ def _congruence_from_relation(m: FiniteMonoid, rel: np.ndarray, what: str) -> Co
     if not np.array_equal(rel, rel.T) or not rel.diagonal().all():
         raise InternalInconsistencyError(f"{what}: relation not reflexive-symmetric")
     # the defining formulas yield equivalences; verify transitivity anyway
-    closure = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
+    closure = rel @ rel  # boolean product: no counts that could wrap
     if (closure & ~rel).any():
         raise InternalInconsistencyError(f"{what}: relation not transitive")
     labels = np.full(n, -1, dtype=np.int32)
@@ -86,20 +86,19 @@ def universal_congruence(m: FiniteMonoid) -> Congruence:
     return Congruence(m, labels, 1)
 
 
-def _strict_jleq(m: FiniteMonoid) -> np.ndarray:
-    g = m.greens()
-    return g.jleq & ~g.jleq.T
-
-
 def sim_k(m: FiniteMonoid) -> Congruence:
-    """u ~ v iff for all idempotents e: eu, ev both strictly below e, or eu == ev."""
+    """u ~ v iff for all idempotents e: eu, ev both strictly below e, or eu == ev.
+
+    eu lies J-below e, so it is strictly below exactly when it leaves the
+    J-class of e; the same holds for uf against f and for euf against e.
+    """
     T = m.table
-    strict = _strict_jleq(m)
+    jcls = m.greens().j_class
     n = m.size
     rel = np.ones((n, n), dtype=bool)
     for e in m.idempotents():
         eu = T[e, :]
-        below = strict[eu, e]
+        below = jcls[eu] != jcls[e]
         rel &= (below[:, None] & below[None, :]) | (eu[:, None] == eu[None, :])
     return _congruence_from_relation(m, rel, "sim_k")
 
@@ -107,12 +106,12 @@ def sim_k(m: FiniteMonoid) -> Congruence:
 def sim_d(m: FiniteMonoid) -> Congruence:
     """u ~ v iff for all idempotents f: uf, vf both strictly below f, or uf == vf."""
     T = m.table
-    strict = _strict_jleq(m)
+    jcls = m.greens().j_class
     n = m.size
     rel = np.ones((n, n), dtype=bool)
     for f in m.idempotents():
         uf = T[:, f]
-        below = strict[uf, f]
+        below = jcls[uf] != jcls[f]
         rel &= (below[:, None] & below[None, :]) | (uf[:, None] == uf[None, :])
     return _congruence_from_relation(m, rel, "sim_d")
 
@@ -120,7 +119,6 @@ def sim_d(m: FiniteMonoid) -> Congruence:
 def sim_li(m: FiniteMonoid) -> Congruence:
     """Two-sided variant over J-equivalent idempotent pairs (e, f)."""
     T = m.table
-    strict = _strict_jleq(m)
     jcls = m.greens().j_class
     n = m.size
     rel = np.ones((n, n), dtype=bool)
@@ -130,7 +128,7 @@ def sim_li(m: FiniteMonoid) -> Congruence:
             if jcls[e] != jcls[f]:
                 continue
             euf = T[T[e, :], f]
-            below = strict[euf, e]
+            below = jcls[euf] != jcls[e]
             rel &= (below[:, None] & below[None, :]) | (euf[:, None] == euf[None, :])
     return _congruence_from_relation(m, rel, "sim_li")
 

@@ -1,5 +1,6 @@
 import json
 
+from fo2level import monoid as monoid_module
 from fo2level.cli import main
 
 AB_STAR_DFA = """\
@@ -127,6 +128,41 @@ def test_budget_exit_code(capsys):
                        "--monoid-cap", "4")
     assert code == 3
     assert "budget" in err
+
+
+def test_table_larger_than_memory_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 100)
+    code, _, err = run(capsys, "analyze", "--regex", "(ab)*")   # 6x6 table: 144 bytes
+    assert code == 3
+    assert "budget exceeded" in err and "GiB" in err
+
+
+def test_deep_regex_nesting_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "analyze", "--regex", "(" * 3000 + "a" + ")" * 3000)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "nested" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "analyze", "--regex", "(" * 100 + "a" + ")" * 100)
+    assert code == 0 and "fo2_level: 1" in out
+
+
+def test_analyze_decides_without_greens_preorders(capsys, monkeypatch):
+    built = []
+    greens = monoid_module.FiniteMonoid.greens
+
+    def recording_greens(self):
+        g = greens(self)
+        built.append(g)
+        return g
+
+    monkeypatch.setattr(monoid_module.FiniteMonoid, "greens", recording_greens)
+    for regex, level in [("a(a|b)*", "2"), ("(ab)*", "none")]:
+        code, out, _ = run(capsys, "analyze", "--regex", regex)
+        assert code == 0 and f"fo2_level: {level}" in out
+    assert built
+    for g in built:
+        assert not {"jleq", "rleq", "lleq"} & vars(g).keys()
 
 
 def test_rankers_command(capsys):

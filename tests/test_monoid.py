@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import cyclic_two, left_zero, right_zero, trivial, two_element_zero
-from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
+from fo2level import monoid as monoid_module
+from fo2level.automata import Dfa, all_words, minimize, parse_regex, regex_to_min_dfa
 from fo2level.monoid import (FiniteMonoid, MonoidFormatError,
                              MonoidTooLargeError, parse_monoid_file,
                              reverse_monoid, syntactic_monoid,
@@ -201,3 +204,91 @@ def test_element_names_are_shortest_words():
     assert m.words[m.identity] == ""
     assert m.element_name(m.eval_word("ab")) == "ab"
     assert m.element_name(m.identity) == "eps"
+
+
+def test_table_checked_against_memory_before_allocation(monkeypatch):
+    # 2**24 elements need a 1 PiB table; the check refuses it without allocating
+    with pytest.raises(MonoidTooLargeError, match="GiB"):
+        monoid_module._check_table_fits(2**24)
+    d = regex_to_min_dfa(parse_regex("(ab)*"))       # 6 elements: 144 bytes
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 143)
+    with pytest.raises(MonoidTooLargeError):
+        transition_monoid(d)
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 144)
+    assert transition_monoid(d).size == 6
+
+
+# -- the Cayley-graph monoid layer against direct references -----------------
+
+@st.composite
+def dfas(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n))
+    finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return Dfa(tuple("abc"[:k]), delta, 0, finals)
+
+
+def reference_transition_monoid(dfa):
+    """Breadth-first closure with every product composed as a transformation."""
+    letter_maps = [tuple(row[ai] for row in dfa.delta) for ai in range(len(dfa.alphabet))]
+    ident = tuple(range(dfa.n_states))
+    index, elems, words = {ident: 0}, [ident], [""]
+    qi = 0
+    while qi < len(elems):
+        for lm, a in zip(letter_maps, dfa.alphabet):
+            u = tuple(lm[x] for x in elems[qi])
+            if u not in index:
+                index[u] = len(elems)
+                elems.append(u)
+                words.append(words[qi] + a)
+        qi += 1
+    table = [[index[tuple(ej[x] for x in ei)] for ej in elems] for ei in elems]
+    gens = {a: index[lm] for lm, a in zip(letter_maps, dfa.alphabet)}
+    return np.array(table, dtype=np.int32), words, gens
+
+
+def labels_of(eq):
+    """Class labels of an equivalence matrix, numbered by smallest element."""
+    labels = np.full(eq.shape[0], -1, dtype=np.int32)
+    nxt = 0
+    for i in range(eq.shape[0]):
+        if labels[i] < 0:
+            labels[eq[i]] = nxt
+            nxt += 1
+    return labels
+
+
+# the references cost O(|M|^2 * states) and O(|M|^3); larger draws are rejected
+PROPERTY_CAP = 300
+
+
+def capped_monoid(dfa):
+    try:
+        return transition_monoid(dfa, max_size=PROPERTY_CAP)
+    except MonoidTooLargeError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfas(), st.booleans())
+def test_transition_monoid_matches_direct_composition(dfa, minimal):
+    if minimal:
+        dfa = minimize(dfa)
+    m = capped_monoid(dfa)
+    table, words, gens = reference_transition_monoid(dfa)
+    assert np.array_equal(m.table, table)
+    assert list(m.words) == words
+    assert m.gens == gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfas(), st.booleans())
+def test_greens_classes_match_preorders(dfa, with_gens):
+    m = capped_monoid(dfa)
+    if not with_gens:
+        m = FiniteMonoid(m.table, m.identity, validate=False)
+    g = m.greens()
+    assert np.array_equal(g.j_class, labels_of(g.jleq & g.jleq.T))
+    assert np.array_equal(g.r_class, labels_of(g.rleq & g.rleq.T))
+    assert np.array_equal(g.l_class, labels_of(g.lleq & g.lleq.T))

@@ -4,11 +4,13 @@ import pytest
 from conftest import cyclic_two, left_zero, right_zero, trivial, two_element_zero
 from fo2level.automata import parse_regex, regex_to_min_dfa
 from fo2level.identities import identities_level
-from fo2level.monoid import reverse_monoid, transition_monoid
-from fo2level.varieties import (Congruence, LevelResult, NotACongruenceError,
-                                fo2_level, identity_congruence, in_Lm, in_Rm,
-                                join, join_refines_check, quotient, refines,
-                                sim_d, sim_k, sim_li, universal_congruence)
+from fo2level.monoid import FiniteMonoid, reverse_monoid, transition_monoid
+from fo2level.varieties import (Congruence, InternalInconsistencyError,
+                                LevelResult, NotACongruenceError,
+                                _congruence_from_relation, fo2_level,
+                                identity_congruence, in_Lm, in_Rm, join,
+                                join_refines_check, quotient, refines, sim_d,
+                                sim_k, sim_li, universal_congruence)
 
 
 def monoid_of(text):
@@ -178,3 +180,16 @@ def test_stable_action_agreement_zoo():
                         assert m.mul(s, x) == m.mul(s, y)
                     if cd[x] == cd[y] and leq[s, m.mul(x, s)]:
                         assert m.mul(x, s) == m.mul(y, s)
+
+
+def test_transitivity_check_survives_many_common_neighbours():
+    # 0 and 1 are unrelated but share 256 neighbours 2..257, so a byte-wide
+    # count of common neighbours wraps to 0 and would miss the failure
+    n = 258
+    table = np.ones((n, n), dtype=np.int32)     # a zero 1 below the identity 0
+    table[0, :] = table[:, 0] = np.arange(n)
+    m = FiniteMonoid(table, 0)
+    rel = np.ones((n, n), dtype=bool)
+    rel[0, 1] = rel[1, 0] = False
+    with pytest.raises(InternalInconsistencyError, match="not transitive"):
+        _congruence_from_relation(m, rel, "test")
