@@ -236,11 +236,13 @@ def _derive(node: RegexNode, ch: str) -> RegexNode:
         return Union(tuple(_derive(p, ch) for p in node.parts))
     if isinstance(node, Star):
         return _concat([_derive(node.inner, ch), node])
-    # Concat: derive the first part, plus the rest if the prefix is nullable
-    head, tail = node.parts[0], node.parts[1:]
-    branches = [_concat([_derive(head, ch), _concat(tail)])]
-    if _nullable(head):
-        branches.append(_derive(_concat(tail), ch))
+    # Concat p1..pk: the sum over i, with p1..p(i-1) nullable, of
+    # d(p_i).p(i+1)..pk; a loop, so long nullable prefixes do not recurse
+    branches = []
+    for i, part in enumerate(node.parts):
+        branches.append(_concat([_derive(part, ch), *node.parts[i + 1:]]))
+        if not _nullable(part):
+            break
     return Union(tuple(branches))
 
 

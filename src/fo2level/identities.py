@@ -8,8 +8,13 @@ when it satisfies the DA identity (xy)^w x (xy)^w = (xy)^w together with
 phi(G_m) = phi(I_m), and in L_m with both words mirrored.  This gives a
 decision route independent of the quotient recursion in ``varieties``.
 
-Identity checking enumerates all |M|^v assignments (vectorized, chunked);
-a budget cap guards runaway inputs.  Everything here is pure and reentrant.
+Identity checking is exhaustive (vectorized, chunked) over a domain read
+off the terms: when every variable occurs only as x^w, as in every phi-word
+identity, the terms depend on x only through x^w, so each variable ranges
+over one representative per idempotent and the cost is |E|^v; otherwise it
+ranges over all of M at cost |M|^v (the DA, aperiodicity and Straubing
+terms).  A budget cap on that count guards runaway inputs.  Everything here
+is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -145,50 +150,80 @@ class IdentityCheck(NamedTuple):
 _CHUNK = 200_000
 
 
-def _grid_eval(m: FiniteMonoid, t: Term, base: int, count: int, nvars: int, memo: dict) -> np.ndarray:
-    """Evaluate t on assignments base..base+count-1 in mixed-radix order
-    (variable x1 is the most significant digit)."""
+def _grid_eval(m: FiniteMonoid, t: Term, dom: np.ndarray, base: int, count: int,
+               nvars: int, memo: dict) -> np.ndarray:
+    """Evaluate t on assignments base..base+count-1 in mixed-radix order over
+    the domain array dom (variable x1 is the most significant digit)."""
     key = id(t)
     if key in memo:
         return memo[key]
     T = m.table
-    n = m.size
+    d = len(dom)
     if isinstance(t, Var):
         idx = np.arange(base, base + count, dtype=np.int64)
-        out = ((idx // (n ** (nvars - t.index))) % n).astype(np.int32)
+        out = dom[(idx // (d ** (nvars - t.index))) % d]
     elif isinstance(t, Prod):
-        out = _grid_eval(m, t.parts[0], base, count, nvars, memo)
+        out = _grid_eval(m, t.parts[0], dom, base, count, nvars, memo)
         for p in t.parts[1:]:
-            out = T[out, _grid_eval(m, p, base, count, nvars, memo)]
+            out = T[out, _grid_eval(m, p, dom, base, count, nvars, memo)]
     else:
-        out = m.omega_table[_grid_eval(m, t.inner, base, count, nvars, memo)]
+        out = m.omega_table[_grid_eval(m, t.inner, dom, base, count, nvars, memo)]
     memo[key] = out
     return out
+
+
+def _vars_under_omega(t: Term) -> bool:
+    """True when every variable of t occurs as the direct child of an Omega."""
+    if isinstance(t, Var):
+        return False
+    if isinstance(t, Omega):
+        return isinstance(t.inner, Var) or _vars_under_omega(t.inner)
+    return all(_vars_under_omega(p) for p in t.parts)
+
+
+def _assignment_domain(m: FiniteMonoid, lhs: Term, rhs: Term) -> np.ndarray:
+    """The ascending elements each variable ranges over: all of M, or
+    rho(e) = min{x : x^w = e} for each idempotent e when both terms read
+    every variable x only as x^w."""
+    if _vars_under_omega(lhs) and _vars_under_omega(rhs):
+        return np.sort(np.unique(m.omega_table, return_index=True)[1]).astype(np.int32)
+    return np.arange(m.size, dtype=np.int32)
 
 
 def satisfies_identity(m: FiniteMonoid, lhs: Term, rhs: Term,
                        max_assignments: int = 10_000_000) -> IdentityCheck:
     """Check lhs == rhs under every assignment of elements to variables.
 
-    Returns the first failing assignment as a witness (deterministic:
-    assignments are scanned in mixed-radix order on element indices).
+    Variables range over all of M, except when both terms read every
+    variable x only as x^w (every phi-word identity does): then each ranges
+    over rho(e) = min{x : x^w = e} for the idempotents e, which gives every
+    value of x^w once, so |E|^v assignments decide the identity instead of
+    |M|^v.  The budget caps that count.
+
+    Returns the first failing assignment as a witness, scanning in
+    mixed-radix order on ascending domain elements.  The witness is the
+    lexicographically least failing tuple over all of M in either case: if
+    x* is that tuple, replacing each x*_k by rho(x*_k^w) keeps it failing
+    and lowers no coordinate, so x* already consists of representatives.
     """
     nvars = max(term_num_vars(lhs), term_num_vars(rhs))
-    n = m.size
-    total = n ** nvars
+    dom = _assignment_domain(m, lhs, rhs)
+    d = len(dom)
+    total = d ** nvars
     if total > max_assignments:
         raise IdentityBudgetError(
-            f"identity check too large: {n}^{nvars} assignments exceed the "
+            f"identity check too large: {d}^{nvars} assignments exceed the "
             f"budget of {max_assignments}")
     for base in range(0, total, _CHUNK):
         count = min(_CHUNK, total - base)
         memo: dict = {}
-        lv = _grid_eval(m, lhs, base, count, nvars, memo)
-        rv = _grid_eval(m, rhs, base, count, nvars, memo)
+        lv = _grid_eval(m, lhs, dom, base, count, nvars, memo)
+        rv = _grid_eval(m, rhs, dom, base, count, nvars, memo)
         bad = np.nonzero(lv != rv)[0]
         if len(bad):
             idx = base + int(bad[0])
-            witness = {k: (idx // (n ** (nvars - k))) % n for k in range(1, nvars + 1)}
+            witness = {k: int(dom[(idx // (d ** (nvars - k))) % d])
+                       for k in range(1, nvars + 1)}
             return IdentityCheck(False, witness)
     return IdentityCheck(True, None)
 

@@ -8,8 +8,8 @@ the letter transformations under composition; taking the minimal DFA yields
 the syntactic monoid of its language.
 
 Instances are immutable after construction; derived structure (idempotents,
-omega powers, Green's preorders) is computed lazily and cached, and all
-operations are pure, so concurrent reads are safe.
+omega powers, Green's preorders, DA membership) is computed lazily and
+cached, and all operations are pure, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -169,6 +169,7 @@ class FiniteMonoid:
         self._omega = None
         self._greens = None
         self._idempotents = None
+        self._in_da = None
 
     def _check_generated(self):
         seen = {self.identity}
@@ -282,12 +283,14 @@ class FiniteMonoid:
         return bool(np.array_equal(self._table[ar, om], om))
 
     def is_in_da(self) -> bool:
-        """(xy)^omega x (xy)^omega == (xy)^omega for all x, y."""
-        T = self._table
-        n = self.size
-        E = self.omega_table[T]                      # E[x, y] = (x*y)^omega
-        X = np.broadcast_to(np.arange(n)[:, None], (n, n))
-        return bool(np.array_equal(T[T[E, X], E], E))
+        """(xy)^omega x (xy)^omega == (xy)^omega for all x, y; computed once."""
+        if self._in_da is None:
+            T = self._table
+            n = self.size
+            E = self.omega_table[T]                      # E[x, y] = (x*y)^omega
+            X = np.broadcast_to(np.arange(n)[:, None], (n, n))
+            self._in_da = bool(np.array_equal(T[T[E, X], E], E))
+        return self._in_da
 
     def da_witness(self) -> tuple[int, int] | None:
         """A pair (x, y) violating the DA identity, if any."""

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from fo2level.automata import all_words
+from fo2level.automata import Dfa, all_words
 from fo2level.corpus import da_entries, make_entries
 from fo2level.monoid import FiniteMonoid
 from fo2level.rankers import RankerTable
@@ -58,3 +59,15 @@ def cyclic_two():
 
 def trivial():
     return FiniteMonoid([[0]], 0, gens={"a": 0, "b": 0}, words=[""])
+
+
+# -- random automata ---------------------------------------------------------
+
+@st.composite
+def dfas(draw):
+    """Complete DFAs with 1-5 states over 1-3 letters, not necessarily minimal."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n))
+    finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return Dfa(tuple("abc"[:k]), delta, 0, finals)

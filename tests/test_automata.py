@@ -171,6 +171,11 @@ def test_pipeline_agrees_with_derivative_matcher():
             assert dfa_accepts(d, w) == regex_matches(r, w), (r, w)
 
 
+def test_derivative_matcher_long_nullable_concat():
+    # 2000 nullable parts once recursed one level per part
+    assert regex_matches(parse_regex("a*" * 2000), "a")
+
+
 def test_empty_and_epsilon_languages():
     # the empty-word regex over an explicit alphabet
     d = regex_to_min_dfa(parse_regex("~", alphabet=["a", "b"]))

@@ -1,18 +1,21 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from conftest import cyclic_two, left_zero, right_zero, trivial, two_element_zero
-from fo2level.automata import parse_regex, regex_to_min_dfa
-from fo2level.identities import (IdentityBudgetError, Omega, Prod, Var,
+from conftest import cyclic_two, dfas, left_zero, right_zero, trivial, two_element_zero
+from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
+from fo2level.identities import (IdentityBudgetError, IdentityCheck, Omega, Prod, Var,
                                  aperiodicity_identity, build_G, build_I,
                                  check_straubing, da_identity, eval_term,
                                  format_term, in_Lm_by_identities,
                                  in_Rm_by_identities, mirror, phi_of,
                                  phi_word, satisfies_identity,
                                  straubing_terms, term_num_vars)
-from fo2level.monoid import reverse_monoid, transition_monoid
+from fo2level.monoid import MonoidTooLargeError, reverse_monoid, transition_monoid
 
 
 def monoid_of(text):
@@ -101,13 +104,67 @@ def test_satisfies_identity_matches_bruteforce():
 def test_aperiodicity_identity():
     lhs, rhs = aperiodicity_identity()
     assert satisfies_identity(two_element_zero(), lhs, rhs).holds
-    assert not satisfies_identity(cyclic_two(), lhs, rhs).holds
+    # x1 is raw, so it ranges over the non-idempotent generator too
+    assert satisfies_identity(cyclic_two(), lhs, rhs) == IdentityCheck(False, {1: 1})
 
 
 def test_identity_budget():
     m = monoid_of("(ab)*")
     with pytest.raises(IdentityBudgetError, match="too large"):
         satisfies_identity(m, *da_identity(), max_assignments=10)
+
+
+def test_phi_identity_budget_counts_idempotents():
+    # |M| = 6 and |E| = 4: 16 <= 20 < 36
+    m = monoid_of("(ab)*")
+    assert (m.size, len(m.idempotents())) == (6, 4)
+    lhs, rhs = phi_word(build_G(2)), phi_word(build_I(2))
+    assert satisfies_identity(m, lhs, rhs, max_assignments=20) == satisfies_identity(m, lhs, rhs)
+    with pytest.raises(IdentityBudgetError, match="too large: 6\\^2"):
+        satisfies_identity(m, *da_identity(), max_assignments=20)
+
+
+def reference_check(m, lhs, rhs):
+    """All |M|^v tuples at once in lexicographic order, evaluated node by node."""
+    v = max(term_num_vars(lhs), term_num_vars(rhs))
+    grid = np.indices((m.size,) * v).reshape(v, -1)
+
+    def ev(t):
+        if isinstance(t, Var):
+            return grid[t.index - 1]
+        if isinstance(t, Omega):
+            return m.omega_table[ev(t.inner)]
+        out = ev(t.parts[0])
+        for p in t.parts[1:]:
+            out = m.table[out, ev(p)]
+        return out
+
+    bad = np.nonzero(ev(lhs) != ev(rhs))[0]
+    if len(bad) == 0:
+        return IdentityCheck(True, None)
+    return IdentityCheck(False, {k + 1: int(grid[k, bad[0]]) for k in range(v)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfas(), st.booleans())
+def test_identity_domains_match_full_enumeration(dfa, minimal):
+    try:
+        m = transition_monoid(minimize(dfa) if minimal else dfa, max_size=20)
+    except MonoidTooLargeError:
+        reject()
+    n, e = m.size, len(m.idempotents())
+    # phi-word identities range over one element per idempotent ...
+    for level in (2, 3):
+        for lhs, rhs in ((phi_word(build_G(level)), phi_word(build_I(level))),
+                         (phi_word(mirror(build_G(level))), phi_word(mirror(build_I(level))))):
+            assert satisfies_identity(m, lhs, rhs) == reference_check(m, lhs, rhs)
+            with pytest.raises(IdentityBudgetError, match=f": {e}\\^{level} "):
+                satisfies_identity(m, lhs, rhs, max_assignments=0)
+    # ... terms with raw variables over all of M
+    for lhs, rhs in (aperiodicity_identity(), straubing_terms(1)):
+        assert satisfies_identity(m, lhs, rhs) == reference_check(m, lhs, rhs)
+        with pytest.raises(IdentityBudgetError, match=f": {n}\\^"):
+            satisfies_identity(m, lhs, rhs, max_assignments=0)
 
 
 def test_membership_by_identities_examples():

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic_two, left_zero, right_zero, trivial, two_element_zero
+from conftest import cyclic_two, dfas, left_zero, right_zero, trivial, two_element_zero
 from fo2level import monoid as monoid_module
-from fo2level.automata import Dfa, all_words, minimize, parse_regex, regex_to_min_dfa
+from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
 from fo2level.monoid import (FiniteMonoid, MonoidFormatError,
                              MonoidTooLargeError, parse_monoid_file,
                              reverse_monoid, syntactic_monoid,
@@ -111,6 +111,13 @@ def test_da_membership():
     assert not m.is_in_da()
     x, y = m.da_witness()
     assert {x, y} == {m.eval_word("a"), m.eval_word("b")}
+
+
+def test_is_in_da_is_computed_once(monkeypatch):
+    m = monoid_of("(ab)*")
+    assert not m.is_in_da()
+    monkeypatch.setattr(m, "_table", None)  # any table work now raises
+    assert not m.is_in_da()
 
 
 def test_j1_membership():
@@ -219,15 +226,6 @@ def test_table_checked_against_memory_before_allocation(monkeypatch):
 
 
 # -- the Cayley-graph monoid layer against direct references -----------------
-
-@st.composite
-def dfas(draw):
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 5))
-    delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n))
-    finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
-    return Dfa(tuple("abc"[:k]), delta, 0, finals)
-
 
 def reference_transition_monoid(dfa):
     """Breadth-first closure with every product composed as a transformation."""
