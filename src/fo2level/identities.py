@@ -147,7 +147,11 @@ class IdentityCheck(NamedTuple):
     witness: dict[int, int] | None
 
 
-_CHUNK = 200_000
+# Assignments per vectorized step.  Every subterm keeps one int32 array of
+# this length until the step ends, so a step holds about 2 MB for the
+# deepest phi-word identities and the memory of a check does not depend on
+# how large |E|^v or |M|^v is; the arrays also stay cache-resident.
+_CHUNK = 1 << 14
 
 
 def _grid_eval(m: FiniteMonoid, t: Term, dom: np.ndarray, base: int, count: int,

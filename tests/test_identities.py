@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import cyclic_two, dfas, left_zero, right_zero, trivial, two_element_zero
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
+from fo2level import identities
 from fo2level.identities import (IdentityBudgetError, IdentityCheck, Omega, Prod, Var,
                                  aperiodicity_identity, build_G, build_I,
                                  check_straubing, da_identity, eval_term,
@@ -166,6 +168,32 @@ def test_identity_domains_match_full_enumeration(dfa, minimal):
         with pytest.raises(IdentityBudgetError, match=f": {n}\\^"):
             satisfies_identity(m, lhs, rhs, max_assignments=0)
 
+
+
+def test_witness_does_not_depend_on_chunk_size(monkeypatch):
+    # a chunk of 7 puts chunk boundaries inside every scan of these checks
+    monkeypatch.setattr(identities, "_CHUNK", 7)
+    for m in (cyclic_two(), left_zero(), monoid_of("(ab)*"), monoid_of("a(ba)*b+b*")):
+        for lhs, rhs in (da_identity(), straubing_terms(1),
+                         (phi_word(build_G(3)), phi_word(build_I(3)))):
+            assert satisfies_identity(m, lhs, rhs) == reference_check(m, lhs, rhs)
+
+
+def test_identity_check_memory_is_bounded_by_the_chunk():
+    # Z_21 satisfies u_2 = v_2 (every omega power is 1), so the check scans
+    # all 21^4 = 194481 assignments, about twelve chunks
+    m = monoid_of("(" + "a" * 21 + ")*")
+    assert m.size == 21
+    lhs, rhs = straubing_terms(2)
+    tracemalloc.start()
+    try:
+        assert satisfies_identity(m, lhs, rhs).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk-long array per subterm plus the int64 index: nowhere near
+    # the 194481 * 4 bytes of a single array over the whole space
+    assert peak < 40 * identities._CHUNK * 4
 
 def test_membership_by_identities_examples():
     lz = left_zero()
