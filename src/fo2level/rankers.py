@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monoid import FiniteMonoid
+from .automata import all_words
+from .monoid import FiniteMonoid, _physical_memory
 
 X = "X"
 Y = "Y"
@@ -288,15 +289,84 @@ def equiv_wi(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
 # Vectorized evaluation over a fixed word list
 # ---------------------------------------------------------------------------
 
+def _ranker_count(k: int, m: int, n: int, max_rankers: int) -> int:
+    """Number of rankers over k letters of depth <= n with <= m blocks;
+    RankerBudgetError when they are more than max_rankers.
+
+    Counted in closed form, depth by depth: ``ends[b]`` is the number of
+    rankers of the current depth with b blocks whose last instruction has a
+    given direction (the same for X and Y by mirror symmetry).  A further
+    instruction either keeps that direction or opens a block in the other.
+    """
+    if m < 1 or n < 1 or k < 1:
+        return 0
+    ends = [0, k]
+    total = 0
+    for depth in range(1, n + 1):
+        if depth > 1:
+            grown = ends + [0] if len(ends) <= m else ends  # one block more than before
+            ends = [0] + [k * (grown[b] + grown[b - 1]) for b in range(1, len(grown))]
+        total += 2 * sum(ends)
+        if total > max_rankers:
+            raise RankerBudgetError(
+                f"more than {max_rankers} rankers of depth <= {n} with <= {m} blocks")
+    return total
+
+
+def _check_fits(need: int, what: str) -> None:
+    """Refuse an allocation of need bytes larger than physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise RankerBudgetError(f"{what} need {need / 2**30:.1f} GiB "
+                                f"but the machine has {have / 2**30:.1f} GiB")
+
+
+def _letter_codes(words: list[str]) -> np.ndarray:
+    """Code point of every letter as a words x max-length matrix, padded
+    with -1 (no letter); a letter outside any alphabet keeps its code."""
+    lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    maxlen = int(lens.max(initial=0))
+    codes = np.full((len(words), maxlen), -1, dtype=np.int32)
+    codes[np.arange(maxlen) < lens[:, None]] = np.frombuffer(
+        "".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    return codes
+
+
+def _first_seen_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label equal rows of a 2-D array 0, 1, ... in order of first appearance.
+
+    Returns (labels, first) with ``first[k]`` the index of the first row
+    labelled k.  Rows are compared as raw bytes through a ``np.void`` view,
+    so one sort labels them all.
+    """
+    rows = np.ascontiguousarray(rows)
+    count, width = rows.shape[0], rows.shape[1] * rows.dtype.itemsize
+    if count == 0 or width == 0:
+        return np.zeros(count, dtype=np.int32), np.zeros(min(count, 1), dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[order] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse.ravel()], first[order]
+
+
 class RankerTable:
     """Positions and condensedness of every ranker in a class over a word list.
 
     Built once per (alphabet, max_blocks, max_depth, words); partitions for
-    any smaller (m, n) are derived from the same table and cached.  The
-    equivalence partition uses exact signatures: the definedness vector over
-    value-profiles plus the order-type matrix restricted to the four
-    comparison families, so two words get the same label precisely when the
-    direct definition relates them.
+    any smaller (m, n) are derived from the same table and cached.  The class
+    size is counted in closed form and checked against ``max_rankers``, and
+    the table's size against physical memory, before any row is allocated.  Next/previous-occurrence tables come from running
+    minima and maxima over a words x length letter matrix, and each depth is
+    one gather over all its rankers and words; ``values`` (int16) and
+    ``condensed`` (bool) take 3 bytes per ranker and word.
+
+    The equivalence partition uses exact signatures: per word, the
+    definedness bits of the distinct ranker value rows and, for each
+    unordered pair of them that one of the four comparison families puts in
+    force, the bits v_r < v_s and v_r > v_s, packed.  Two words get the same
+    label precisely when the direct definition relates them.
     """
 
     def __init__(self, alphabet, max_blocks: int, max_depth: int, words,
@@ -308,95 +378,78 @@ class RankerTable:
         self._windex = {w: i for i, w in enumerate(self.words)}
         if len(self._windex) != len(self.words):
             raise ValueError("duplicate words")
+        total = _ranker_count(len(self.alphabet), max_blocks, max_depth, max_rankers)
         W = len(self.words)
-        maxlen = max((len(w) for w in self.words), default=0)
-        lens = np.array([len(w) for w in self.words], dtype=np.int16)
-        # next/previous occurrence tables per letter, indexed by position 0..maxlen+1
-        nxt = {}
-        prv = {}
-        for a in self.alphabet:
-            na = np.zeros((W, maxlen + 2), dtype=np.int16)
-            pa = np.zeros((W, maxlen + 2), dtype=np.int16)
-            for j, w in enumerate(self.words):
-                last = 0
-                for x in range(len(w), 0, -1):
-                    if w[x - 1] == a:
-                        last = x
-                    na[j, x - 1] = last
-                first = 0
-                for x in range(1, len(w) + 1):
-                    pa[j, x] = first  # strictly before x
-                    if w[x - 1] == a:
-                        first = x
-                pa[j, len(w) + 1:] = first
-            nxt[a] = na
-            prv[a] = pa
-        arW = np.arange(W)
+        _check_fits(3 * total * W, f"{total} rankers x {W} words")
+        k = len(self.alphabet)
+        codes = _letter_codes(self.words)
+        maxlen = codes.shape[1]
+        # occ[t][j, x] for x in 0..maxlen+1: for instruction t = (X, a) the first
+        # a-position of word j after x, for t = (Y, a) the last one before x;
+        # 0 when there is none
+        pos = np.arange(1, maxlen + 1, dtype=np.int16)
+        occ = np.zeros((2 * k, W, maxlen + 2), dtype=np.int16)
+        for i, a in enumerate(self.alphabet):
+            hit = codes == (ord(a) if len(a) == 1 else -2)  # -2 matches no position
+            after = np.minimum.accumulate(np.where(hit, pos, maxlen + 1)[:, ::-1], axis=1)[:, ::-1]
+            occ[i, :, :maxlen] = np.where(after > maxlen, 0, after)
+            occ[k + i, :, 2:] = np.maximum.accumulate(np.where(hit, pos, 0), axis=1)
 
-        steps_list: list[tuple[tuple[str, str], ...]] = []
-        start_l: list[int] = []
-        depth_l: list[int] = []
-        blocks_l: list[int] = []
-        values_rows: list[np.ndarray] = []
-        cond_rows: list[np.ndarray] = []
-
+        # Rankers are built depth by depth.  Per ranker and word the level keeps
+        # the position p (0 when undefined), the open interval (lo, hi) it was
+        # reached in, and whether the run is condensed ("alive") so far.
         instr = _instruction_order(self.alphabet)
-        level = []
-        zero = np.zeros(W, dtype=np.int16)
-        top = (lens + 1).astype(np.int16)
-        for d, a in instr:
-            if d == X:
-                p = nxt[a][arW, 0]
-            else:
-                p = prv[a][arW, top]
-            defined = p != 0
-            alive = defined.copy()
-            node = (((d, a),), d, 1, p, zero, top, alive, defined)
-            level.append(node)
-        self._emit(level, steps_list, start_l, depth_l, blocks_l, values_rows, cond_rows)
-        for _depth in range(2, max_depth + 1):
-            nxt_level = []
-            for steps, last, blocks, p, lo, hi, alive, defined in level:
-                for d, a in instr:
-                    b = blocks + (d != last)
-                    if b > max_blocks:
-                        continue
-                    if len(steps_list) + len(nxt_level) >= max_rankers:
-                        raise RankerBudgetError("ranker enumeration exceeds budget")
-                    if d == X:
-                        clo, chi = p, hi
-                        q = nxt[a][arW, p]
-                    else:
-                        clo, chi = lo, p
-                        q = prv[a][arW, p]
-                    q = np.where(defined, q, 0).astype(np.int16)
-                    cdef = defined & (q != 0)
-                    calive = alive & cdef & (clo < q) & (q < chi)
-                    nxt_level.append((steps + ((d, a),), d, b, q, clo, chi, calive, cdef))
-            self._emit(nxt_level, steps_list, start_l, depth_l, blocks_l, values_rows, cond_rows)
-            level = nxt_level
+        arW = np.arange(W)
+        row_offset = np.arange(2 * k * W).reshape(2 * k, W) * (maxlen + 2)  # of occ[t, j]
+        rows = max(1, (1 << 17) // max(W, 1))
+        top = (codes >= 0).sum(axis=1, dtype=np.int16) + np.int16(1)
+        p = np.concatenate([occ[:k, :, 0], occ[k:, arW, top]])
+        lo = np.zeros_like(p)
+        hi = np.broadcast_to(top, p.shape)
+        alive = p != 0
+        occ[:, :, 0] = 0  # past depth 1, position 0 means undefined and stays so
+        steps = [(s,) for s in instr]
+        is_y = np.arange(2 * k) >= k
+        start = is_y
+        blocks = np.ones(2 * k, dtype=np.int16)
+
+        self.values = np.empty((total, W), dtype=np.int16)
+        self.condensed = np.empty((total, W), dtype=bool)
+        steps_list: list[tuple[tuple[str, str], ...]] = []
+        start_l, depth_l, blocks_l = [], [], []
+        for depth in range(1, max_depth + 1 if total else 1):
+            if depth > 1:
+                # every ranker extended by every instruction within max_blocks,
+                # ranker-major and in instruction order
+                parent = np.repeat(np.arange(len(steps)), 2 * k)
+                t = np.tile(np.arange(2 * k), len(steps))
+                child_y = t >= k
+                child_blocks = blocks[parent] + (child_y != is_y[parent])
+                keep = child_blocks <= max_blocks
+                parent, t, is_y, blocks = parent[keep], t[keep], child_y[keep], child_blocks[keep]
+                start = start[parent]
+                pp = p[parent]
+                # X moves right from p inside (p, hi), Y left from p inside (lo, p)
+                p = np.empty_like(pp)
+                for r in range(0, len(p), rows):  # bounds the flat-index temporary
+                    p[r:r + rows] = np.take(occ, row_offset[t[r:r + rows]] + pp[r:r + rows])
+                lo = np.where(is_y[:, None], lo[parent], pp)
+                hi = np.where(is_y[:, None], pp, hi[parent])
+                alive = alive[parent] & (lo < p) & (p < hi)
+                steps = [steps[i] + (instr[j],) for i, j in zip(parent.tolist(), t.tolist())]
+            row = len(steps_list)
+            self.values[row:row + len(steps)] = p
+            self.condensed[row:row + len(steps)] = alive
+            steps_list.extend(steps)
+            start_l.append(start)
+            blocks_l.append(blocks)
+            depth_l.append(np.full(len(steps), depth, dtype=np.int16))
 
         self.rankers = [Ranker(s) for s in steps_list]
-        self.start = np.array(start_l, dtype=np.int8)       # 0 = X, 1 = Y
-        self.depth = np.array(depth_l, dtype=np.int16)
-        self.blocks = np.array(blocks_l, dtype=np.int16)
-        self.values = (np.vstack(values_rows) if values_rows
-                       else np.zeros((0, W), dtype=np.int16))
-        self.condensed = (np.vstack(cond_rows) if cond_rows
-                          else np.zeros((0, W), dtype=bool))
-        self._equiv_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._right_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._left_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    @staticmethod
-    def _emit(level, steps_list, start_l, depth_l, blocks_l, values_rows, cond_rows):
-        for steps, d, b, p, _lo, _hi, alive, _defined in level:
-            steps_list.append(steps)
-            start_l.append(0 if steps[0][0] == X else 1)
-            depth_l.append(len(steps))
-            blocks_l.append(b)
-            values_rows.append(p)
-            cond_rows.append(alive)
+        self.start = np.concatenate(start_l or [[]]).astype(np.int8)   # 0 = X, 1 = Y
+        self.depth = np.concatenate(depth_l or [[]]).astype(np.int16)
+        self.blocks = np.concatenate(blocks_l or [[]]).astype(np.int16)
+        self._partitions: dict[tuple[str, int, int], np.ndarray] = {}
 
     def word_index(self, w: str) -> int:
         return self._windex[w]
@@ -413,49 +466,52 @@ class RankerTable:
             mask &= self.start == 1
         return mask
 
-    @staticmethod
-    def _labels_from_keys(keys) -> np.ndarray:
-        lab: dict = {}
-        out = np.empty(len(keys), dtype=np.int32)
-        for i, k in enumerate(keys):
-            out[i] = lab.setdefault(k, len(lab))
-        return out
+    def _condensed_labels(self, kind: str, m: int, n: int, mask: np.ndarray) -> np.ndarray:
+        key = (kind, m, n)
+        if key not in self._partitions:
+            packed = np.packbits(self.condensed[mask], axis=0).T
+            self._partitions[key] = _first_seen_labels(packed)[0]
+        return self._partitions[key]
 
     def partition_right(self, m: int, n: int) -> np.ndarray:
         """Label words by which rankers of the right-relation class are condensed."""
-        key = (m, n)
-        if key not in self._right_cache:
-            mask = self._class_mask(X, m, n) | self._class_mask(Y, m - 1, n - 1)
-            C = self.condensed[mask]
-            packed = np.packbits(C, axis=0)
-            keys = [packed[:, j].tobytes() for j in range(C.shape[1])]
-            self._right_cache[key] = self._labels_from_keys(keys)
-        return self._right_cache[key]
+        mask = self._class_mask(X, m, n) | self._class_mask(Y, m - 1, n - 1)
+        return self._condensed_labels("R", m, n, mask)
 
     def partition_left(self, m: int, n: int) -> np.ndarray:
-        key = (m, n)
-        if key not in self._left_cache:
-            mask = self._class_mask(Y, m, n) | self._class_mask(X, m - 1, n - 1)
-            C = self.condensed[mask]
-            packed = np.packbits(C, axis=0)
-            keys = [packed[:, j].tobytes() for j in range(C.shape[1])]
-            self._left_cache[key] = self._labels_from_keys(keys)
-        return self._left_cache[key]
+        """Label words by which rankers of the left-relation class are condensed."""
+        mask = self._class_mask(Y, m, n) | self._class_mask(X, m - 1, n - 1)
+        return self._condensed_labels("L", m, n, mask)
 
     def partition_equiv(self, m: int, n: int) -> np.ndarray:
-        """Label words by their ranker-equivalence signature at (m, n)."""
-        key = (m, n)
-        if key in self._equiv_cache:
-            return self._equiv_cache[key]
-        sub = np.nonzero(self._class_mask(None, m, n))[0]
+        """Label words by their ranker-equivalence signature at (m, n).
+
+        Rankers with equal value rows are merged into P profiles.  A word's
+        signature is P definedness bits plus two bits, v_r < v_s and
+        v_r > v_s, for each of the K unordered profile pairs {r, s}, r != s,
+        that a comparison family puts in force in either order.  One
+        comparison per unordered pair suffices since sign(r, s) = -sign(s, r),
+        and the diagonal and pairs with an undefined side are fixed by the
+        definedness bits (undefined values are 0, below every position).
+        Labels are numbered by first appearance in the word list.
+
+        Cost: O(W * (P + K)) comparisons and one sort of the W packed keys;
+        the keys take W * ceil((P + 2K) / 8) bytes, checked against physical
+        memory first, and comparisons run in word chunks of about 2**18 pair
+        entries.
+        """
+        key = ("E", m, n)
+        if key in self._partitions:
+            return self._partitions[key]
+        sub = self._class_mask(None, m, n)
         V = self.values[sub]
-        profiles, inv = np.unique(V, axis=0, return_inverse=True)
+        plabels, pfirst = _first_seen_labels(V.view(np.uint8))
+        profiles = V[pfirst]
         P = profiles.shape[0]
 
         def prof_mask(global_mask: np.ndarray) -> np.ndarray:
-            local = global_mask[sub]
             out = np.zeros(P, dtype=bool)
-            out[inv[local]] = True
+            out[plabels[global_mask[sub]]] = True
             return out
 
         is_x = prof_mask(self._class_mask(X, m, n))
@@ -463,24 +519,32 @@ class RankerTable:
         col_for_x = prof_mask(self._class_mask(Y, m, n - 1)) | prof_mask(self._class_mask(X, m - 1, n - 1))
         col_for_y = prof_mask(self._class_mask(X, m, n - 1)) | prof_mask(self._class_mask(Y, m - 1, n - 1))
         pair_mask = (is_x[:, None] & col_for_x[None, :]) | (is_y[:, None] & col_for_y[None, :])
+        r_idx, s_idx = np.nonzero(np.triu(pair_mask | pair_mask.T, 1))
 
-        keys = []
-        W = len(self.words)
-        for j in range(W):
-            vals = profiles[:, j].astype(np.int16)
-            defined = vals > 0
-            sign = np.sign(vals[:, None] - vals[None, :]).astype(np.int8)
-            keep = pair_mask & defined[:, None] & defined[None, :]
-            sign[~keep] = 2  # sentinel for "comparison not in force"
-            keys.append(defined.tobytes() + sign.tobytes())
-        labels = self._labels_from_keys(keys)
-        self._equiv_cache[key] = labels
+        W, K = len(self.words), len(r_idx)
+        _check_fits(W * ((P + 2 * K + 7) // 8), f"signatures of {P} profiles and {K} pairs")
+        keys = np.empty((W, (P + 2 * K + 7) // 8), dtype=np.uint8)
+        step = max(1, (1 << 18) // max(K, 1))
+        bits = np.empty((min(step, W), P + 2 * K), dtype=bool)
+        for lo in range(0, W, step):
+            vals = np.ascontiguousarray(profiles[:, lo:lo + step].T)
+            chunk = bits[:len(vals)]
+            np.greater(vals, 0, out=chunk[:, :P])
+            a, b = np.take(vals, r_idx, axis=1), np.take(vals, s_idx, axis=1)
+            np.less(a, b, out=chunk[:, P:P + K])
+            np.greater(a, b, out=chunk[:, P + K:])
+            keys[lo:lo + step] = np.packbits(chunk, axis=1)
+        labels = _first_seen_labels(keys)[0]
+        self._partitions[key] = labels
         return labels
 
 
 # ---------------------------------------------------------------------------
 # Morphism refinement oracle
 # ---------------------------------------------------------------------------
+
+MAX_WORDS = 2_000_000
+
 
 @dataclass(frozen=True)
 class OracleOutcome:
@@ -489,9 +553,60 @@ class OracleOutcome:
     num_classes: int
 
 
+def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
+                  table: RankerTable | None, max_words: int) -> RankerTable:
+    """The given table, or one over all words up to max_len.  The word count
+    is checked against max_words first, before any word is enumerated."""
+    if monoid.gens is None:
+        raise ValueError("oracle needs a monoid with a generator map")
+    alphabet = tuple(monoid.gens)
+    total, term = 0, 1
+    for _ in range(max_len + 1):
+        total += term
+        if total > max_words:
+            raise RankerBudgetError(f"more than {max_words} words up to length {max_len}")
+        term *= len(alphabet)
+        if not term:
+            break
+    if table is None:
+        table = RankerTable(alphabet, m, n, all_words(alphabet, max_len))
+    return table
+
+
+def _word_images(monoid: FiniteMonoid, words: list[str]) -> np.ndarray:
+    """Images of all words under the generator morphism, one letter column
+    at a time; raises like ``eval_word`` on the first unknown letter."""
+    codes = _letter_codes(words)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    # padding acts as the identity
+    gen = np.array([monoid.gens.get(chr(c), -1) if c >= 0 else monoid.identity
+                    for c in uniq.tolist()], dtype=np.intp)
+    letters = gen[inverse.reshape(codes.shape)]
+    if (letters < 0).any():
+        j, i = np.argwhere(letters < 0)[0]
+        raise ValueError(f"unknown letter {words[j][i]!r}")
+    images = np.full(len(words), monoid.identity, dtype=np.intp)
+    for column in letters.T:
+        images = monoid.table[images, column]
+    return images
+
+
+def _first_violation(labels: np.ndarray, images: np.ndarray, words: list[str]) -> OracleOutcome:
+    """Check that the images are constant on every label class.  The first
+    word (in list order) whose image differs from that of its class's first
+    word is returned with that first word as the counterexample."""
+    first = np.unique(labels, return_index=True)[1]
+    rep = first[labels]
+    bad = images != images[rep]
+    if bad.any():
+        j = int(np.argmax(bad))
+        return OracleOutcome(False, (words[rep[j]], words[j]), len(first))
+    return OracleOutcome(True, None, len(first))
+
+
 def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
                                   table: RankerTable | None = None,
-                                  max_words: int = 2_000_000) -> OracleOutcome:
+                                  max_words: int = MAX_WORDS) -> OracleOutcome:
     """Check that ranker equivalence at (m, n) refines the word morphism.
 
     Enumerates all words up to max_len over the generator alphabet,
@@ -499,38 +614,19 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     morphism image is constant on every class.  The first violating pair
     (in word enumeration order) is returned as a counterexample.
     """
-    if monoid.gens is None:
-        raise ValueError("oracle needs a monoid with a generator map")
-    alphabet = tuple(monoid.gens)
-    total = sum(len(alphabet) ** k for k in range(max_len + 1))
-    if total > max_words:
-        raise RankerBudgetError(f"{total} words exceed the budget of {max_words}")
-    if table is None:
-        from .automata import all_words
-        table = RankerTable(alphabet, m, n, all_words(alphabet, max_len))
-    labels = table.partition_equiv(m, n)
-    images = [monoid.eval_word(w) for w in table.words]
-    first_word: dict[int, int] = {}
-    for j in range(len(table.words)):
-        lab = int(labels[j])
-        if lab not in first_word:
-            first_word[lab] = j
-        elif images[j] != images[first_word[lab]]:
-            return OracleOutcome(False, (table.words[first_word[lab]], table.words[j]),
-                                 int(labels.max()) + 1)
-    return OracleOutcome(True, None, int(labels.max()) + 1)
+    table = _oracle_table(monoid, m, n, max_len, table, max_words)
+    return _first_violation(table.partition_equiv(m, n),
+                            _word_images(monoid, table.words), table.words)
 
 
 def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
                    table: RankerTable | None = None) -> tuple[int | None, OracleOutcome]:
     """Smallest n <= max_n making the refinement oracle pass, with the last outcome."""
-    if table is None:
-        from .automata import all_words
-        alphabet = tuple(monoid.gens)
-        table = RankerTable(alphabet, m, max_n, all_words(alphabet, max_len))
+    table = _oracle_table(monoid, m, max_n, max_len, table, MAX_WORDS)
+    images = _word_images(monoid, table.words)
     outcome = None
     for n in range(1, max_n + 1):
-        outcome = oracle_equiv_refines_morphism(monoid, m, n, max_len, table=table)
+        outcome = _first_violation(table.partition_equiv(m, n), images, table.words)
         if outcome.holds:
             return n, outcome
     return None, outcome
@@ -539,23 +635,9 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
 def oracle_right_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
                                   table: RankerTable | None = None) -> OracleOutcome:
     """Same refinement check for the right relation (condensed X-side rankers)."""
-    if monoid.gens is None:
-        raise ValueError("oracle needs a monoid with a generator map")
-    alphabet = tuple(monoid.gens)
-    if table is None:
-        from .automata import all_words
-        table = RankerTable(alphabet, m, n, all_words(alphabet, max_len))
-    labels = table.partition_right(m, n)
-    images = [monoid.eval_word(w) for w in table.words]
-    first_word: dict[int, int] = {}
-    for j in range(len(table.words)):
-        lab = int(labels[j])
-        if lab not in first_word:
-            first_word[lab] = j
-        elif images[j] != images[first_word[lab]]:
-            return OracleOutcome(False, (table.words[first_word[lab]], table.words[j]),
-                                 int(labels.max()) + 1)
-    return OracleOutcome(True, None, int(labels.max()) + 1)
+    table = _oracle_table(monoid, m, n, max_len, table, MAX_WORDS)
+    return _first_violation(table.partition_right(m, n),
+                            _word_images(monoid, table.words), table.words)
 
 
 # ---------------------------------------------------------------------------

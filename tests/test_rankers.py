@@ -1,15 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 
+import fo2level.automata
+import fo2level.rankers
 from conftest import left_zero, trivial, two_element_zero
 from fo2level.automata import all_words, parse_regex, regex_to_min_dfa
+from fo2level.cli import main
 from fo2level.monoid import transition_monoid
-from fo2level.rankers import (Ranker, RankerSyntaxError, RankerTable,
-                              enumerate_rankers, equiv_wi, eval_ranker,
+from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError,
+                              RankerTable, enumerate_rankers, equiv_wi, eval_ranker,
                               is_condensed, is_condensed_no_overrun,
                               l_factorize, least_oracle_n, next_pos,
-                              oracle_equiv_refines_morphism, parse_ranker,
+                              oracle_equiv_refines_morphism,
+                              oracle_right_refines_morphism, parse_ranker,
                               prev_pos, r_factorize, rel_left, rel_right,
                               subwords_upto)
 
@@ -166,15 +171,21 @@ def test_refinement_in_parameters(table_ab6):
                     assert seen.setdefault(int(finer[i]), int(coarse[i])) == int(coarse[i])
 
 
+def _shuffled_with_foreign_letter():
+    """Words over a, b and c (c outside the table alphabet), "" included, shuffled."""
+    words = all_words(("a", "b", "c"), 4)
+    random.Random(17).shuffle(words)
+    return RankerTable(("a", "b"), 3, 3, words)
+
+
 def test_table_matches_scalar(table_ab6):
-    rng = random.Random(17)
-    for _ in range(600):
-        i = rng.randrange(len(table_ab6.rankers))
-        j = rng.randrange(len(table_ab6.words))
-        r, w = table_ab6.rankers[i], table_ab6.words[j]
-        pos = eval_ranker(r, w)
-        assert int(table_ab6.values[i, j]) == (pos if pos is not None else 0)
-        assert bool(table_ab6.condensed[i, j]) == is_condensed(r, w)
+    for table in (table_ab6, _shuffled_with_foreign_letter()):
+        assert "" in table.words
+        for i, r in enumerate(table.rankers):
+            for j, w in enumerate(table.words):
+                pos = eval_ranker(r, w)
+                assert int(table.values[i, j]) == (pos if pos is not None else 0), (r, w)
+                assert bool(table.condensed[i, j]) == is_condensed(r, w), (r, w)
 
 
 def test_partitions_match_scalar_definitions():
@@ -234,6 +245,154 @@ def test_oracle_needs_larger_depth():
     assert m.eval_word(u) != m.eval_word(v)
     n, _ = least_oracle_n(m, 1, 8, 6)
     assert n == 3
+
+
+# -- the per-word implementations the vectorized oracle path replaced ----------
+
+def _first_seen(keys):
+    lab = {}
+    return np.array([lab.setdefault(k, len(lab)) for k in keys], dtype=np.int32)
+
+
+def _per_word_equiv_labels(table, m, n):
+    """One key per word: definedness bytes plus the P x P sign matrix, with
+    sentinel 2 where no comparison is in force."""
+    sub = np.nonzero(table._class_mask(None, m, n))[0]
+    profiles, inv = np.unique(table.values[sub], axis=0, return_inverse=True)
+    inv = inv.ravel()
+    P = profiles.shape[0]
+
+    def prof_mask(global_mask):
+        out = np.zeros(P, dtype=bool)
+        out[inv[global_mask[sub]]] = True
+        return out
+
+    is_x = prof_mask(table._class_mask(X, m, n))
+    is_y = prof_mask(table._class_mask(Y, m, n))
+    col_for_x = prof_mask(table._class_mask(Y, m, n - 1)) | prof_mask(table._class_mask(X, m - 1, n - 1))
+    col_for_y = prof_mask(table._class_mask(X, m, n - 1)) | prof_mask(table._class_mask(Y, m - 1, n - 1))
+    pair_mask = (is_x[:, None] & col_for_x[None, :]) | (is_y[:, None] & col_for_y[None, :])
+    keys = []
+    for j in range(len(table.words)):
+        vals = profiles[:, j].astype(np.int16)
+        defined = vals > 0
+        sign = np.sign(vals[:, None] - vals[None, :]).astype(np.int8)
+        sign[~(pair_mask & defined[:, None] & defined[None, :])] = 2
+        keys.append(defined.tobytes() + sign.tobytes())
+    return _first_seen(keys)
+
+
+def _per_word_condensed_labels(table, mask):
+    packed = np.packbits(table.condensed[mask], axis=0)
+    return _first_seen(packed[:, j].tobytes() for j in range(packed.shape[1]))
+
+
+def _equiv_tables():
+    words = all_words(("a", "b"), 6)
+    random.Random(4).shuffle(words)
+    yield RankerTable(("a", "b"), 3, 3, words)
+    yield RankerTable(("a", "b", "c"), 2, 3, all_words(("a", "b", "c"), 4))
+    yield _shuffled_with_foreign_letter()
+
+
+def test_partitions_match_per_word_signatures(table_ab6):
+    for table in (table_ab6, *_equiv_tables()):
+        for m in range(1, table.max_blocks + 1):
+            for n in range(1, table.max_depth + 1):
+                assert np.array_equal(table.partition_equiv(m, n),
+                                      _per_word_equiv_labels(table, m, n)), (m, n)
+                right = table._class_mask(X, m, n) | table._class_mask(Y, m - 1, n - 1)
+                left = table._class_mask(Y, m, n) | table._class_mask(X, m - 1, n - 1)
+                assert np.array_equal(table.partition_right(m, n),
+                                      _per_word_condensed_labels(table, right))
+                assert np.array_equal(table.partition_left(m, n),
+                                      _per_word_condensed_labels(table, left))
+
+
+def _per_word_oracle(monoid, labels, words):
+    images = [monoid.eval_word(w) for w in words]
+    first_word = {}
+    for j in range(len(words)):
+        lab = int(labels[j])
+        if lab not in first_word:
+            first_word[lab] = j
+        elif images[j] != images[first_word[lab]]:
+            return False, (words[first_word[lab]], words[j]), int(labels.max()) + 1
+    return True, None, int(labels.max()) + 1
+
+
+def _triple(outcome):
+    return outcome.holds, outcome.counterexample, outcome.num_classes
+
+
+@pytest.mark.parametrize("regex,m,ns", [("(a|b)(a|b)(a|b)", 1, (1, 2)),
+                                        ("(abb)*", 1, (1, 2, 3)),
+                                        ("(abb)*", 2, (1, 2, 3))])
+def test_oracles_match_per_word_loop(regex, m, ns):
+    mono = monoid_of(regex)
+    table = RankerTable(("a", "b"), m, max(ns), all_words(("a", "b"), 7))
+    failures = 0
+    for n in ns:
+        old_e = _per_word_oracle(mono, table.partition_equiv(m, n), table.words)
+        old_r = _per_word_oracle(mono, table.partition_right(m, n), table.words)
+        assert _triple(oracle_equiv_refines_morphism(mono, m, n, 7)) == old_e
+        assert _triple(oracle_equiv_refines_morphism(mono, m, n, 7, table=table)) == old_e
+        assert _triple(oracle_right_refines_morphism(mono, m, n, 7)) == old_r
+        failures += (not old_e[0]) + (not old_r[0])
+    assert failures >= len(ns)
+    n, outcome = least_oracle_n(mono, m, max(ns), 7, table=table)
+    assert _triple(outcome) == _per_word_oracle(
+        mono, table.partition_equiv(m, n or max(ns)), table.words)
+
+
+def test_oracle_images_refuse_unknown_letters():
+    # c is outside the monoid's generators, as eval_word reports
+    table = _shuffled_with_foreign_letter()
+    with pytest.raises(ValueError, match="unknown letter 'c'"):
+        oracle_equiv_refines_morphism(monoid_of("(ab)*"), 1, 1, 4, table=table)
+
+
+def test_oracle_budget_checked_before_enumerating(monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("words enumerated before the budget check")
+
+    monkeypatch.setattr(fo2level.rankers, "all_words", refuse)
+    monkeypatch.setattr(fo2level.automata, "all_words", refuse)
+    assert main(["oracle", "--regex", "(a|b)*a", "--m", "1", "--max-len", "40"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    mono = monoid_of("(a|b)*a")
+    for oracle in (oracle_equiv_refines_morphism, oracle_right_refines_morphism):
+        with pytest.raises(RankerBudgetError):
+            oracle(mono, 1, 1, 40)
+
+
+def test_table_budgets_are_checked_before_any_row(monkeypatch):
+    for alpha in (("a",), ("a", "b"), ("a", "b", "c")):
+        for m in range(0, 4):
+            for n in range(0, 5):
+                count = len(enumerate_rankers(alpha, m, n))
+                table = RankerTable(alpha, m, n, ["", "ab", "ca"], max_rankers=count)
+                assert len(table.rankers) == count == table.values.shape[0]
+                if count:
+                    with pytest.raises(RankerBudgetError):
+                        RankerTable(alpha, m, n, ["ab"], max_rankers=count - 1)
+
+    table = RankerTable(("a", "b"), 2, 2, all_words(("a", "b"), 2))
+
+    def refuse(_words):
+        raise AssertionError("table rows built before the budget checks")
+
+    monkeypatch.setattr(fo2level.rankers, "_letter_codes", refuse)
+    with pytest.raises(RankerBudgetError):
+        RankerTable(("a", "b", "c"), 10, 40, all_words(("a", "b"), 8))
+    # within the ranker budget but larger than memory: 20 rankers x 7 words x 3 bytes
+    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: 419)
+    with pytest.raises(RankerBudgetError, match="GiB"):
+        RankerTable(("a", "b"), 2, 2, all_words(("a", "b"), 2))
+    # the signature keys are checked the same way
+    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: 6)
+    with pytest.raises(RankerBudgetError, match="GiB"):
+        table.partition_equiv(2, 2)
 
 
 def test_r_factorize_examples():
