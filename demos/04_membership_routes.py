@@ -8,8 +8,8 @@ so the recursion terminates quickly.
 
 Route 2 (identities): R_m is carved out by the DA identity
 (xy)^w x (xy)^w = (xy)^w together with an inductively built word identity
-phi(G_m) = phi(I_m), checked over all variable assignments; L_m uses the
-mirrored words.
+phi(G_m) = phi(I_m), decided over all variable assignments by one forward
+search over the values both sides reach; L_m uses the mirrored words.
 """
 
 from fo2level import (build_G, build_I, format_term, in_Lm, in_Lm_by_identities,

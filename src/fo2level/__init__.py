@@ -4,8 +4,8 @@ Given a regular language (regex, DFA file, or a raw multiplication table),
 the library computes its syntactic monoid and decides the least alternation
 depth m at which the language is definable in two-variable first-order
 logic over ordered positions, by two independent routes: the Mal'cev
-quotient recursion for the R_m/L_m variety hierarchy, and exhaustive
-omega-term identity checking.  Condensed-ranker machinery provides a third,
+quotient recursion for the R_m/L_m variety hierarchy, and omega-term
+identity checking.  Condensed-ranker machinery provides a third,
 brute-force view used for cross-validation at desk scale.
 """
 

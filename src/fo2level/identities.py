@@ -1,4 +1,4 @@
-"""Omega-term identities deciding R_m / L_m membership by exhaustive checking.
+"""Omega-term identities deciding R_m / L_m membership.
 
 The words G_m and I_m over variables x1..xm are built by the mirror
 recursion G_2 = x2 x1, I_2 = x2 x1 x2, G_{m+1} = x_{m+1} mirror(G_m),
@@ -8,17 +8,28 @@ when it satisfies the DA identity (xy)^w x (xy)^w = (xy)^w together with
 phi(G_m) = phi(I_m), and in L_m with both words mirrored.  This gives a
 decision route independent of the quotient recursion in ``varieties``.
 
-Identity checking is exhaustive (vectorized, chunked) over a domain read
-off the terms: when every variable occurs only as x^w, as in every phi-word
-identity, the terms depend on x only through x^w, so each variable ranges
+``satisfies_identity`` checks any identity exhaustively (vectorized,
+chunked) over a domain read off the terms: when every variable occurs only
+as x^w, the terms depend on x only through x^w, so each variable ranges
 over one representative per idempotent and the cost is |E|^v; otherwise it
 ranges over all of M at cost |M|^v (the DA, aperiodicity and Straubing
-terms).  A budget cap on that count guards runaway inputs.  Everything here
-is pure and reentrant.
+terms).
+
+The membership and depth functions decide the phi-word identities by a
+forward search instead (``_phi_search``).  The values (phi G_k,
+phi mirror G_k, phi I_k, phi mirror I_k) after choosing x1..xk determine
+all later values, so each depth keeps only the distinct reachable tuples,
+each with the least prefix that reaches it.  One search serves both sides
+and every depth, at a cost of the sum over depths of reachable tuples x |E|
+instead of |E|^k, and yields the same lexicographically least witnesses as
+the exhaustive scan.  Budgets cap the assignments of an exhaustive check
+and the reachable tuples x |E| of each search step, before either runs.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -30,7 +41,7 @@ from .varieties import LevelResult, NOT_FO2
 
 
 class IdentityBudgetError(ValueError):
-    """The assignment space exceeds the configured budget."""
+    """The assignment space, or a step of the phi-word search, exceeds the budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +158,12 @@ class IdentityCheck(NamedTuple):
     witness: dict[int, int] | None
 
 
-# Assignments per vectorized step.  Every subterm keeps one int32 array of
-# this length until the step ends, so a step holds about 2 MB for the
-# deepest phi-word identities and the memory of a check does not depend on
-# how large |E|^v or |M|^v is; the arrays also stay cache-resident.
+# Assignments (or search candidates) per vectorized step.  Every subterm
+# keeps one int32 array of this length until the step ends, so a step holds
+# about 2 MB for the deepest phi-word identities, a search step about a
+# dozen such arrays, and the memory does not depend on how large |E|^v,
+# |M|^v or the reachable tuples x |E| are; the arrays also stay
+# cache-resident.
 _CHUNK = 1 << 14
 
 
@@ -185,12 +198,17 @@ def _vars_under_omega(t: Term) -> bool:
     return all(_vars_under_omega(p) for p in t.parts)
 
 
+def _representatives(m: FiniteMonoid) -> np.ndarray:
+    """rho(e) = min{x : x^w = e} for each idempotent e, ascending."""
+    return np.sort(np.unique(m.omega_table, return_index=True)[1]).astype(np.int32)
+
+
 def _assignment_domain(m: FiniteMonoid, lhs: Term, rhs: Term) -> np.ndarray:
     """The ascending elements each variable ranges over: all of M, or
     rho(e) = min{x : x^w = e} for each idempotent e when both terms read
     every variable x only as x^w."""
     if _vars_under_omega(lhs) and _vars_under_omega(rhs):
-        return np.sort(np.unique(m.omega_table, return_index=True)[1]).astype(np.int32)
+        return _representatives(m)
     return np.arange(m.size, dtype=np.int32)
 
 
@@ -243,12 +261,109 @@ def aperiodicity_identity() -> tuple[Term, Term]:
     return Prod((Omega(Var(1)), Var(1))), Omega(Var(1))
 
 
-def _r_identity(m: int) -> tuple[Term, Term]:
-    return phi_word(build_G(m)), phi_word(build_I(m))
+@lru_cache(maxsize=None)
+def _identity_text(m: int, side: int) -> str:
+    """'phi(G_m) = phi(I_m)' (side 0, R) or its mirror (side 1, L), printed."""
+    g, i = build_G(m), build_I(m)
+    if side:
+        g, i = mirror(g), mirror(i)
+    return f"{format_term(phi_word(g))} = {format_term(phi_word(i))}"
 
 
-def _l_identity(m: int) -> tuple[Term, Term]:
-    return phi_word(mirror(build_G(m))), phi_word(mirror(build_I(m)))
+def _phi_search(m: FiniteMonoid, max_assignments: int):
+    """Decide phi(G_k) = phi(I_k) and its mirror for k = 2, 3, ... in one
+    forward search, yielding (k, R witness, L witness) per depth; a witness
+    is None where the identity holds.
+
+    After x1..xk the four values (phi G_k, phi mirror G_k, phi I_k,
+    phi mirror I_k) = (g, g~, i, i~) decide every later depth: appending
+    x_{k+1} = e with phi = (e^w (g g~)^w e^w)^w gives g' = phi g~,
+    g~' = g phi, i' = g' phi i~ and i~' = i phi g~'.  So the search keeps
+    only the distinct reachable tuples, each with the least prefix reaching
+    it, and a step costs tuples x |E| candidates instead of |E|^k.
+
+    Candidates are enumerated as (old tuple in first-seen order, x_{k+1}
+    ascending) and new tuples are numbered by first appearance.  Since a
+    tuple's successors depend on the tuple alone, the least prefix reaching
+    a new tuple extends the least prefix of some old one; by induction
+    first-seen order is the order of least prefixes, so the first failing
+    tuple carries the lexicographically least failing assignment, the
+    witness an exhaustive scan returns.  The budget caps the candidates of
+    each step before it is taken, and a step runs in slices of _CHUNK
+    candidates.
+    """
+    T, om = m.table, m.omega_table
+    n = m.size
+    if n ** 4 > np.iinfo(np.int64).max:
+        raise IdentityBudgetError(
+            f"identity search too large: tuples over {n} elements do not fit a 64-bit key")
+    reps = _representatives(m)
+    d = len(reps)
+    idem = om[reps]
+    links = []          # per depth >= 2: the candidate index that first reached each tuple
+    state = None        # 4 x tuples: rows g, g~, i, i~
+
+    def witness(bad):
+        """The prefix stored for the first tuple in bad, or None if bad is empty."""
+        if not len(bad):
+            return None
+        s, xs = int(bad[0]), []
+        for cand in reversed(links):
+            s, x = divmod(int(cand[s]), d)
+            xs.append(x)
+        xs.append(s)
+        return {j: int(reps[x]) for j, x in enumerate(reversed(xs), start=1)}
+
+    count = d           # before the first step, the choices of x1
+    for k in itertools.count(2):
+        total = count * d
+        if total > max_assignments:
+            raise IdentityBudgetError(
+                f"identity search too large: {count} reachable tuples x {d} idempotents "
+                f"at depth {k} exceed the budget of {max_assignments}")
+        if state is not None:
+            gg = om[T[state[0], state[1]]]
+        seen = np.empty(0, dtype=np.int64)
+        cands, values = [], []
+        for base in range(0, total, _CHUNK):
+            c = np.arange(base, min(base + _CHUNK, total), dtype=np.int64)
+            old, e = c // d, idem[c % d]
+            if state is None:
+                p1 = om[T[T[idem[old], e], idem[old]]]
+                g, gt = T[e, p1], T[p1, e]
+                i = it = T[g, e]
+            else:
+                g0, gt0, i0, it0 = state[:, old]
+                phi = om[T[T[e, gg[old]], e]]
+                g, gt = T[phi, gt0], T[g0, phi]
+                i, it = T[T[g, phi], it0], T[T[i0, phi], gt]
+            key = ((g.astype(np.int64) * n + gt) * n + i) * n + it
+            uniq, first = np.unique(key, return_index=True)
+            if len(seen):
+                at = np.searchsorted(seen, uniq)
+                fresh = seen[np.minimum(at, len(seen) - 1)] != uniq
+                uniq, first = uniq[fresh], first[fresh]
+                seen = np.insert(seen, at[fresh], uniq)
+            else:
+                seen = uniq
+            first.sort()
+            cands.append(c[first])
+            values.append(np.stack((g[first], gt[first], i[first], it[first])))
+        links.append(np.concatenate(cands))
+        state = np.concatenate(values, axis=1)
+        count = state.shape[1]
+        yield (k, witness(np.flatnonzero(state[0] != state[2])),
+               witness(np.flatnonzero(state[1] != state[3])))
+
+
+def _phi_holds(m: FiniteMonoid, level: int, side: int, max_assignments: int) -> bool:
+    if level < 2:
+        raise ValueError("the identities route needs level >= 2")
+    if not satisfies_identity(m, *da_identity(), max_assignments=max_assignments).holds:
+        return False
+    for k, *witnesses in _phi_search(m, max_assignments):
+        if k == level:
+            return witnesses[side] is None
 
 
 def in_Rm_by_identities(m: FiniteMonoid, level: int,
@@ -258,21 +373,13 @@ def in_Rm_by_identities(m: FiniteMonoid, level: int,
     Only defined for level >= 2; level 1 is J-triviality and is decided
     directly on the monoid.
     """
-    if level < 2:
-        raise ValueError("the identities route needs level >= 2")
-    if not satisfies_identity(m, *da_identity(), max_assignments=max_assignments).holds:
-        return False
-    return satisfies_identity(m, *_r_identity(level), max_assignments=max_assignments).holds
+    return _phi_holds(m, level, 0, max_assignments)
 
 
 def in_Lm_by_identities(m: FiniteMonoid, level: int,
                         max_assignments: int = 10_000_000) -> bool:
     """L_level membership: the DA identity and the mirrored word identity."""
-    if level < 2:
-        raise ValueError("the identities route needs level >= 2")
-    if not satisfies_identity(m, *da_identity(), max_assignments=max_assignments).holds:
-        return False
-    return satisfies_identity(m, *_l_identity(level), max_assignments=max_assignments).holds
+    return _phi_holds(m, level, 1, max_assignments)
 
 
 class IdentitiesLevel(NamedTuple):
@@ -286,9 +393,13 @@ def identities_level(m: FiniteMonoid, max_m: int = 6,
     """Alternation-depth search along the identities route.
 
     Mirrors ``varieties.fo2_level`` but decides each membership by identity
-    checking alone.  The returned witness is the assignment refuting the
+    checking alone: the DA identity exhaustively, then the R and L phi-word
+    identities of every depth in one forward search over reachable value
+    tuples (``_phi_search``), whose cost is the sum over depths of reachable
+    tuples x |E| and whose budget caps that product at each depth.  The
+    returned witness is the lexicographically least assignment refuting the
     last membership that failed before the answer (the DA identity for
-    NotFO2, otherwise the identity separating depth m-1 from m).
+    NotFO2, otherwise the identity separating depth m-1 from m, R before L).
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
@@ -298,17 +409,14 @@ def identities_level(m: FiniteMonoid, max_m: int = 6,
         return IdentitiesLevel(NOT_FO2, f"{format_term(lhs)} = {format_term(rhs)}", da.witness)
     last_witness = None
     last_identity = None
+    search = _phi_search(m, max_assignments)
     for d in range(1, max_m + 1):
-        ok = True
-        for lhs, rhs in (_r_identity(d + 1), _l_identity(d + 1)):
-            chk = satisfies_identity(m, lhs, rhs, max_assignments=max_assignments)
-            if not chk.holds:
-                ok = False
-                last_witness = chk.witness
-                last_identity = f"{format_term(lhs)} = {format_term(rhs)}"
-                break
-        if ok:
+        _k, r_bad, l_bad = next(search)
+        if r_bad is None and l_bad is None:
             return IdentitiesLevel(LevelResult("level", d), last_identity, last_witness)
+        side = 0 if r_bad is not None else 1
+        last_witness = (r_bad, l_bad)[side]
+        last_identity = _identity_text(d + 1, side)
     return IdentitiesLevel(LevelResult("exceeded", max_m), last_identity, last_witness)
 
 

@@ -224,20 +224,34 @@ class FiniteMonoid:
 
     @property
     def omega_table(self) -> np.ndarray:
+        """x^omega for every x, by raising all elements to their powers at once.
+
+        p holds x^j after j steps; the first idempotent p is x^omega.  The
+        powers beyond it cycle through the group of x^omega back to it,
+        which is walked once more to check that it holds no other
+        idempotent.  Both walks take at most |M| steps of one gather each.
+        """
         if self._omega is None:
             T = self._table
-            out = np.empty(self.size, dtype=np.int32)
-            for x in range(self.size):
-                powers = []
-                seen = set()
-                y = x
-                while y not in seen:
-                    seen.add(y)
-                    powers.append(y)
-                    y = int(T[y, x])
-                idem = [p for p in powers if int(T[p, p]) == p]
-                assert len(set(idem)) == 1, "cyclic subsemigroup must have one idempotent"
-                out[x] = idem[0]
+            ar = np.arange(self.size, dtype=np.int32)
+            out = np.full(self.size, -1, dtype=np.int32)
+            p = ar
+            for _ in range(self.size):
+                hit = (out < 0) & (T[p, p] == p)
+                out[hit] = p[hit]
+                if out.min() >= 0:
+                    break
+                p = T[p, ar]
+            q = T[out, ar]
+            live = q != out
+            for _ in range(self.size):
+                if not live.any():
+                    break
+                assert not (live & (T[q, q] == q)).any(), \
+                    "cyclic subsemigroup must have one idempotent"
+                q = T[q, ar]
+                live &= q != out
+            assert out.min() >= 0 and not live.any(), "powers must reach x^omega"
             out.setflags(write=False)
             self._omega = out
         return self._omega
@@ -283,7 +297,14 @@ class FiniteMonoid:
         return bool(np.array_equal(self._table[ar, om], om))
 
     def is_in_da(self) -> bool:
-        """(xy)^omega x (xy)^omega == (xy)^omega for all x, y; computed once."""
+        """(xy)^omega x (xy)^omega == (xy)^omega for all x, y; computed once.
+
+        y = 1 gives x^(omega+1) = x^omega, so DA lies inside the aperiodic
+        monoids, and a monoid that is not aperiodic is refused without the
+        |M|^2 gathers.
+        """
+        if self._in_da is None and not self.is_aperiodic():
+            self._in_da = False
         if self._in_da is None:
             T = self._table
             n = self.size

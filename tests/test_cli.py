@@ -1,5 +1,11 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 
+from fo2level import cli
+from fo2level import identities as identities_module
 from fo2level import monoid as monoid_module
 from fo2level.cli import main
 
@@ -216,3 +222,48 @@ def test_corpus_empty(capsys):
     code, out, _ = run(capsys, "corpus", "--count", "0")
     assert code == 0
     assert "PASS" in out
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    _, first_json, _ = run(capsys, "analyze", "--regex", "a*b*", "--json")
+    code, plain, _ = run(capsys, "analyze", "--regex", "a*b*")
+    assert code == 0 and not plain.startswith("{") and "fo2_level: " in plain
+    code, _, err = run(capsys, "analyze", "--regex", "a", "--method", "nosuch")
+    assert code == 1 and err.startswith("usage error: ")
+    code, out, _ = run(capsys, "analyze", "--regex", "a(a|b)*", "--method", "quotient")
+    assert code == 0 and "method_identities: none" in out
+    code, out, _ = run(capsys, "greens", "--regex", "(ab)*")
+    assert code == 0 and "j_classes: 3" in out
+    # defaults come back after every call that overrode them
+    code, again_json, _ = run(capsys, "analyze", "--regex", "a*b*", "--json")
+    assert again_json == first_json
+    doc = json.loads(again_json)
+    assert doc["method_quotient"] is not None and doc["method_identities"] is not None
+
+
+def test_identity_search_over_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # |M| = |E| = 6: the DA check needs 36 assignments, the search 16 x 6
+    p = tmp_path / "level3.monoid"
+    p.write_text("size: 6\nidentity: 0\ntable\n0 1 2 3 4 5\n1 1 1 3 4 5\n2 2 2 3 4 5\n"
+                 "3 4 5 3 4 5\n4 4 4 3 4 5\n5 5 5 3 4 5\n")
+    code, out, _ = run(capsys, "analyze", "--monoid", str(p), "--method", "identities")
+    assert code == 0 and "fo2_level: 3" in out
+    monkeypatch.setattr(cli, "identities_level", functools.partial(
+        identities_module.identities_level, max_assignments=95))
+    code, out, err = run(capsys, "analyze", "--monoid", str(p), "--method", "identities")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: ") and "16 reachable tuples" in err
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fo2level", "analyze", "--regex", "a(a|b)*"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "fo2_level: 2" in proc.stdout and "agreement: true" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "fo2level", "analyze"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stderr.startswith("usage error: ")
+

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from conftest import cyclic_two, dfas, left_zero, right_zero, trivial, two_element_zero
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level import identities
-from fo2level.identities import (IdentityBudgetError, IdentityCheck, Omega, Prod, Var,
-                                 aperiodicity_identity, build_G, build_I,
-                                 check_straubing, da_identity, eval_term,
-                                 format_term, in_Lm_by_identities,
+from fo2level.identities import (IdentitiesLevel, IdentityBudgetError, IdentityCheck,
+                                 Omega, Prod, Var, aperiodicity_identity,
+                                 build_G, build_I, check_straubing,
+                                 da_identity, eval_term, format_term,
+                                 identities_level, in_Lm_by_identities,
                                  in_Rm_by_identities, mirror, phi_of,
                                  phi_word, satisfies_identity,
                                  straubing_terms, term_num_vars)
-from fo2level.monoid import MonoidTooLargeError, reverse_monoid, transition_monoid
+from fo2level.monoid import (FiniteMonoid, MonoidTooLargeError, reverse_monoid,
+                             transition_monoid)
+from fo2level.varieties import NOT_FO2, LevelResult
 
 
 def monoid_of(text):
@@ -228,3 +231,98 @@ def test_check_straubing():
     # at level 1 the conjectured identities characterize J-triviality
     for mono in [two_element_zero(), left_zero(), right_zero(), monoid_of("(ab)*")]:
         assert check_straubing(mono, 1) == mono.is_j_trivial()
+
+
+# -- the forward search behind the phi-word identities ----------------------
+
+# A Level-3 monoid (|M| = |E| = 6): its search reaches 16 tuples at depth 4
+LEVEL_THREE_ROWS = [[0, 1, 2, 3, 4, 5], [1, 1, 1, 3, 4, 5], [2, 2, 2, 3, 4, 5],
+                    [3, 4, 5, 3, 4, 5], [4, 4, 4, 3, 4, 5], [5, 5, 5, 3, 4, 5]]
+
+
+def level_three():
+    return FiniteMonoid(LEVEL_THREE_ROWS, 0, gens={"a": 1, "b": 2, "c": 3})
+
+
+def phi_identity(level, side):
+    g, i = build_G(level), build_I(level)
+    if side == "L":
+        g, i = mirror(g), mirror(i)
+    return phi_word(g), phi_word(i)
+
+
+def exhaustive_level(m, max_m):
+    """The identities route as one exhaustive scan per identity."""
+    da = satisfies_identity(m, *da_identity())
+    if not da.holds:
+        lhs, rhs = da_identity()
+        return IdentitiesLevel(NOT_FO2, f"{format_term(lhs)} = {format_term(rhs)}", da.witness)
+    identity = witness = None
+    for d in range(1, max_m + 1):
+        failed = None
+        for side in ("R", "L"):
+            lhs, rhs = phi_identity(d + 1, side)
+            chk = satisfies_identity(m, lhs, rhs)
+            if not chk.holds:
+                failed = (f"{format_term(lhs)} = {format_term(rhs)}", chk.witness)
+                break
+        if failed is None:
+            return IdentitiesLevel(LevelResult("level", d), identity, witness)
+        identity, witness = failed
+    return IdentitiesLevel(LevelResult("exceeded", max_m), identity, witness)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfas(), st.booleans(), st.booleans())
+def test_forward_search_matches_exhaustive_scan(dfa, minimal, reverse):
+    try:
+        m = transition_monoid(minimize(dfa) if minimal else dfa, max_size=20)
+    except MonoidTooLargeError:
+        reject()
+    if reverse:
+        m = reverse_monoid(m)
+    assert identities_level(m, max_m=3) == exhaustive_level(m, 3)
+    da = satisfies_identity(m, *da_identity()).holds
+    for level in (2, 3, 4):
+        assert in_Rm_by_identities(m, level) == (
+            da and satisfies_identity(m, *phi_identity(level, "R")).holds)
+        assert in_Lm_by_identities(m, level) == (
+            da and satisfies_identity(m, *phi_identity(level, "L")).holds)
+
+
+def direct_product(a, b):
+    n = b.size
+    table = (a.table[:, None, :, None] * n + b.table[None, :, None, :]).reshape(a.size * n, -1)
+    return FiniteMonoid(table, a.identity * n + b.identity)
+
+
+def test_forward_search_witness_does_not_depend_on_chunk_size(monkeypatch):
+    both_fail = direct_product(left_zero(), right_zero())
+    monoids = (level_three(), reverse_monoid(level_three()), left_zero(), right_zero(),
+               both_fail, monoid_of("a(a|b)*"), monoid_of("a*b*"), monoid_of("(a|b)*ab(a|b)*"))
+    expected = [exhaustive_level(m, 4) for m in monoids]
+    assert expected[0].result == LevelResult("level", 3) and expected[0].witness
+    # R and L both fail at depth 2, so the witness shows which is checked first
+    assert not in_Rm_by_identities(both_fail, 2) and not in_Lm_by_identities(both_fail, 2)
+    # a chunk of 7 splits every step into several slices, so tuples first
+    # seen in one slice come back in later ones
+    monkeypatch.setattr(identities, "_CHUNK", 7)
+    for m, exp in zip(monoids, expected):
+        assert identities_level(m, max_m=4) == exp
+
+
+def test_forward_search_budget_counts_reachable_tuples():
+    m = level_three()
+    assert len(m.idempotents()) == 6
+    # DA needs 6^2 = 36, the search at most 16 tuples x 6 = 96 < 6^3
+    answer = identities_level(m)
+    assert answer.result == LevelResult("level", 3)
+    assert identities_level(m, max_assignments=100) == answer
+    assert in_Rm_by_identities(m, 4, max_assignments=100)
+    with pytest.raises(IdentityBudgetError, match="16 reachable tuples x 6 idempotents"):
+        identities_level(m, max_assignments=95)
+    with pytest.raises(IdentityBudgetError, match="16 reachable tuples"):
+        in_Lm_by_identities(m, 4, max_assignments=95)
+    # depths below the one that needs the budget are still answered
+    assert not in_Rm_by_identities(m, 3, max_assignments=95)
+

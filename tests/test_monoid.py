@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -118,6 +120,20 @@ def test_is_in_da_is_computed_once(monkeypatch):
     assert not m.is_in_da()
     monkeypatch.setattr(m, "_table", None)  # any table work now raises
     assert not m.is_in_da()
+
+
+def test_non_aperiodic_monoid_skips_the_da_gathers():
+    # Z_1000: one |M|^2 int32 gather alone would take 4 MB
+    n = 1000
+    z = FiniteMonoid((np.arange(n)[:, None] + np.arange(n)) % n, 0, validate=False)
+    assert not z.is_aperiodic()
+    tracemalloc.start()
+    try:
+        assert not z.is_in_da()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
 
 
 def test_j1_membership():
@@ -290,3 +306,32 @@ def test_greens_classes_match_preorders(dfa, with_gens):
     assert np.array_equal(g.j_class, labels_of(g.jleq & g.jleq.T))
     assert np.array_equal(g.r_class, labels_of(g.rleq & g.rleq.T))
     assert np.array_equal(g.l_class, labels_of(g.lleq & g.lleq.T))
+
+
+def reference_omega(m):
+    """x^omega by walking the powers of each x one product at a time."""
+    T = m.table.tolist()
+    out = []
+    for x in range(m.size):
+        y = x
+        while T[y][y] != y:
+            y = T[y][x]
+        out.append(y)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfas(), st.booleans())
+def test_omega_table_and_da_match_scalar_references(dfa, minimal):
+    try:
+        m = transition_monoid(minimize(dfa) if minimal else dfa, max_size=60)
+    except MonoidTooLargeError:
+        reject()
+    om = reference_omega(m)
+    assert m.omega_table.tolist() == om
+    T = m.table.tolist()
+    da = all(T[T[om[T[x][y]]][x]][om[T[x][y]]] == om[T[x][y]]
+             for x in range(m.size) for y in range(m.size))
+    assert m.is_in_da() == da
+    assert m.is_aperiodic() == all(T[om[x]][x] == om[x] for x in range(m.size))
+
