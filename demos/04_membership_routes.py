@@ -3,8 +3,9 @@
 
 Route 1 (quotients): R_1 = L_1 = the J-trivial monoids; membership in
 R_{m+1} is membership of the quotient by the congruence sim_k in L_m, and
-dually for L_{m+1} via sim_d.  Each proper quotient shrinks the monoid,
-so the recursion terminates quickly.
+dually for L_{m+1} via sim_d.  Unrolled, this walks one alternating chain
+per side: M, M/~K, (M/~K)/~D, ... for R and its mirror for L, and M lies
+in R_m (L_m) when its chain is J-trivial within m-1 steps.
 
 Route 2 (identities): R_m is carved out by the DA identity
 (xy)^w x (xy)^w = (xy)^w together with an inductively built word identity
@@ -14,19 +15,16 @@ search over the values both sides reach; L_m uses the mirrored words.
 
 from fo2level import (build_G, build_I, format_term, in_Lm, in_Lm_by_identities,
                       in_Rm, in_Rm_by_identities, mirror, parse_regex,
-                      phi_word, quotient, regex_to_min_dfa, sim_k,
+                      phi_word, quotient_chain, regex_to_min_dfa,
                       transition_monoid)
 
 monoid = transition_monoid(regex_to_min_dfa(parse_regex("a(a|b)*")))
 print(f"syntactic monoid of a(a|b)*: {monoid.size} elements")
 
-print("\nquotient chain for the R-side:")
-cur = monoid
-for step in range(1, 4):
-    print(f"  level {step}: size {cur.size}, J-trivial: {cur.is_j_trivial()}")
-    if cur.is_j_trivial():
-        break
-    cur = quotient(cur, sim_k(cur))
+for side, order in (("R", "~K, ~D, ..."), ("L", "~D, ~K, ...")):
+    print(f"\nquotient chain for the {side}-side ({order}):")
+    for step, q in enumerate(quotient_chain(monoid, side)):
+        print(f"  step {step}: size {q.size}, J-trivial: {q.is_j_trivial()}")
 
 print("\nmembership table (quotient route vs identity route):")
 print("  m   in R_m    same?   in L_m    same?")

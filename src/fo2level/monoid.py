@@ -85,6 +85,25 @@ class GreensData:
         return out
 
 
+def _first_seen_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label equal rows of a 2-D array 0, 1, ... in order of first appearance.
+
+    Returns (labels, first) with ``first[k]`` the index of the first row
+    labelled k.  Rows are compared as raw bytes through a ``np.void`` view,
+    so one sort labels them all.
+    """
+    rows = np.ascontiguousarray(rows)
+    count, width = rows.shape[0], rows.shape[1] * rows.dtype.itemsize
+    if count == 0 or width == 0:
+        return np.zeros(count, dtype=np.int32), np.zeros(min(count, 1), dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[order] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse.ravel()], first[order]
+
+
 def _scc_labels(succ: list[list[int]]) -> np.ndarray:
     """Strongly connected components of a graph given by successor lists.
 
@@ -324,12 +343,6 @@ class FiniteMonoid:
             return None
         x, y = bad[0]
         return int(x), int(y)
-
-    def is_in_j1(self) -> bool:
-        """Commutative and idempotent."""
-        T = self._table
-        diag = T[np.arange(self.size), np.arange(self.size)]
-        return bool(np.array_equal(T, T.T) and np.array_equal(diag, np.arange(self.size)))
 
     # -- presentation --------------------------------------------------------
 

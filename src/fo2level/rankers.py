@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import all_words
-from .monoid import FiniteMonoid, _physical_memory
+from .monoid import FiniteMonoid, _first_seen_labels, _physical_memory, reverse_monoid
 
 X = "X"
 Y = "Y"
@@ -239,12 +239,11 @@ def rel_right(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
 
 
 def rel_left(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
-    """Same condensed rankers among Y-start (m, n) and X-start (m-1, n-1)."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    alpha = _infer_alphabet(u, v, alphabet)
-    rankers = enumerate_rankers(alpha, m, n, Y) + enumerate_rankers(alpha, m - 1, n - 1, X)
-    return all(is_condensed(r, u) == is_condensed(r, v) for r in rankers)
+    """Same condensed rankers among Y-start (m, n) and X-start (m-1, n-1).
+
+    Reversal swaps X and Y, so this is ``rel_right`` on the reversed words.
+    """
+    return rel_right(u[::-1], v[::-1], m, n, alphabet)
 
 
 def _ord(i: int, j: int) -> int:
@@ -330,25 +329,6 @@ def _letter_codes(words: list[str]) -> np.ndarray:
     codes[np.arange(maxlen) < lens[:, None]] = np.frombuffer(
         "".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
     return codes
-
-
-def _first_seen_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Label equal rows of a 2-D array 0, 1, ... in order of first appearance.
-
-    Returns (labels, first) with ``first[k]`` the index of the first row
-    labelled k.  Rows are compared as raw bytes through a ``np.void`` view,
-    so one sort labels them all.
-    """
-    rows = np.ascontiguousarray(rows)
-    count, width = rows.shape[0], rows.shape[1] * rows.dtype.itemsize
-    if count == 0 or width == 0:
-        return np.zeros(count, dtype=np.int32), np.zeros(min(count, 1), dtype=np.intp)
-    keys = rows.view(np.dtype((np.void, width))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[order] = np.arange(len(first), dtype=np.int32)
-    return rank[inverse.ravel()], first[order]
 
 
 class RankerTable:
@@ -677,26 +657,11 @@ def l_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
 
     Returns (segments, markers) with u = segments[0] markers[0] segments[1]
     ... markers[k-1] segments[k]; the last segment keeps the L-class of the
-    identity.
+    identity.  L-classes are the R-classes of the reverse monoid, so this
+    is ``r_factorize`` there on the reversed word, read back in reverse.
     """
-    if monoid.gens is None:
-        raise ValueError("factorization needs a monoid with a generator map")
-    lcls = monoid.greens().l_class
-    segments_rev: list[str] = []
-    markers_rev: list[str] = []
-    cur = monoid.identity
-    seg: list[str] = []
-    for ch in reversed(u):
-        nxt = monoid.mul(monoid.eval_word(ch), cur)
-        if lcls[nxt] == lcls[cur]:
-            seg.append(ch)
-        else:
-            segments_rev.append("".join(reversed(seg)))
-            markers_rev.append(ch)
-            seg = []
-        cur = nxt
-    segments_rev.append("".join(reversed(seg)))
-    return list(reversed(segments_rev)), list(reversed(markers_rev))
+    segments, markers = r_factorize(reverse_monoid(monoid), u[::-1])
+    return [s[::-1] for s in reversed(segments)], markers[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,30 @@ The three congruences here relate elements by how idempotents absorb them:
 * ``sim_d``: the left-right dual (uf against f).
 * ``sim_li``: the two-sided version over J-equivalent idempotent pairs.
 
+Each labels u by its signature, the products eu (uf, euf) with -1 where one
+leaves the J-class of its idempotent, in O(|E|·|M|) with no n×n relation.
+
 Membership in R_m / L_m is decided by the Mal'cev recursion: R_1 = L_1 is
 the J-trivial monoids, R_{m+1} holds when the quotient by sim_k lies in L_m,
-and L_{m+1} holds when the quotient by sim_d lies in R_m.  A language is
+and L_{m+1} holds when the quotient by sim_d lies in R_m.  Unrolled, M lies
+in R_m when its K-first chain M, M/~K, (M/~K)/~D, ... is J-trivial within
+m-1 steps, and in L_m by the mirrored D-first chain.  A language is
 FO2-definable with alternation depth m exactly when its syntactic monoid
-lies in R_{m+1} intersect L_{m+1}; ``fo2_level`` computes the least such m.
+lies in R_{m+1} intersect L_{m+1}; ``fo2_level`` reads the least such m
+off one walk of each chain.
 
 Everything is pure over immutable inputs; quotients are fresh monoids.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
-from .monoid import FiniteMonoid
+from .monoid import FiniteMonoid, _first_seen_labels
 
 
 class NotACongruenceError(ValueError):
@@ -46,44 +54,19 @@ class Congruence:
     class_of: np.ndarray
     num_classes: int
 
-    def relates(self, u: int, v: int) -> bool:
-        return bool(self.class_of[u] == self.class_of[v])
 
-    def classes(self) -> list[list[int]]:
-        out = [[] for _ in range(self.num_classes)]
-        for x, c in enumerate(self.class_of):
-            out[int(c)].append(x)
-        return out
+def _by_signature(m: FiniteMonoid, products: np.ndarray, anchors: np.ndarray) -> Congruence:
+    """Classes of equal columns of products, one row per anchor idempotent.
 
-
-def _congruence_from_relation(m: FiniteMonoid, rel: np.ndarray, what: str) -> Congruence:
-    n = m.size
-    if not np.array_equal(rel, rel.T) or not rel.diagonal().all():
-        raise InternalInconsistencyError(f"{what}: relation not reflexive-symmetric")
-    # the defining formulas yield equivalences; verify transitivity anyway
-    closure = rel @ rel  # boolean product: no counts that could wrap
-    if (closure & ~rel).any():
-        raise InternalInconsistencyError(f"{what}: relation not transitive")
-    labels = np.full(n, -1, dtype=np.int32)
-    nxt = 0
-    for i in range(n):
-        if labels[i] < 0:
-            labels[rel[i]] = nxt
-            nxt += 1
+    An entry that leaves the J-class of its row's anchor lies strictly
+    below it and becomes -1, so "both below, or equal" is plain equality.
+    First-seen labels number the classes by smallest element.
+    """
+    jcls = m.greens().j_class
+    sig = np.where(jcls[products] == jcls[anchors][:, None], products, -1)
+    labels = _first_seen_labels(sig.T)[0]
     labels.setflags(write=False)
-    return Congruence(m, labels, nxt)
-
-
-def identity_congruence(m: FiniteMonoid) -> Congruence:
-    labels = np.arange(m.size, dtype=np.int32)
-    labels.setflags(write=False)
-    return Congruence(m, labels, m.size)
-
-
-def universal_congruence(m: FiniteMonoid) -> Congruence:
-    labels = np.zeros(m.size, dtype=np.int32)
-    labels.setflags(write=False)
-    return Congruence(m, labels, 1)
+    return Congruence(m, labels, int(labels.max()) + 1)
 
 
 def sim_k(m: FiniteMonoid) -> Congruence:
@@ -92,45 +75,24 @@ def sim_k(m: FiniteMonoid) -> Congruence:
     eu lies J-below e, so it is strictly below exactly when it leaves the
     J-class of e; the same holds for uf against f and for euf against e.
     """
-    T = m.table
-    jcls = m.greens().j_class
-    n = m.size
-    rel = np.ones((n, n), dtype=bool)
-    for e in m.idempotents():
-        eu = T[e, :]
-        below = jcls[eu] != jcls[e]
-        rel &= (below[:, None] & below[None, :]) | (eu[:, None] == eu[None, :])
-    return _congruence_from_relation(m, rel, "sim_k")
+    idems = np.array(m.idempotents())
+    return _by_signature(m, m.table[idems, :], idems)
 
 
 def sim_d(m: FiniteMonoid) -> Congruence:
     """u ~ v iff for all idempotents f: uf, vf both strictly below f, or uf == vf."""
-    T = m.table
-    jcls = m.greens().j_class
-    n = m.size
-    rel = np.ones((n, n), dtype=bool)
-    for f in m.idempotents():
-        uf = T[:, f]
-        below = jcls[uf] != jcls[f]
-        rel &= (below[:, None] & below[None, :]) | (uf[:, None] == uf[None, :])
-    return _congruence_from_relation(m, rel, "sim_d")
+    idems = np.array(m.idempotents())
+    return _by_signature(m, m.table.T[idems, :], idems)
 
 
 def sim_li(m: FiniteMonoid) -> Congruence:
     """Two-sided variant over J-equivalent idempotent pairs (e, f)."""
     T = m.table
-    jcls = m.greens().j_class
-    n = m.size
-    rel = np.ones((n, n), dtype=bool)
-    idems = m.idempotents()
-    for e in idems:
-        for f in idems:
-            if jcls[e] != jcls[f]:
-                continue
-            euf = T[T[e, :], f]
-            below = jcls[euf] != jcls[e]
-            rel &= (below[:, None] & below[None, :]) | (euf[:, None] == euf[None, :])
-    return _congruence_from_relation(m, rel, "sim_li")
+    idems = np.array(m.idempotents())
+    jcls = m.greens().j_class[idems]
+    es, fs = np.nonzero(jcls[:, None] == jcls[None, :])
+    es, fs = idems[es], idems[fs]
+    return _by_signature(m, T[T[es, :], fs[:, None]], es)
 
 
 def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
@@ -163,47 +125,6 @@ def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
     return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, words=words, validate=False)
 
 
-def join(c1: Congruence, c2: Congruence) -> Congruence:
-    """Least congruence containing both, by union-find congruence closure."""
-    if c1.monoid is not c2.monoid:
-        raise ValueError("congruences on different monoids")
-    m = c1.monoid
-    T = m.table
-    n = m.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pending = []
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            pending.append((a, b))
-
-    for c in (c1, c2):
-        first = {}
-        for x in range(n):
-            lab = int(c.class_of[x])
-            if lab in first:
-                union(first[lab], x)
-            else:
-                first[lab] = x
-    while pending:
-        a, b = pending.pop()
-        for z in range(n):
-            union(int(T[a, z]), int(T[b, z]))
-            union(int(T[z, a]), int(T[z, b]))
-    roots = np.array([find(x) for x in range(n)])
-    rel = roots[:, None] == roots[None, :]
-    return _congruence_from_relation(m, rel, "join")
-
-
 def refines(fine: Congruence, coarse: Congruence) -> bool:
     """Every class of `fine` lies inside a single class of `coarse`."""
     if fine.monoid is not coarse.monoid:
@@ -216,27 +137,41 @@ def refines(fine: Congruence, coarse: Congruence) -> bool:
     return True
 
 
-def join_refines_check(c1: Congruence, c2: Congruence, target: Congruence) -> bool:
-    """Whether the join of c1 and c2 is contained in the target congruence."""
-    return refines(join(c1, c2), target)
+def quotient_chain(m: FiniteMonoid, side: str) -> Iterator[FiniteMonoid]:
+    """Lazily yield M, M/~K, (M/~K)/~D, ... (side "R") or the mirror chain
+    starting with ~D (side "L"), up to the first J-trivial monoid.
+
+    One step that keeps the size is normal (on a left-zero monoid ~D is
+    trivial but ~K is not).  Two in a row mean ~K and ~D are both trivial:
+    the chain is stuck and ends on a monoid that is not J-trivial.
+    """
+    steps = (sim_k, sim_d) if side == "R" else (sim_d, sim_k)
+    stalled = 0
+    for i in count():
+        yield m
+        if m.is_j_trivial():
+            return
+        q = quotient(m, steps[i % 2](m))
+        stalled = stalled + 1 if q.size == m.size else 0
+        if stalled == 2:
+            return
+        m = q
+
+
+def _chain_member(m: FiniteMonoid, side: str, level: int) -> bool:
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    return any(q.is_j_trivial() for q in islice(quotient_chain(m, side), level))
 
 
 def in_Rm(m: FiniteMonoid, level: int) -> bool:
-    """Membership in R_level: R_1 = J-trivial, R_{m+1} via the sim_k quotient."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level == 1:
-        return m.is_j_trivial()
-    return in_Lm(quotient(m, sim_k(m)), level - 1)
+    """Membership in R_level: the K-first chain is J-trivial within level-1 steps."""
+    return _chain_member(m, "R", level)
 
 
 def in_Lm(m: FiniteMonoid, level: int) -> bool:
-    """Membership in L_level: L_1 = J-trivial, L_{m+1} via the sim_d quotient."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level == 1:
-        return m.is_j_trivial()
-    return in_Rm(quotient(m, sim_d(m)), level - 1)
+    """Membership in L_level: the D-first chain is J-trivial within level-1 steps."""
+    return _chain_member(m, "L", level)
 
 
 @dataclass(frozen=True)
@@ -269,19 +204,24 @@ NOT_FO2 = LevelResult("not-fo2")
 def fo2_level(m: FiniteMonoid, max_m: int = 6) -> LevelResult:
     """Least depth d with membership in both R_{d+1} and L_{d+1}.
 
-    Returns NotFO2 outside DA.  The search continues internally past max_m
-    up to size+1 so that a DA monoid with no level at all (impossible by
-    the hierarchy exhausting DA) is flagged as an internal inconsistency
-    rather than silently reported as exceeding the cap.
+    That is max(1, steps_R, steps_L), the steps each chain takes to reach a
+    J-trivial monoid.  Returns NotFO2 outside DA.  A stuck chain of a DA
+    monoid (impossible, since the hierarchy exhausts DA) raises
+    InternalInconsistencyError.
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     if not m.is_in_da():
         return NOT_FO2
-    for d in range(1, max(max_m, m.size + 1) + 1):
-        if in_Rm(m, d + 1) and in_Lm(m, d + 1):
-            if d <= max_m:
-                return LevelResult("level", d)
-            return LevelResult("exceeded", max_m)
-    raise InternalInconsistencyError(
-        "monoid lies in DA but no alternation level was found up to size+1")
+    depth = 1
+    for side in ("R", "L"):
+        for steps, q in enumerate(quotient_chain(m, side)):
+            pass
+        if not q.is_j_trivial():
+            raise InternalInconsistencyError(
+                f"monoid lies in DA but its {side}-side quotient chain is stuck "
+                f"at {q.size} elements before reaching a J-trivial monoid")
+        depth = max(depth, steps)
+    if depth <= max_m:
+        return LevelResult("level", depth)
+    return LevelResult("exceeded", max_m)

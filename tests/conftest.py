@@ -61,6 +61,19 @@ def trivial():
     return FiniteMonoid([[0]], 0, gens={"a": 0, "b": 0}, words=[""])
 
 
+def level_three():
+    # a Level-3 monoid with |M| = |E| = 6
+    return FiniteMonoid([[0, 1, 2, 3, 4, 5], [1, 1, 1, 3, 4, 5], [2, 2, 2, 3, 4, 5],
+                         [3, 4, 5, 3, 4, 5], [4, 4, 4, 3, 4, 5], [5, 5, 5, 3, 4, 5]], 0,
+                        gens={"a": 1, "b": 2, "c": 3})
+
+
+def direct_product(a, b):
+    n = b.size
+    table = (a.table[:, None, :, None] * n + b.table[None, :, None, :]).reshape(a.size * n, -1)
+    return FiniteMonoid(table, a.identity * n + b.identity)
+
+
 # -- random automata ---------------------------------------------------------
 
 @st.composite

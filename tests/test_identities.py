@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic_two, dfas, left_zero, right_zero, trivial, two_element_zero
+from conftest import (cyclic_two, dfas, direct_product, left_zero, level_three, right_zero,
+                      trivial, two_element_zero)
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level import identities
 from fo2level.identities import (IdentitiesLevel, IdentityBudgetError, IdentityCheck,
@@ -18,8 +19,7 @@ from fo2level.identities import (IdentitiesLevel, IdentityBudgetError, IdentityC
                                  in_Rm_by_identities, mirror, phi_of,
                                  phi_word, satisfies_identity,
                                  straubing_terms, term_num_vars)
-from fo2level.monoid import (FiniteMonoid, MonoidTooLargeError, reverse_monoid,
-                             transition_monoid)
+from fo2level.monoid import MonoidTooLargeError, reverse_monoid, transition_monoid
 from fo2level.varieties import NOT_FO2, LevelResult
 
 
@@ -235,13 +235,7 @@ def test_check_straubing():
 
 # -- the forward search behind the phi-word identities ----------------------
 
-# A Level-3 monoid (|M| = |E| = 6): its search reaches 16 tuples at depth 4
-LEVEL_THREE_ROWS = [[0, 1, 2, 3, 4, 5], [1, 1, 1, 3, 4, 5], [2, 2, 2, 3, 4, 5],
-                    [3, 4, 5, 3, 4, 5], [4, 4, 4, 3, 4, 5], [5, 5, 5, 3, 4, 5]]
-
-
-def level_three():
-    return FiniteMonoid(LEVEL_THREE_ROWS, 0, gens={"a": 1, "b": 2, "c": 3})
+# level_three() (|M| = |E| = 6): its search reaches 16 tuples at depth 4
 
 
 def phi_identity(level, side):
@@ -288,12 +282,6 @@ def test_forward_search_matches_exhaustive_scan(dfa, minimal, reverse):
             da and satisfies_identity(m, *phi_identity(level, "R")).holds)
         assert in_Lm_by_identities(m, level) == (
             da and satisfies_identity(m, *phi_identity(level, "L")).holds)
-
-
-def direct_product(a, b):
-    n = b.size
-    table = (a.table[:, None, :, None] * n + b.table[None, :, None, :]).reshape(a.size * n, -1)
-    return FiniteMonoid(table, a.identity * n + b.identity)
 
 
 def test_forward_search_witness_does_not_depend_on_chunk_size(monkeypatch):

@@ -136,17 +136,9 @@ def test_non_aperiodic_monoid_skips_the_da_gathers():
     assert peak < n * n
 
 
-def test_j1_membership():
-    assert trivial().is_in_j1()
-    assert two_element_zero().is_in_j1()
-    assert not left_zero().is_in_j1()
-
-
 def test_hierarchy_inclusions(mixed_entries):
     for e in mixed_entries:
         m = e.monoid
-        if m.is_in_j1():
-            assert m.is_in_da()
         if m.is_in_da():
             assert m.is_aperiodic()
 

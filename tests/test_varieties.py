@@ -1,16 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from conftest import cyclic_two, left_zero, right_zero, trivial, two_element_zero
-from fo2level.automata import parse_regex, regex_to_min_dfa
+from conftest import (cyclic_two, dfas, direct_product, left_zero, level_three, right_zero,
+                      trivial, two_element_zero)
+from fo2level import cli, varieties
+from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level.identities import identities_level
-from fo2level.monoid import FiniteMonoid, reverse_monoid, transition_monoid
+from fo2level.monoid import MonoidTooLargeError, reverse_monoid, transition_monoid
 from fo2level.varieties import (Congruence, InternalInconsistencyError,
-                                LevelResult, NotACongruenceError,
-                                _congruence_from_relation, fo2_level,
-                                identity_congruence, in_Lm, in_Rm, join,
-                                join_refines_check, quotient, refines, sim_d,
-                                sim_k, sim_li, universal_congruence)
+                                LevelResult, NotACongruenceError, fo2_level,
+                                in_Lm, in_Rm, quotient, quotient_chain, refines,
+                                sim_d, sim_k, sim_li)
 
 
 def monoid_of(text):
@@ -18,7 +22,7 @@ def monoid_of(text):
 
 
 def classes_as_sets(c: Congruence):
-    return {frozenset(cl) for cl in c.classes()}
+    return {frozenset(np.flatnonzero(c.class_of == k).tolist()) for k in range(c.num_classes)}
 
 
 def test_sim_k_examples():
@@ -45,11 +49,15 @@ def test_sim_li_coarser_than_one_sided(da_corpus):
         assert refines(sim_d(e.monoid), li)
 
 
+def identity_congruence(m):
+    return Congruence(m, np.arange(m.size, dtype=np.int32), m.size)
+
+
 def test_quotient_basics():
     lz = left_zero()
     iso = quotient(lz, identity_congruence(lz))
     assert iso.size == lz.size and np.array_equal(iso.table, lz.table)
-    assert quotient(lz, universal_congruence(lz)).size == 1
+    assert quotient(lz, Congruence(lz, np.zeros(lz.size, dtype=np.int32), 1)).size == 1
     q = quotient(lz, sim_k(lz))
     assert q.size == 2
     e = 1 - q.identity
@@ -137,27 +145,6 @@ def test_fo2_level_agrees_with_identities(da_corpus):
             assert ident.result == e.level
 
 
-def test_join_examples():
-    lz = left_zero()
-    k = sim_k(lz)
-    d = sim_d(lz)
-    assert classes_as_sets(join(k, k)) == classes_as_sets(k)
-    assert classes_as_sets(join(identity_congruence(lz), k)) == classes_as_sets(k)
-    assert classes_as_sets(join(k, d)) == {frozenset({0}), frozenset({1, 2})}
-    assert join_refines_check(k, d, universal_congruence(lz))
-    assert not join_refines_check(k, d, identity_congruence(lz))
-
-
-def test_join_quotient_descends_hierarchy(da_corpus):
-    # a monoid at level d has its joint quotient in both memberships one
-    # level down (quotients of the one-sided quotients)
-    for e in da_corpus[:40]:
-        if e.level.is_level and e.level.m >= 2:
-            d = e.level.m
-            q = quotient(e.monoid, join(sim_k(e.monoid), sim_d(e.monoid)))
-            assert in_Rm(q, d) and in_Lm(q, d)
-
-
 def test_congruences_verified_on_corpus(da_corpus):
     for e in da_corpus[:60]:
         for rel in (sim_k, sim_d, sim_li):
@@ -182,14 +169,155 @@ def test_stable_action_agreement_zoo():
                         assert m.mul(x, s) == m.mul(y, s)
 
 
-def test_transitivity_check_survives_many_common_neighbours():
-    # 0 and 1 are unrelated but share 256 neighbours 2..257, so a byte-wide
-    # count of common neighbours wraps to 0 and would miss the failure
-    n = 258
-    table = np.ones((n, n), dtype=np.int32)     # a zero 1 below the identity 0
-    table[0, :] = table[:, 0] = np.arange(n)
-    m = FiniteMonoid(table, 0)
+# -- references: the pairwise relations and the level-by-level recursion ------
+
+def pairwise_labels(m, images):
+    """Labels of the relation "both leave the anchor's J-class, or equal images",
+    intersected over (anchor, images) pairs, numbered by smallest element."""
+    jcls = m.greens().j_class
+    n = m.size
     rel = np.ones((n, n), dtype=bool)
-    rel[0, 1] = rel[1, 0] = False
-    with pytest.raises(InternalInconsistencyError, match="not transitive"):
-        _congruence_from_relation(m, rel, "test")
+    for anchor, img in images:
+        below = jcls[img] != jcls[anchor]
+        rel &= (below[:, None] & below[None, :]) | (img[:, None] == img[None, :])
+    assert np.array_equal(rel, rel.T) and not (rel @ rel & ~rel).any()
+    labels = np.full(n, -1, dtype=np.int32)
+    nxt = 0
+    for i in range(n):
+        if labels[i] < 0:
+            labels[rel[i]] = nxt
+            nxt += 1
+    return labels
+
+
+def reference_sim_k(m):
+    return pairwise_labels(m, [(e, m.table[e, :]) for e in m.idempotents()])
+
+
+def reference_sim_d(m):
+    return pairwise_labels(m, [(f, m.table[:, f]) for f in m.idempotents()])
+
+
+def reference_sim_li(m):
+    T, jcls = m.table, m.greens().j_class
+    return pairwise_labels(m, [(e, T[T[e, :], f]) for e in m.idempotents()
+                               for f in m.idempotents() if jcls[e] == jcls[f]])
+
+
+def reference_quotient(m, reference):
+    labels = reference(m)
+    return quotient(m, Congruence(m, labels, int(labels.max()) + 1))
+
+
+def reference_in_Rm(m, level):
+    if level == 1:
+        return m.is_j_trivial()
+    return reference_in_Lm(reference_quotient(m, reference_sim_k), level - 1)
+
+
+def reference_in_Lm(m, level):
+    if level == 1:
+        return m.is_j_trivial()
+    return reference_in_Rm(reference_quotient(m, reference_sim_d), level - 1)
+
+
+def reference_level(m, max_m):
+    if not m.is_in_da():
+        return LevelResult("not-fo2")
+    for d in range(1, max(max_m, m.size + 1) + 1):
+        if reference_in_Rm(m, d + 1) and reference_in_Lm(m, d + 1):
+            return LevelResult("level", d) if d <= max_m else LevelResult("exceeded", max_m)
+    raise AssertionError("no level up to size+1")
+
+
+def assert_matches_references(m):
+    for fast, reference in ((sim_k, reference_sim_k), (sim_d, reference_sim_d),
+                            (sim_li, reference_sim_li)):
+        c = fast(m)
+        assert np.array_equal(c.class_of, reference(m))
+        assert c.num_classes == int(c.class_of.max()) + 1
+    for level in range(1, 6):
+        assert in_Rm(m, level) == reference_in_Rm(m, level)
+        assert in_Lm(m, level) == reference_in_Lm(m, level)
+    for cap in (1, 2, 6):
+        assert fo2_level(m, cap) == reference_level(m, cap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfas(), st.booleans(), st.booleans())
+def test_signatures_and_chains_match_references(dfa, minimal, reverse):
+    try:
+        m = transition_monoid(minimize(dfa) if minimal else dfa, max_size=20)
+    except MonoidTooLargeError:
+        reject()
+    assert_matches_references(reverse_monoid(m) if reverse else m)
+
+
+LEVEL_THREE = level_three()
+
+
+@pytest.mark.parametrize("m, r_chain, l_chain, level", [
+    (LEVEL_THREE, [6, 6, 4, 3], [6, 4, 3], 3),
+    (reverse_monoid(LEVEL_THREE), [6, 4, 3], [6, 6, 4, 3], 3),
+    (direct_product(LEVEL_THREE, left_zero()), [18, 12, 8, 6], [18, 12, 6], 3),
+    (direct_product(LEVEL_THREE, reverse_monoid(LEVEL_THREE)), [36, 24, 12, 9],
+     [36, 24, 12, 9], 3),
+    (direct_product(left_zero(), right_zero()), [9, 6, 4], [9, 6, 4], 2),
+], ids=["level3", "level3-reversed", "level3-x-left-zero", "level3-x-reversed",
+        "left-x-right-zero"])
+def test_deeper_monoids_match_references(m, r_chain, l_chain, level):
+    assert [q.size for q in quotient_chain(m, "R")] == r_chain
+    assert [q.size for q in quotient_chain(m, "L")] == l_chain
+    assert fo2_level(m) == LevelResult("level", level)
+    assert_matches_references(m)
+
+
+def test_chains_alternate_and_stop_at_j_trivial():
+    lz = left_zero()
+    # ~K merges a and b at once; ~D is trivial on the left-zero monoid, so
+    # the D-first chain keeps the size for one step, which is not stuck
+    assert [q.size for q in quotient_chain(lz, "R")] == [3, 2]
+    assert [q.size for q in quotient_chain(lz, "L")] == [3, 3, 2]
+    assert [q.size for q in quotient_chain(trivial(), "L")] == [1]
+
+
+def stuck(monkeypatch):
+    """~K and ~D both trivial: the chains of a non-J-trivial monoid cannot shrink."""
+    monkeypatch.setattr(varieties, "sim_k", identity_congruence)
+    monkeypatch.setattr(varieties, "sim_d", identity_congruence)
+
+
+def test_stuck_chain_decides_no_membership(monkeypatch):
+    stuck(monkeypatch)
+    lz = left_zero()
+    assert [q.size for q in quotient_chain(lz, "R")] == [3, 3]
+    assert not in_Rm(lz, 2) and not in_Lm(lz, 5)
+
+
+def test_stuck_chain_of_a_da_monoid_is_an_internal_inconsistency(monkeypatch, tmp_path, capsys):
+    stuck(monkeypatch)
+    with pytest.raises(InternalInconsistencyError, match="stuck at 3 elements"):
+        fo2_level(left_zero())
+    p = tmp_path / "leftzero.monoid"
+    p.write_text("size: 3\nidentity: 0\ngen a 1\ngen b 2\ntable\n0 1 2\n1 1 1\n2 2 2\n")
+    code = cli.main(["analyze", "--monoid", str(p), "--method", "quotient"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("internal inconsistency: ") and "Traceback" not in err
+
+
+def test_benchmark_tracer_wraps_existing_functions(monkeypatch):
+    # the traced benchmark run wraps package functions by name; a deleted or
+    # renamed one fails here rather than in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracer
+    original = varieties.fo2_level
+    rec = tracer.Recorder()
+    rec.install()
+    try:
+        assert varieties.fo2_level is not original
+        assert cli.main(["analyze", "--regex", "a(a|b)*", "--method", "quotient"]) == 0
+    finally:
+        rec.remove()
+    assert varieties.fo2_level is original
+    assert rec.counts[(-1, "varieties.quotients_built")] == 3
