@@ -12,7 +12,7 @@ brute-force view used for cross-validation at desk scale.
 from .automata import (
     Dfa, Regex, RegexSyntaxError, DfaFormatError,
     parse_regex, regex_to_min_dfa, regex_matches, parse_dfa_file,
-    dfa_accepts, minimize, all_words,
+    minimize, all_words,
 )
 from .monoid import (
     FiniteMonoid, GreensData, MonoidFormatError, MonoidTooLargeError,

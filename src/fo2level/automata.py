@@ -304,10 +304,6 @@ class Dfa:
         return s in self.finals
 
 
-def dfa_accepts(d: Dfa, word: str) -> bool:
-    return d.accepts(word)
-
-
 def _canonical(d: Dfa) -> Dfa:
     """Renumber states by BFS from the initial state, letters in alphabet order."""
     order = [d.initial]

@@ -104,6 +104,27 @@ def _first_seen_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse.ravel()], first[order]
 
 
+def _fold_labels(count: int, blocks) -> np.ndarray:
+    """First-seen labels of count rows given as column blocks, one block at a time.
+
+    Each block (count rows, any dtype) refines the running labels: the rows
+    (label, block row) are relabelled by first appearance.  Rows share a
+    label exactly when they agree on every block so far, and first-seen
+    numbering depends only on that partition, so the result equals
+    labelling the whole concatenation at once while only one block (plus a
+    label column) is held.  A single block is one ``_first_seen_labels``.
+    """
+    labels = np.zeros(count, dtype=np.int32)
+    if count == 0:
+        return labels
+    for i, block in enumerate(blocks):
+        block = np.ascontiguousarray(block).view(np.uint8).reshape(count, -1)
+        if i:
+            block = np.concatenate([labels.view(np.uint8).reshape(count, 4), block], axis=1)
+        labels = _first_seen_labels(block)[0]
+    return labels
+
+
 def _scc_labels(succ: list[list[int]]) -> np.ndarray:
     """Strongly connected components of a graph given by successor lists.
 
@@ -189,6 +210,7 @@ class FiniteMonoid:
         self._greens = None
         self._idempotents = None
         self._in_da = None
+        self._reverse = None
 
     def _check_generated(self):
         seen = {self.identity}
@@ -438,9 +460,13 @@ def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
     """The monoid with the opposite product (x *' y = y * x).
 
     Generator images are preserved; they now evaluate mirror words, so the
-    stored shortest-word names are dropped.
+    stored shortest-word names are dropped.  Built once per monoid and kept,
+    like its other derived structure, so mirrored loops over words (such as
+    ``l_factorize``) share one copy and its Green's classes.
     """
-    return FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False)
+    if m._reverse is None:
+        m._reverse = FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False)
+    return m._reverse
 
 
 def parse_monoid_file(text: str) -> FiniteMonoid:

@@ -34,12 +34,14 @@ is pure.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .automata import all_words
-from .monoid import FiniteMonoid, _first_seen_labels, _physical_memory, reverse_monoid
+from .monoid import (FiniteMonoid, _first_seen_labels, _fold_labels, _physical_memory,
+                     reverse_monoid)
 
 X = "X"
 Y = "Y"
@@ -331,16 +333,29 @@ def _letter_codes(words: list[str]) -> np.ndarray:
     return codes
 
 
+# bytes of equivalence keys per fold step in RankerTable.partition_equiv
+_KEY_BYTES = 1 << 24
+
+
 class RankerTable:
     """Positions and condensedness of every ranker in a class over a word list.
 
     Built once per (alphabet, max_blocks, max_depth, words); partitions for
     any smaller (m, n) are derived from the same table and cached.  The class
     size is counted in closed form and checked against ``max_rankers``, and
-    the table's size against physical memory, before any row is allocated.  Next/previous-occurrence tables come from running
-    minima and maxima over a words x length letter matrix, and each depth is
-    one gather over all its rankers and words; ``values`` (int16) and
-    ``condensed`` (bool) take 3 bytes per ranker and word.
+    the full table's size (3 bytes per ranker and word: int16 ``values``,
+    bool ``condensed``) against physical memory, at ``max_depth`` and before
+    any row is allocated.
+
+    The constructor enumerates the class (the rankers with their start,
+    depth, blocks, parent and last instruction, at O(rankers) with no
+    factor for the word count) and the next/previous-occurrence tables,
+    from running minima and maxima over a words x length letter matrix.
+    The word rows are filled on demand, one depth at a time, each depth
+    one gather over all its rankers and words from the depth before, and
+    appended depth-major: a partition at depth n fills and reads only the
+    rows of depths <= n, and ``filled_depth`` says how deep the table is
+    filled.  Reading ``values`` or ``condensed`` fills every depth.
 
     The equivalence partition uses exact signatures: per word, the
     definedness bits of the distinct ranker value rows and, for each
@@ -375,32 +390,31 @@ class RankerTable:
             occ[i, :, :maxlen] = np.where(after > maxlen, 0, after)
             occ[k + i, :, 2:] = np.maximum.accumulate(np.where(hit, pos, 0), axis=1)
 
-        # Rankers are built depth by depth.  Per ranker and word the level keeps
-        # the position p (0 when undefined), the open interval (lo, hi) it was
+        # The frontier keeps, per ranker of the last filled depth and word, the
+        # position p (0 when undefined), the open interval (lo, hi) it was
         # reached in, and whether the run is condensed ("alive") so far.
-        instr = _instruction_order(self.alphabet)
-        arW = np.arange(W)
-        row_offset = np.arange(2 * k * W).reshape(2 * k, W) * (maxlen + 2)  # of occ[t, j]
-        rows = max(1, (1 << 17) // max(W, 1))
         top = (codes >= 0).sum(axis=1, dtype=np.int16) + np.int16(1)
-        p = np.concatenate([occ[:k, :, 0], occ[k:, arW, top]])
-        lo = np.zeros_like(p)
-        hi = np.broadcast_to(top, p.shape)
-        alive = p != 0
+        p = np.concatenate([occ[:k, :, 0], occ[k:, np.arange(W), top]])
+        self._frontier = (p, np.zeros_like(p), np.broadcast_to(top, p.shape), p != 0)
         occ[:, :, 0] = 0  # past depth 1, position 0 means undefined and stays so
+        self._occ = occ
+        self._occ_row = np.arange(2 * k * W).reshape(2 * k, W) * (maxlen + 2)  # of occ[t, j]
+
+        # The class structure, depth by depth: every ranker extended by every
+        # instruction within max_blocks, ranker-major and in instruction order.
+        # _growth[d - 2] holds, per ranker of depth d, its parent's index
+        # within depth d - 1, its last instruction and whether that moves left.
+        instr = _instruction_order(self.alphabet)
         steps = [(s,) for s in instr]
         is_y = np.arange(2 * k) >= k
         start = is_y
         blocks = np.ones(2 * k, dtype=np.int16)
-
-        self.values = np.empty((total, W), dtype=np.int16)
-        self.condensed = np.empty((total, W), dtype=bool)
         steps_list: list[tuple[tuple[str, str], ...]] = []
         start_l, depth_l, blocks_l = [], [], []
+        self._growth: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._ends = [0]  # _ends[d]: rows of depth <= d
         for depth in range(1, max_depth + 1 if total else 1):
             if depth > 1:
-                # every ranker extended by every instruction within max_blocks,
-                # ranker-major and in instruction order
                 parent = np.repeat(np.arange(len(steps)), 2 * k)
                 t = np.tile(np.arange(2 * k), len(steps))
                 child_y = t >= k
@@ -408,28 +422,65 @@ class RankerTable:
                 keep = child_blocks <= max_blocks
                 parent, t, is_y, blocks = parent[keep], t[keep], child_y[keep], child_blocks[keep]
                 start = start[parent]
-                pp = p[parent]
-                # X moves right from p inside (p, hi), Y left from p inside (lo, p)
-                p = np.empty_like(pp)
-                for r in range(0, len(p), rows):  # bounds the flat-index temporary
-                    p[r:r + rows] = np.take(occ, row_offset[t[r:r + rows]] + pp[r:r + rows])
-                lo = np.where(is_y[:, None], lo[parent], pp)
-                hi = np.where(is_y[:, None], pp, hi[parent])
-                alive = alive[parent] & (lo < p) & (p < hi)
+                self._growth.append((parent, t, is_y))
                 steps = [steps[i] + (instr[j],) for i, j in zip(parent.tolist(), t.tolist())]
-            row = len(steps_list)
-            self.values[row:row + len(steps)] = p
-            self.condensed[row:row + len(steps)] = alive
             steps_list.extend(steps)
             start_l.append(start)
             blocks_l.append(blocks)
             depth_l.append(np.full(len(steps), depth, dtype=np.int16))
+            self._ends.append(len(steps_list))
 
         self.rankers = [Ranker(s) for s in steps_list]
         self.start = np.concatenate(start_l or [[]]).astype(np.int8)   # 0 = X, 1 = Y
         self.depth = np.concatenate(depth_l or [[]]).astype(np.int16)
         self.blocks = np.concatenate(blocks_l or [[]]).astype(np.int16)
+        self._values = np.empty((0, W), dtype=np.int16)
+        self._condensed = np.empty((0, W), dtype=bool)
+        self.filled_depth = 0
+        self._fill_lock = threading.Lock()
         self._partitions: dict[tuple[str, int, int], np.ndarray] = {}
+
+    def _fill(self, n: int) -> int:
+        """Fill the rows of every depth up to n; returns their count.  The
+        lock keeps concurrent readers from appending a depth twice."""
+        n = min(n, len(self._ends) - 1)
+        rows = max(1, (1 << 17) // max(len(self.words), 1))  # bounds the flat-index temporary
+        with self._fill_lock:
+            while self.filled_depth < n:
+                depth = self.filled_depth + 1
+                p, lo, hi, alive = self._frontier
+                if depth > 1:
+                    parent, t, is_y = self._growth[depth - 2]
+                    pp = p[parent]
+                    # X moves right from p inside (p, hi), Y left from p inside (lo, p)
+                    p = np.empty_like(pp)
+                    for r in range(0, len(p), rows):
+                        p[r:r + rows] = np.take(self._occ, self._occ_row[t[r:r + rows]] + pp[r:r + rows])
+                    lo = np.where(is_y[:, None], lo[parent], pp)
+                    hi = np.where(is_y[:, None], pp, hi[parent])
+                    alive = alive[parent] & (lo < p) & (p < hi)
+                self._values = np.concatenate([self._values, p])
+                self._condensed = np.concatenate([self._condensed, alive])
+                self.filled_depth = depth
+                if depth < len(self._ends) - 1:
+                    self._frontier = (p, lo, hi, alive)
+                else:  # complete: the inputs of further depths are no longer needed
+                    self._frontier = self._occ = self._occ_row = self._growth = None
+        return self._ends[n]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Position of each ranker (row) on each word (column), 0 where it is
+        undefined; reading it fills every depth."""
+        self._fill(self.max_depth)
+        return self._values
+
+    @property
+    def condensed(self) -> np.ndarray:
+        """Whether each ranker (row) is condensed on each word (column);
+        reading it fills every depth."""
+        self._fill(self.max_depth)
+        return self._condensed
 
     def word_index(self, w: str) -> int:
         return self._windex[w]
@@ -449,7 +500,8 @@ class RankerTable:
     def _condensed_labels(self, kind: str, m: int, n: int, mask: np.ndarray) -> np.ndarray:
         key = (kind, m, n)
         if key not in self._partitions:
-            packed = np.packbits(self.condensed[mask], axis=0).T
+            end = self._fill(n)
+            packed = np.packbits(self._condensed[:end][mask[:end]], axis=0).T
             self._partitions[key] = _first_seen_labels(packed)[0]
         return self._partitions[key]
 
@@ -475,23 +527,26 @@ class RankerTable:
         definedness bits (undefined values are 0, below every position).
         Labels are numbered by first appearance in the word list.
 
-        Cost: O(W * (P + K)) comparisons and one sort of the W packed keys;
-        the keys take W * ceil((P + 2K) / 8) bytes, checked against physical
-        memory first, and comparisons run in word chunks of about 2**18 pair
-        entries.
+        Cost: O(W * (P + K)) comparisons, in word chunks of about 2**18 pair
+        entries.  The pairs are taken in steps of at most _KEY_BYTES of
+        packed keys; each step's keys are folded into the running labels by
+        one sort, relabelling (label, step bits) by first appearance, which
+        keeps the labels of one whole-signature sort.  A step's keys are
+        checked against physical memory first.
         """
         key = ("E", m, n)
         if key in self._partitions:
             return self._partitions[key]
-        sub = self._class_mask(None, m, n)
-        V = self.values[sub]
+        end = self._fill(n)
+        sub = self._class_mask(None, m, n)[:end]
+        V = self._values[:end][sub]
         plabels, pfirst = _first_seen_labels(V.view(np.uint8))
         profiles = V[pfirst]
         P = profiles.shape[0]
 
         def prof_mask(global_mask: np.ndarray) -> np.ndarray:
             out = np.zeros(P, dtype=bool)
-            out[plabels[global_mask[sub]]] = True
+            out[plabels[global_mask[:end][sub]]] = True
             return out
 
         is_x = prof_mask(self._class_mask(X, m, n))
@@ -502,19 +557,30 @@ class RankerTable:
         r_idx, s_idx = np.nonzero(np.triu(pair_mask | pair_mask.T, 1))
 
         W, K = len(self.words), len(r_idx)
-        _check_fits(W * ((P + 2 * K + 7) // 8), f"signatures of {P} profiles and {K} pairs")
-        keys = np.empty((W, (P + 2 * K + 7) // 8), dtype=np.uint8)
-        step = max(1, (1 << 18) // max(K, 1))
-        bits = np.empty((min(step, W), P + 2 * K), dtype=bool)
-        for lo in range(0, W, step):
-            vals = np.ascontiguousarray(profiles[:, lo:lo + step].T)
-            chunk = bits[:len(vals)]
-            np.greater(vals, 0, out=chunk[:, :P])
-            a, b = np.take(vals, r_idx, axis=1), np.take(vals, s_idx, axis=1)
-            np.less(a, b, out=chunk[:, P:P + K])
-            np.greater(a, b, out=chunk[:, P + K:])
-            keys[lo:lo + step] = np.packbits(chunk, axis=1)
-        labels = _first_seen_labels(keys)[0]
+        per_step = max(1, 4 * (_KEY_BYTES // max(W, 1)))  # pairs, at 2 bits each
+        _check_fits(W * (4 + (P + 2 * min(K, per_step) + 7) // 8),
+                    f"signatures of {P} profiles and {K} pairs")
+
+        def key_blocks():
+            # the first step also carries the P definedness bits
+            for k0 in range(0, max(K, 1), per_step):
+                r, s = r_idx[k0:k0 + per_step], s_idx[k0:k0 + per_step]
+                head, c = (P if k0 == 0 else 0), len(r)
+                keys = np.empty((W, (head + 2 * c + 7) // 8), dtype=np.uint8)
+                step = max(1, (1 << 18) // max(c, 1))
+                bits = np.empty((min(step, W), head + 2 * c), dtype=bool)
+                for lo in range(0, W, step):
+                    vals = np.ascontiguousarray(profiles[:, lo:lo + step].T)
+                    chunk = bits[:len(vals)]
+                    if head:
+                        np.greater(vals, 0, out=chunk[:, :head])
+                    a, b = np.take(vals, r, axis=1), np.take(vals, s, axis=1)
+                    np.less(a, b, out=chunk[:, head:head + c])
+                    np.greater(a, b, out=chunk[:, head + c:])
+                    keys[lo:lo + step] = np.packbits(chunk, axis=1)
+                yield keys
+
+        labels = _fold_labels(W, key_blocks())
         self._partitions[key] = labels
         return labels
 
@@ -601,7 +667,11 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
 
 def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
                    table: RankerTable | None = None) -> tuple[int | None, OracleOutcome]:
-    """Smallest n <= max_n making the refinement oracle pass, with the last outcome."""
+    """Smallest n <= max_n making the refinement oracle pass, with the last outcome.
+
+    The table is budgeted for max_n up front but fills its rows one depth
+    per tried n, so a search that passes at n never fills the deeper rows.
+    """
     table = _oracle_table(monoid, m, max_n, max_len, table, MAX_WORDS)
     images = _word_images(monoid, table.words)
     outcome = None

@@ -30,7 +30,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _first_seen_labels
+from .monoid import FiniteMonoid, _fold_labels
 
 
 class NotACongruenceError(ValueError):
@@ -55,16 +55,23 @@ class Congruence:
     num_classes: int
 
 
-def _by_signature(m: FiniteMonoid, products: np.ndarray, anchors: np.ndarray) -> Congruence:
+# bytes of signature rows taken per step by sim_li; each step's gathers and
+# sort make a few temporaries of that size
+_SIG_BYTES = 1 << 20
+
+
+def _by_signature(m: FiniteMonoid, chunks) -> Congruence:
     """Classes of equal columns of products, one row per anchor idempotent.
 
-    An entry that leaves the J-class of its row's anchor lies strictly
-    below it and becomes -1, so "both below, or equal" is plain equality.
-    First-seen labels number the classes by smallest element.
+    chunks yields (products, anchors) blocks of rows, folded into running
+    labels one block at a time.  An entry that leaves the J-class of its
+    row's anchor lies strictly below it and becomes -1, so "both below, or
+    equal" is plain equality.  First-seen labels number the classes by
+    smallest element.
     """
     jcls = m.greens().j_class
-    sig = np.where(jcls[products] == jcls[anchors][:, None], products, -1)
-    labels = _first_seen_labels(sig.T)[0]
+    labels = _fold_labels(m.size, (np.where(jcls[p] == jcls[a][:, None], p, -1).T
+                                   for p, a in chunks))
     labels.setflags(write=False)
     return Congruence(m, labels, int(labels.max()) + 1)
 
@@ -76,23 +83,30 @@ def sim_k(m: FiniteMonoid) -> Congruence:
     J-class of e; the same holds for uf against f and for euf against e.
     """
     idems = np.array(m.idempotents())
-    return _by_signature(m, m.table[idems, :], idems)
+    return _by_signature(m, [(m.table[idems, :], idems)])
 
 
 def sim_d(m: FiniteMonoid) -> Congruence:
     """u ~ v iff for all idempotents f: uf, vf both strictly below f, or uf == vf."""
     idems = np.array(m.idempotents())
-    return _by_signature(m, m.table.T[idems, :], idems)
+    return _by_signature(m, [(m.table.T[idems, :], idems)])
 
 
 def sim_li(m: FiniteMonoid) -> Congruence:
-    """Two-sided variant over J-equivalent idempotent pairs (e, f)."""
+    """Two-sided variant over J-equivalent idempotent pairs (e, f).
+
+    The pairs can number |E|^2, so their signature rows are built and
+    folded in steps of about _SIG_BYTES: memory O(step * |M|) beside the
+    pair list, with the same classes as one whole signature.
+    """
     T = m.table
     idems = np.array(m.idempotents())
     jcls = m.greens().j_class[idems]
     es, fs = np.nonzero(jcls[:, None] == jcls[None, :])
     es, fs = idems[es], idems[fs]
-    return _by_signature(m, T[T[es, :], fs[:, None]], es)
+    step = max(1, _SIG_BYTES // (T.itemsize * m.size))
+    return _by_signature(m, ((T[T[es[i:i + step], :], fs[i:i + step, None]], es[i:i + step])
+                             for i in range(0, len(es), step)))
 
 
 def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:

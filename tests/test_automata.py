@@ -4,7 +4,7 @@ import pytest
 
 from fo2level.automata import (Concat, Dfa, DfaFormatError, EmptyWord, Letter,
                                RegexSyntaxError, Star, Union, all_words,
-                               dfa_accepts, minimize, parse_dfa_file,
+                               minimize, parse_dfa_file,
                                parse_regex, regex_matches, regex_to_min_dfa)
 
 
@@ -70,11 +70,11 @@ def test_min_dfa_residual_count_oracle():
 
 def test_accepts_basic():
     d = regex_to_min_dfa(parse_regex("(ab)*"))
-    assert dfa_accepts(d, "abab")
-    assert not dfa_accepts(d, "aba")
-    assert dfa_accepts(d, "")  # empty word iff initial is final
+    assert d.accepts("abab")
+    assert not d.accepts("aba")
+    assert d.accepts("")  # empty word iff initial is final
     with pytest.raises(ValueError):
-        dfa_accepts(d, "abc")
+        d.accepts("abc")
 
 
 def test_minimize_idempotent_and_unreachable():
@@ -125,7 +125,7 @@ def test_dfa_file_roundtrip_with_sink():
     d = parse_dfa_file(DFA_AB_STAR)
     assert d.n_states == 3  # sink appended
     assert d.delta[0][1] == 2 and d.delta[2] == (2, 2)
-    assert dfa_accepts(d, "abab") and not dfa_accepts(d, "aab")
+    assert d.accepts("abab") and not d.accepts("aab")
     m = minimize(regex_to_min_dfa(parse_regex("(ab)*")))
     assert minimize(d) == m
 
@@ -133,7 +133,7 @@ def test_dfa_file_roundtrip_with_sink():
 def test_dfa_file_no_finals_is_empty_language():
     text = "alphabet: a\nstates: q0\ninitial: q0\nfinal:\nq0 a q0\n"
     d = parse_dfa_file(text)
-    assert not any(dfa_accepts(d, w) for w in all_words(("a",), 4))
+    assert not any(d.accepts(w) for w in all_words(("a",), 4))
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -165,10 +165,10 @@ def test_pipeline_agrees_with_derivative_matcher():
         r = parse_regex(_random_regex(rng, 3), alphabet=["a", "b"])
         d = regex_to_min_dfa(r)
         for w in short:
-            assert dfa_accepts(d, w) == regex_matches(r, w), (r, w)
+            assert d.accepts(w) == regex_matches(r, w), (r, w)
         for _ in range(30):
             w = "".join(rng.choice("ab") for _ in range(rng.randint(6, 10)))
-            assert dfa_accepts(d, w) == regex_matches(r, w), (r, w)
+            assert d.accepts(w) == regex_matches(r, w), (r, w)
 
 
 def test_derivative_matcher_long_nullable_concat():
@@ -179,5 +179,5 @@ def test_derivative_matcher_long_nullable_concat():
 def test_empty_and_epsilon_languages():
     # the empty-word regex over an explicit alphabet
     d = regex_to_min_dfa(parse_regex("~", alphabet=["a", "b"]))
-    assert dfa_accepts(d, "") and not dfa_accepts(d, "a")
+    assert d.accepts("") and not d.accepts("a")
     assert d.n_states == 2

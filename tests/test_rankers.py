@@ -1,9 +1,12 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import fo2level.automata
+import fo2level.monoid
 import fo2level.rankers
 from conftest import left_zero, trivial, two_element_zero
 from fo2level.automata import all_words, parse_regex, regex_to_min_dfa
@@ -393,6 +396,98 @@ def test_table_budgets_are_checked_before_any_row(monkeypatch):
     monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: 6)
     with pytest.raises(RankerBudgetError, match="GiB"):
         table.partition_equiv(2, 2)
+
+
+# -- on-demand depth filling ----------------------------------------------------
+
+def _fresh(table):
+    """An unfilled table over the same class and word list."""
+    return RankerTable(table.alphabet, table.max_blocks, table.max_depth, table.words)
+
+
+def _lazy_table_cases(table_ab6):
+    yield table_ab6
+    yield RankerTable(("a", "b", "c"), 2, 3, all_words(("a", "b", "c"), 4))
+    yield _shuffled_with_foreign_letter()
+
+
+def test_partitions_in_any_order_match_a_completed_table(table_ab6):
+    rng = random.Random(5)
+    for base in _lazy_table_cases(table_ab6):
+        done, lazy = _fresh(base), _fresh(base)
+        assert done.values.shape[0] == len(done.rankers) and done.filled_depth == done.max_depth
+        order = [(kind, m, n) for kind in ("partition_equiv", "partition_right", "partition_left")
+                 for m in range(1, base.max_blocks + 1) for n in range(1, base.max_depth + 1)]
+        expect = {(kind, m, n): getattr(done, kind)(m, n) for kind, m, n in order}
+        rng.shuffle(order)
+        deepest = 0
+        assert lazy.filled_depth == 0
+        for kind, m, n in order:
+            assert np.array_equal(getattr(lazy, kind)(m, n), expect[kind, m, n]), (kind, m, n)
+            deepest = max(deepest, n)
+            assert lazy.filled_depth == deepest
+        assert np.array_equal(lazy.values, done.values)
+        assert np.array_equal(lazy.condensed, done.condensed)
+
+
+def test_least_oracle_n_fills_only_the_depths_it_reads():
+    # n = 3 passes up to length 9; length 10 needs n = 4
+    table = RankerTable(("a", "b"), 1, 6, all_words(("a", "b"), 10))
+    n, outcome = least_oracle_n(monoid_of("(ab)*"), 1, 6, 10, table=table)
+    assert n == 4 and outcome.holds
+    assert table.filled_depth == 4
+
+
+def test_construction_fills_no_row():
+    for alpha, m, n in [(("a", "b"), 2, 6), (("a", "b", "c"), 3, 4)]:
+        table = RankerTable(alpha, m, n, all_words(alpha, 3))
+        assert len(table.rankers) == fo2level.rankers._ranker_count(len(alpha), m, n, 10**9)
+        assert table.filled_depth == 0
+
+
+def test_folded_equivalence_keys_match_one_step(table_ab6, monkeypatch):
+    tables = list(_lazy_table_cases(table_ab6))
+    expect = [{(m, n): t.partition_equiv(m, n) for m in range(1, t.max_blocks + 1)
+               for n in range(1, t.max_depth + 1)} for t in tables]
+    monkeypatch.setattr(fo2level.rankers, "_KEY_BYTES", 3)  # one profile pair per step
+    for table, labels in zip(tables, expect):
+        folded = _fresh(table)
+        for (m, n), want in labels.items():
+            assert np.array_equal(folded.partition_equiv(m, n), want), (m, n)
+
+
+def test_concurrent_partitions_fill_each_depth_once(table_ab6):
+    requests = [(m, n) for m in range(1, 4) for n in range(1, 4)] * 2
+    random.Random(8).shuffle(requests)
+    expect = {mn: table_ab6.partition_equiv(*mn) for mn in requests}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            lazy = _fresh(table_ab6)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(lambda mn: lazy.partition_equiv(*mn), requests, timeout=60))
+            assert np.array_equal(lazy.values, table_ab6.values)
+            for mn, labels in zip(requests, got):
+                assert np.array_equal(labels, expect[mn]), mn
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_l_factorize_reuses_the_reverse_monoid(monkeypatch):
+    mono = monoid_of("(a|b)*abb(a|b)*")
+    words = ("babba", "abbab", "")
+    expect = [l_factorize(mono, u) for u in words]
+    built = []
+    init = fo2level.monoid.FiniteMonoid.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fo2level.monoid.FiniteMonoid, "__init__", counting)
+    assert [l_factorize(mono, u) for u in words] == expect
+    assert built == []
 
 
 def test_r_factorize_examples():

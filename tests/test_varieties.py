@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from conftest import (cyclic_two, dfas, direct_product, left_zero, level_three, 
 from fo2level import cli, varieties
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level.identities import identities_level
-from fo2level.monoid import MonoidTooLargeError, reverse_monoid, transition_monoid
+from fo2level.monoid import (FiniteMonoid, MonoidTooLargeError, reverse_monoid,
+                             transition_monoid)
 from fo2level.varieties import (Congruence, InternalInconsistencyError,
                                 LevelResult, NotACongruenceError, fo2_level,
                                 in_Lm, in_Rm, quotient, quotient_chain, refines,
@@ -47,6 +49,39 @@ def test_sim_li_coarser_than_one_sided(da_corpus):
         li = sim_li(e.monoid)
         assert refines(sim_k(e.monoid), li)
         assert refines(sim_d(e.monoid), li)
+
+
+def rectangular_band_with_identity(k):
+    """0 is the identity; 1 + i*k + j is (i, j), with (i, j)(i', j') = (i, j').
+    All k^2 non-identity elements are idempotent and J-equivalent."""
+    n = k * k + 1
+    ij = np.arange(k * k)
+    table = np.empty((n, n), dtype=np.int32)
+    table[0, :] = table[:, 0] = np.arange(n)
+    table[1:, 1:] = 1 + (ij // k)[:, None] * k + (ij % k)[None, :]
+    return FiniteMonoid(table, 0)
+
+
+def test_folded_sim_li_matches_one_step(da_corpus, monkeypatch):
+    monoids = [e.monoid for e in da_corpus[:40]] + [level_three(), rectangular_band_with_identity(4)]
+    expect = [sim_li(m).class_of for m in monoids]
+    monkeypatch.setattr(varieties, "_SIG_BYTES", 4)  # one idempotent pair per step
+    for m, want in zip(monoids, expect):
+        assert np.array_equal(sim_li(m).class_of, want)
+
+
+def test_sim_li_memory_is_bounded():
+    # one whole signature of the 144^2 + 1 pairs takes about 58 MB
+    m = rectangular_band_with_identity(12)
+    m.greens(), m.idempotents()
+    tracemalloc.start()
+    try:
+        c = sim_li(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.num_classes == 2 and c.class_of[0] == 0 and (c.class_of[1:] == 1).all()
+    assert peak < 16 * 2**20, peak
 
 
 def identity_congruence(m):
