@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import all_words
-from .monoid import (FiniteMonoid, _first_seen_labels, _fold_labels, _physical_memory,
+from .monoid import (FiniteMonoid, _first_seen_labels, _physical_memory,
                      reverse_monoid)
 
 X = "X"
@@ -333,8 +333,35 @@ def _letter_codes(words: list[str]) -> np.ndarray:
     return codes
 
 
-# bytes of equivalence keys per fold step in RankerTable.partition_equiv
-_KEY_BYTES = 1 << 24
+def _accumulate_rows(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate(a, axis=0)`` in place, one whole row per step.
+
+    numpy's own accumulate runs its inner loop along the accumulated axis,
+    one short loop per column, which is several times slower when the rows
+    are few and long.
+    """
+    for x in range(1, len(a)):
+        ufunc(a[x - 1], a[x], out=a[x])
+    return a
+
+
+# positions, and len + 1 for the Y-instructions' start, are int16
+_MAX_WORD_LEN = 32_766
+
+
+def _word_table_bytes(k: int, count: int, letters: int, maxlen: int) -> int:
+    """Bytes a table over count words (letters in all, the longest maxlen
+    letters) holds besides its ranker rows, counted before any word exists.
+
+    That is the words (as str objects, list and index entries, and as the
+    UTF-32 buffer ``_letter_codes`` reads) and, per cell of the words x (maxlen + 2) grid,
+    the int32 letter matrix (built again for the word images), the 2k
+    int16 occurrence tables and the temporaries that fill them.  Words
+    longer than int16 positions allow are refused outright.
+    """
+    if maxlen > _MAX_WORD_LEN:
+        raise RankerBudgetError(f"words longer than {_MAX_WORD_LEN} letters")
+    return 200 * count + 9 * letters + (12 + 4 * k) * count * (maxlen + 2)
 
 
 class RankerTable:
@@ -347,10 +374,14 @@ class RankerTable:
     bool ``condensed``) against physical memory, at ``max_depth`` and before
     any row is allocated.
 
-    The constructor enumerates the class (the rankers with their start,
+    The constructor enumerates the class as arrays (each ranker's start,
     depth, blocks, parent and last instruction, at O(rankers) with no
-    factor for the word count) and the next/previous-occurrence tables,
-    from running minima and maxima over a words x length letter matrix.
+    factor for the word count; the ``Ranker`` objects are built on first
+    read of ``rankers``) and the next/previous-occurrence tables, from
+    running minima and maxima over a words x length letter matrix.  The
+    words' letter and occurrence tables are checked against physical
+    memory with the rows, and words longer than int16 positions allow are
+    refused.
     The word rows are filled on demand, one depth at a time, each depth
     one gather over all its rankers and words from the depth before, and
     appended depth-major: a partition at depth n fills and reads only the
@@ -358,10 +389,10 @@ class RankerTable:
     filled.  Reading ``values`` or ``condensed`` fills every depth.
 
     The equivalence partition uses exact signatures: per word, the
-    definedness bits of the distinct ranker value rows and, for each
-    unordered pair of them that one of the four comparison families puts in
-    force, the bits v_r < v_s and v_r > v_s, packed.  Two words get the same
-    label precisely when the direct definition relates them.
+    definedness bits of the distinct ranker value rows and their compressed
+    ranks among the values the four comparison families compare them with
+    (see ``partition_equiv``).  Two words get the same label precisely when
+    the direct definition relates them.
     """
 
     def __init__(self, alphabet, max_blocks: int, max_depth: int, words,
@@ -374,11 +405,13 @@ class RankerTable:
         if len(self._windex) != len(self.words):
             raise ValueError("duplicate words")
         total = _ranker_count(len(self.alphabet), max_blocks, max_depth, max_rankers)
-        W = len(self.words)
-        _check_fits(3 * total * W, f"{total} rankers x {W} words")
-        k = len(self.alphabet)
+        W, k = len(self.words), len(self.alphabet)
+        lens = list(map(len, self.words))
+        maxlen = max(lens, default=0)
+        _check_fits(3 * total * W + _word_table_bytes(k, W, sum(lens), maxlen),
+                    f"{total} rankers x {W} words up to length {maxlen}")
         codes = _letter_codes(self.words)
-        maxlen = codes.shape[1]
+        self._maxlen = maxlen
         # occ[t][j, x] for x in 0..maxlen+1: for instruction t = (X, a) the first
         # a-position of word j after x, for t = (Y, a) the last one before x;
         # 0 when there is none
@@ -403,37 +436,34 @@ class RankerTable:
         # The class structure, depth by depth: every ranker extended by every
         # instruction within max_blocks, ranker-major and in instruction order.
         # _growth[d - 2] holds, per ranker of depth d, its parent's index
-        # within depth d - 1, its last instruction and whether that moves left.
-        instr = _instruction_order(self.alphabet)
-        steps = [(s,) for s in instr]
+        # within depth d - 1 and its last instruction.
+        count = 2 * k
         is_y = np.arange(2 * k) >= k
         start = is_y
         blocks = np.ones(2 * k, dtype=np.int16)
-        steps_list: list[tuple[tuple[str, str], ...]] = []
         start_l, depth_l, blocks_l = [], [], []
-        self._growth: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._growth: list[tuple[np.ndarray, np.ndarray]] = []
         self._ends = [0]  # _ends[d]: rows of depth <= d
         for depth in range(1, max_depth + 1 if total else 1):
             if depth > 1:
-                parent = np.repeat(np.arange(len(steps)), 2 * k)
-                t = np.tile(np.arange(2 * k), len(steps))
+                parent = np.repeat(np.arange(count), 2 * k)
+                t = np.tile(np.arange(2 * k), count)
                 child_y = t >= k
                 child_blocks = blocks[parent] + (child_y != is_y[parent])
                 keep = child_blocks <= max_blocks
                 parent, t, is_y, blocks = parent[keep], t[keep], child_y[keep], child_blocks[keep]
                 start = start[parent]
-                self._growth.append((parent, t, is_y))
-                steps = [steps[i] + (instr[j],) for i, j in zip(parent.tolist(), t.tolist())]
-            steps_list.extend(steps)
+                count = len(parent)
+                self._growth.append((parent, t))
             start_l.append(start)
             blocks_l.append(blocks)
-            depth_l.append(np.full(len(steps), depth, dtype=np.int16))
-            self._ends.append(len(steps_list))
+            depth_l.append(np.full(count, depth, dtype=np.int16))
+            self._ends.append(self._ends[-1] + count)
 
-        self.rankers = [Ranker(s) for s in steps_list]
         self.start = np.concatenate(start_l or [[]]).astype(np.int8)   # 0 = X, 1 = Y
         self.depth = np.concatenate(depth_l or [[]]).astype(np.int16)
         self.blocks = np.concatenate(blocks_l or [[]]).astype(np.int16)
+        self._rankers: list[Ranker] | None = None
         self._values = np.empty((0, W), dtype=np.int16)
         self._condensed = np.empty((0, W), dtype=bool)
         self.filled_depth = 0
@@ -450,7 +480,8 @@ class RankerTable:
                 depth = self.filled_depth + 1
                 p, lo, hi, alive = self._frontier
                 if depth > 1:
-                    parent, t, is_y = self._growth[depth - 2]
+                    parent, t = self._growth[depth - 2]
+                    is_y = t >= len(self.alphabet)
                     pp = p[parent]
                     # X moves right from p inside (p, hi), Y left from p inside (lo, p)
                     p = np.empty_like(pp)
@@ -465,8 +496,22 @@ class RankerTable:
                 if depth < len(self._ends) - 1:
                     self._frontier = (p, lo, hi, alive)
                 else:  # complete: the inputs of further depths are no longer needed
-                    self._frontier = self._occ = self._occ_row = self._growth = None
+                    self._frontier = self._occ = self._occ_row = None
         return self._ends[n]
+
+    @property
+    def rankers(self) -> list[Ranker]:
+        """The class's rankers in row order, built on first read from the
+        parent and instruction arrays; reading them fills no row."""
+        if self._rankers is None:
+            instr = _instruction_order(self.alphabet)
+            steps = [(s,) for s in instr] if self._ends[-1] else []
+            out = list(steps)
+            for parent, t in self._growth:
+                steps = [steps[i] + (instr[j],) for i, j in zip(parent.tolist(), t.tolist())]
+                out.extend(steps)
+            self._rankers = [Ranker(s) for s in out]
+        return self._rankers
 
     @property
     def values(self) -> np.ndarray:
@@ -487,7 +532,7 @@ class RankerTable:
 
     def _class_mask(self, start: str | None, m: int, n: int) -> np.ndarray:
         if m < 1 or n < 1:
-            return np.zeros(len(self.rankers), dtype=bool)
+            return np.zeros(len(self.depth), dtype=bool)
         if m > self.max_blocks or n > self.max_depth:
             raise ValueError("requested class exceeds the table bounds")
         mask = (self.depth <= n) & (self.blocks <= m)
@@ -518,21 +563,37 @@ class RankerTable:
     def partition_equiv(self, m: int, n: int) -> np.ndarray:
         """Label words by their ranker-equivalence signature at (m, n).
 
-        Rankers with equal value rows are merged into P profiles.  A word's
-        signature is P definedness bits plus two bits, v_r < v_s and
-        v_r > v_s, for each of the K unordered profile pairs {r, s}, r != s,
-        that a comparison family puts in force in either order.  One
-        comparison per unordered pair suffices since sign(r, s) = -sign(s, r),
-        and the diagonal and pairs with an undefined side are fixed by the
-        definedness bits (undefined values are 0, below every position).
-        Labels are numbered by first appearance in the word list.
+        Rankers with equal value rows are merged into P profiles.  The
+        comparison families put in force the profile pairs of two blocks:
+        rows X-start (m, n) against columns for X, and rows Y-start (m, n)
+        against columns for Y.  In a block a profile is row-only,
+        column-only or both, and a pair is in force when one side is a row
+        and the other a column.  Per word and block the distinct values of
+        the block's profiles are its levels (undefined is 0, below every
+        position); a level is pure row-only, pure column-only or mixed.
+        Each run of consecutive pure row-only levels, and each run of pure
+        column-only ones, is merged into one level, and a profile's
+        compressed rank is the index of its level after merging.  A word's
+        key is its P definedness bits followed by the compressed ranks of
+        the X block and then of the Y block; a block without rows or
+        without columns puts no pair in force and adds nothing.
 
-        Cost: O(W * (P + K)) comparisons, in word chunks of about 2**18 pair
-        entries.  The pairs are taken in steps of at most _KEY_BYTES of
-        packed keys; each step's keys are folded into the running labels by
-        one sort, relabelling (label, step bits) by first appearance, which
-        keeps the labels of one whole-signature sort.  A step's keys are
-        checked against physical memory first.
+        The key is exact.  A merged level holds no in-force pair, so
+        merging loses no sign; any two adjacent levels left after merging
+        hold an in-force pair across them, so the signs fix the merged
+        order.  Two words therefore have equal keys precisely when they
+        agree on definedness and on the sign of every in-force pair, and
+        labels are numbered by first appearance in the word list.
+
+        Cost: O(W * (P + max length)) for W words.  The level grids are
+        laid out level-major, (max length + 1) levels by a chunk of words,
+        so that the running maximum (the type of the previous present
+        level) and the running sum of rank increments each take one pass
+        along axis 0 for the whole chunk.  A chunk holds about 2**20 value
+        and level cells.  Ranks never exceed the number of levels, so they
+        take one byte while words are shorter than 255 letters and two
+        after.  The keys are checked against physical memory before they
+        are allocated.
         """
         key = ("E", m, n)
         if key in self._partitions:
@@ -553,34 +614,43 @@ class RankerTable:
         is_y = prof_mask(self._class_mask(Y, m, n))
         col_for_x = prof_mask(self._class_mask(Y, m, n - 1)) | prof_mask(self._class_mask(X, m - 1, n - 1))
         col_for_y = prof_mask(self._class_mask(X, m, n - 1)) | prof_mask(self._class_mask(Y, m - 1, n - 1))
-        pair_mask = (is_x[:, None] & col_for_x[None, :]) | (is_y[:, None] & col_for_y[None, :])
-        r_idx, s_idx = np.nonzero(np.triu(pair_mask | pair_mask.T, 1))
+        # per block that puts a pair in force: its row and its column profiles
+        blocks = [(np.flatnonzero(rows), np.flatnonzero(cols), np.flatnonzero(rows | cols))
+                  for rows, cols in ((is_x, col_for_x), (is_y, col_for_y))
+                  if rows.any() and cols.any()]
 
-        W, K = len(self.words), len(r_idx)
-        per_step = max(1, 4 * (_KEY_BYTES // max(W, 1)))  # pairs, at 2 bits each
-        _check_fits(W * (4 + (P + 2 * min(K, per_step) + 7) // 8),
-                    f"signatures of {P} profiles and {K} pairs")
-
-        def key_blocks():
-            # the first step also carries the P definedness bits
-            for k0 in range(0, max(K, 1), per_step):
-                r, s = r_idx[k0:k0 + per_step], s_idx[k0:k0 + per_step]
-                head, c = (P if k0 == 0 else 0), len(r)
-                keys = np.empty((W, (head + 2 * c + 7) // 8), dtype=np.uint8)
-                step = max(1, (1 << 18) // max(c, 1))
-                bits = np.empty((min(step, W), head + 2 * c), dtype=bool)
-                for lo in range(0, W, step):
-                    vals = np.ascontiguousarray(profiles[:, lo:lo + step].T)
-                    chunk = bits[:len(vals)]
-                    if head:
-                        np.greater(vals, 0, out=chunk[:, :head])
-                    a, b = np.take(vals, r, axis=1), np.take(vals, s, axis=1)
-                    np.less(a, b, out=chunk[:, head:head + c])
-                    np.greater(a, b, out=chunk[:, head + c:])
-                    keys[lo:lo + step] = np.packbits(chunk, axis=1)
-                yield keys
-
-        labels = _fold_labels(W, key_blocks())
+        W = len(self.words)
+        levels = self._maxlen + 1  # values 0 (undefined) .. maxlen
+        rank_dtype = np.dtype(np.uint8 if levels <= 255 else np.uint16)  # ranks <= levels
+        head = (P + 7) // 8
+        width = head + rank_dtype.itemsize * sum(len(members) for *_, members in blocks)
+        _check_fits(W * (4 + width), f"signatures of {P} profiles")
+        keys = np.empty((W, width), dtype=np.uint8)
+        step = max(1, (1 << 20) // (P + levels))
+        shift = np.arange(levels, dtype=np.int32)[:, None] * 4
+        for lo in range(0, W, step):
+            vals = profiles[:, lo:lo + step]
+            c, top = vals.shape[1], int(vals.max(initial=0)) + 1  # levels in this chunk
+            cells = vals * np.int32(c) + np.arange(c, dtype=np.int32)  # level-major cell of each value
+            keys[lo:lo + c, :head] = np.packbits(vals > 0, axis=0).T
+            at = head
+            for rows, cols, members in blocks:
+                row = np.zeros(top * c, dtype=np.uint8)
+                col = np.zeros(top * c, dtype=np.uint8)
+                row[cells[rows]] = 1
+                col[cells[cols]] = 2
+                # 0 absent, 1 pure row-only, 2 pure column-only, 3 mixed (a
+                # profile of type both marks its level in both grids)
+                t = (row | col).reshape(top, c)
+                # (level, type) of the last present level so far, 4 * level + type
+                last = _accumulate_rows(np.maximum, np.where(t > 0, shift[:top] + t, 0))
+                new = t > 0
+                new[1:] &= (t[1:] == 3) | (t[1:] != (last[:-1] & 3))
+                ranks = _accumulate_rows(np.add, new.astype(rank_dtype)).ravel()[cells[members]]
+                span = len(members) * rank_dtype.itemsize
+                keys[lo:lo + c, at:at + span] = np.ascontiguousarray(ranks.T).view(np.uint8)
+                at += span
+        labels = _first_seen_labels(keys)[0]
         self._partitions[key] = labels
         return labels
 
@@ -602,19 +672,25 @@ class OracleOutcome:
 def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
                   table: RankerTable | None, max_words: int) -> RankerTable:
     """The given table, or one over all words up to max_len.  The word count
-    is checked against max_words first, before any word is enumerated."""
+    is checked against max_words, and the word tables against physical
+    memory, before any word is enumerated."""
     if monoid.gens is None:
         raise ValueError("oracle needs a monoid with a generator map")
     alphabet = tuple(monoid.gens)
-    total, term = 0, 1
-    for _ in range(max_len + 1):
+    total = letters = 0
+    term = 1
+    for length in range(max_len + 1):
         total += term
+        letters += length * term
         if total > max_words:
             raise RankerBudgetError(f"more than {max_words} words up to length {max_len}")
         term *= len(alphabet)
         if not term:
             break
     if table is None:
+        longest = max_len if alphabet else 0
+        _check_fits(_word_table_bytes(len(alphabet), total, letters, longest),
+                    f"tables of {total} words up to length {longest}")
         table = RankerTable(alphabet, m, n, all_words(alphabet, max_len))
     return table
 
@@ -623,17 +699,20 @@ def _word_images(monoid: FiniteMonoid, words: list[str]) -> np.ndarray:
     """Images of all words under the generator morphism, one letter column
     at a time; raises like ``eval_word`` on the first unknown letter."""
     codes = _letter_codes(words)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    # padding acts as the identity
-    gen = np.array([monoid.gens.get(chr(c), -1) if c >= 0 else monoid.identity
-                    for c in uniq.tolist()], dtype=np.intp)
-    letters = gen[inverse.reshape(codes.shape)]
-    if (letters < 0).any():
-        j, i = np.argwhere(letters < 0)[0]
-        raise ValueError(f"unknown letter {words[j][i]!r}")
+    # generator code points, sorted, behind a sentinel that matches no letter
+    gens = sorted((ord(a), g) for a, g in monoid.gens.items() if len(a) == 1)
+    gen_code = np.array([-2] + [c for c, _ in gens], dtype=np.int32)
+    gen_elem = np.array([monoid.identity] + [g for _, g in gens], dtype=np.intp)
     images = np.full(len(words), monoid.identity, dtype=np.intp)
-    for column in letters.T:
-        images = monoid.table[images, column]
+    unknown = np.zeros(len(words), dtype=bool)
+    for column in np.ascontiguousarray(codes.T):
+        at = np.searchsorted(gen_code, column).clip(max=len(gen_code) - 1)
+        known = gen_code[at] == column
+        unknown |= ~known & (column >= 0)
+        images = monoid.table[images, np.where(known, gen_elem[at], monoid.identity)]  # padding: identity
+    if unknown.any():
+        word = words[int(np.argmax(unknown))]
+        raise ValueError(f"unknown letter {next(a for a in word if a not in monoid.gens)!r}")
     return images
 
 

@@ -1,9 +1,12 @@
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fo2level.automata
 import fo2level.monoid
@@ -312,6 +315,61 @@ def test_partitions_match_per_word_signatures(table_ab6):
                                       _per_word_condensed_labels(table, left))
 
 
+@st.composite
+def _shuffled_word_lists(draw):
+    """A table alphabet of 1-3 letters and a shuffled random part of all
+    words up to some length, "" included, sometimes with the foreign
+    letter d among the letters.  The lengths stay near the largest the
+    per-word reference checks quickly: words that only the deeper
+    comparisons tell apart are long."""
+    alpha = "abc"[:draw(st.integers(1, 3))]
+    letters = alpha + ("d" if draw(st.booleans()) else "")
+    longest = (10, 6, 4, 3)[len(letters) - 1]
+    max_len = draw(st.integers(longest - 2, longest))
+    rng = draw(st.randoms(use_true_random=False))
+    keep = draw(st.floats(0.3, 1.0))
+    words = [w for w in all_words(tuple(letters), max_len) if w == "" or rng.random() < keep]
+    rng.shuffle(words)
+    return tuple(alpha), words
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_shuffled_word_lists())
+def test_equiv_partitions_match_per_word_signatures_on_random_lists(case):
+    alpha, words = case
+    table = RankerTable(alpha, 3, 4, words)
+    for m in range(1, 4):
+        for n in range(1, 5):
+            assert np.array_equal(table.partition_equiv(m, n),
+                                  _per_word_equiv_labels(table, m, n)), (alpha, words, m, n)
+
+
+def test_equiv_partitions_on_words_longer_than_255_letters():
+    # words longer than 254 letters have more than 255 levels, so the
+    # compressed ranks take two bytes each
+    words = all_words(("a",), 300)
+    random.Random(6).shuffle(words)
+    table = RankerTable(("a", "b"), 2, 3, words + ["b" * 280 + "a", "ab" * 140])
+    for m in range(1, 3):
+        for n in range(1, 4):
+            assert np.array_equal(table.partition_equiv(m, n),
+                                  _per_word_equiv_labels(table, m, n)), (m, n)
+
+
+def test_equiv_partition_memory_is_linear_in_profiles():
+    # W = 1 093 words and P = 673 profiles: keys of O(P) bytes a word stay
+    # far below the bound, two key bits per profile pair in force do not
+    table = RankerTable(("a", "b", "c"), 2, 4, all_words(("a", "b", "c"), 6))
+    table._fill(4)
+    tracemalloc.start()
+    try:
+        table.partition_equiv(2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def _per_word_oracle(monoid, labels, words):
     images = [monoid.eval_word(w) for w in words]
     first_word = {}
@@ -367,6 +425,26 @@ def test_oracle_budget_checked_before_enumerating(monkeypatch, capsys):
     for oracle in (oracle_equiv_refines_morphism, oracle_right_refines_morphism):
         with pytest.raises(RankerBudgetError):
             oracle(mono, 1, 1, 40)
+
+
+def test_oracle_word_tables_checked_before_enumerating(monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("words or letter tables built before the memory check")
+
+    monkeypatch.setattr(fo2level.rankers, "all_words", refuse)
+    monkeypatch.setattr(fo2level.automata, "all_words", refuse)
+    monkeypatch.setattr(fo2level.rankers, "_letter_codes", refuse)
+    # 30 001 unary words: the letter and occurrence tables alone take gigabytes
+    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: 2**30)
+    args = ["oracle", "--regex", "a*", "--m", "1", "--max-n", "2", "--max-len"]
+    assert main(args + ["30000"]) == 3
+    assert "budget exceeded: tables of 30001 words up to length 30000" in capsys.readouterr().err
+    # positions are int16, whatever the memory
+    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: None)
+    assert main(args + ["32767"]) == 3
+    assert "longer than 32766 letters" in capsys.readouterr().err
+    with pytest.raises(RankerBudgetError, match="longer than 32766"):
+        RankerTable(("a",), 1, 1, ["a" * 32767])
 
 
 def test_table_budgets_are_checked_before_any_row(monkeypatch):
@@ -438,22 +516,16 @@ def test_least_oracle_n_fills_only_the_depths_it_reads():
     assert table.filled_depth == 4
 
 
-def test_construction_fills_no_row():
+def test_construction_fills_no_row(monkeypatch):
+    built = []
+    monkeypatch.setattr(Ranker, "__post_init__", lambda self: built.append(self))
     for alpha, m, n in [(("a", "b"), 2, 6), (("a", "b", "c"), 3, 4)]:
         table = RankerTable(alpha, m, n, all_words(alpha, 3))
+        assert built == []
         assert len(table.rankers) == fo2level.rankers._ranker_count(len(alpha), m, n, 10**9)
+        assert table.rankers == enumerate_rankers(alpha, m, n)
         assert table.filled_depth == 0
-
-
-def test_folded_equivalence_keys_match_one_step(table_ab6, monkeypatch):
-    tables = list(_lazy_table_cases(table_ab6))
-    expect = [{(m, n): t.partition_equiv(m, n) for m in range(1, t.max_blocks + 1)
-               for n in range(1, t.max_depth + 1)} for t in tables]
-    monkeypatch.setattr(fo2level.rankers, "_KEY_BYTES", 3)  # one profile pair per step
-    for table, labels in zip(tables, expect):
-        folded = _fresh(table)
-        for (m, n), want in labels.items():
-            assert np.array_equal(folded.partition_equiv(m, n), want), (m, n)
+        built.clear()
 
 
 def test_concurrent_partitions_fill_each_depth_once(table_ab6):
