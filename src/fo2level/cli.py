@@ -20,7 +20,8 @@ from .corpus import (check_action_agreement, check_alphabet_stability,
                      check_monotonicity, check_relation_congruence,
                      check_subword_direction, corpus_alphabet, make_entries,
                      straubing_tally)
-from .identities import IdentityBudgetError, identities_level
+from .identities import (IdentityBudgetError, da_identity, format_term,
+                         identities_level, satisfies_identity)
 from .monoid import (FiniteMonoid, MonoidFormatError, MonoidTooLargeError,
                      parse_monoid_file, transition_monoid)
 from .rankers import (RankerBudgetError, RankerSyntaxError, eval_ranker,
@@ -128,10 +129,10 @@ def cmd_analyze(args) -> int:
     if ident is not None:
         witness = _witness_json(mono, ident.witness_identity, ident.witness)
     elif level.status == "not-fo2":
-        pair = mono.da_witness()
-        if pair is not None:
-            witness = _witness_json(mono, "(x1.x2)^w.x1.(x1.x2)^w = (x1.x2)^w",
-                                    {1: pair[0], 2: pair[1]})
+        # the quotient route has answered: allow all |M|^2 pairs for its witness
+        lhs, rhs = da_identity()
+        da = satisfies_identity(mono, lhs, rhs, max_assignments=mono.size ** 2)
+        witness = _witness_json(mono, f"{format_term(lhs)} = {format_term(rhs)}", da.witness)
 
     agreement = True
     if quot is not None and ident is not None:
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (IdentityBudgetError, RankerBudgetError, MonoidTooLargeError) as exc:
+    except (IdentityBudgetError, RankerBudgetError, MonoidTooLargeError, MemoryError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (NotACongruenceError, InternalInconsistencyError) as exc:

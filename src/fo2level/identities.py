@@ -8,12 +8,12 @@ when it satisfies the DA identity (xy)^w x (xy)^w = (xy)^w together with
 phi(G_m) = phi(I_m), and in L_m with both words mirrored.  This gives a
 decision route independent of the quotient recursion in ``varieties``.
 
-``satisfies_identity`` checks any identity exhaustively (vectorized,
-chunked) over a domain read off the terms: when every variable occurs only
-as x^w, the terms depend on x only through x^w, so each variable ranges
-over one representative per idempotent and the cost is |E|^v; otherwise it
-ranges over all of M at cost |M|^v (the DA, aperiodicity and Straubing
-terms).
+``satisfies_identity`` checks any identity exhaustively (vectorized, in
+steps that grow up to a fixed size) over a domain read off the terms: when
+every variable occurs only as x^w, the terms depend on x only through x^w,
+so each variable ranges over one representative per idempotent and the
+cost is |E|^v; otherwise it ranges over all of M at cost |M|^v (the DA,
+aperiodicity and Straubing terms).
 
 The membership and depth functions decide the phi-word identities by a
 forward search instead (``_phi_search``).  The values (phi G_k,
@@ -158,8 +158,9 @@ class IdentityCheck(NamedTuple):
     witness: dict[int, int] | None
 
 
-# Assignments (or search candidates) per vectorized step.  Every subterm
-# keeps one int32 array of this length until the step ends, so a step holds
+# Assignments (or search candidates) per vectorized step, at most; an
+# exhaustive check starts at a sixteenth of it.  Every subterm keeps one
+# int32 array of this length until the step ends, so a step holds
 # about 2 MB for the deepest phi-word identities, a search step about a
 # dozen such arrays, and the memory does not depend on how large |E|^v,
 # |M|^v or the reachable tuples x |E| are; the arrays also stay
@@ -227,6 +228,15 @@ def satisfies_identity(m: FiniteMonoid, lhs: Term, rhs: Term,
     lexicographically least failing tuple over all of M in either case: if
     x* is that tuple, replacing each x*_k by rho(x*_k^w) keeps it failing
     and lowers no coordinate, so x* already consists of representatives.
+
+    The scan runs in vectorized steps that start at _CHUNK / 16 assignments
+    and grow fourfold up to _CHUNK, so a witness in the first rows costs
+    one small step, while a check that holds takes at most two steps more
+    than fixed _CHUNK steps would.  The DA identity fails at (x, 1) for
+    every x with x^(w+1) != x^w, so a monoid that is not aperiodic has its
+    DA witness in the row of its first such x or earlier.  A space of at
+    most _CHUNK / 16 assignments (|M| <= 32 for the DA identity) is one
+    step.
     """
     nvars = max(term_num_vars(lhs), term_num_vars(rhs))
     dom = _assignment_domain(m, lhs, rhs)
@@ -236,8 +246,9 @@ def satisfies_identity(m: FiniteMonoid, lhs: Term, rhs: Term,
         raise IdentityBudgetError(
             f"identity check too large: {d}^{nvars} assignments exceed the "
             f"budget of {max_assignments}")
-    for base in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - base)
+    base, step = 0, max(1, _CHUNK >> 4)
+    while base < total:
+        count = min(step, total - base)
         memo: dict = {}
         lv = _grid_eval(m, lhs, dom, base, count, nvars, memo)
         rv = _grid_eval(m, rhs, dom, base, count, nvars, memo)
@@ -247,6 +258,8 @@ def satisfies_identity(m: FiniteMonoid, lhs: Term, rhs: Term,
             witness = {k: int(dom[(idx // (d ** (nvars - k))) % d])
                        for k in range(1, nvars + 1)}
             return IdentityCheck(False, witness)
+        base += count
+        step = min(4 * step, _CHUNK)
     return IdentityCheck(True, None)
 
 

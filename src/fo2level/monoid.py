@@ -8,7 +8,7 @@ the letter transformations under composition; taking the minimal DFA yields
 the syntactic monoid of its language.
 
 Instances are immutable after construction; derived structure (idempotents,
-omega powers, Green's preorders, DA membership) is computed lazily and
+omega powers, Green's classes, DA membership) is computed lazily and
 cached, and all operations are pure, so concurrent reads are safe.
 """
 
@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
 
 import numpy as np
 
@@ -33,17 +37,14 @@ class MonoidTooLargeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GreensData:
-    """Green's class partitions, with the divisibility preorders on request.
+    """Green's class partitions.
 
     r_class, l_class and j_class label each element by its R-, L- and
-    J-class; labels are numbered by smallest contained element.  The
-    preorders jleq[u, v] (u in MvM), rleq[u, v] (u in vM) and lleq[u, v]
-    (u in Mv) are n x n matrices built from the table only when first read;
-    no decision needs them, since the class labels answer every question
-    the decision routes ask.
+    J-class; labels are numbered by smallest contained element.  The class
+    labels answer every question the decision routes ask, so no n x n
+    preorder is built.
     """
 
-    table: np.ndarray
     j_class: np.ndarray
     r_class: np.ndarray
     l_class: np.ndarray
@@ -59,30 +60,6 @@ class GreensData:
     @property
     def num_l(self) -> int:
         return int(self.l_class.max()) + 1
-
-    @cached_property
-    def rleq(self) -> np.ndarray:
-        T = self.table
-        out = np.zeros(T.shape, dtype=bool)
-        for v in range(T.shape[0]):
-            out[T[v, :], v] = True
-        return out
-
-    @cached_property
-    def lleq(self) -> np.ndarray:
-        T = self.table
-        out = np.zeros(T.shape, dtype=bool)
-        for v in range(T.shape[0]):
-            out[T[:, v], v] = True
-        return out
-
-    @cached_property
-    def jleq(self) -> np.ndarray:
-        T = self.table
-        out = np.zeros(T.shape, dtype=bool)
-        for v in range(T.shape[0]):
-            out[T[:, T[v, :]].ravel(), v] = True
-        return out
 
 
 def _first_seen_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +102,7 @@ def _fold_labels(count: int, blocks) -> np.ndarray:
     return labels
 
 
-def _scc_labels(succ: list[list[int]]) -> np.ndarray:
+def _scc_labels(succ: list[list[int]]) -> list[int]:
     """Strongly connected components of a graph given by successor lists.
 
     Iterative Tarjan, O(vertices + edges); components are labelled in the
@@ -171,7 +148,7 @@ def _scc_labels(succ: list[list[int]]) -> np.ndarray:
                             break
                     n_comp += 1
     relabel: dict[int, int] = {}
-    return np.array([relabel.setdefault(c, len(relabel)) for c in comp], dtype=np.int32)
+    return [relabel.setdefault(c, len(relabel)) for c in comp]
 
 
 class FiniteMonoid:
@@ -213,18 +190,18 @@ class FiniteMonoid:
         self._reverse = None
 
     def _check_generated(self):
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.gens.values():
-                    y = int(self._table[x, g])
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) != self.size:
+        succ = self._table[:, list(self.gens.values())].tolist()
+        seen = [False] * self.size
+        seen[self.identity] = True
+        stack = [self.identity]
+        reached = 1
+        while stack:
+            for y in succ[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    reached += 1
+                    stack.append(y)
+        if reached != self.size:
             raise MonoidFormatError("generators do not generate the monoid")
 
     # -- basic structure ---------------------------------------------------
@@ -298,26 +275,33 @@ class FiniteMonoid:
         return self._omega
 
     def greens(self) -> GreensData:
-        """R-, L- and J-classes as strongly connected components.
+        """R- and L-classes as strongly connected components, J from both.
 
         The R-class of x is its component in the right Cayley graph
-        x -> x*g, the L-class its component in the left graph x -> g*x, and
-        the J-class its component in their union, g ranging over the
-        generator images (over all elements when there is no generator
-        map).  Cost O(|M|*|A|) with a generator map; the preorders on the
-        result are built only when read.
+        x -> x*g, the L-class its component in the left graph x -> g*x, g
+        ranging over the generator images (over all elements when there is
+        no generator map).  In a finite monoid J = D = R o L, and every
+        R-class of a D-class meets each of its L-classes, so the least
+        element of x's J-class is the least L-class minimum over the R-class
+        of x: two passes over the elements, no third graph.  Cost O(|M|*|A|)
+        with a generator map, O(|M|^2) without.
         """
         if self._greens is None:
             T = self._table
             gens = list(self.gens.values()) if self.gens is not None else slice(None)
-            right = T[:, gens].tolist()
-            left = T[gens, :].T.tolist()
-            self._greens = GreensData(
-                table=T,
-                j_class=_scc_labels([r + l for r, l in zip(right, left)]),
-                r_class=_scc_labels(right),
-                l_class=_scc_labels(left),
-            )
+            r_class = _scc_labels(T[:, gens].tolist())
+            l_class = _scc_labels(T[gens, :].T.tolist())
+            l_min = []                  # labels are numbered by least element
+            for x, k in enumerate(l_class):
+                if k == len(l_min):
+                    l_min.append(x)
+            d_min = [self.size] * (max(r_class) + 1)
+            for k, lk in zip(r_class, l_class):
+                d_min[k] = min(d_min[k], l_min[lk])
+            relabel: dict[int, int] = {}    # a class's least element s first shows at x = s
+            j_class = [relabel.setdefault(d_min[k], len(relabel)) for k in r_class]
+            self._greens = GreensData(*(np.array(c, dtype=np.int32)
+                                        for c in (j_class, r_class, l_class)))
         return self._greens
 
     # -- variety predicates --------------------------------------------------
@@ -354,18 +338,6 @@ class FiniteMonoid:
             self._in_da = bool(np.array_equal(T[T[E, X], E], E))
         return self._in_da
 
-    def da_witness(self) -> tuple[int, int] | None:
-        """A pair (x, y) violating the DA identity, if any."""
-        T = self._table
-        n = self.size
-        E = self.omega_table[T]
-        X = np.broadcast_to(np.arange(n)[:, None], (n, n))
-        bad = np.argwhere(T[T[E, X], E] != E)
-        if len(bad) == 0:
-            return None
-        x, y = bad[0]
-        return int(x), int(y)
-
     # -- presentation --------------------------------------------------------
 
     def element_name(self, x: int) -> str:
@@ -379,21 +351,34 @@ class FiniteMonoid:
 
 
 def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
+    """Bytes of memory this process may use: physical memory, or the soft
+    address-space limit (``ulimit -v``) where that is lower; None where the
+    platform says neither."""
+    limits = []
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):
-        return None
+        pass
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    return min(limits, default=None)
 
 
 def _check_table_fits(n: int) -> None:
-    """Refuse an n x n int32 table larger than physical memory, before allocating it."""
+    """Refuse an n x n int32 table larger than the memory available, before
+    allocating it."""
     need = n * n * np.dtype(np.int32).itemsize
     have = _physical_memory()
     if have is not None and need > have:
         raise MonoidTooLargeError(
             f"transition monoid has {n} elements; its {n}x{n} table needs "
-            f"{need / 2**30:.1f} GiB but the machine has {have / 2**30:.1f} GiB")
+            f"{need / 2**30:.1f} GiB but {have / 2**30:.1f} GiB is available")
+
+
+# Cells of the intp index a slice of the row fill gathers through, about 8 MB.
+_FILL_CELLS = 1 << 20
 
 
 def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
@@ -401,52 +386,75 @@ def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
 
     Elements are discovered breadth-first from the identity transformation,
     extending by letters in alphabet order, which makes element indices (and
-    the stored shortest generating words) reproducible.  The search records
-    each element's parent, its last letter and the right Cayley graph
-    R[x, a] = x*a, at cost O(|M|*|A|*states).  The table is then filled
-    from the Cayley graph, one column per element in discovery order: column
-    0 is the identity, and an element j = parent[j]*a gives
-    x*j = R[x*parent[j], a], one vectorised gather per column, O(|M|^2) in
-    all.  The table is checked against physical memory before allocation.
+    the stored shortest generating words) reproducible.  The closure runs
+    one BFS level at a time: the candidates x*a of a level are one gather
+    of the letter maps in (element, letter) order, and each is looked up by
+    its bytes, so an element costs O(|A|) dictionary lookups and no Python
+    loop over states.  It records each element's parent, its last letter and
+    the right Cayley graph R[x, a] = x*a.
+
+    The left Cayley graph follows one level at a time: a*1 = a, and an
+    element j = parent[j]*b gives a*j = R[a*parent[j], b].  The table is
+    then filled by rows, one gather per level: j*x = parent[j]*(b*x), so
+    row j is row parent[j] read at the left graph's row b, and a parent
+    always lies on an earlier level.  A level is taken in row slices whose
+    index holds about _FILL_CELLS cells.  Cost O(|M|*|A|*states) for the
+    closure and O(|M|^2) for the fill; the table is checked against the
+    memory available before allocation.
     """
-    S = dfa.n_states
-    letter_maps = [tuple(dfa.delta[s][ai] for s in range(S)) for ai in range(len(dfa.alphabet))]
-    ident = tuple(range(S))
-    index = {ident: 0}
-    elems = [ident]
+    S, A = dfa.n_states, len(dfa.alphabet)
+    letter_maps = np.array(dfa.delta, dtype=np.min_scalar_type(S - 1)).T.copy()
+    frontier = np.arange(S, dtype=letter_maps.dtype)[None, :]
+    key_type = np.dtype((np.void, frontier.nbytes))
+    index = {frontier.tobytes(): 0}
     words = [""]
     parent = [0]
     letter = [0]
     right = []
-    qi = 0
-    while qi < len(elems):
-        t = elems[qi]
-        row = []
-        for ai, a in enumerate(dfa.alphabet):
-            lm = letter_maps[ai]
-            u = tuple(lm[x] for x in t)
-            j = index.get(u)
+    starts = [0, 1]     # level k holds the elements starts[k] .. starts[k+1] - 1
+    n = 1
+    while starts[-1] > starts[-2]:
+        cands = np.ascontiguousarray(letter_maps[:, frontier].transpose(1, 0, 2)).reshape(-1, S)
+        fresh = []
+        for c, key in enumerate(cands.view(key_type).ravel().tolist()):
+            j = index.get(key)
             if j is None:
-                if len(elems) >= max_size:
+                if n >= max_size:
                     raise MonoidTooLargeError(
                         f"transition monoid exceeds {max_size} elements; "
                         "raise the cap to proceed")
-                j = index[u] = len(elems)
-                elems.append(u)
-                words.append(words[qi] + a)
-                parent.append(qi)
+                j = index[key] = n
+                n += 1
+                fresh.append(key)
+                p, ai = divmod(c, A)
+                p += starts[-2]
+                words.append(words[p] + dfa.alphabet[ai])
+                parent.append(p)
                 letter.append(ai)
-            row.append(j)
-        right.append(row)
-        qi += 1
-    n = len(elems)
+            right.append(j)
+        frontier = np.frombuffer(b"".join(fresh), dtype=letter_maps.dtype).reshape(-1, S)
+        starts.append(n)
     _check_table_fits(n)
-    right_by_letter = np.array(right, dtype=np.int32).T.copy()
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)
-    for j in range(1, n):
-        table[:, j] = right_by_letter[letter[j]][table[:, parent[j]]]
-    gens = {a: right[0][ai] for ai, a in enumerate(dfa.alphabet)}
+    R = np.array(right, dtype=np.intp).reshape(n, A)
+    parent = np.array(parent, dtype=np.intp)
+    letter = np.array(letter, dtype=np.intp)
+    levels = list(zip(starts[1:-2], starts[2:-1]))
+    left = np.empty((A, n), dtype=np.intp)          # left[a, j] = a*j
+    left[:, 0] = R[0]
+    for lo, hi in levels:
+        left[:, lo:hi] = R[left[:, parent[lo:hi]], letter[lo:hi]]
+    table = np.empty((n, n), dtype=np.int32)        # row fill reads all of left
+    table[0] = np.arange(n, dtype=np.int32)
+    flat = table.reshape(-1)
+    row_base = parent * n
+    step = max(1, _FILL_CELLS // n)
+    for lo, hi in levels:
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            at = left[letter[a:b]]
+            at += row_base[a:b, None]
+            flat.take(at, out=table[a:b])
+    gens = {a: int(R[0, ai]) for ai, a in enumerate(dfa.alphabet)}
     return FiniteMonoid(table, 0, gens=gens, words=words, validate=False)
 
 

@@ -315,11 +315,11 @@ def _ranker_count(k: int, m: int, n: int, max_rankers: int) -> int:
 
 
 def _check_fits(need: int, what: str) -> None:
-    """Refuse an allocation of need bytes larger than physical memory."""
+    """Refuse an allocation of need bytes larger than the memory available."""
     have = _physical_memory()
     if have is not None and need > have:
         raise RankerBudgetError(f"{what} need {need / 2**30:.1f} GiB "
-                                f"but the machine has {have / 2**30:.1f} GiB")
+                                f"but {have / 2**30:.1f} GiB is available")
 
 
 def _letter_codes(words: list[str]) -> np.ndarray:
@@ -371,8 +371,8 @@ class RankerTable:
     any smaller (m, n) are derived from the same table and cached.  The class
     size is counted in closed form and checked against ``max_rankers``, and
     the full table's size (3 bytes per ranker and word: int16 ``values``,
-    bool ``condensed``) against physical memory, at ``max_depth`` and before
-    any row is allocated.
+    bool ``condensed``) against the memory available, at ``max_depth`` and
+    before any row is allocated.
 
     The constructor enumerates the class as arrays (each ranker's start,
     depth, blocks, parent and last instruction, at O(rankers) with no
@@ -592,8 +592,8 @@ class RankerTable:
         along axis 0 for the whole chunk.  A chunk holds about 2**20 value
         and level cells.  Ranks never exceed the number of levels, so they
         take one byte while words are shorter than 255 letters and two
-        after.  The keys are checked against physical memory before they
-        are allocated.
+        after.  The keys are checked against the memory available before
+        they are allocated.
         """
         key = ("E", m, n)
         if key in self._partitions:

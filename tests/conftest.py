@@ -1,3 +1,6 @@
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -68,10 +71,36 @@ def level_three():
                         gens={"a": 1, "b": 2, "c": 3})
 
 
+class Preorders(NamedTuple):
+    jleq: np.ndarray
+    rleq: np.ndarray
+    lleq: np.ndarray
+
+
+def preorders(m):
+    """Green's preorders as n x n matrices read off the table: jleq[u, v]
+    (u in MvM), rleq[u, v] (u in vM) and lleq[u, v] (u in Mv)."""
+    T = m.table
+    out = Preorders(*(np.zeros(T.shape, dtype=bool) for _ in range(3)))
+    for v in range(m.size):
+        out.rleq[T[v, :], v] = True
+        out.lleq[T[:, v], v] = True
+        out.jleq[T[:, T[v, :]].ravel(), v] = True
+    return out
+
+
 def direct_product(a, b):
     n = b.size
     table = (a.table[:, None, :, None] * n + b.table[None, :, None, :]).reshape(a.size * n, -1)
     return FiniteMonoid(table, a.identity * n + b.identity)
+
+
+def large_dfa():
+    """A minimal 5-state binary DFA whose transition monoid has 312 elements,
+    spread over several breadth-first levels, and holds a group (so it is
+    not aperiodic, hence not in DA)."""
+    delta = ((1, 4), (3, 1), (0, 3), (2, 1), (0, 0))
+    return Dfa(("a", "b"), delta, 0, frozenset({1, 3}))
 
 
 # -- random automata ---------------------------------------------------------

@@ -267,3 +267,39 @@ def test_module_entry_point_runs_from_a_checkout():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1 and proc.stderr.startswith("usage error: ")
 
+
+def test_address_space_limit_bounds_the_memory_checks(capsys, monkeypatch):
+    # a soft address-space limit (`ulimit -v`) below physical memory is what counts
+    limit = 2**30
+    monkeypatch.setattr(monoid_module.resource, "getrlimit",
+                        lambda _res: (limit, monoid_module.resource.RLIM_INFINITY))
+    assert monoid_module._physical_memory() == limit
+    # the 15001 x 15000 int16 occurrence tables alone would take about 3.6 GB
+    code, out, err = run(capsys, "oracle", "--regex", "a*", "--m", "1", "--max-n", "2",
+                         "--max-len", "15000")
+    assert code == 3
+    assert err.startswith("budget exceeded: ") and "1.0 GiB is available" in err
+    assert "Traceback" not in err
+    monkeypatch.setattr(monoid_module.resource, "getrlimit", lambda _res: (100, 200))
+    code, _, err = run(capsys, "analyze", "--regex", "(ab)*")   # 6x6 table: 144 bytes
+    assert code == 3 and err.startswith("budget exceeded: ")
+
+
+def test_failed_allocation_exit_code(capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 429. MiB for an array")
+
+    monkeypatch.setattr(cli, "transition_monoid", exhausted)
+    code, out, err = run(capsys, "analyze", "--regex", "(ab)*")
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: Unable to allocate 429. MiB for an array\n"
+
+
+def test_quotient_route_prints_the_identities_route_da_witness(capsys):
+    for regex in ("(ab)*", "(aa)*", "(abc)*"):
+        _, by_quotient, _ = run(capsys, "analyze", "--regex", regex, "--method", "quotient")
+        _, by_identities, _ = run(capsys, "analyze", "--regex", regex, "--method", "identities")
+        witness = [line for line in by_quotient.splitlines() if line.startswith("witness: ")]
+        assert witness == [line for line in by_identities.splitlines()
+                           if line.startswith("witness: ")]
+        assert witness[0].startswith("witness: (x1.x2)^w.x1.(x1.x2)^w = (x1.x2)^w fails at x1=")

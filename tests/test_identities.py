@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import (cyclic_two, dfas, direct_product, left_zero, level_three, right_zero,
-                      trivial, two_element_zero)
+from conftest import (cyclic_two, dfas, direct_product, large_dfa, left_zero, level_three,
+                      right_zero, trivial, two_element_zero)
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level import identities
 from fo2level.identities import (IdentitiesLevel, IdentityBudgetError, IdentityCheck,
@@ -173,13 +173,59 @@ def test_identity_domains_match_full_enumeration(dfa, minimal):
 
 
 
+def recorded_steps(monkeypatch):
+    """Patch _grid_eval to record the (base, count) of every step it is
+    asked for, refusing empty steps (a scan of those would never end)."""
+    steps = []
+    grid_eval = identities._grid_eval
+
+    def recording(m, t, dom, base, count, nvars, memo):
+        assert count > 0, "empty step"
+        if not steps or steps[-1] != (base, count):
+            steps.append((base, count))
+        return grid_eval(m, t, dom, base, count, nvars, memo)
+
+    monkeypatch.setattr(identities, "_grid_eval", recording)
+    return steps
+
+
 def test_witness_does_not_depend_on_chunk_size(monkeypatch):
-    # a chunk of 7 puts chunk boundaries inside every scan of these checks
-    monkeypatch.setattr(identities, "_CHUNK", 7)
-    for m in (cyclic_two(), left_zero(), monoid_of("(ab)*"), monoid_of("a(ba)*b+b*")):
-        for lhs, rhs in (da_identity(), straubing_terms(1),
-                         (phi_word(build_G(3)), phi_word(build_I(3)))):
-            assert satisfies_identity(m, lhs, rhs) == reference_check(m, lhs, rhs)
+    # small chunks put step boundaries inside every scan of these checks,
+    # and a chunk of 7 makes the first step a single assignment
+    steps = recorded_steps(monkeypatch)
+    for chunk in (7, 64):
+        monkeypatch.setattr(identities, "_CHUNK", chunk)
+        steps.clear()
+        for m in (cyclic_two(), left_zero(), monoid_of("(ab)*"), monoid_of("a(ba)*b+b*")):
+            for lhs, rhs in (da_identity(), straubing_terms(1),
+                             (phi_word(build_G(3)), phi_word(build_I(3)))):
+                assert satisfies_identity(m, lhs, rhs) == reference_check(m, lhs, rhs)
+        assert max(count for _base, count in steps) == chunk
+
+
+def test_steps_grow_fourfold_up_to_the_chunk(monkeypatch):
+    # associativity holds, so the scan reads all 312^2 assignments
+    m = transition_monoid(large_dfa())
+    x1, x2 = Var(1), Var(2)
+    steps = recorded_steps(monkeypatch)
+    assert satisfies_identity(m, Prod((Prod((x1, x2)), x1)), Prod((x1, Prod((x2, x1))))).holds
+    counts = [count for _base, count in steps]
+    assert counts == [1024, 4096] + [16384] * 5 + [312 ** 2 - 1024 - 4096 - 5 * 16384]
+    assert [base for base, _count in steps] == [sum(counts[:i]) for i in range(len(counts))]
+    # a space of at most _CHUNK / 16 assignments is one step
+    steps.clear()
+    assert not satisfies_identity(monoid_of("(ab)*"), *da_identity()).holds
+    assert steps == [(0, 36)]
+
+
+def test_da_witness_of_a_group_is_found_in_the_first_step(monkeypatch):
+    m = transition_monoid(large_dfa())
+    assert m.size == 312 and not m.is_aperiodic()
+    expected = reference_check(m, *da_identity())
+    steps = recorded_steps(monkeypatch)
+    assert satisfies_identity(m, *da_identity()) == expected
+    assert not expected.holds
+    assert steps == [(0, 1024)]
 
 
 def test_identity_check_memory_is_bounded_by_the_chunk():

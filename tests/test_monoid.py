@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic_two, dfas, left_zero, right_zero, trivial, two_element_zero
+from conftest import (cyclic_two, dfas, large_dfa, left_zero, preorders, right_zero, trivial,
+                      two_element_zero)
 from fo2level import monoid as monoid_module
 from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
+from fo2level.identities import da_identity, satisfies_identity
 from fo2level.monoid import (FiniteMonoid, MonoidFormatError,
                              MonoidTooLargeError, parse_monoid_file,
                              reverse_monoid, syntactic_monoid,
@@ -22,6 +24,7 @@ def test_transition_monoid_sizes():
     assert monoid_of("(a|b)*").size == 1
     assert monoid_of("(ab)*").size == 6
     assert monoid_of("(a|b)*a(a|b)*").size == 2
+    assert monoid_of("~").size == 1                 # no letters at all
 
 
 def test_eval_word():
@@ -62,7 +65,8 @@ def test_omega_power():
 
 def test_greens_examples():
     g = two_element_zero().greens()
-    assert g.num_j == 2 and g.jleq[1, 0] and not g.jleq[0, 1]
+    p = preorders(two_element_zero())
+    assert g.num_j == 2 and p.jleq[1, 0] and not p.jleq[0, 1]
 
     lz = left_zero()
     g = lz.greens()
@@ -79,9 +83,9 @@ def test_greens_examples():
 
 def test_greens_preorder_refinement():
     for m in [left_zero(), right_zero(), monoid_of("(ab)*"), monoid_of("a*b*")]:
-        g = m.greens()
-        assert not (g.rleq & ~g.jleq).any()
-        assert not (g.lleq & ~g.jleq).any()
+        p = preorders(m)
+        assert not (p.rleq & ~p.jleq).any()
+        assert not (p.lleq & ~p.jleq).any()
 
 
 def test_trivialities():
@@ -111,8 +115,9 @@ def test_da_membership():
     assert left_zero().is_in_da()
     m = monoid_of("(ab)*")
     assert not m.is_in_da()
-    x, y = m.da_witness()
-    assert {x, y} == {m.eval_word("a"), m.eval_word("b")}
+    check = satisfies_identity(m, *da_identity())
+    assert not check.holds
+    assert set(check.witness.values()) == {m.eval_word("a"), m.eval_word("b")}
 
 
 def test_is_in_da_is_computed_once(monkeypatch):
@@ -294,10 +299,69 @@ def test_greens_classes_match_preorders(dfa, with_gens):
     m = capped_monoid(dfa)
     if not with_gens:
         m = FiniteMonoid(m.table, m.identity, validate=False)
+    g, p = m.greens(), preorders(m)
+    assert np.array_equal(g.j_class, labels_of(p.jleq & p.jleq.T))
+    assert np.array_equal(g.r_class, labels_of(p.rleq & p.rleq.T))
+    assert np.array_equal(g.l_class, labels_of(p.lleq & p.lleq.T))
+
+
+def union_graph_j_classes(m):
+    """J-classes as the strongly connected components of the two-sided
+    Cayley graph x -> x*g, x -> g*x, by boolean reachability closure."""
+    T = m.table
+    gens = list(m.gens.values()) if m.gens is not None else range(m.size)
+    n = m.size
+    reach = np.eye(n, dtype=bool)
+    for g in gens:
+        reach[np.arange(n), T[:, g]] = True
+        reach[np.arange(n), T[g, :]] = True
+    while True:
+        step = (reach.astype(np.float32) @ reach.astype(np.float32)) > 0
+        if np.array_equal(step, reach):
+            return labels_of(reach & reach.T)
+        reach = step
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfas(), st.booleans())
+def test_j_classes_match_two_sided_cayley_components(dfa, with_gens):
+    m = capped_monoid(dfa)
+    if not with_gens:
+        m = FiniteMonoid(m.table, m.identity, validate=False)
+    assert np.array_equal(m.greens().j_class, union_graph_j_classes(m))
+
+
+def test_large_monoid_matches_direct_composition():
+    # 312 elements over many breadth-first levels: every level boundary of
+    # the closure and of the row fill is crossed
+    dfa = large_dfa()
+    m = transition_monoid(dfa)
+    table, words, gens = reference_transition_monoid(dfa)
+    assert m.size == 312 and len(set(map(len, words))) > 5
+    assert np.array_equal(m.table, table)
+    assert list(m.words) == words
+    assert m.gens == gens
     g = m.greens()
-    assert np.array_equal(g.j_class, labels_of(g.jleq & g.jleq.T))
-    assert np.array_equal(g.r_class, labels_of(g.rleq & g.rleq.T))
-    assert np.array_equal(g.l_class, labels_of(g.lleq & g.lleq.T))
+    assert np.array_equal(g.j_class, union_graph_j_classes(m))
+    assert not m.is_aperiodic()
+
+
+def test_row_fill_slices_match_one_gather(monkeypatch):
+    # a level in slices of one or a few rows gives the same table
+    dfa = large_dfa()
+    whole = transition_monoid(dfa).table
+    for cells in (1, 312 * 7):
+        monkeypatch.setattr(monoid_module, "_FILL_CELLS", cells)
+        assert np.array_equal(transition_monoid(dfa).table, whole)
+
+
+def test_monoid_size_cap_is_exact():
+    regexes = ("(ab)*", "a*b*", "(a|b)*a(a|b)(a|b)")
+    for d in [regex_to_min_dfa(parse_regex(r)) for r in regexes] + [large_dfa()]:
+        n = transition_monoid(d).size
+        assert transition_monoid(d, max_size=n).size == n
+        with pytest.raises(MonoidTooLargeError, match=f"exceeds {n - 1} elements"):
+            transition_monoid(d, max_size=n - 1)
 
 
 def reference_omega(m):
