@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
 
 def _load_monoid(args) -> tuple[str, int | None, FiniteMonoid]:
     """Resolve the input flags to (description, minimal dfa size, monoid)."""
-    chosen = [k for k in ("regex", "dfa", "monoid") if getattr(args, k)]
+    chosen = [k for k in ("regex", "dfa", "monoid") if getattr(args, k) is not None]
     if len(chosen) != 1:
         raise _UsageError("exactly one of --regex / --dfa / --monoid is required")
     cap = args.monoid_cap
@@ -138,15 +138,18 @@ def cmd_analyze(args) -> int:
     if quot is not None and ident is not None:
         agreement = quot == ident.result
 
+    # J-trivial ⊆ R-trivial, L-trivial ⊆ DA: outside DA all three flags are
+    # false, so a not-FO2 answer builds no Green's classes.
+    in_da = mono.is_in_da()
     report = {
         "input": description,
         "dfa_states": dfa_states,
         "monoid_size": mono.size,
         "aperiodic": mono.is_aperiodic(),
-        "in_da": mono.is_in_da(),
-        "j_trivial": mono.is_j_trivial(),
-        "r_trivial": mono.is_r_trivial(),
-        "l_trivial": mono.is_l_trivial(),
+        "in_da": in_da,
+        "j_trivial": in_da and mono.is_j_trivial(),
+        "r_trivial": in_da and mono.is_r_trivial(),
+        "l_trivial": in_da and mono.is_l_trivial(),
         "fo2_level": _level_field(level) if level.status != "exceeded" else None,
         "method_quotient": _level_field(quot),
         "method_identities": _level_field(ident.result) if ident else None,

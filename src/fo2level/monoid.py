@@ -151,8 +151,55 @@ def _scc_labels(succ: list[list[int]]) -> list[int]:
     return [relabel.setdefault(c, len(relabel)) for c in comp]
 
 
+def _generated(table: np.ndarray, identity: int, gens: list[int]) -> bool:
+    """Whether the identity and its right products by gens reach every element.
+
+    A walk over the right Cayley graph, O(|M|*|A|); False also when a
+    generator is out of range.
+    """
+    n = table.shape[0]
+    if not all(0 <= g < n for g in gens):
+        return False
+    succ = table[:, gens].tolist()
+    seen = [False] * n
+    seen[identity] = True
+    stack = [identity]
+    reached = 1
+    while stack:
+        for y in succ[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                reached += 1
+                stack.append(y)
+    return reached == n
+
+
+def _associative(table: np.ndarray) -> bool:
+    """(x*y)*z == x*(y*z) for all x, y, z: |M| row gathers of |M|^2 each."""
+    return all(np.array_equal(table[table[x, :], :], table[x, table])
+               for x in range(table.shape[0]))
+
+
+def _light_associative(table: np.ndarray, gens: list[int]) -> bool:
+    """Light's test: (x*a)*y == x*(a*y) for all x, y and each generator a.
+
+    Exact when the identity law holds and gens generate the table: the
+    elements s with (x*s)*y == x*(s*y) for all x, y contain 1 and are closed
+    under products, since (x*st)*y = ((x*s)*t)*y = (x*s)*(t*y) =
+    x*(s*(t*y)) = x*((s*t)*y).  Cost O(|M|^2*|A|).
+    """
+    return all(np.array_equal(table[table[:, a], :], table[:, table[a, :]]) for a in gens)
+
+
 class FiniteMonoid:
-    """Multiplication-table monoid with optional generator map."""
+    """Multiplication-table monoid with optional generator map.
+
+    Shape and ranges are always checked.  validate=True (tables read from
+    files) also checks the identity law, associativity (by Light's test when
+    the generators reach every element) and that the generators generate;
+    the package's own constructors pass validate=False, since their tables
+    hold all three by construction.
+    """
 
     def __init__(self, table, identity: int, gens=None, words=None, validate: bool = True):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
@@ -165,44 +212,32 @@ class FiniteMonoid:
             raise MonoidFormatError("table entry out of range")
         if not (0 <= identity < n):
             raise MonoidFormatError("identity out of range")
+        gens = dict(gens) if gens is not None else None
         if validate:
             ar = np.arange(n, dtype=np.int32)
             if not (np.array_equal(table[identity], ar) and np.array_equal(table[:, identity], ar)):
                 raise MonoidFormatError("identity law fails")
-            for i in range(n):
-                # (i*j)*k == i*(j*k), one row of i at a time to bound memory
-                if not np.array_equal(table[table[i, :], :], table[i, table]):
-                    raise MonoidFormatError("table is not associative")
+            images = list(gens.values()) if gens is not None else None
+            generated = images is not None and _generated(table, identity, images)
+            if not (_light_associative(table, images) if generated else _associative(table)):
+                raise MonoidFormatError("table is not associative")
         table.setflags(write=False)
         self._table = table
         self.identity = int(identity)
-        self.gens = dict(gens) if gens is not None else None
+        self.gens = gens
         self.words = tuple(words) if words is not None else None
-        if self.gens is not None:
-            for a, x in self.gens.items():
+        if gens is not None:
+            for a, x in gens.items():
                 if not (0 <= x < n):
                     raise MonoidFormatError(f"generator {a!r} out of range")
-            self._check_generated()
+            # built monoids (validate=False) are generated by construction
+            if validate and not generated:
+                raise MonoidFormatError("generators do not generate the monoid")
         self._omega = None
         self._greens = None
         self._idempotents = None
         self._in_da = None
         self._reverse = None
-
-    def _check_generated(self):
-        succ = self._table[:, list(self.gens.values())].tolist()
-        seen = [False] * self.size
-        seen[self.identity] = True
-        stack = [self.identity]
-        reached = 1
-        while stack:
-            for y in succ[stack.pop()]:
-                if not seen[y]:
-                    seen[y] = True
-                    reached += 1
-                    stack.append(y)
-        if reached != self.size:
-            raise MonoidFormatError("generators do not generate the monoid")
 
     # -- basic structure ---------------------------------------------------
 

@@ -1,12 +1,13 @@
+import random
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fo2level.automata import Dfa, all_words
-from fo2level.corpus import da_entries, make_entries
-from fo2level.monoid import FiniteMonoid
+from fo2level.automata import Dfa, all_words, minimize
+from fo2level.corpus import corpus_alphabet, da_entries, make_entries, random_dfa
+from fo2level.monoid import FiniteMonoid, transition_monoid
 from fo2level.rankers import RankerTable
 
 CORPUS_SEED = 7
@@ -22,6 +23,21 @@ def da_corpus():
 def mixed_entries():
     """Random minimal DFAs without the DA filter (includes non-DA monoids)."""
     return make_entries(CORPUS_SEED + 1, 120)
+
+
+@pytest.fixture(scope="session")
+def distinct_monoids():
+    """The distinct transition monoids (table and generator map) of 800 random
+    minimal DFAs with <= 5 states over 2 or 3 letters, |M| <= 400: about 300,
+    most of them not aperiodic and about 30 in DA."""
+    rng = random.Random(CORPUS_SEED + 4)
+    out = {}
+    for _ in range(400):
+        for letters in (2, 3):
+            m = transition_monoid(minimize(random_dfa(rng, 5, corpus_alphabet(letters))))
+            if m.size <= 400:
+                out.setdefault((m.table.tobytes(), tuple(m.gens.items())), m)
+    return list(out.values())
 
 
 @pytest.fixture(scope="session")
@@ -113,3 +129,12 @@ def dfas(draw):
     delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n))
     finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
     return Dfa(tuple("abc"[:k]), delta, 0, finals)
+
+
+def monoid_text(m):
+    """The multiplication-table file format read by ``analyze --monoid``."""
+    lines = [f"size: {m.size}", f"identity: {m.identity}"]
+    lines += [f"gen {a} {x}" for a, x in (m.gens or {}).items()]
+    lines.append("table")
+    lines += [" ".join(map(str, row)) for row in m.table.tolist()]
+    return "\n".join(lines) + "\n"

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 
+from conftest import monoid_text
 from fo2level import cli
 from fo2level import identities as identities_module
 from fo2level import monoid as monoid_module
 from fo2level.cli import main
+from fo2level.monoid import reverse_monoid
 
 AB_STAR_DFA = """\
 alphabet: a b
@@ -153,22 +155,62 @@ def test_deep_regex_nesting_is_a_parse_error(capsys):
     assert code == 0 and "fo2_level: 1" in out
 
 
-def test_analyze_decides_without_greens_preorders(capsys, monkeypatch):
-    built = []
+def test_not_fo2_analyze_builds_no_greens_classes(capsys, monkeypatch):
+    calls = []
     greens = monoid_module.FiniteMonoid.greens
 
-    def recording_greens(self):
-        g = greens(self)
-        built.append(g)
-        return g
+    def counting_greens(self):
+        calls.append(self.size)
+        return greens(self)
 
-    monkeypatch.setattr(monoid_module.FiniteMonoid, "greens", recording_greens)
-    for regex, level in [("a(a|b)*", "2"), ("(ab)*", "none")]:
-        code, out, _ = run(capsys, "analyze", "--regex", regex)
-        assert code == 0 and f"fo2_level: {level}" in out
-    assert built
-    for g in built:
-        assert not {"jleq", "rleq", "lleq"} & vars(g).keys()
+    monkeypatch.setattr(monoid_module.FiniteMonoid, "greens", counting_greens)
+    # (aa)* is not aperiodic, (ab)* is aperiodic but outside DA
+    for regex in ("(aa)*", "(ab)*"):
+        for method in ("both", "quotient", "identities"):
+            for fmt in ([], ["--json"]):
+                code, out, _ = run(capsys, "analyze", "--regex", regex, "--method", method, *fmt)
+                assert code == 0 and "in_da" in out and "fo2_level" in out
+                assert calls == [], (regex, method, fmt)
+    code, out, _ = run(capsys, "analyze", "--regex", "a(a|b)*")
+    assert code == 0 and "fo2_level: 2" in out
+    assert calls
+
+
+def test_report_flags_match_ungated_predicates(distinct_monoids, tmp_path, capsys):
+    # outside DA the report gates the flags to false without Green's
+    # classes; the predicates themselves must agree, on each monoid and its
+    # reverse (read back from a file, so the file checks run too)
+    seen = {"in_da": 0, "aperiodic_not_da": 0, "not_aperiodic": 0, "j_trivial": 0}
+    p = tmp_path / "m.monoid"
+    for m in (m for m in distinct_monoids if m.size <= 100):
+        for mono in (m, reverse_monoid(m)):
+            p.write_text(monoid_text(mono))
+            code, out, _ = run(capsys, "analyze", "--monoid", str(p), "--json",
+                               "--method", "quotient")
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["j_trivial"], doc["r_trivial"], doc["l_trivial"]) == (
+                mono.is_j_trivial(), mono.is_r_trivial(), mono.is_l_trivial())
+            in_da, aperiodic = mono.is_in_da(), mono.is_aperiodic()
+            seen["in_da"] += in_da
+            seen["aperiodic_not_da"] += aperiodic and not in_da
+            seen["not_aperiodic"] += not aperiodic
+            seen["j_trivial"] += doc["j_trivial"]
+    assert min(seen.values()) >= 10, seen
+
+
+def test_input_flags_are_chosen_by_presence(tmp_path, capsys):
+    # an empty value still counts as given
+    code, out, err = run(capsys, "analyze", "--regex", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: empty regex")
+    p = tmp_path / "abstar.dfa"
+    p.write_text(AB_STAR_DFA)
+    for argv in (["--regex", "", "--dfa", str(p)], ["--dfa", "", "--regex", "a"],
+                 ["--monoid", "", "--dfa", str(p)]):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 1 and out == "", argv
+        assert "exactly one of --regex / --dfa / --monoid" in err
 
 
 def test_rankers_command(capsys):

@@ -14,6 +14,7 @@ from fo2level.monoid import (FiniteMonoid, MonoidFormatError,
                              MonoidTooLargeError, parse_monoid_file,
                              reverse_monoid, syntactic_monoid,
                              transition_monoid)
+from fo2level.varieties import quotient_chain
 
 
 def monoid_of(text: str) -> FiniteMonoid:
@@ -198,6 +199,12 @@ def test_parse_monoid_file():
     ("identity: 0\ntable\n0\n", "size"),
     ("size: 2\nidentity: 0\ngen a 1\ntable\n0 1\n1 0\n", None),  # ok: generates
     ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 1 1\n2 2 2\n", "generate"),
+    # a generates: Light's test finds the failure
+    ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 2 1\n2 1 1\n", "associative"),
+    # a does not generate, or is out of range: the exhaustive check reports first
+    ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 0 0\n2 0 0\n", "associative"),
+    ("size: 3\nidentity: 0\ngen a 7\ntable\n0 1 2\n1 2 1\n2 1 1\n", "associative"),
+    ("size: 3\nidentity: 0\ngen a 7\ntable\n0 1 2\n1 1 1\n2 2 2\n", "out of range"),
 ])
 def test_parse_monoid_file_errors(text, msg):
     if msg is None:
@@ -391,3 +398,56 @@ def test_omega_table_and_da_match_scalar_references(dfa, minimal):
     assert m.is_in_da() == da
     assert m.is_aperiodic() == all(T[om[x]][x] == om[x] for x in range(m.size))
 
+
+# -- checks that only file inputs run -----------------------------------------
+
+def test_built_monoids_pass_the_generation_walk(distinct_monoids, da_corpus):
+    # transition_monoid, quotient and reverse_monoid skip the walk because
+    # their generators reach every element by construction; this checks it
+    def walked(m):
+        return monoid_module._generated(m.table, m.identity, list(m.gens.values()))
+
+    built = distinct_monoids + [e.monoid for e in da_corpus] + [transition_monoid(large_dfa())]
+    checked = 0
+    for m in built:
+        for q in [reverse_monoid(m), *quotient_chain(m, "R"), *quotient_chain(m, "L")]:
+            assert walked(q), q
+            checked += 1
+    assert checked > 4 * len(built)
+    # a generator map that misses an element is still refused when validating
+    assert not walked(FiniteMonoid(left_zero().table, 0, gens={"a": 1}, validate=False))
+    with pytest.raises(MonoidFormatError, match="generate"):
+        FiniteMonoid(left_zero().table, 0, gens={"a": 1})
+
+
+def test_light_associativity_matches_exhaustive_check(mixed_entries):
+    # random tables obeying the identity law, and built tables with one entry
+    # changed; whenever the generators reach every element the two checks agree
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(3000):
+        n = int(rng.integers(1, 6))
+        t = rng.integers(0, n, size=(n, n)).astype(np.int32)
+        t[0] = t[:, 0] = np.arange(n)
+        cases.append((t, [int(g) for g in rng.integers(0, n, size=rng.integers(1, 4))]))
+    for e in mixed_entries:
+        m = e.monoid
+        for _ in range(10):
+            t = m.table.copy()
+            if m.size > 1:
+                x, y = rng.integers(1, m.size, size=2)
+                t[x, y] = rng.integers(0, m.size)
+            cases.append((t, list(m.gens.values())))
+    outcomes = {True: 0, False: 0}
+    for t, gens in cases:
+        exhaustive = monoid_module._associative(t)
+        if monoid_module._generated(t, 0, gens):
+            assert monoid_module._light_associative(t, gens) == exhaustive, (t, gens)
+            outcomes[exhaustive] += 1
+        gen_map = {f"g{i}": g for i, g in enumerate(gens)}
+        if exhaustive:
+            assert FiniteMonoid(t, 0, validate=True).size == len(t)
+        else:
+            with pytest.raises(MonoidFormatError, match="associative"):
+                FiniteMonoid(t, 0, gens=gen_map, validate=True)
+    assert min(outcomes.values()) >= 200, outcomes
