@@ -138,8 +138,9 @@ def cmd_analyze(args) -> int:
     if quot is not None and ident is not None:
         agreement = quot == ident.result
 
-    # J-trivial ⊆ R-trivial, L-trivial ⊆ DA: outside DA all three flags are
-    # false, so a not-FO2 answer builds no Green's classes.
+    # J-trivial ⊆ R-trivial ⊆ DA and L-trivial ⊆ DA (Tesson & Thérien 2002):
+    # outside DA all three flags are false, so a not-FO2 answer builds no
+    # Green's classes.
     in_da = mono.is_in_da()
     report = {
         "input": description,

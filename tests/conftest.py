@@ -105,6 +105,12 @@ def preorders(m):
     return out
 
 
+
+def associative(table):
+    """(x*y)*z == x*(y*z) for all x, y, z: |M| row gathers of |M|^2 each."""
+    return all(np.array_equal(table[table[x, :], :], table[x, table])
+               for x in range(table.shape[0]))
+
 def direct_product(a, b):
     n = b.size
     table = (a.table[:, None, :, None] * n + b.table[None, :, None, :]).reshape(a.size * n, -1)
