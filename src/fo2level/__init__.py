@@ -34,10 +34,8 @@ from .rankers import (
     Ranker, RankerSyntaxError, RankerBudgetError, RankerTable, OracleOutcome,
     parse_ranker, next_pos, prev_pos, eval_ranker, ranker_positions,
     is_condensed, is_condensed_no_overrun, enumerate_rankers,
-    rel_right, rel_left, equiv_wi,
     oracle_equiv_refines_morphism, oracle_right_refines_morphism,
-    least_oracle_n, r_factorize, l_factorize,
-    left_factorization, right_factorization, subwords_upto,
+    least_oracle_n, left_factorization, right_factorization, subwords_upto,
 )
 
 __version__ = "0.1.0"

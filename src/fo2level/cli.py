@@ -190,11 +190,11 @@ def cmd_oracle(args) -> int:
         raise _UsageError("--m and --max-n must be >= 1, --max-len >= 0")
     print(f"input: {description}")
     print(f"monoid_size: {mono.size}")
-    n, outcome = least_oracle_n(mono, args.m, args.max_n, args.max_len)
+    n, counterexample = least_oracle_n(mono, args.m, args.max_n, args.max_len)
     if n is not None:
         print(f"oracle: holds at n={n} (m={args.m}, words up to length {args.max_len})")
     else:
-        u, v = outcome.counterexample
+        u, v = counterexample
         print(f"oracle: no n <= {args.max_n} works (m={args.m}); "
               f"last counterexample: {u!r} vs {v!r}")
     return 0

@@ -231,12 +231,12 @@ def check_oracle_bounds(entries, max_n: int = 8, max_len: int = 6) -> CheckResul
         key = (alpha, m)
         if key not in tables:
             tables[key] = RankerTable(alpha, m, max_n, all_words(alpha, max_len))
-        n, outcome = least_oracle_n(e.monoid, m, max_n, max_len, table=tables[key])
+        n, counterexample = least_oracle_n(e.monoid, m, max_n, max_len, table=tables[key])
         checked += 1
         if n is None:
             return CheckResult("equivalence-oracle-bound", False, checked,
                                f"no n <= {max_n} at level {m}, size={e.monoid.size}, "
-                               f"counterexample {outcome.counterexample}")
+                               f"counterexample {counterexample}")
     return CheckResult("equivalence-oracle-bound", True, checked,
                        f"n <= {max_n}, words up to {max_len}")
 

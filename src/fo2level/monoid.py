@@ -500,8 +500,9 @@ def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
 
     Generator images are preserved; they now evaluate mirror words, so the
     stored shortest-word names are dropped.  Built once per monoid and kept,
-    like its other derived structure, so mirrored loops over words (such as
-    ``l_factorize``) share one copy and its Green's classes.
+    like its other derived structure, so callers that mirror a monoid again
+    and again (a loop over words that reads its L-classes as the reverse's
+    R-classes, say) share one copy and its Green's classes.
     """
     if m._reverse is None:
         m._reverse = FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False)

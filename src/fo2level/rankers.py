@@ -15,33 +15,33 @@ implemented in ``is_condensed`` is normative; ``is_condensed_no_overrun``
 is an independent simulation (fail when a move lands on or passes a
 previously visited position) kept as a testing oracle.
 
-Word relations:
-
-* ``rel_right(u, v, m, n)``: the same rankers among the X-starting ones of
-  depth <= n with <= m blocks, plus the Y-starting ones of depth <= n-1
-  with <= m-1 blocks, are condensed on u and on v.
-* ``rel_left``: the mirror image.
-* ``equiv_wi(u, v, m, n)``: the same rankers of depth <= n and <= m blocks
-  are defined on both, and four families of ranker pairs induce identical
-  order types on both words.
-
 ``RankerTable`` vectorizes evaluation of a whole ranker class over a fixed
-word list and exposes the induced partitions, which the brute-force oracles
-(morphism refinement, factorization compatibility, subword invariance) are
-built on.  Signature computation per word is independent; everything here
-is pure.
+word list and exposes the partitions of the word relations the rankers
+induce:
+
+* the right relation at (m, n): the same rankers among the X-starting ones
+  of depth <= n with <= m blocks, plus the Y-starting ones of depth <= n-1
+  with <= m-1 blocks, are condensed on both words; the left relation is the
+  mirror image;
+* ranker equivalence at (m, n): the same rankers of depth <= n and <= m
+  blocks are defined on both words, and four families of ranker pairs
+  induce identical order types on both.
+
+The brute-force oracles (morphism refinement, factorization compatibility,
+subword invariance) are built on these partitions.  Signature computation
+per word is independent; everything here is pure.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .automata import all_words
-from .monoid import (FiniteMonoid, _first_seen_labels, _physical_memory,
-                     reverse_monoid)
+from .monoid import FiniteMonoid, _first_seen_labels, _physical_memory
 
 X = "X"
 Y = "Y"
@@ -220,73 +220,6 @@ def enumerate_rankers(alphabet, m: int, n: int, start: str = "either") -> list[R
 
 
 # ---------------------------------------------------------------------------
-# Word relations (direct definitions)
-# ---------------------------------------------------------------------------
-
-def _infer_alphabet(u: str, v: str, alphabet):
-    if alphabet is not None:
-        return tuple(alphabet)
-    # rankers over letters absent from both words are never defined on
-    # either, so inferring the joint alphabet is sound
-    return tuple(sorted(set(u) | set(v)))
-
-
-def rel_right(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
-    """Same condensed rankers among X-start (m, n) and Y-start (m-1, n-1)."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    alpha = _infer_alphabet(u, v, alphabet)
-    rankers = enumerate_rankers(alpha, m, n, X) + enumerate_rankers(alpha, m - 1, n - 1, Y)
-    return all(is_condensed(r, u) == is_condensed(r, v) for r in rankers)
-
-
-def rel_left(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
-    """Same condensed rankers among Y-start (m, n) and X-start (m-1, n-1).
-
-    Reversal swaps X and Y, so this is ``rel_right`` on the reversed words.
-    """
-    return rel_right(u[::-1], v[::-1], m, n, alphabet)
-
-
-def _ord(i: int, j: int) -> int:
-    return (i > j) - (i < j)
-
-
-def equiv_wi(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
-    """Ranker equivalence: same defined rankers of depth <= n with <= m
-    blocks, and equal order types for the four comparison families."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    alpha = _infer_alphabet(u, v, alphabet)
-    rankers = enumerate_rankers(alpha, m, n, "either")
-    pu = {r: eval_ranker(r, u) for r in rankers}
-    pv = {r: eval_ranker(r, v) for r in rankers}
-    for r in rankers:
-        if (pu[r] is None) != (pv[r] is None):
-            return False
-    x_mn = [r for r in rankers if r.start == X]
-    y_mn = [r for r in rankers if r.start == Y]
-    families = (
-        (x_mn, [s for s in y_mn if s.depth <= n - 1]),
-        (y_mn, [s for s in x_mn if s.depth <= n - 1]),
-        (x_mn, [s for s in x_mn if s.depth <= n - 1 and s.blocks <= m - 1]),
-        (y_mn, [s for s in y_mn if s.depth <= n - 1 and s.blocks <= m - 1]),
-    )
-    for rs, ss in families:
-        for r in rs:
-            ru, rv = pu[r], pv[r]
-            if ru is None:
-                continue
-            for s in ss:
-                su, sv = pu[s], pv[s]
-                if su is None:
-                    continue
-                if _ord(ru, su) != _ord(rv, sv):
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Vectorized evaluation over a fixed word list
 # ---------------------------------------------------------------------------
 
@@ -401,8 +334,7 @@ class RankerTable:
         self.max_blocks = max_blocks
         self.max_depth = max_depth
         self.words = list(words)
-        self._windex = {w: i for i, w in enumerate(self.words)}
-        if len(self._windex) != len(self.words):
+        if len(set(self.words)) != len(self.words):
             raise ValueError("duplicate words")
         total = _ranker_count(len(self.alphabet), max_blocks, max_depth, max_rankers)
         W, k = len(self.words), len(self.alphabet)
@@ -431,7 +363,6 @@ class RankerTable:
         self._frontier = (p, np.zeros_like(p), np.broadcast_to(top, p.shape), p != 0)
         occ[:, :, 0] = 0  # past depth 1, position 0 means undefined and stays so
         self._occ = occ
-        self._occ_row = np.arange(2 * k * W).reshape(2 * k, W) * (maxlen + 2)  # of occ[t, j]
 
         # The class structure, depth by depth: every ranker extended by every
         # instruction within max_blocks, ranker-major and in instruction order.
@@ -484,9 +415,11 @@ class RankerTable:
                     is_y = t >= len(self.alphabet)
                     pp = p[parent]
                     # X moves right from p inside (p, hi), Y left from p inside (lo, p)
+                    occ = self._occ
+                    occ_row = np.arange(occ.shape[0] * occ.shape[1]).reshape(occ.shape[:2]) * occ.shape[2]
                     p = np.empty_like(pp)
                     for r in range(0, len(p), rows):
-                        p[r:r + rows] = np.take(self._occ, self._occ_row[t[r:r + rows]] + pp[r:r + rows])
+                        p[r:r + rows] = np.take(occ, occ_row[t[r:r + rows]] + pp[r:r + rows])
                     lo = np.where(is_y[:, None], lo[parent], pp)
                     hi = np.where(is_y[:, None], pp, hi[parent])
                     alive = alive[parent] & (lo < p) & (p < hi)
@@ -496,8 +429,30 @@ class RankerTable:
                 if depth < len(self._ends) - 1:
                     self._frontier = (p, lo, hi, alive)
                 else:  # complete: the inputs of further depths are no longer needed
-                    self._frontier = self._occ = self._occ_row = None
+                    self._frontier = self._occ = None
         return self._ends[n]
+
+    def restricted(self, keep: np.ndarray) -> RankerTable:
+        """The table over the words at the increasing indices keep, filled as
+        deep as this one.
+
+        It shares the class arrays and slices the filled rows, the frontier
+        and the occurrence tables, so its deeper depths fill only the kept
+        words.  Every partition compares the words two at a time, so each
+        partition of the restricted table is this one's restricted to keep,
+        up to the numbering of the labels.
+        """
+        with self._fill_lock:
+            sub = copy.copy(self)
+            sub._values = self._values[:, keep]
+            sub._condensed = self._condensed[:, keep]
+            if self._frontier is not None:
+                sub._frontier = tuple(a[:, keep] for a in self._frontier)
+                sub._occ = self._occ[:, keep]
+        sub.words = [self.words[i] for i in keep.tolist()]
+        sub._fill_lock = threading.Lock()
+        sub._partitions = {}
+        return sub
 
     @property
     def rankers(self) -> list[Ranker]:
@@ -526,9 +481,6 @@ class RankerTable:
         reading it fills every depth."""
         self._fill(self.max_depth)
         return self._condensed
-
-    def word_index(self, w: str) -> int:
-        return self._windex[w]
 
     def _class_mask(self, start: str | None, m: int, n: int) -> np.ndarray:
         if m < 1 or n < 1:
@@ -671,12 +623,16 @@ class OracleOutcome:
 
 def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
                   table: RankerTable | None, max_words: int) -> RankerTable:
-    """The given table, or one over all words up to max_len.  The word count
-    is checked against max_words, and the word tables against physical
-    memory, before any word is enumerated."""
+    """The given table, or one over all words up to max_len.  The generator
+    names must be single letters, the word count is checked against
+    max_words, and the word tables against physical memory, before any
+    word is enumerated."""
     if monoid.gens is None:
         raise ValueError("oracle needs a monoid with a generator map")
     alphabet = tuple(monoid.gens)
+    for a in alphabet:
+        if len(a) != 1:
+            raise ValueError(f"oracle needs one-letter generator names, not {a!r}")
     total = letters = 0
     term = 1
     for length in range(max_len + 1):
@@ -696,11 +652,12 @@ def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
 
 
 def _word_images(monoid: FiniteMonoid, words: list[str]) -> np.ndarray:
-    """Images of all words under the generator morphism, one letter column
-    at a time; raises like ``eval_word`` on the first unknown letter."""
+    """Images of all words under the generator morphism (whose names are
+    single letters), one letter column at a time; raises like
+    ``eval_word`` on the first unknown letter."""
     codes = _letter_codes(words)
     # generator code points, sorted, behind a sentinel that matches no letter
-    gens = sorted((ord(a), g) for a, g in monoid.gens.items() if len(a) == 1)
+    gens = sorted((ord(a), g) for a, g in monoid.gens.items())
     gen_code = np.array([-2] + [c for c, _ in gens], dtype=np.int32)
     gen_elem = np.array([monoid.identity] + [g for _, g in gens], dtype=np.intp)
     images = np.full(len(words), monoid.identity, dtype=np.intp)
@@ -716,17 +673,23 @@ def _word_images(monoid: FiniteMonoid, words: list[str]) -> np.ndarray:
     return images
 
 
+def _violations(labels: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per word, the index of the first word (in list order) of its label
+    class, and whether the two words' images differ."""
+    rep = np.unique(labels, return_index=True)[1][labels]
+    return rep, images != images[rep]
+
+
 def _first_violation(labels: np.ndarray, images: np.ndarray, words: list[str]) -> OracleOutcome:
     """Check that the images are constant on every label class.  The first
     word (in list order) whose image differs from that of its class's first
     word is returned with that first word as the counterexample."""
-    first = np.unique(labels, return_index=True)[1]
-    rep = first[labels]
-    bad = images != images[rep]
+    rep, bad = _violations(labels, images)
+    classes = int(labels.max(initial=-1)) + 1
     if bad.any():
         j = int(np.argmax(bad))
-        return OracleOutcome(False, (words[rep[j]], words[j]), len(first))
-    return OracleOutcome(True, None, len(first))
+        return OracleOutcome(False, (words[rep[j]], words[j]), classes)
+    return OracleOutcome(True, None, classes)
 
 
 def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
@@ -745,20 +708,37 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
 
 
 def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
-                   table: RankerTable | None = None) -> tuple[int | None, OracleOutcome]:
-    """Smallest n <= max_n making the refinement oracle pass, with the last outcome.
+                   table: RankerTable | None = None
+                   ) -> tuple[int | None, tuple[str, str] | None]:
+    """Smallest n <= max_n making the refinement oracle pass (None when no
+    n does), and the counterexample at the last n tried (None when it passes).
 
-    The table is budgeted for max_n up front but fills its rows one depth
-    per tried n, so a search that passes at n never fills the deeper rows.
+    The search refines a partition.  The rankers and comparison families of
+    equivalence at (m, n) are among those at (m, n + 1), so each class at
+    n + 1 lies in one class at n, and a class whose words share one image
+    splits only into such classes.  After a failing n the search keeps the
+    words of the classes that mix images, in list order, and goes on with
+    the table restricted to them.  The first violating word at n + 1 and
+    the first word of its class lie in one class at n that mixes images, so
+    both are kept, and the partition of the kept words is the full one
+    restricted to them (``RankerTable.restricted``).  So n and the
+    counterexample are those of ``oracle_equiv_refines_morphism`` tried at
+    n = 1, 2, ..., while the deeper depths fill and partition only the kept
+    words.  The given table is read (and filled) at n = 1 only.
     """
     table = _oracle_table(monoid, m, max_n, max_len, table, MAX_WORDS)
     images = _word_images(monoid, table.words)
-    outcome = None
+    counterexample = None
     for n in range(1, max_n + 1):
-        outcome = _first_violation(table.partition_equiv(m, n), images, table.words)
-        if outcome.holds:
-            return n, outcome
-    return None, outcome
+        labels = table.partition_equiv(m, n)
+        rep, bad = _violations(labels, images)
+        if not bad.any():
+            return n, None
+        j = int(np.argmax(bad))
+        counterexample = (table.words[rep[j]], table.words[j])
+        keep = np.flatnonzero(np.isin(labels, labels[bad]))
+        table, images = table.restricted(keep), images[keep]
+    return None, counterexample
 
 
 def oracle_right_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
@@ -767,50 +747,6 @@ def oracle_right_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     table = _oracle_table(monoid, m, n, max_len, table, MAX_WORDS)
     return _first_violation(table.partition_right(m, n),
                             _word_images(monoid, table.words), table.words)
-
-
-# ---------------------------------------------------------------------------
-# Greens-driven word factorizations
-# ---------------------------------------------------------------------------
-
-def r_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
-    """Split u = s1 a1 s2 a2 ... ak s_{k+1} along strict drops in the R-order.
-
-    Reading left to right, a letter that keeps the image of the prefix in
-    the same R-class extends the current segment; a letter that drops the
-    R-class becomes the next marker a_i.  Returns (segments, markers) with
-    len(segments) == len(markers) + 1.
-    """
-    if monoid.gens is None:
-        raise ValueError("factorization needs a monoid with a generator map")
-    rcls = monoid.greens().r_class
-    segments: list[str] = []
-    markers: list[str] = []
-    cur = monoid.identity
-    seg: list[str] = []
-    for ch in u:
-        nxt = monoid.mul(cur, monoid.eval_word(ch))
-        if rcls[nxt] == rcls[cur]:
-            seg.append(ch)
-        else:
-            segments.append("".join(seg))
-            markers.append(ch)
-            seg = []
-        cur = nxt
-    segments.append("".join(seg))
-    return segments, markers
-
-
-def l_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
-    """Right-to-left dual of ``r_factorize``, along strict drops in the L-order.
-
-    Returns (segments, markers) with u = segments[0] markers[0] segments[1]
-    ... markers[k-1] segments[k]; the last segment keeps the L-class of the
-    identity.  L-classes are the R-classes of the reverse monoid, so this
-    is ``r_factorize`` there on the reversed word, read back in reverse.
-    """
-    segments, markers = r_factorize(reverse_monoid(monoid), u[::-1])
-    return [s[::-1] for s in reversed(segments)], markers[::-1]
 
 
 # ---------------------------------------------------------------------------

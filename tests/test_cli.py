@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import monoid_text
 from fo2level import cli
 from fo2level import identities as identities_module
 from fo2level import monoid as monoid_module
+from fo2level import rankers as rankers_module
 from fo2level.cli import main
 from fo2level.monoid import reverse_monoid
 
@@ -250,6 +253,25 @@ def test_oracle_needs_gens(tmp_path, capsys):
     code, _, err = run(capsys, "oracle", "--monoid", str(p), "--m", "1")
     assert code == 1
     assert "generator" in err
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--monoid", "size: 2\nidentity: 0\ngen ab 1\ntable\n0 1\n1 1\n"),
+    ("--dfa", "alphabet: ab c\nstates: q0 q1\ninitial: q0\nfinal: q1\n"
+              "q0 ab q1\nq0 c q0\nq1 ab q1\nq1 c q1\n"),
+    # the words of a and b would spell ab again
+    ("--monoid", "size: 2\nidentity: 0\ngen a 1\ngen b 1\ngen ab 1\ntable\n0 1\n1 1\n"),
+])
+def test_oracle_refuses_multi_letter_generators(flag, text, tmp_path, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("words enumerated before the generator names were checked")
+
+    monkeypatch.setattr(rankers_module, "all_words", refuse)
+    p = tmp_path / "input"
+    p.write_text(text)
+    code, _, err = run(capsys, "oracle", flag, str(p), "--m", "1", "--max-len", "3")
+    assert code == 1
+    assert err == "error: oracle needs one-letter generator names, not 'ab'\n"
 
 
 def test_corpus_command(capsys):

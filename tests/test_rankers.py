@@ -12,17 +12,18 @@ import fo2level.automata
 import fo2level.monoid
 import fo2level.rankers
 from conftest import left_zero, preorders, trivial, two_element_zero
-from fo2level.automata import all_words, parse_regex, regex_to_min_dfa
+from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
 from fo2level.cli import main
+from fo2level.corpus import random_dfa
 from fo2level.monoid import transition_monoid
 from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError,
-                              RankerTable, enumerate_rankers, equiv_wi, eval_ranker,
+                              RankerTable, enumerate_rankers, eval_ranker,
                               is_condensed, is_condensed_no_overrun,
-                              l_factorize, least_oracle_n, next_pos,
+                              least_oracle_n, next_pos,
                               oracle_equiv_refines_morphism,
                               oracle_right_refines_morphism, parse_ranker,
-                              prev_pos, r_factorize, rel_left, rel_right,
-                              subwords_upto)
+                              prev_pos, subwords_upto)
+from reference import equiv_wi, l_factorize, r_factorize, rel_left, rel_right
 
 XYBXC = parse_ranker("Xa Yb Xc")
 
@@ -230,14 +231,13 @@ def test_oracle_trivial_monoid():
 
 
 def test_oracle_contains_a():
-    n, out = least_oracle_n(monoid_of("(a|b)*a(a|b)*"), 1, 4, 6)
-    assert n == 1 and out.holds
+    assert least_oracle_n(monoid_of("(a|b)*a(a|b)*"), 1, 4, 6) == (1, None)
 
 
 def test_oracle_level_two_language():
     lz = left_zero()  # syntactic monoid of a(a|b)*
-    n, out = least_oracle_n(lz, 2, 5, 6)
-    assert n is not None and n <= 5
+    n, counterexample = least_oracle_n(lz, 2, 5, 6)
+    assert n is not None and n <= 5 and counterexample is None
 
 
 def test_oracle_needs_larger_depth():
@@ -344,6 +344,41 @@ def test_equiv_partitions_match_per_word_signatures_on_random_lists(case):
                                   _per_word_equiv_labels(table, m, n)), (alpha, words, m, n)
 
 
+_PARTITIONS = ("partition_equiv", "partition_right", "partition_left")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shuffled_word_lists(), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_restricted_tables_partition_like_the_full_table(case, depth, rng):
+    alpha, words = case
+    full = RankerTable(alpha, 3, 4, words)
+    full._fill(depth)
+    keep = np.flatnonzero([rng.random() < 0.4 for _ in words])
+    sub = full.restricted(keep)
+    assert sub.words == [words[i] for i in keep] and sub.filled_depth == depth
+    got = {(kind, m, n): getattr(sub, kind)(m, n)
+           for kind in _PARTITIONS for m in range(1, 4) for n in range(1, 5)}
+    assert full.filled_depth == depth  # filling the restricted table leaves this one alone
+    assert np.array_equal(sub.values, full.values[:, keep])
+    assert np.array_equal(sub.condensed, full.condensed[:, keep])
+    for (kind, m, n), labels in got.items():
+        expect = _first_seen(getattr(full, kind)(m, n)[keep].tolist())
+        assert np.array_equal(labels, expect), (kind, m, n, depth)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shuffled_word_lists())
+def test_deeper_partitions_refine_shallower_ones(case):
+    alpha, words = case
+    table = RankerTable(alpha, 3, 4, words)
+    for kind in _PARTITIONS:
+        for m in range(1, 4):
+            for n in range(1, 4):
+                coarse, fine = getattr(table, kind)(m, n), getattr(table, kind)(m, n + 1)
+                # each class at n + 1 lies in one class at n
+                assert len(set(zip(fine.tolist(), coarse.tolist()))) == int(fine.max()) + 1, (kind, m, n)
+
+
 def test_equiv_partitions_on_words_longer_than_255_letters():
     # words longer than 254 letters have more than 255 levels, so the
     # compressed ranks take two bytes each
@@ -393,6 +428,7 @@ def test_oracles_match_per_word_loop(regex, m, ns):
     mono = monoid_of(regex)
     table = RankerTable(("a", "b"), m, max(ns), all_words(("a", "b"), 7))
     failures = 0
+    first_pass = None
     for n in ns:
         old_e = _per_word_oracle(mono, table.partition_equiv(m, n), table.words)
         old_r = _per_word_oracle(mono, table.partition_right(m, n), table.words)
@@ -400,10 +436,56 @@ def test_oracles_match_per_word_loop(regex, m, ns):
         assert _triple(oracle_equiv_refines_morphism(mono, m, n, 7, table=table)) == old_e
         assert _triple(oracle_right_refines_morphism(mono, m, n, 7)) == old_r
         failures += (not old_e[0]) + (not old_r[0])
+        if old_e[0] and first_pass is None:
+            first_pass = n
     assert failures >= len(ns)
-    n, outcome = least_oracle_n(mono, m, max(ns), 7, table=table)
-    assert _triple(outcome) == _per_word_oracle(
-        mono, table.partition_equiv(m, n or max(ns)), table.words)
+    # ns runs 1, 2, ..., so the search finds the first passing n, or no n
+    # and the counterexample at the last one
+    expect = (first_pass, None) if first_pass else (None, old_e[1])
+    assert least_oracle_n(mono, m, max(ns), 7, table=_fresh(table)) == expect
+
+
+def _per_n_search(monoid, m, max_n, max_len, table):
+    """least_oracle_n as the plain loop over n of the fixed-n oracle."""
+    for n in range(1, max_n + 1):
+        outcome = oracle_equiv_refines_morphism(monoid, m, n, max_len, table=table)
+        if outcome.holds:
+            return n, None
+    return None, outcome.counterexample
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shuffled_word_lists(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_least_oracle_n_matches_the_per_n_loop_on_random_lists(case, m, rng):
+    # the monoid reads every letter of the words, the foreign d included,
+    # while the rankers see only the table's alphabet
+    alpha, words = case
+    letters = tuple(sorted(set("".join(words)) | set(alpha)))
+    mono = transition_monoid(minimize(random_dfa(rng, 4, letters)))
+    max_len = max(map(len, words))
+    table = RankerTable(alpha, m, 4, words)
+    got = least_oracle_n(mono, m, 4, max_len, table=table)
+    assert got == _per_n_search(mono, m, 4, max_len, table)
+    # once more on the table the loop filled to every depth
+    assert least_oracle_n(mono, m, 4, max_len, table=table) == got
+
+
+def test_least_oracle_n_matches_the_per_n_loop_on_distinct_monoids(distinct_monoids):
+    # one table per alphabet and m, shared by every monoid as in
+    # check_oracle_bounds, so later searches start on a filled table
+    tables = {}
+    answers = []
+    for mono in distinct_monoids[::2]:
+        alpha = tuple(mono.gens)
+        for m in (1, 2):
+            max_len = 8 if len(alpha) == 2 else 5
+            table = tables.setdefault((alpha, m), RankerTable(alpha, m, 4, all_words(alpha, max_len)))
+            got = least_oracle_n(mono, m, 4, max_len, table=table)
+            assert got == _per_n_search(mono, m, 4, max_len, table), (mono.size, alpha, m)
+            assert least_oracle_n(mono, m, 4, max_len) == got
+            answers.append(got[0])
+    # both the passing path and the one where no n works are taken
+    assert answers.count(None) >= 20 and len(answers) - answers.count(None) >= 20
 
 
 def test_oracle_images_refuse_unknown_letters():
@@ -508,12 +590,23 @@ def test_partitions_in_any_order_match_a_completed_table(table_ab6):
         assert np.array_equal(lazy.condensed, done.condensed)
 
 
-def test_least_oracle_n_fills_only_the_depths_it_reads():
-    # n = 3 passes up to length 9; length 10 needs n = 4
+def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
+    # n = 3 passes up to length 9; length 10 needs n = 4.  After each failing
+    # n the search partitions only the words of classes that mix images.
+    calls = []
+    partition = RankerTable.partition_equiv
+
+    def counting(self, m, n):
+        calls.append((self, n, len(self.words)))
+        return partition(self, m, n)
+
+    monkeypatch.setattr(RankerTable, "partition_equiv", counting)
     table = RankerTable(("a", "b"), 1, 6, all_words(("a", "b"), 10))
-    n, outcome = least_oracle_n(monoid_of("(ab)*"), 1, 6, 10, table=table)
-    assert n == 4 and outcome.holds
-    assert table.filled_depth == 4
+    assert least_oracle_n(monoid_of("(ab)*"), 1, 6, 10, table=table) == (4, None)
+    assert [n for _, n, _ in calls] == [1, 2, 3, 4]
+    assert calls[0][2] == len(table.words) == 2047
+    assert calls[3][2] <= 0.1 * len(table.words)
+    assert table.filled_depth <= max(n for t, n, _ in calls if t is table)
 
 
 def test_construction_fills_no_row(monkeypatch):
