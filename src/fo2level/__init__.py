@@ -11,7 +11,7 @@ brute-force view used for cross-validation at desk scale.
 
 from .automata import (
     Dfa, Regex, RegexSyntaxError, DfaFormatError,
-    parse_regex, regex_to_min_dfa, regex_matches, parse_dfa_file,
+    parse_regex, regex_to_min_dfa, parse_dfa_file,
     minimize, all_words,
 )
 from .monoid import (
@@ -25,7 +25,7 @@ from .varieties import (
 )
 from .identities import (
     Var, Prod, Omega, IdentityBudgetError, IdentityCheck,
-    format_term, eval_term, mirror, build_G, build_I, phi_of, phi_word,
+    format_term, mirror, build_G, build_I, phi_of, phi_word,
     satisfies_identity, da_identity, aperiodicity_identity,
     in_Rm_by_identities, in_Lm_by_identities, identities_level,
     straubing_terms, check_straubing,

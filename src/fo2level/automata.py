@@ -12,7 +12,6 @@ concurrent reads are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 
 class RegexSyntaxError(ValueError):
@@ -206,58 +205,6 @@ def parse_regex(text: str, alphabet=None) -> Regex:
         _letters_of(root, used)
         alphabet = tuple(sorted(used))
     return Regex(root, alphabet)
-
-
-# ---------------------------------------------------------------------------
-# Direct regex matching (independent of the automaton pipeline)
-# ---------------------------------------------------------------------------
-
-def _nullable(node: RegexNode) -> bool:
-    if isinstance(node, EmptyWord):
-        return True
-    if isinstance(node, Letter):
-        return False
-    if isinstance(node, Concat):
-        return all(_nullable(p) for p in node.parts)
-    if isinstance(node, Union):
-        return any(_nullable(p) for p in node.parts)
-    return True  # Star
-
-
-_NEVER = Union(())  # empty union: matches nothing
-
-
-def _derive(node: RegexNode, ch: str) -> RegexNode:
-    if isinstance(node, EmptyWord):
-        return _NEVER
-    if isinstance(node, Letter):
-        return EmptyWord() if node.symbol == ch else _NEVER
-    if isinstance(node, Union):
-        return Union(tuple(_derive(p, ch) for p in node.parts))
-    if isinstance(node, Star):
-        return _concat([_derive(node.inner, ch), node])
-    # Concat p1..pk: the sum over i, with p1..p(i-1) nullable, of
-    # d(p_i).p(i+1)..pk; a loop, so long nullable prefixes do not recurse
-    branches = []
-    for i, part in enumerate(node.parts):
-        branches.append(_concat([_derive(part, ch), *node.parts[i + 1:]]))
-        if not _nullable(part):
-            break
-    return Union(tuple(branches))
-
-
-def _matches_node(node: RegexNode, word: str) -> bool:
-    for ch in word:
-        node = _derive(node, ch)
-    return _nullable(node)
-
-
-def regex_matches(r: Regex, word: str) -> bool:
-    """Match by symbolic derivatives; used as an oracle for the DFA pipeline."""
-    for ch in word:
-        if ch not in r.alphabet:
-            raise ValueError(f"letter {ch!r} outside alphabet")
-    return _matches_node(r.root, word)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +476,15 @@ def parse_dfa_file(text: str) -> Dfa:
 def all_words(alphabet, max_len: int, min_len: int = 0) -> list[str]:
     """All words over the alphabet with min_len <= length <= max_len.
 
-    Order: by length, then lexicographically in alphabet order.
+    Order: by length, then lexicographically in alphabet order.  Each
+    length's list extends the one before by every letter.
     """
-    out = []
-    for ln in range(min_len, max_len + 1):
-        out.extend("".join(t) for t in product(alphabet, repeat=ln))
+    alphabet = tuple(alphabet)
+    out: list[str] = []
+    level = [""]
+    for length in range(max_len + 1):
+        if length >= min_len:
+            out.extend(level)
+        if length < max_len:
+            level = [w + a for w in level for a in alphabet]
     return out

@@ -83,22 +83,6 @@ def term_num_vars(t: Term) -> int:
     return term_num_vars(t.inner)
 
 
-def eval_term(m: FiniteMonoid, t: Term, assignment) -> int:
-    """Evaluate a term under {variable index: element}; omega nodes take
-    the idempotent power of their child's value."""
-    if isinstance(t, Var):
-        try:
-            return assignment[t.index]
-        except KeyError:
-            raise ValueError(f"assignment does not cover x{t.index}") from None
-    if isinstance(t, Prod):
-        x = m.identity
-        for p in t.parts:
-            x = m.mul(x, eval_term(m, p, assignment))
-        return x
-    return m.omega_power(eval_term(m, t.inner, assignment))
-
-
 # ---------------------------------------------------------------------------
 # Variable words
 # ---------------------------------------------------------------------------

@@ -267,10 +267,6 @@ class FiniteMonoid:
             self._idempotents = tuple(int(i) for i in np.nonzero(diag == np.arange(self.size))[0])
         return self._idempotents
 
-    def omega_power(self, x: int) -> int:
-        """The unique idempotent among the powers of x."""
-        return int(self.omega_table[x])
-
     @property
     def omega_table(self) -> np.ndarray:
         """x^omega for every x, by raising all elements to their powers at once.

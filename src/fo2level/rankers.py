@@ -256,12 +256,13 @@ def _check_fits(need: int, what: str) -> None:
 
 
 def _letter_codes(words: list[str]) -> np.ndarray:
-    """Code point of every letter as a words x max-length matrix, padded
-    with -1 (no letter); a letter outside any alphabet keeps its code."""
+    """Code point of every letter as a max-length x words matrix, position-major
+    (row x holds letter x + 1 of every word), padded with -1 (no letter); a
+    letter outside any alphabet keeps its code."""
     lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
     maxlen = int(lens.max(initial=0))
-    codes = np.full((len(words), maxlen), -1, dtype=np.int32)
-    codes[np.arange(maxlen) < lens[:, None]] = np.frombuffer(
+    codes = np.full((maxlen, len(words)), -1, dtype=np.int32)
+    codes.T[np.arange(maxlen) < lens[:, None]] = np.frombuffer(
         "".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
     return codes
 
@@ -278,6 +279,19 @@ def _accumulate_rows(ufunc, a: np.ndarray) -> np.ndarray:
     return a
 
 
+_BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """``np.packbits(bits, axis=0)`` for a 2-D bool array, as one weighted
+    sum over the rows of each group of 8, which is several times faster
+    than numpy's packing along the short axis when the rows are long."""
+    groups = (len(bits) + 7) // 8
+    padded = np.zeros((8 * groups, bits.shape[1]), dtype=np.uint8)
+    padded[:len(bits)] = bits
+    return (padded.reshape(groups, 8, bits.shape[1]) * _BIT_WEIGHTS).sum(axis=1, dtype=np.uint8)
+
+
 # positions, and len + 1 for the Y-instructions' start, are int16
 _MAX_WORD_LEN = 32_766
 
@@ -286,11 +300,11 @@ def _word_table_bytes(k: int, count: int, letters: int, maxlen: int) -> int:
     """Bytes a table over count words (letters in all, the longest maxlen
     letters) holds besides its ranker rows, counted before any word exists.
 
-    That is the words (as str objects, list and index entries, and as the
-    UTF-32 buffer ``_letter_codes`` reads) and, per cell of the words x (maxlen + 2) grid,
-    the int32 letter matrix (built again for the word images), the 2k
-    int16 occurrence tables and the temporaries that fill them.  Words
-    longer than int16 positions allow are refused outright.
+    That is the words (as str objects, list, object-array and index
+    entries, and as the UTF-32 buffer ``_letter_codes`` reads) and, per
+    cell of the (maxlen + 2) x words grid, the int32 letter matrix (kept
+    for the word images), the 2k int16 occurrence tables and temporaries.
+    Words longer than int16 positions allow are refused outright.
     """
     if maxlen > _MAX_WORD_LEN:
         raise RankerBudgetError(f"words longer than {_MAX_WORD_LEN} letters")
@@ -310,16 +324,20 @@ class RankerTable:
     The constructor enumerates the class as arrays (each ranker's start,
     depth, blocks, parent and last instruction, at O(rankers) with no
     factor for the word count; the ``Ranker`` objects are built on first
-    read of ``rankers``) and the next/previous-occurrence tables, from
-    running minima and maxima over a words x length letter matrix.  The
-    words' letter and occurrence tables are checked against physical
-    memory with the rows, and words longer than int16 positions allow are
-    refused.
+    read of ``rankers``) and encodes the words once, as a letter matrix
+    laid out position-major (positions x words, words on the long axis),
+    which the oracles also read the word images off.  The next/previous-
+    occurrence tables are laid out the same way, (max length + 2) x words
+    per instruction, and filled by running minima and maxima along the
+    position axis, a whole row of words per step.  The words' letter and
+    occurrence tables are checked against physical memory with the rows,
+    and words longer than int16 positions allow are refused.
     The word rows are filled on demand, one depth at a time, each depth
-    one gather over all its rankers and words from the depth before, and
-    appended depth-major: a partition at depth n fills and reads only the
-    rows of depths <= n, and ``filled_depth`` says how deep the table is
-    filled.  Reading ``values`` or ``condensed`` fills every depth.
+    one gather over all its rankers and words from the depth before (at
+    flat index (instruction * (max length + 2) + position) * words + word),
+    and kept as one block per depth: a partition at depth n fills and reads
+    only the blocks of depths <= n, and ``filled_depth`` says how deep the
+    table is filled.  Reading ``values`` or ``condensed`` fills every depth.
 
     The equivalence partition uses exact signatures: per word, the
     definedness bits of the distinct ranker value rows and their compressed
@@ -342,26 +360,36 @@ class RankerTable:
         maxlen = max(lens, default=0)
         _check_fits(3 * total * W + _word_table_bytes(k, W, sum(lens), maxlen),
                     f"{total} rankers x {W} words up to length {maxlen}")
-        codes = _letter_codes(self.words)
+        self._codes = codes = _letter_codes(self.words)
+        self._word_array: np.ndarray | None = None
         self._maxlen = maxlen
-        # occ[t][j, x] for x in 0..maxlen+1: for instruction t = (X, a) the first
+        # occ[t, x, j] for x in 0..maxlen+1: for instruction t = (X, a) the first
         # a-position of word j after x, for t = (Y, a) the last one before x;
         # 0 when there is none
-        pos = np.arange(1, maxlen + 1, dtype=np.int16)
-        occ = np.zeros((2 * k, W, maxlen + 2), dtype=np.int16)
+        occ = np.zeros((2 * k, maxlen + 2, W), dtype=np.int16)
+        pos = np.arange(maxlen, dtype=np.int16)[:, None]  # position - 1 of each row
         for i, a in enumerate(self.alphabet):
             hit = codes == (ord(a) if len(a) == 1 else -2)  # -2 matches no position
-            after = np.minimum.accumulate(np.where(hit, pos, maxlen + 1)[:, ::-1], axis=1)[:, ::-1]
-            occ[i, :, :maxlen] = np.where(after > maxlen, 0, after)
-            occ[k + i, :, 2:] = np.maximum.accumulate(np.where(hit, pos, 0), axis=1)
+            # position - 1 where a occurs, else -1, whose uint16 view 65535 is
+            # above every position: the running minimum from the end, plus 1,
+            # is the next position, and none wraps round to 0
+            after = occ[i, :maxlen]
+            after[...] = np.where(hit, pos, np.int16(-1))
+            after = after.view(np.uint16)
+            _accumulate_rows(np.minimum, after[::-1])
+            after += 1
+            before = occ[k + i, 2:]
+            before[...] = np.where(hit, pos + np.int16(1), np.int16(0))
+            _accumulate_rows(np.maximum, before)
 
         # The frontier keeps, per ranker of the last filled depth and word, the
         # position p (0 when undefined), the open interval (lo, hi) it was
-        # reached in, and whether the run is condensed ("alive") so far.
-        top = (codes >= 0).sum(axis=1, dtype=np.int16) + np.int16(1)
-        p = np.concatenate([occ[:k, :, 0], occ[k:, np.arange(W), top]])
-        self._frontier = (p, np.zeros_like(p), np.broadcast_to(top, p.shape), p != 0)
-        occ[:, :, 0] = 0  # past depth 1, position 0 means undefined and stays so
+        # reached in, and whether the run is condensed ("alive") so far.  At
+        # depth 1 the interval is (0, len + 1) for every ranker, one row each.
+        top = (codes >= 0).sum(axis=0, dtype=np.int16) + np.int16(1)
+        p = np.concatenate([occ[:k, 0], occ[k:, top, np.arange(W)]])
+        self._frontier = (p, np.zeros((1, W), dtype=np.int16), top[None, :], p != 0)
+        occ[:, 0] = 0  # past depth 1, position 0 means undefined and stays so
         self._occ = occ
 
         # The class structure, depth by depth: every ranker extended by every
@@ -395,8 +423,9 @@ class RankerTable:
         self.depth = np.concatenate(depth_l or [[]]).astype(np.int16)
         self.blocks = np.concatenate(blocks_l or [[]]).astype(np.int16)
         self._rankers: list[Ranker] | None = None
-        self._values = np.empty((0, W), dtype=np.int16)
-        self._condensed = np.empty((0, W), dtype=bool)
+        # one (rankers of the depth) x words block per filled depth
+        self._value_blocks: list[np.ndarray] = []
+        self._condensed_blocks: list[np.ndarray] = []
         self.filled_depth = 0
         self._fill_lock = threading.Lock()
         self._partitions: dict[tuple[str, int, int], np.ndarray] = {}
@@ -405,26 +434,32 @@ class RankerTable:
         """Fill the rows of every depth up to n; returns their count.  The
         lock keeps concurrent readers from appending a depth twice."""
         n = min(n, len(self._ends) - 1)
-        rows = max(1, (1 << 17) // max(len(self.words), 1))  # bounds the flat-index temporary
+        W = len(self.words)
+        rows = max(1, (1 << 17) // max(W, 1))  # bounds the flat-index temporary
         with self._fill_lock:
             while self.filled_depth < n:
                 depth = self.filled_depth + 1
                 p, lo, hi, alive = self._frontier
                 if depth > 1:
                     parent, t = self._growth[depth - 2]
-                    is_y = t >= len(self.alphabet)
+                    is_y = (t >= len(self.alphabet))[:, None]
                     pp = p[parent]
                     # X moves right from p inside (p, hi), Y left from p inside (lo, p)
-                    occ = self._occ
-                    occ_row = np.arange(occ.shape[0] * occ.shape[1]).reshape(occ.shape[:2]) * occ.shape[2]
+                    flat = self._occ.reshape(-1)
+                    col = np.arange(W)
+                    stride = self._occ.shape[1] * W  # one instruction's table
                     p = np.empty_like(pp)
                     for r in range(0, len(p), rows):
-                        p[r:r + rows] = np.take(occ, occ_row[t[r:r + rows]] + pp[r:r + rows])
-                    lo = np.where(is_y[:, None], lo[parent], pp)
-                    hi = np.where(is_y[:, None], pp, hi[parent])
+                        at = pp[r:r + rows] * np.intp(W)
+                        at += (t[r:r + rows] * stride)[:, None]
+                        at += col
+                        np.take(flat, at, out=p[r:r + rows])
+                    # only depth 1's bounds have one row (for all of its >= 2 rankers)
+                    lo = np.where(is_y, lo[parent] if len(lo) > 1 else lo, pp)
+                    hi = np.where(is_y, pp, hi[parent] if len(hi) > 1 else hi)
                     alive = alive[parent] & (lo < p) & (p < hi)
-                self._values = np.concatenate([self._values, p])
-                self._condensed = np.concatenate([self._condensed, alive])
+                self._value_blocks.append(p)
+                self._condensed_blocks.append(alive)
                 self.filled_depth = depth
                 if depth < len(self._ends) - 1:
                     self._frontier = (p, lo, hi, alive)
@@ -432,24 +467,44 @@ class RankerTable:
                     self._frontier = self._occ = None
         return self._ends[n]
 
+    def _rows(self, blocks: list[np.ndarray], dtype, mask: np.ndarray | None = None) -> np.ndarray:
+        """The rows of the per-depth blocks, all or those where mask (over
+        the rows of depths <= some n) holds, copied once into one array;
+        ``np.compress`` reads no block row past the mask's end."""
+        if mask is None:
+            mask = np.ones(self._ends[len(blocks)], dtype=bool)
+        out = np.empty((int(np.count_nonzero(mask)), len(self.words)), dtype=dtype)
+        at = 0
+        for block, lo, hi in zip(blocks, self._ends, self._ends[1:]):
+            count = int(np.count_nonzero(mask[lo:hi]))
+            np.compress(mask[lo:hi], block, axis=0, out=out[at:at + count])
+            at += count
+        return out
+
     def restricted(self, keep: np.ndarray) -> RankerTable:
         """The table over the words at the increasing indices keep, filled as
         deep as this one.
 
-        It shares the class arrays and slices the filled rows, the frontier
-        and the occurrence tables, so its deeper depths fill only the kept
-        words.  Every partition compares the words two at a time, so each
-        partition of the restricted table is this one's restricted to keep,
-        up to the numbering of the labels.
+        It shares the class arrays and slices the word axis of the filled
+        blocks, the frontier (whose depth-1 interval bounds stay one row for
+        all rankers) and the occurrence tables, so its deeper depths fill
+        only the kept words; the words are sliced as an object array.
+        Every partition compares the words two at a time, so each partition
+        of the restricted table is this one's restricted to keep, up to the
+        numbering of the labels.
         """
         with self._fill_lock:
+            if self._word_array is None:
+                self._word_array = np.array(self.words, dtype=object)
             sub = copy.copy(self)
-            sub._values = self._values[:, keep]
-            sub._condensed = self._condensed[:, keep]
+            sub._value_blocks = [b[:, keep] for b in self._value_blocks]
+            sub._condensed_blocks = [b[:, keep] for b in self._condensed_blocks]
             if self._frontier is not None:
                 sub._frontier = tuple(a[:, keep] for a in self._frontier)
-                sub._occ = self._occ[:, keep]
-        sub.words = [self.words[i] for i in keep.tolist()]
+                sub._occ = self._occ[:, :, keep]
+        sub._word_array = self._word_array[keep]
+        sub.words = sub._word_array.tolist()
+        sub._codes = None
         sub._fill_lock = threading.Lock()
         sub._partitions = {}
         return sub
@@ -473,14 +528,14 @@ class RankerTable:
         """Position of each ranker (row) on each word (column), 0 where it is
         undefined; reading it fills every depth."""
         self._fill(self.max_depth)
-        return self._values
+        return self._rows(self._value_blocks, np.int16)
 
     @property
     def condensed(self) -> np.ndarray:
         """Whether each ranker (row) is condensed on each word (column);
         reading it fills every depth."""
         self._fill(self.max_depth)
-        return self._condensed
+        return self._rows(self._condensed_blocks, bool)
 
     def _class_mask(self, start: str | None, m: int, n: int) -> np.ndarray:
         if m < 1 or n < 1:
@@ -498,8 +553,8 @@ class RankerTable:
         key = (kind, m, n)
         if key not in self._partitions:
             end = self._fill(n)
-            packed = np.packbits(self._condensed[:end][mask[:end]], axis=0).T
-            self._partitions[key] = _first_seen_labels(packed)[0]
+            rows = self._rows(self._condensed_blocks, bool, mask[:end])
+            self._partitions[key] = _first_seen_labels(_pack_rows(rows).T)[0]
         return self._partitions[key]
 
     def partition_right(self, m: int, n: int) -> np.ndarray:
@@ -526,9 +581,10 @@ class RankerTable:
         Each run of consecutive pure row-only levels, and each run of pure
         column-only ones, is merged into one level, and a profile's
         compressed rank is the index of its level after merging.  A word's
-        key is its P definedness bits followed by the compressed ranks of
-        the X block and then of the Y block; a block without rows or
-        without columns puts no pair in force and adds nothing.
+        key is the definedness bits of the profiles followed by their
+        compressed ranks in the X block and then in the Y block; a block
+        without rows or without columns puts no pair in force and adds
+        nothing.
 
         The key is exact.  A merged level holds no in-force pair, so
         merging loses no sign; any two adjacent levels left after merging
@@ -537,70 +593,80 @@ class RankerTable:
         agree on definedness and on the sign of every in-force pair, and
         labels are numbered by first appearance in the word list.
 
-        Cost: O(W * (P + max length)) for W words.  The level grids are
-        laid out level-major, (max length + 1) levels by a chunk of words,
-        so that the running maximum (the type of the previous present
-        level) and the running sum of rank increments each take one pass
-        along axis 0 for the whole chunk.  A chunk holds about 2**20 value
-        and level cells.  Ranks never exceed the number of levels, so they
-        take one byte while words are shorter than 255 letters and two
-        after.  The keys are checked against the memory available before
-        they are allocated.
+        Cost: O(W * (P + max length)) for W words.  The selected rows are
+        copied once out of the depth blocks.  Profiles are ordered by the
+        families their rankers belong to, so that the rows and the columns
+        of each block are ranges of profiles, read as slices.  The level
+        grids of both blocks lie side by side, level-major, (max length + 1)
+        levels by two chunks of words, so that the running maximum (the
+        type of the previous present level) and the running sum of rank
+        increments each take one pass along axis 0 for both blocks of the
+        whole chunk.  A chunk holds about 2**20 value and level cells.
+        Ranks never exceed the number of levels, so they take one byte
+        while words are shorter than 255 letters and two after.  The keys
+        are checked against the memory available before they are allocated.
         """
         key = ("E", m, n)
         if key in self._partitions:
             return self._partitions[key]
         end = self._fill(n)
-        sub = self._class_mask(None, m, n)[:end]
-        V = self._values[:end][sub]
+        sel = self._class_mask(None, m, n)[:end]
+        V = self._rows(self._value_blocks, np.int16, sel)
         plabels, pfirst = _first_seen_labels(V.view(np.uint8))
-        profiles = V[pfirst]
-        P = profiles.shape[0]
-
-        def prof_mask(global_mask: np.ndarray) -> np.ndarray:
-            out = np.zeros(P, dtype=bool)
-            out[plabels[global_mask[:end][sub]]] = True
-            return out
-
-        is_x = prof_mask(self._class_mask(X, m, n))
-        is_y = prof_mask(self._class_mask(Y, m, n))
-        col_for_x = prof_mask(self._class_mask(Y, m, n - 1)) | prof_mask(self._class_mask(X, m - 1, n - 1))
-        col_for_y = prof_mask(self._class_mask(X, m, n - 1)) | prof_mask(self._class_mask(Y, m - 1, n - 1))
-        # per block that puts a pair in force: its row and its column profiles
-        blocks = [(np.flatnonzero(rows), np.flatnonzero(cols), np.flatnonzero(rows | cols))
-                  for rows, cols in ((is_x, col_for_x), (is_y, col_for_y))
-                  if rows.any() and cols.any()]
+        P = len(pfirst)
+        # Each ranker's group: X-start of depth n, X-start of depth < n with
+        # m blocks, X-start of depth < n with fewer, then the Y-start ones in
+        # the mirror order.  Profiles are ordered by group, a profile whose
+        # rankers fall in several groups once in each (the copies have equal
+        # values, so the keys give the same partition).  Then X rows are
+        # groups 0-2, X columns 2-4, Y rows 3-5 and Y columns 1-3.
+        shallow = self.depth[:end][sel] < n
+        inward = shallow * (1 + (self.blocks[:end][sel] < m))
+        pair = np.unique(np.where(self.start[:end][sel] == 1, 5 - inward, inward) * P + plabels)
+        profiles = V[pfirst[pair % max(P, 1)]]
+        g = [0, *np.searchsorted(pair, np.arange(1, 7) * P).tolist()]  # g[i]: profiles in groups < i
+        # per block that puts a pair in force: its rows, its columns, both
+        blocks = [((r0, r1), (c0, c1), (min(r0, c0), max(r1, c1)))
+                  for (r0, r1), (c0, c1) in (((0, g[3]), (g[2], g[5])), ((g[3], g[6]), (g[1], g[4])))
+                  if r1 > r0 and c1 > c0]
 
         W = len(self.words)
         levels = self._maxlen + 1  # values 0 (undefined) .. maxlen
         rank_dtype = np.dtype(np.uint8 if levels <= 255 else np.uint16)  # ranks <= levels
-        head = (P + 7) // 8
-        width = head + rank_dtype.itemsize * sum(len(members) for *_, members in blocks)
+        head = (len(profiles) + 7) // 8
+        width = head + rank_dtype.itemsize * sum(m1 - m0 for *_, (m0, m1) in blocks)
         _check_fits(W * (4 + width), f"signatures of {P} profiles")
         keys = np.empty((W, width), dtype=np.uint8)
-        step = max(1, (1 << 20) // (P + levels))
+        step = max(1, (1 << 20) // max(1, len(profiles) + len(blocks) * levels))
         shift = np.arange(levels, dtype=np.int32)[:, None] * 4
         for lo in range(0, W, step):
             vals = profiles[:, lo:lo + step]
-            c, top = vals.shape[1], int(vals.max(initial=0)) + 1  # levels in this chunk
-            cells = vals * np.int32(c) + np.arange(c, dtype=np.int32)  # level-major cell of each value
-            keys[lo:lo + c, :head] = np.packbits(vals > 0, axis=0).T
+            c = vals.shape[1]
+            keys[lo:lo + c, :head] = _pack_rows(vals > 0).T
+            if not blocks:
+                continue
+            top, wide = int(vals.max(initial=0)) + 1, len(blocks) * c  # levels in this chunk
+            # level-major cell of each value in block 0's grid; block b's grid
+            # starts b * c cells further on
+            cells = np.multiply(vals, wide, dtype=np.intp)
+            cells += np.arange(c)
+            # 0 absent, 1 pure row-only, 2 pure column-only, 3 mixed
+            t = np.zeros(top * wide, dtype=np.uint8)
+            col = np.zeros(top * wide, dtype=np.uint8)
+            for b, ((r0, r1), (c0, c1), _) in enumerate(blocks):
+                t[b * c:][cells[r0:r1]] = 1
+                col[b * c:][cells[c0:c1]] = 2
+            t |= col
+            t = t.reshape(top, wide)
+            new = t > 0
+            # (level, type) of the last present level so far, 4 * level + type
+            last = _accumulate_rows(np.maximum, np.where(new, shift[:top] + t, 0))
+            new[1:] &= (t[1:] == 3) | (t[1:] != (last[:-1] & 3))
+            ranks = _accumulate_rows(np.add, new.astype(rank_dtype)).ravel()
             at = head
-            for rows, cols, members in blocks:
-                row = np.zeros(top * c, dtype=np.uint8)
-                col = np.zeros(top * c, dtype=np.uint8)
-                row[cells[rows]] = 1
-                col[cells[cols]] = 2
-                # 0 absent, 1 pure row-only, 2 pure column-only, 3 mixed (a
-                # profile of type both marks its level in both grids)
-                t = (row | col).reshape(top, c)
-                # (level, type) of the last present level so far, 4 * level + type
-                last = _accumulate_rows(np.maximum, np.where(t > 0, shift[:top] + t, 0))
-                new = t > 0
-                new[1:] &= (t[1:] == 3) | (t[1:] != (last[:-1] & 3))
-                ranks = _accumulate_rows(np.add, new.astype(rank_dtype)).ravel()[cells[members]]
-                span = len(members) * rank_dtype.itemsize
-                keys[lo:lo + c, at:at + span] = np.ascontiguousarray(ranks.T).view(np.uint8)
+            for b, (*_, (m0, m1)) in enumerate(blocks):
+                span = (m1 - m0) * rank_dtype.itemsize
+                keys[lo:lo + c, at:at + span].view(rank_dtype)[...] = ranks[b * c:].take(cells[m0:m1]).T
                 at += span
         labels = _first_seen_labels(keys)[0]
         self._partitions[key] = labels
@@ -651,22 +717,32 @@ def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
     return table
 
 
-def _word_images(monoid: FiniteMonoid, words: list[str]) -> np.ndarray:
-    """Images of all words under the generator morphism (whose names are
-    single letters), one letter column at a time; raises like
-    ``eval_word`` on the first unknown letter."""
-    codes = _letter_codes(words)
+def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
+    """Images of the table's words under the generator morphism (whose
+    names are single letters), read off the table's letter matrix (a
+    restricted table encodes its words here): one search of the generator
+    code points per slice of about 2**16 cells, then one gather per
+    position; raises like ``eval_word`` on the first unknown letter."""
+    words = table.words
+    codes = _letter_codes(words) if table._codes is None else table._codes
     # generator code points, sorted, behind a sentinel that matches no letter
+    # and the padding, whose image is the identity
     gens = sorted((ord(a), g) for a, g in monoid.gens.items())
-    gen_code = np.array([-2] + [c for c, _ in gens], dtype=np.int32)
-    gen_elem = np.array([monoid.identity] + [g for _, g in gens], dtype=np.intp)
+    gen_code = np.array([-2, -1] + [c for c, _ in gens], dtype=np.int32)
+    gen_elem = np.array([monoid.identity] * 2 + [g for _, g in gens], dtype=np.intp)
     images = np.full(len(words), monoid.identity, dtype=np.intp)
     unknown = np.zeros(len(words), dtype=bool)
-    for column in np.ascontiguousarray(codes.T):
-        at = np.searchsorted(gen_code, column).clip(max=len(gen_code) - 1)
-        known = gen_code[at] == column
-        unknown |= ~known & (column >= 0)
-        images = monoid.table[images, np.where(known, gen_elem[at], monoid.identity)]  # padding: identity
+    rows = max(1, (1 << 16) // max(len(words), 1))
+    for x in range(0, len(codes), rows):
+        block = codes[x:x + rows]
+        at = np.searchsorted(gen_code, block)
+        np.minimum(at, len(gen_code) - 1, out=at)
+        bad = gen_code[at] != block
+        if bad.any():
+            unknown |= bad.any(axis=0)
+            at[bad] = 0
+        for elem in gen_elem[at]:
+            images = monoid.table[images, elem]
     if unknown.any():
         word = words[int(np.argmax(unknown))]
         raise ValueError(f"unknown letter {next(a for a in word if a not in monoid.gens)!r}")
@@ -675,9 +751,24 @@ def _word_images(monoid: FiniteMonoid, words: list[str]) -> np.ndarray:
 
 def _violations(labels: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per word, the index of the first word (in list order) of its label
-    class, and whether the two words' images differ."""
-    rep = np.unique(labels, return_index=True)[1][labels]
+    class, and whether the two words' images differ.
+
+    Labels are numbered by first appearance, so the first word of class k
+    is where the running maximum of the labels first reaches k: no sort.
+    """
+    grows = np.ones(len(labels), dtype=bool)
+    top = np.maximum.accumulate(labels)
+    np.greater(top[1:], top[:-1], out=grows[1:])
+    rep = np.flatnonzero(grows)[labels]
     return rep, images != images[rep]
+
+
+def _mixed_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The increasing indices of the words whose label class holds a word
+    where bad is set, by a mask over the classes."""
+    mixed = np.zeros(int(labels.max(initial=-1)) + 1, dtype=bool)
+    mixed[labels[bad]] = True
+    return np.flatnonzero(mixed[labels])
 
 
 def _first_violation(labels: np.ndarray, images: np.ndarray, words: list[str]) -> OracleOutcome:
@@ -704,7 +795,7 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     """
     table = _oracle_table(monoid, m, n, max_len, table, max_words)
     return _first_violation(table.partition_equiv(m, n),
-                            _word_images(monoid, table.words), table.words)
+                            _word_images(monoid, table), table.words)
 
 
 def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
@@ -727,7 +818,7 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
     words.  The given table is read (and filled) at n = 1 only.
     """
     table = _oracle_table(monoid, m, max_n, max_len, table, MAX_WORDS)
-    images = _word_images(monoid, table.words)
+    images = _word_images(monoid, table)
     counterexample = None
     for n in range(1, max_n + 1):
         labels = table.partition_equiv(m, n)
@@ -736,7 +827,7 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
             return n, None
         j = int(np.argmax(bad))
         counterexample = (table.words[rep[j]], table.words[j])
-        keep = np.flatnonzero(np.isin(labels, labels[bad]))
+        keep = _mixed_words(labels, bad)
         table, images = table.restricted(keep), images[keep]
     return None, counterexample
 
@@ -746,7 +837,7 @@ def oracle_right_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     """Same refinement check for the right relation (condensed X-side rankers)."""
     table = _oracle_table(monoid, m, n, max_len, table, MAX_WORDS)
     return _first_violation(table.partition_right(m, n),
-                            _word_images(monoid, table.words), table.words)
+                            _word_images(monoid, table), table.words)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,18 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   by it.
 * ``r_factorize`` and ``l_factorize``: a word split along the strict drops
   of its prefixes' R-classes (suffixes' L-classes).
+* ``regex_matches``: regex matching by symbolic derivatives, independent
+  of the automaton pipeline.
+* ``omega_power`` and ``eval_term``: x^omega by walking the powers of x,
+  and omega terms evaluated node by node.
+* ``first_class_words`` and ``mixed_class_words``: the sorting forms of
+  the oracle's refinement bookkeeping (``np.unique`` and ``np.isin``).
 """
 
+import numpy as np
+
+from fo2level.automata import Concat, EmptyWord, Letter, Regex, RegexNode, Star, Union, _concat
+from fo2level.identities import Prod, Term, Var
 from fo2level.monoid import FiniteMonoid, reverse_monoid
 from fo2level.rankers import X, Y, enumerate_rankers, eval_ranker, is_condensed
 
@@ -129,3 +139,99 @@ def l_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
     """
     segments, markers = r_factorize(reverse_monoid(monoid), u[::-1])
     return [s[::-1] for s in reversed(segments)], markers[::-1]
+
+
+# ---------------------------------------------------------------------------
+# Regex matching by derivatives
+# ---------------------------------------------------------------------------
+
+def _nullable(node: RegexNode) -> bool:
+    if isinstance(node, EmptyWord):
+        return True
+    if isinstance(node, Letter):
+        return False
+    if isinstance(node, Concat):
+        return all(_nullable(p) for p in node.parts)
+    if isinstance(node, Union):
+        return any(_nullable(p) for p in node.parts)
+    return True  # Star
+
+
+_NEVER = Union(())  # empty union: matches nothing
+
+
+def _derive(node: RegexNode, ch: str) -> RegexNode:
+    if isinstance(node, EmptyWord):
+        return _NEVER
+    if isinstance(node, Letter):
+        return EmptyWord() if node.symbol == ch else _NEVER
+    if isinstance(node, Union):
+        return Union(tuple(_derive(p, ch) for p in node.parts))
+    if isinstance(node, Star):
+        return _concat([_derive(node.inner, ch), node])
+    # Concat p1..pk: the sum over i, with p1..p(i-1) nullable, of
+    # d(p_i).p(i+1)..pk; a loop, so long nullable prefixes do not recurse
+    branches = []
+    for i, part in enumerate(node.parts):
+        branches.append(_concat([_derive(part, ch), *node.parts[i + 1:]]))
+        if not _nullable(part):
+            break
+    return Union(tuple(branches))
+
+
+def _matches_node(node: RegexNode, word: str) -> bool:
+    for ch in word:
+        node = _derive(node, ch)
+    return _nullable(node)
+
+
+def regex_matches(r: Regex, word: str) -> bool:
+    """Match by symbolic derivatives; used as an oracle for the DFA pipeline."""
+    for ch in word:
+        if ch not in r.alphabet:
+            raise ValueError(f"letter {ch!r} outside alphabet")
+    return _matches_node(r.root, word)
+
+
+# ---------------------------------------------------------------------------
+# Omega terms
+# ---------------------------------------------------------------------------
+
+def omega_power(m: FiniteMonoid, x: int) -> int:
+    """The unique idempotent among the powers of x: the first power of x
+    that is idempotent (an idempotent power lies in the cycle of powers,
+    which holds exactly one)."""
+    y = x
+    while m.mul(y, y) != y:
+        y = m.mul(y, x)
+    return y
+
+
+def eval_term(m: FiniteMonoid, t: Term, assignment) -> int:
+    """Evaluate a term under {variable index: element}; omega nodes take
+    the idempotent power of their child's value."""
+    if isinstance(t, Var):
+        try:
+            return assignment[t.index]
+        except KeyError:
+            raise ValueError(f"assignment does not cover x{t.index}") from None
+    if isinstance(t, Prod):
+        x = m.identity
+        for p in t.parts:
+            x = m.mul(x, eval_term(m, p, assignment))
+        return x
+    return omega_power(m, eval_term(m, t.inner, assignment))
+
+
+# ---------------------------------------------------------------------------
+# Refinement bookkeeping of the oracle search
+# ---------------------------------------------------------------------------
+
+def first_class_words(labels: np.ndarray) -> np.ndarray:
+    """Per word, the index of the first word of its label class."""
+    return np.unique(labels, return_index=True)[1][labels]
+
+
+def mixed_class_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The increasing indices of the words whose class holds a word in bad."""
+    return np.flatnonzero(np.isin(labels, labels[bad]))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from fo2level.automata import (Concat, Dfa, DfaFormatError, EmptyWord, Letter,
                                RegexSyntaxError, Star, Union, all_words,
                                minimize, parse_dfa_file,
-                               parse_regex, regex_matches, regex_to_min_dfa)
+                               parse_regex, regex_to_min_dfa)
+from reference import regex_matches
 
 
 def test_parse_shapes():
@@ -181,3 +183,14 @@ def test_empty_and_epsilon_languages():
     d = regex_to_min_dfa(parse_regex("~", alphabet=["a", "b"]))
     assert d.accepts("") and not d.accepts("a")
     assert d.n_states == 2
+
+
+@pytest.mark.parametrize("alphabet,max_len,min_len", [
+    ((), 0, 0), ((), 3, 0), ((), 3, 1), (("a",), 0, 0), (("a",), 5, 0), (("a",), 5, 3),
+    (("a", "b"), 6, 0), (("a", "b"), 6, 4), (("b", "a", "c"), 4, 2), (("a", "b"), 2, 3),
+    (("xy", "z"), 3, 1),
+])
+def test_all_words_matches_the_product_enumeration(alphabet, max_len, min_len):
+    expect = ["".join(t) for length in range(min_len, max_len + 1)
+              for t in itertools.product(alphabet, repeat=length)]
+    assert all_words(alphabet, max_len, min_len) == expect

@@ -14,13 +14,14 @@ from fo2level import identities
 from fo2level.identities import (IdentitiesLevel, IdentityBudgetError, IdentityCheck,
                                  Omega, Prod, Var, aperiodicity_identity,
                                  build_G, build_I, check_straubing,
-                                 da_identity, eval_term, format_term,
+                                 da_identity, format_term,
                                  identities_level, in_Lm_by_identities,
                                  in_Rm_by_identities, mirror, phi_of,
                                  phi_word, satisfies_identity,
                                  straubing_terms, term_num_vars)
 from fo2level.monoid import MonoidTooLargeError, reverse_monoid, transition_monoid
 from fo2level.varieties import NOT_FO2, LevelResult
+from reference import eval_term
 
 
 def monoid_of(text):

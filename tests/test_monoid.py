@@ -15,6 +15,7 @@ from fo2level.monoid import (FiniteMonoid, MonoidFormatError,
                              reverse_monoid, syntactic_monoid,
                              transition_monoid)
 from fo2level.varieties import quotient_chain
+from reference import omega_power
 
 
 def monoid_of(text: str) -> FiniteMonoid:
@@ -51,8 +52,8 @@ def test_idempotents():
 def test_omega_power():
     m = monoid_of("(ab)*")
     for x in range(m.size):
-        w = m.omega_power(x)
-        assert m.mul(w, w) == w
+        w = omega_power(m, x)
+        assert m.mul(w, w) == w and m.omega_table[x] == w
         # w is a power of x
         powers = set()
         y = x
@@ -60,8 +61,8 @@ def test_omega_power():
             powers.add(y)
             y = m.mul(y, x)
         assert w in powers
-    assert m.omega_power(m.eval_word("a")) == m.eval_word("aa")
-    assert m.omega_power(m.identity) == m.identity
+    assert omega_power(m, m.eval_word("a")) == m.eval_word("aa")
+    assert omega_power(m, m.identity) == m.identity
 
 
 def test_greens_examples():

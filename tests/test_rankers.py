@@ -19,11 +19,13 @@ from fo2level.monoid import transition_monoid
 from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError,
                               RankerTable, enumerate_rankers, eval_ranker,
                               is_condensed, is_condensed_no_overrun,
+                              _mixed_words, _pack_rows, _violations,
                               least_oracle_n, next_pos,
                               oracle_equiv_refines_morphism,
                               oracle_right_refines_morphism, parse_ranker,
                               prev_pos, subwords_upto)
-from reference import equiv_wi, l_factorize, r_factorize, rel_left, rel_right
+from reference import (equiv_wi, first_class_words, l_factorize, mixed_class_words,
+                       r_factorize, rel_left, rel_right)
 
 XYBXC = parse_ranker("Xa Yb Xc")
 
@@ -379,6 +381,21 @@ def test_deeper_partitions_refine_shallower_ones(case):
                 assert len(set(zip(fine.tolist(), coarse.tolist()))) == int(fine.max()) + 1, (kind, m, n)
 
 
+@pytest.mark.parametrize("alpha,m,n,words", [((), 1, 1, ["", "a"]), (("a",), 1, 2, []),
+                                             (("a", "b"), 2, 3, [""]),
+                                             (("a", "bc"), 2, 2, ["", "a", "bc", "abc"])])
+def test_partitions_of_degenerate_tables(alpha, m, n, words):
+    # no rankers, no words, one word, and a letter no position matches
+    table = RankerTable(alpha, m, n, words)
+    for mm in range(1, m + 1):
+        for nn in range(1, n + 1):
+            for kind in _PARTITIONS:
+                assert len(getattr(table, kind)(mm, nn)) == len(words)
+            expect = (_per_word_equiv_labels(table, mm, nn) if alpha and words
+                      else np.zeros(len(words), dtype=np.int32))
+            assert np.array_equal(table.partition_equiv(mm, nn), expect), (mm, nn)
+
+
 def test_equiv_partitions_on_words_longer_than_255_letters():
     # words longer than 254 letters have more than 255 levels, so the
     # compressed ranks take two bytes each
@@ -607,6 +624,71 @@ def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
     assert calls[0][2] == len(table.words) == 2047
     assert calls[3][2] <= 0.1 * len(table.words)
     assert table.filled_depth <= max(n for t, n, _ in calls if t is table)
+
+
+def test_least_oracle_n_encodes_its_words_once(monkeypatch):
+    encoded = []
+    letter_codes = fo2level.rankers._letter_codes
+
+    def counting(words):
+        encoded.append(len(words))
+        return letter_codes(words)
+
+    monkeypatch.setattr(fo2level.rankers, "_letter_codes", counting)
+    mono = monoid_of("(a|b)*abb(a|b)*")
+    words = all_words(("a", "b"), 8)
+    got = least_oracle_n(mono, 1, 6, 8)
+    # the table and the word images read one letter matrix; the restricted
+    # tables of the later n encode nothing
+    assert encoded == [len(words)]
+    # a table passed in was encoded when it was built, and is read as it is
+    table = RankerTable(("a", "b"), 1, 6, words)
+    encoded.clear()
+    assert least_oracle_n(mono, 1, 6, 8, table=table) == got
+    assert encoded == []
+    # a restricted table encodes its own words when an oracle reads them
+    sub = table.restricted(np.arange(0, len(words), 3))
+    outcome = oracle_equiv_refines_morphism(mono, 1, 2, 8, table=sub)
+    assert _triple(outcome) == _per_word_oracle(mono, sub.partition_equiv(1, 2), sub.words)
+    assert encoded == [len(sub.words)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_shuffled_word_lists(), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_occurrence_tables_match_scalar_next_and_prev(case, depth, rng):
+    # positions x words per instruction, the words on the last axis; the
+    # restricted table slices that axis
+    alpha, words = case
+    table = RankerTable(alpha, 2, 3, words)
+    table._fill(depth)
+    keep = np.flatnonzero([rng.random() < 0.5 for _ in words])
+    k, top = len(alpha), table._maxlen + 1
+    for tab in (table, table.restricted(keep)):
+        assert tab._occ.shape == (2 * k, top + 1, len(tab.words))
+        for i, a in enumerate(alpha):
+            for t, scalar in ((i, next_pos), (k + i, prev_pos)):
+                # position 0 reads 0 (undefined) once depth 1 is built
+                expect = [[0] + [scalar(w, a, x) or 0 for x in range(1, top + 1)] for w in tab.words]
+                assert np.array_equal(tab._occ[t].T, np.reshape(expect, (-1, top + 1))), (a, scalar)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 53])
+def test_pack_rows_matches_packbits(rows):
+    bits = np.random.default_rng(rows).random((rows, 37)) < 0.5
+    assert np.array_equal(_pack_rows(bits), np.packbits(bits, axis=0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), max_size=80),
+       st.sampled_from(["drawn", "one class", "singletons"]), st.randoms(use_true_random=False))
+def test_sort_free_bookkeeping_matches_the_sorting_reference(raw, shape, rng):
+    labels = {"drawn": _first_seen(raw), "one class": np.zeros(len(raw), dtype=np.int32),
+              "singletons": np.arange(len(raw), dtype=np.int32)}[shape]
+    images = np.array([rng.randrange(3) for _ in raw], dtype=np.intp)
+    rep, bad = _violations(labels, images)
+    first = first_class_words(labels)
+    assert np.array_equal(rep, first) and np.array_equal(bad, images != images[first])
+    assert np.array_equal(_mixed_words(labels, bad), mixed_class_words(labels, bad))
 
 
 def test_construction_fills_no_row(monkeypatch):
