@@ -20,7 +20,7 @@ from .monoid import (
 )
 from .varieties import (
     Congruence, LevelResult, NotACongruenceError, InternalInconsistencyError,
-    sim_k, sim_d, sim_li, quotient, refines, quotient_chain,
+    sim_k, sim_d, sim_li, quotient, quotient_chain,
     in_Rm, in_Lm, fo2_level, NOT_FO2,
 )
 from .identities import (

@@ -8,8 +8,15 @@ the letter transformations under composition; taking the minimal DFA yields
 the syntactic monoid of its language.
 
 Instances are immutable after construction; derived structure (idempotents,
-omega powers, Green's classes, DA membership) is computed lazily and
-cached, and all operations are pure, so concurrent reads are safe.
+omega powers, Green's classes, DA membership, triviality flags) is computed
+lazily and cached, and all operations are pure, so concurrent reads are
+safe.
+
+Membership in DA, once known, is passed on to the reverse monoid (and, by
+``varieties.quotient``, to quotients), since DA is closed under both.  It
+lets the J-, R- and L-triviality tests answer from the table alone: every
+regular D-class of a DA monoid is a rectangular band (Tesson & Thérien,
+"Diamonds are forever: the variety DA", 2002).
 """
 
 from __future__ import annotations
@@ -36,14 +43,20 @@ class MonoidTooLargeError(ValueError):
     """Transition monoid exceeds the configured size cap."""
 
 
+# bytes of rows taken per step by the idempotent-pair band tests here and by
+# the signature fold of varieties.sim_li; each step's gathers make a few
+# temporaries of that size
+_SIG_BYTES = 1 << 20
+
+
 @dataclass(frozen=True, eq=False)
 class GreensData:
     """Green's class partitions.
 
     r_class, l_class and j_class label each element by its R-, L- and
     J-class; labels are numbered by smallest contained element.  The class
-    labels answer every question the decision routes ask, so no n x n
-    preorder is built.
+    labels answer every question the decision routes ask of a monoid not
+    known to lie in DA, so no n x n preorder is built.
     """
 
     j_class: np.ndarray
@@ -86,21 +99,27 @@ def _fold_labels(count: int, blocks) -> np.ndarray:
     """First-seen labels of count rows given as column blocks, one block at a time.
 
     Each block (count rows, any dtype) refines the running labels: the rows
-    (label, block row) are relabelled by first appearance.  Rows share a
-    label exactly when they agree on every block so far, and first-seen
-    numbering depends only on that partition, so the result equals
-    labelling the whole concatenation at once while only one block (plus a
-    label column) is held.  A single block is one ``_first_seen_labels``.
+    (label, block row) are relabelled by first appearance, through a dict
+    keyed by the row bytes.  Rows share a label exactly when they agree on
+    every block so far, and first-seen numbering depends only on that
+    partition, so the result equals ``_first_seen_labels`` of the whole
+    concatenation while only one block (plus the labels) is held.  A dict,
+    not the sort of ``_first_seen_labels``, because signature rows are few
+    and wide, where the dict is about three times faster (random rows of
+    19 x 44 and 1 771 x 3 112 bytes, one core of a 2-core x86 host); the
+    oracle's many narrow rows sort faster.
     """
-    labels = np.zeros(count, dtype=np.int32)
     if count == 0:
-        return labels
+        return np.zeros(0, dtype=np.int32)
+    labels = [0] * count
     for i, block in enumerate(blocks):
         block = np.ascontiguousarray(block).view(np.uint8).reshape(count, -1)
-        if i:
-            block = np.concatenate([labels.view(np.uint8).reshape(count, 4), block], axis=1)
-        labels = _first_seen_labels(block)[0]
-    return labels
+        if not block.shape[1]:
+            continue
+        keys = block.view(np.dtype((np.void, block.shape[1]))).ravel().tolist()
+        seen: dict = {}
+        labels = [seen.setdefault(k, len(seen)) for k in (zip(labels, keys) if i else keys)]
+    return np.array(labels, dtype=np.int32)
 
 
 def _scc_labels(succ: list[list[int]]) -> list[int]:
@@ -194,11 +213,17 @@ class FiniteMonoid:
     files) also checks the identity law, associativity (by Light's test when
     the generators reach every element) and that the generators generate;
     the package's own constructors pass validate=False, since their tables
-    hold all three by construction.
+    hold all three by construction.  in_da is a known DA membership (None:
+    unknown), trusted like validate=False; the reverse and quotients of a
+    monoid pass on what is known of it.
     """
 
-    def __init__(self, table, identity: int, gens=None, words=None, validate: bool = True):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+    def __init__(self, table, identity: int, gens=None, words=None, validate: bool = True,
+                 in_da: bool | None = None):
+        try:
+            table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        except OverflowError:       # an entry outside int32 is outside the table too
+            raise MonoidFormatError("table entry out of range") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise MonoidFormatError("multiplication table must be square")
         n = table.shape[0]
@@ -232,7 +257,8 @@ class FiniteMonoid:
         self._omega = None
         self._greens = None
         self._idempotents = None
-        self._in_da = None
+        self._in_da = in_da
+        self._trivial: dict[str, bool] = {}
         self._reverse = None
 
     # -- basic structure ---------------------------------------------------
@@ -261,11 +287,22 @@ class FiniteMonoid:
             x = int(self._table[x, g])
         return x
 
-    def idempotents(self) -> tuple[int, ...]:
+    @property
+    def idempotent_array(self) -> np.ndarray:
+        """The idempotents in increasing order, as a read-only int array."""
         if self._idempotents is None:
-            diag = self._table[np.arange(self.size), np.arange(self.size)]
-            self._idempotents = tuple(int(i) for i in np.nonzero(diag == np.arange(self.size))[0])
+            self._idempotents = np.flatnonzero(self._table.diagonal() == np.arange(self.size))
+            self._idempotents.setflags(write=False)
         return self._idempotents
+
+    def idempotents(self) -> tuple[int, ...]:
+        return tuple(self.idempotent_array.tolist())
+
+    @property
+    def known_in_da(self) -> bool:
+        """Whether this monoid is known to lie in DA, without deciding it:
+        is_in_da() has said so, or it was passed on at construction."""
+        return self._in_da is True
 
     @property
     def omega_table(self) -> np.ndarray:
@@ -333,14 +370,47 @@ class FiniteMonoid:
 
     # -- variety predicates --------------------------------------------------
 
+    def _is_trivial(self, rel: str) -> bool:
+        """Whether every rel-class ("J", "R" or "L") is one element, computed
+        once: outside DA, and wherever DA membership is not known, from
+        Green's classes; known to be in DA, from the idempotent pairs of
+        ``_band_slices`` (the predicates below give the proofs)."""
+        if rel not in self._trivial:
+            if self.known_in_da:    # each idempotent pairs with itself, and no other
+                self._trivial[rel] = all(np.count_nonzero(hit) == len(hit)
+                                         for _, hit in _band_slices(self, rel))
+            else:
+                g = self.greens()
+                self._trivial[rel] = {"J": g.num_j, "R": g.num_r, "L": g.num_l}[rel] == self.size
+        return self._trivial[rel]
+
     def is_j_trivial(self) -> bool:
-        return self.greens().num_j == self.size
+        """Every J-class is a single element.
+
+        Known to be in DA: no two distinct idempotents have efe = e and
+        fef = f.  Such a pair is J-equivalent in any monoid; conversely, in
+        DA the regular J-class of e is a rectangular band, so f J e gives
+        efe = e and fef = f.  An aperiodic monoid whose regular J-classes
+        are trivial satisfies x^w x = x^w, and (xy)^w = (yx)^w because
+        conjugate idempotents are J-equivalent: those are the identities
+        of J.  The pairs are tested in row slices of about _SIG_BYTES, up
+        to the first slice that holds one.
+        """
+        return self._is_trivial("J")
 
     def is_r_trivial(self) -> bool:
-        return self.greens().num_r == self.size
+        """Every R-class is a single element.
+
+        Known to be in DA: no two distinct idempotents have ef = f and
+        fe = e, which is e R f.  The identity (xy)^w x = (xy)^w of R then
+        holds, as its sides are R-equivalent and the right one idempotent.
+        """
+        return self._is_trivial("R")
 
     def is_l_trivial(self) -> bool:
-        return self.greens().num_l == self.size
+        """Every L-class is a single element; the mirror of ``is_r_trivial``
+        (ef = e and fe = f, which is e L f, and x (yx)^w = (yx)^w)."""
+        return self._is_trivial("L")
 
     def is_aperiodic(self) -> bool:
         """x * x^omega == x^omega for every x."""
@@ -349,7 +419,8 @@ class FiniteMonoid:
         return bool(np.array_equal(self._table[ar, om], om))
 
     def is_in_da(self) -> bool:
-        """(xy)^omega x (xy)^omega == (xy)^omega for all x, y; computed once.
+        """(xy)^omega x (xy)^omega == (xy)^omega for all x, y; computed once,
+        or passed on at construction.
 
         y = 1 gives x^(omega+1) = x^omega, so DA lies inside the aperiodic
         monoids, and a monoid that is not aperiodic is refused without the
@@ -375,6 +446,39 @@ class FiniteMonoid:
 
     def __repr__(self):
         return f"FiniteMonoid(size={self.size})"
+
+
+def _band_slices(m: FiniteMonoid, rel: str = "J"):
+    """Yield (e, hit) per slice of about _SIG_BYTES of idempotent-pair rows:
+    e a column of idempotents, and hit[i, j] whether e[i] and the j-th
+    idempotent f are rel-equivalent ("J", "R" or "L"), read off the table.
+
+    e R f is ef = f and fe = e, and e L f is ef = e and fe = f, in any
+    monoid.  efe = e and fef = f make e J f in any monoid; in DA they are
+    all the J-equivalent pairs of idempotents.
+    """
+    T, idems = m.table, m.idempotent_array
+    step = max(1, _SIG_BYTES // (T.itemsize * len(idems)))
+    for lo in range(0, len(idems), step):
+        e = idems[lo:lo + step, None]
+        ef, fe = T[e, idems], T[idems, e]
+        if rel == "J":
+            yield e, (T[ef, e] == e) & (T[fe, idems] == idems)
+        elif rel == "R":
+            yield e, (ef == idems) & (fe == e)
+        else:
+            yield e, (ef == e) & (fe == idems)
+
+
+def _band_pairs(m: FiniteMonoid) -> tuple[np.ndarray, np.ndarray]:
+    """The J-equivalent idempotent pairs (es, fs) of ``_band_slices``, in
+    (e, f) order."""
+    es, fs = [], []
+    for e, hit in _band_slices(m):
+        i, j = np.nonzero(hit)
+        es.append(e[i, 0])
+        fs.append(m.idempotent_array[j])
+    return np.concatenate(es), np.concatenate(fs)
 
 
 def _physical_memory() -> int | None:
@@ -495,13 +599,15 @@ def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
     """The monoid with the opposite product (x *' y = y * x).
 
     Generator images are preserved; they now evaluate mirror words, so the
-    stored shortest-word names are dropped.  Built once per monoid and kept,
+    stored shortest-word names are dropped.  DA membership, where known, is
+    passed on: DA is closed under reversal.  Built once per monoid and kept,
     like its other derived structure, so callers that mirror a monoid again
     and again (a loop over words that reads its L-classes as the reverse's
     R-classes, say) share one copy and its Green's classes.
     """
     if m._reverse is None:
-        m._reverse = FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False)
+        m._reverse = FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False,
+                                  in_da=m._in_da)
     return m._reverse
 
 

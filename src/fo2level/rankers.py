@@ -255,11 +255,14 @@ def _check_fits(need: int, what: str) -> None:
                                 f"but {have / 2**30:.1f} GiB is available")
 
 
-def _letter_codes(words: list[str]) -> np.ndarray:
+def _word_lengths(words: list[str]) -> np.ndarray:
+    return np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+
+
+def _letter_codes(words: list[str], lens: np.ndarray) -> np.ndarray:
     """Code point of every letter as a max-length x words matrix, position-major
     (row x holds letter x + 1 of every word), padded with -1 (no letter); a
-    letter outside any alphabet keeps its code."""
-    lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    letter outside any alphabet keeps its code.  lens are the word lengths."""
     maxlen = int(lens.max(initial=0))
     codes = np.full((maxlen, len(words)), -1, dtype=np.int32)
     codes.T[np.arange(maxlen) < lens[:, None]] = np.frombuffer(
@@ -356,11 +359,11 @@ class RankerTable:
             raise ValueError("duplicate words")
         total = _ranker_count(len(self.alphabet), max_blocks, max_depth, max_rankers)
         W, k = len(self.words), len(self.alphabet)
-        lens = list(map(len, self.words))
-        maxlen = max(lens, default=0)
-        _check_fits(3 * total * W + _word_table_bytes(k, W, sum(lens), maxlen),
+        lens = _word_lengths(self.words)
+        maxlen = int(lens.max(initial=0))
+        _check_fits(3 * total * W + _word_table_bytes(k, W, int(lens.sum()), maxlen),
                     f"{total} rankers x {W} words up to length {maxlen}")
-        self._codes = codes = _letter_codes(self.words)
+        self._codes = codes = _letter_codes(self.words, lens)
         self._word_array: np.ndarray | None = None
         self._maxlen = maxlen
         # occ[t, x, j] for x in 0..maxlen+1: for instruction t = (X, a) the first
@@ -724,7 +727,7 @@ def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
     code points per slice of about 2**16 cells, then one gather per
     position; raises like ``eval_word`` on the first unknown letter."""
     words = table.words
-    codes = _letter_codes(words) if table._codes is None else table._codes
+    codes = _letter_codes(words, _word_lengths(words)) if table._codes is None else table._codes
     # generator code points, sorted, behind a sentinel that matches no letter
     # and the padding, whose image is the identity
     gens = sorted((ord(a), g) for a, g in monoid.gens.items())

@@ -10,6 +10,26 @@ The three congruences here relate elements by how idempotents absorb them:
 Each labels u by its signature, the products eu (uf, euf) with -1 where one
 leaves the J-class of its idempotent, in O(|E|·|M|) with no n×n relation.
 
+Two paths tell whether a product p stays in the J-class of its idempotent
+e.  Outside DA, and wherever DA membership is not known, they compare
+Green's J-classes, the only test that is correct there.  Once a monoid is
+known to lie in DA (``FiniteMonoid.is_in_da`` has said so, or the monoid
+was built as a quotient or reverse of one known to), the table answers
+alone, because every regular D-class of a DA monoid is a rectangular band
+(Tesson & Thérien, "Diamonds are forever: the variety DA", 2002):
+
+* for p = eu (or ue, or euf with f J e), p J e puts p in the regular
+  D-class of e, so epe = e, and ep = p gives pe = e (for ue: ep = e).
+  Conversely pe = e gives e <=_J p, and p <=_J e holds anyway.  So the
+  test is pe = e for ~K and ~LI, and ep = e for ~D;
+* idempotents e, f are J-equivalent exactly when efe = e and fef = f,
+  which pairs them for ~LI and decides J-triviality
+  (``FiniteMonoid.is_j_trivial``).
+
+DA is closed under quotients and reversal, so ``quotient`` passes the fact
+on, and ``quotient_chain`` decides it once, on its first member: no member
+of a DA monoid's chain builds Green's classes.
+
 Membership in R_m / L_m is decided by the Mal'cev recursion: R_1 = L_1 is
 the J-trivial monoids, R_{m+1} holds when the quotient by sim_k lies in L_m,
 and L_{m+1} holds when the quotient by sim_d lies in R_m.  Unrolled, M lies
@@ -30,7 +50,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _fold_labels
+from .monoid import _SIG_BYTES, FiniteMonoid, _band_pairs, _fold_labels
 
 
 class NotACongruenceError(ValueError):
@@ -55,12 +75,7 @@ class Congruence:
     num_classes: int
 
 
-# bytes of signature rows taken per step by sim_li; each step's gathers and
-# sort make a few temporaries of that size
-_SIG_BYTES = 1 << 20
-
-
-def _by_signature(m: FiniteMonoid, chunks) -> Congruence:
+def _by_signature(m: FiniteMonoid, chunks, dual: bool = False) -> Congruence:
     """Classes of equal columns of products, one row per anchor idempotent.
 
     chunks yields (products, anchors) blocks of rows, folded into running
@@ -68,9 +83,18 @@ def _by_signature(m: FiniteMonoid, chunks) -> Congruence:
     row's anchor lies strictly below it and becomes -1, so "both below, or
     equal" is plain equality.  First-seen labels number the classes by
     smallest element.
+
+    Known to be in DA, a product p stays in the J-class of its anchor a
+    exactly when p*a = a (a*p = a when dual, for products u*a): see the
+    module docstring.  Otherwise the J-classes are compared.
     """
-    jcls = m.greens().j_class
-    labels = _fold_labels(m.size, (np.where(jcls[p] == jcls[a][:, None], p, -1).T
+    if m.known_in_da:
+        T = m.table
+        stays = (lambda p, a: T[a, p] == a) if dual else (lambda p, a: T[p, a] == a)
+    else:
+        jcls = m.greens().j_class
+        stays = (lambda p, a: jcls[p] == jcls[a])
+    labels = _fold_labels(m.size, (np.where(stays(p, a[:, None]), p, -1).T
                                    for p, a in chunks))
     labels.setflags(write=False)
     return Congruence(m, labels, int(labels.max()) + 1)
@@ -82,28 +106,32 @@ def sim_k(m: FiniteMonoid) -> Congruence:
     eu lies J-below e, so it is strictly below exactly when it leaves the
     J-class of e; the same holds for uf against f and for euf against e.
     """
-    idems = np.array(m.idempotents())
-    return _by_signature(m, [(m.table[idems, :], idems)])
+    idems = m.idempotent_array
+    return _by_signature(m, [(m.table[idems], idems)])
 
 
 def sim_d(m: FiniteMonoid) -> Congruence:
     """u ~ v iff for all idempotents f: uf, vf both strictly below f, or uf == vf."""
-    idems = np.array(m.idempotents())
-    return _by_signature(m, [(m.table.T[idems, :], idems)])
+    idems = m.idempotent_array
+    return _by_signature(m, [(m.table.T[idems], idems)], dual=True)
 
 
 def sim_li(m: FiniteMonoid) -> Congruence:
     """Two-sided variant over J-equivalent idempotent pairs (e, f).
 
-    The pairs can number |E|^2, so their signature rows are built and
-    folded in steps of about _SIG_BYTES: memory O(step * |M|) beside the
-    pair list, with the same classes as one whole signature.
+    Known to be in DA, the pairs are those with efe = e and fef = f;
+    otherwise they come from the J-classes.  They can number |E|^2, so
+    their signature rows are built and folded in steps of about _SIG_BYTES:
+    memory O(step * |M|) beside the pair list, with the same classes as one
+    whole signature.
     """
     T = m.table
-    idems = np.array(m.idempotents())
-    jcls = m.greens().j_class[idems]
-    es, fs = np.nonzero(jcls[:, None] == jcls[None, :])
-    es, fs = idems[es], idems[fs]
+    idems = m.idempotent_array
+    if m.known_in_da:
+        es, fs = _band_pairs(m)
+    else:
+        jcls = m.greens().j_class[idems]
+        es, fs = (idems[i] for i in np.nonzero(jcls[:, None] == jcls[None, :]))
     step = max(1, _SIG_BYTES // (T.itemsize * m.size))
     return _by_signature(m, ((T[T[es[i:i + step], :], fs[i:i + step, None]], es[i:i + step])
                              for i in range(0, len(es), step)))
@@ -114,41 +142,30 @@ def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
 
     The compatibility check is exhaustive: the class of u*v must agree with
     the class of rep(u)*rep(v) for every pair, which is equivalent to full
-    well-definedness.
+    well-definedness.  Each class is represented by its least element.  A
+    quotient of a monoid known to lie in DA is known to lie in DA.
     """
     if c.monoid is not m:
         raise ValueError("congruence belongs to a different monoid")
     cls = c.class_of
-    k = c.num_classes
-    reps = np.full(k, -1, dtype=np.int32)
-    for x in range(m.size - 1, -1, -1):
-        reps[cls[x]] = x
-    via_reps = cls[m.table[np.ix_(reps[cls], reps[cls])]]
+    reps = np.full(c.num_classes, m.size, dtype=np.int32)
+    np.minimum.at(reps, cls, np.arange(m.size, dtype=np.int32))
+    rep_of = reps[cls]
+    via_reps = cls[m.table[rep_of[:, None], rep_of]]
     direct = cls[m.table]
     if not np.array_equal(direct, via_reps):
         u, v = map(int, np.argwhere(direct != via_reps)[0])
         raise NotACongruenceError(
             f"not a congruence: products of class-equal pairs split at ({u}, {v})")
-    new_table = cls[m.table[np.ix_(reps, reps)]]
+    new_table = cls[m.table[reps[:, None], reps]]
     gens = None
     if m.gens is not None:
         gens = {a: int(cls[x]) for a, x in m.gens.items()}
     words = None
     if m.words is not None:
-        words = [m.words[int(r)] for r in reps]
-    return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, words=words, validate=False)
-
-
-def refines(fine: Congruence, coarse: Congruence) -> bool:
-    """Every class of `fine` lies inside a single class of `coarse`."""
-    if fine.monoid is not coarse.monoid:
-        raise ValueError("congruences on different monoids")
-    seen = {}
-    for x in range(fine.monoid.size):
-        f, c = int(fine.class_of[x]), int(coarse.class_of[x])
-        if seen.setdefault(f, c) != c:
-            return False
-    return True
+        words = [m.words[r] for r in reps.tolist()]
+    return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, words=words,
+                        validate=False, in_da=True if m.known_in_da else None)
 
 
 def quotient_chain(m: FiniteMonoid, side: str) -> Iterator[FiniteMonoid]:
@@ -160,6 +177,7 @@ def quotient_chain(m: FiniteMonoid, side: str) -> Iterator[FiniteMonoid]:
     the chain is stuck and ends on a monoid that is not J-trivial.
     """
     steps = (sim_k, sim_d) if side == "R" else (sim_d, sim_k)
+    m.is_in_da()    # decided once and passed down: DA members take the table path
     stalled = 0
     for i in count():
         yield m

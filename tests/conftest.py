@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from fo2level.automata import Dfa, all_words, minimize
 from fo2level.corpus import corpus_alphabet, da_entries, make_entries, random_dfa
-from fo2level.monoid import FiniteMonoid, transition_monoid
+from fo2level.monoid import FiniteMonoid, reverse_monoid, transition_monoid
 from fo2level.rankers import RankerTable
+from fo2level.varieties import quotient_chain
 
 CORPUS_SEED = 7
 
@@ -38,6 +39,35 @@ def distinct_monoids():
             if m.size <= 400:
                 out.setdefault((m.table.tobytes(), tuple(m.gens.items())), m)
     return list(out.values())
+
+
+def _by_table(monoids):
+    out = {}
+    for m in monoids:
+        out.setdefault((m.size, m.table.tobytes()), m)
+    return list(out.values())
+
+
+@pytest.fixture(scope="session")
+def da_chain_members(distinct_monoids, da_corpus):
+    """DA monoids of many shapes and every member of both of their quotient
+    chains, one per table: the DA monoids of ``distinct_monoids`` and
+    ``da_corpus`` and their reverses; ``level_three()``, its reverse and its
+    products with each of those; their products with ``two_element_zero()``
+    and with each other (consecutive pairs), which add J-trivial monoids;
+    and rectangular bands with identity.  Each is known to lie in DA, by its
+    own check (the chains' first members) or passed on (the other members)."""
+    l3 = level_three()
+    bases = [m for m in distinct_monoids if m.is_in_da()] + [e.monoid for e in da_corpus]
+    bases = _by_table(bases + [reverse_monoid(m) for m in bases])
+    bases += ([direct_product(l3, m) for m in bases]
+              + [direct_product(m, two_element_zero()) for m in bases]
+              + [direct_product(a, b) for a, b in zip(bases, bases[1:])]
+              + [l3, reverse_monoid(l3), direct_product(l3, reverse_monoid(l3)),
+                 direct_product(left_zero(), right_zero())]
+              + [rectangular_band_with_identity(k, c) for k in (1, 2, 3, 5) for c in (1, 2, 4)])
+    return _by_table(q for base in bases for side in ("R", "L")
+                     for q in quotient_chain(base, side))
 
 
 @pytest.fixture(scope="session")
@@ -85,6 +115,19 @@ def level_three():
     return FiniteMonoid([[0, 1, 2, 3, 4, 5], [1, 1, 1, 3, 4, 5], [2, 2, 2, 3, 4, 5],
                          [3, 4, 5, 3, 4, 5], [4, 4, 4, 3, 4, 5], [5, 5, 5, 3, 4, 5]], 0,
                         gens={"a": 1, "b": 2, "c": 3})
+
+
+def rectangular_band_with_identity(k, cols=None):
+    """0 is the identity; 1 + i*cols + j is (i, j) for i < k, j < cols (cols
+    defaults to k), with (i, j)(i', j') = (i, j').  All non-identity
+    elements are idempotent and J-equivalent."""
+    cols = k if cols is None else cols
+    n = k * cols + 1
+    ij = np.arange(k * cols)
+    table = np.empty((n, n), dtype=np.int32)
+    table[0, :] = table[:, 0] = np.arange(n)
+    table[1:, 1:] = 1 + (ij // cols)[:, None] * cols + (ij % cols)[None, :]
+    return FiniteMonoid(table, 0)
 
 
 class Preorders(NamedTuple):

@@ -20,6 +20,8 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   and omega terms evaluated node by node.
 * ``first_class_words`` and ``mixed_class_words``: the sorting forms of
   the oracle's refinement bookkeeping (``np.unique`` and ``np.isin``).
+* ``refines``: whether one congruence's classes lie inside another's,
+  element by element.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from fo2level.automata import Concat, EmptyWord, Letter, Regex, RegexNode, Star,
 from fo2level.identities import Prod, Term, Var
 from fo2level.monoid import FiniteMonoid, reverse_monoid
 from fo2level.rankers import X, Y, enumerate_rankers, eval_ranker, is_condensed
+from fo2level.varieties import Congruence
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +238,19 @@ def first_class_words(labels: np.ndarray) -> np.ndarray:
 def mixed_class_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """The increasing indices of the words whose class holds a word in bad."""
     return np.flatnonzero(np.isin(labels, labels[bad]))
+
+
+# ---------------------------------------------------------------------------
+# Congruences
+# ---------------------------------------------------------------------------
+
+def refines(fine: Congruence, coarse: Congruence) -> bool:
+    """Every class of `fine` lies inside a single class of `coarse`."""
+    if fine.monoid is not coarse.monoid:
+        raise ValueError("congruences on different monoids")
+    seen = {}
+    for x in range(fine.monoid.size):
+        f, c = int(fine.class_of[x]), int(coarse.class_of[x])
+        if seen.setdefault(f, c) != c:
+            return False
+    return True

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import monoid_text
+from conftest import level_three, monoid_text
 from fo2level import cli
 from fo2level import identities as identities_module
 from fo2level import monoid as monoid_module
@@ -158,7 +158,9 @@ def test_deep_regex_nesting_is_a_parse_error(capsys):
     assert code == 0 and "fo2_level: 1" in out
 
 
-def test_not_fo2_analyze_builds_no_greens_classes(capsys, monkeypatch):
+@pytest.fixture
+def greens_calls(monkeypatch):
+    """The sizes of the monoids whose Green's classes are asked for, in order."""
     calls = []
     greens = monoid_module.FiniteMonoid.greens
 
@@ -167,6 +169,11 @@ def test_not_fo2_analyze_builds_no_greens_classes(capsys, monkeypatch):
         return greens(self)
 
     monkeypatch.setattr(monoid_module.FiniteMonoid, "greens", counting_greens)
+    return calls
+
+
+def test_not_fo2_analyze_builds_no_greens_classes(capsys, greens_calls):
+    calls = greens_calls
     # (aa)* is not aperiodic, (ab)* is aperiodic but outside DA
     for regex in ("(aa)*", "(ab)*"):
         for method in ("both", "quotient", "identities"):
@@ -174,9 +181,38 @@ def test_not_fo2_analyze_builds_no_greens_classes(capsys, monkeypatch):
                 code, out, _ = run(capsys, "analyze", "--regex", regex, "--method", method, *fmt)
                 assert code == 0 and "in_da" in out and "fo2_level" in out
                 assert calls == [], (regex, method, fmt)
-    code, out, _ = run(capsys, "analyze", "--regex", "a(a|b)*")
-    assert code == 0 and "fo2_level: 2" in out
-    assert calls
+    # the counter sees the classes the greens command prints
+    code, out, _ = run(capsys, "greens", "--regex", "a(a|b)*")
+    assert code == 0 and calls == [3]
+
+
+def test_da_analyze_builds_no_greens_classes(tmp_path, capsys, greens_calls):
+    # a DA input and its chain members answer every J-class question, and
+    # the report's triviality flags, from their tables
+    p = tmp_path / "level3.monoid"
+    p.write_text(monoid_text(level_three()))
+    # (level, j_trivial, r_trivial, l_trivial) as Green's classes give them
+    cases = [(["--regex", "(a|b)*a(a|b)*"], (1, True, True, True)),
+             (["--regex", "a(a|b)*"], (2, False, True, False)),
+             (["--monoid", str(p)], (3, False, False, False))]
+    for argv, want in cases:
+        for method in ("both", "quotient", "identities"):
+            code, out, _ = run(capsys, "analyze", *argv, "--method", method, "--json")
+            doc = json.loads(out)
+            assert code == 0 and want == tuple(
+                doc[k] for k in ("fo2_level", "j_trivial", "r_trivial", "l_trivial"))
+            code, out, _ = run(capsys, "analyze", *argv, "--method", method)
+            assert code == 0 and f"fo2_level: {want[0]}\n" in out
+            assert greens_calls == [], (argv, method)
+
+
+def test_out_of_int32_table_entry_is_a_format_error(tmp_path, capsys):
+    for entry in ("99999999999", "-99999999999999999999"):
+        p = tmp_path / "overflow.monoid"
+        p.write_text(f"size: 2\nidentity: 0\ntable\n0 1\n1 {entry}\n")
+        code, out, err = run(capsys, "analyze", "--monoid", str(p))
+        assert code == 1 and out == ""
+        assert err == "error: table entry out of range\n"
 
 
 def test_report_flags_match_ungated_predicates(distinct_monoids, tmp_path, capsys):

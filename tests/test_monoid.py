@@ -206,6 +206,10 @@ def test_parse_monoid_file():
     ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 0 0\n2 0 0\n", "associative"),
     ("size: 3\nidentity: 0\ngen a 7\ntable\n0 1 2\n1 2 1\n2 1 1\n", "associative"),
     ("size: 3\nidentity: 0\ngen a 7\ntable\n0 1 2\n1 1 1\n2 2 2\n", "out of range"),
+    # entries outside int32 (and outside C long) are out of range, not an overflow
+    ("size: 2\nidentity: 0\ntable\n0 1\n1 99999999999\n", "table entry out of range"),
+    ("size: 2\nidentity: 0\ntable\n0 1\n1 -99999999999999999999\n",
+     "table entry out of range"),
 ])
 def test_parse_monoid_file_errors(text, msg):
     if msg is None:
@@ -454,3 +458,17 @@ def test_light_associativity_matches_exhaustive_check(mixed_entries):
             with pytest.raises(MonoidFormatError, match="associative"):
                 FiniteMonoid(t, 0, gens=gen_map, validate=True)
     assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_folded_labels_match_one_sort_of_the_whole_rows():
+    rng = np.random.default_rng(5)
+    for count, widths in ((0, (3,)), (1, (4, 2)), (6, (0, 2, 0)), (40, (1,)), (300, (7, 3, 9)),
+                          (64, (33, 1))):
+        for distinct in (1, 3, 1000):
+            blocks = [rng.integers(0, distinct, size=(count, w)).astype(dt)
+                      for w, dt in zip(widths, (np.int32, np.uint8, np.int16))]
+            whole = np.concatenate([b.view(np.uint8).reshape(count, b.nbytes // max(count, 1))
+                                    for b in blocks], axis=1)
+            got = monoid_module._fold_labels(count, iter(blocks))
+            assert got.dtype == np.int32 and np.array_equal(
+                got, monoid_module._first_seen_labels(whole)[0]), (count, widths, distinct)

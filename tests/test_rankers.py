@@ -630,9 +630,9 @@ def test_least_oracle_n_encodes_its_words_once(monkeypatch):
     encoded = []
     letter_codes = fo2level.rankers._letter_codes
 
-    def counting(words):
+    def counting(words, *lens):
         encoded.append(len(words))
-        return letter_codes(words)
+        return letter_codes(words, *lens)
 
     monkeypatch.setattr(fo2level.rankers, "_letter_codes", counting)
     mono = monoid_of("(a|b)*abb(a|b)*")

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import (cyclic_two, dfas, direct_product, left_zero, level_three, right_zero,
-                      preorders, trivial, two_element_zero)
+from conftest import (cyclic_two, dfas, direct_product, left_zero, level_three, preorders,
+                      rectangular_band_with_identity, right_zero, trivial, two_element_zero)
 from fo2level import cli, varieties
+from fo2level import monoid as monoid_module
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level.identities import identities_level
 from fo2level.monoid import (FiniteMonoid, MonoidTooLargeError, reverse_monoid,
                              transition_monoid)
 from fo2level.varieties import (Congruence, InternalInconsistencyError,
                                 LevelResult, NotACongruenceError, fo2_level,
-                                in_Lm, in_Rm, quotient, quotient_chain, refines,
+                                in_Lm, in_Rm, quotient, quotient_chain,
                                 sim_d, sim_k, sim_li)
+from reference import refines
 
 
 def monoid_of(text):
@@ -51,17 +53,6 @@ def test_sim_li_coarser_than_one_sided(da_corpus):
         assert refines(sim_d(e.monoid), li)
 
 
-def rectangular_band_with_identity(k):
-    """0 is the identity; 1 + i*k + j is (i, j), with (i, j)(i', j') = (i, j').
-    All k^2 non-identity elements are idempotent and J-equivalent."""
-    n = k * k + 1
-    ij = np.arange(k * k)
-    table = np.empty((n, n), dtype=np.int32)
-    table[0, :] = table[:, 0] = np.arange(n)
-    table[1:, 1:] = 1 + (ij // k)[:, None] * k + (ij % k)[None, :]
-    return FiniteMonoid(table, 0)
-
-
 def test_folded_sim_li_matches_one_step(da_corpus, monkeypatch):
     monoids = [e.monoid for e in da_corpus[:40]] + [level_three(), rectangular_band_with_identity(4)]
     expect = [sim_li(m).class_of for m in monoids]
@@ -82,6 +73,95 @@ def test_sim_li_memory_is_bounded():
         tracemalloc.stop()
     assert c.num_classes == 2 and c.class_of[0] == 0 and (c.class_of[1:] == 1).all()
     assert peak < 16 * 2**20, peak
+
+
+# -- the DA path: rectangular-band tests against the J-class ones --------------
+
+def fresh(m, in_da=None):
+    """The same table with no cached structure, DA membership given or unknown."""
+    return FiniteMonoid(m.table, m.identity, gens=m.gens, validate=False, in_da=in_da)
+
+
+def trivialities(m):
+    return m.is_j_trivial(), m.is_r_trivial(), m.is_l_trivial()
+
+
+def test_da_path_matches_greens_path(da_chain_members):
+    seen = np.zeros((3, 2), dtype=int)     # (J, R, L) x (not trivial, trivial)
+    for q in da_chain_members:
+        assert q.known_in_da
+        band, greens = fresh(q, in_da=True), fresh(q)
+        assert trivialities(band) == trivialities(greens)
+        for rel in (sim_k, sim_d, sim_li):
+            assert np.array_equal(rel(band).class_of, rel(greens).class_of), rel
+        assert band._greens is None and greens._greens is not None
+        seen[[0, 1, 2], list(map(int, trivialities(greens)))] += 1
+    assert seen[0].min() >= 30 and seen.min() >= 10, seen
+
+
+def test_passed_on_da_membership_holds(da_chain_members):
+    for q in da_chain_members:
+        for m in (q, reverse_monoid(q)):
+            assert m.known_in_da and fresh(m).is_in_da()
+
+
+def test_da_path_is_never_taken_outside_da(distinct_monoids):
+    outside = [cyclic_two(), monoid_of("(ab)*")]
+    outside += [fresh(m) for m in distinct_monoids if m.size <= 60 and not m.is_in_da()]
+    assert len(outside) >= 100
+    differ = 0
+    for m in outside:
+        assert not m.is_in_da() and not m.known_in_da
+        for q in [reverse_monoid(m), *quotient_chain(m, "R"), *quotient_chain(m, "L")]:
+            assert not q.known_in_da
+        g = m.greens()
+        want = (g.num_j == m.size, g.num_r == m.size, g.num_l == m.size,
+                reference_sim_k(m), reference_sim_d(m), reference_sim_li(m))
+
+        def answers(mono):
+            return (*trivialities(mono), *(rel(mono).class_of for rel in (sim_k, sim_d, sim_li)))
+
+        assert all(np.array_equal(a, w) for a, w in zip(answers(m), want))
+        band = fresh(m, in_da=True)     # the band formulas, wrongly applied
+        differ += not all(np.array_equal(a, w) for a, w in zip(answers(band), want))
+    # the guard matters: outside DA the band formulas are wrong on almost
+    # every monoid (on 191 of these 195; four aperiodic ones agree)
+    assert differ >= 0.95 * len(outside), (differ, len(outside))
+
+
+def test_da_path_memory_is_bounded():
+    m = rectangular_band_with_identity(12)
+    assert m.is_in_da() and m.idempotents()
+    tracemalloc.start()
+    try:
+        flags = trivialities(m)
+        c = sim_li(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags == (False, False, False) and m._greens is None
+    assert c.num_classes == 2 and c.class_of[0] == 0 and (c.class_of[1:] == 1).all()
+    assert peak < 16 * 2**20, peak
+
+
+def test_j_triviality_fold_stops_at_first_pair(monkeypatch):
+    # one idempotent row per slice: the first slice (the identity) has no
+    # pair, the second (an element of the band) has one, and no third is read
+    m = rectangular_band_with_identity(4)
+    assert m.is_in_da()
+    slices = []
+    band_slices = monoid_module._band_slices
+
+    def counted(*args):
+        for block in band_slices(*args):
+            slices.append(block)
+            yield block
+
+    monkeypatch.setattr(monoid_module, "_SIG_BYTES", m.table.itemsize * len(m.idempotents()))
+    monkeypatch.setattr(monoid_module, "_band_slices", counted)
+    assert not m.is_j_trivial()
+    assert len(slices) == 2
+    assert not fresh(m, in_da=True).is_j_trivial() and len(slices) == 4
 
 
 def identity_congruence(m):
