@@ -87,6 +87,8 @@ def _load_monoid(args) -> tuple[str, int | None, FiniteMonoid]:
     if len(chosen) != 1:
         raise _UsageError("exactly one of --regex / --dfa / --monoid is required")
     cap = args.monoid_cap
+    if cap < 1:
+        raise _UsageError("--monoid-cap must be >= 1")
     if args.regex is not None:
         dfa = regex_to_min_dfa(parse_regex(args.regex))
         return f"regex {args.regex}", dfa.n_states, transition_monoid(dfa, max_size=cap)
@@ -138,21 +140,15 @@ def cmd_analyze(args) -> int:
     if quot is not None and ident is not None:
         agreement = quot == ident.result
 
-    # J-trivial ⊆ R-trivial ∩ L-trivial, R-trivial ⊆ DA and L-trivial ⊆ DA
-    # (Tesson & Thérien 2002): outside DA all three flags are false, and
-    # inside DA they are read off the table, so analyze builds no Green's
-    # classes.
-    in_da = mono.is_in_da()
-    j_trivial = in_da and mono.is_j_trivial()
     report = {
         "input": description,
         "dfa_states": dfa_states,
         "monoid_size": mono.size,
         "aperiodic": mono.is_aperiodic(),
-        "in_da": in_da,
-        "j_trivial": j_trivial,
-        "r_trivial": j_trivial or (in_da and mono.is_r_trivial()),
-        "l_trivial": j_trivial or (in_da and mono.is_l_trivial()),
+        "in_da": mono.is_in_da(),
+        "j_trivial": mono.is_j_trivial(),
+        "r_trivial": mono.is_r_trivial(),
+        "l_trivial": mono.is_l_trivial(),
         "fo2_level": _level_field(level) if level.status != "exceeded" else None,
         "method_quotient": _level_field(quot),
         "method_identities": _level_field(ident.result) if ident else None,

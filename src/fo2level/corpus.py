@@ -154,7 +154,7 @@ def check_monotonicity(entries, ms=(1, 2, 3)) -> CheckResult:
 
 
 def check_congruence_quotients(entries) -> CheckResult:
-    """quotient() accepts sim_k, sim_d and sim_li on every corpus monoid."""
+    """quotient() accepts sim_k, sim_d and sim_li on every DA corpus monoid."""
     checked = 0
     for e in entries:
         for rel in (sim_k, sim_d, sim_li):

@@ -12,11 +12,12 @@ omega powers, Green's classes, DA membership, triviality flags) is computed
 lazily and cached, and all operations are pure, so concurrent reads are
 safe.
 
-Membership in DA, once known, is passed on to the reverse monoid (and, by
-``varieties.quotient``, to quotients), since DA is closed under both.  It
-lets the J-, R- and L-triviality tests answer from the table alone: every
-regular D-class of a DA monoid is a rectangular band (Tesson & Thérien,
-"Diamonds are forever: the variety DA", 2002).
+J-, R- and L-trivial monoids all lie in DA, so the triviality tests decide
+DA first and answer "no" outside it; inside DA they answer from the table
+alone, since every regular D-class of a DA monoid is a rectangular band
+(Tesson & Thérien, "Diamonds are forever: the variety DA", 2002).  DA
+membership, once decided, is passed on to the reverse monoid (and, by
+``varieties.quotient``, to quotients), since DA is closed under both.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ class MonoidTooLargeError(ValueError):
     """Transition monoid exceeds the configured size cap."""
 
 
-# bytes of rows taken per step by the idempotent-pair band tests here and by
-# the signature fold of varieties.sim_li; each step's gathers make a few
-# temporaries of that size
+# bytes of idempotent-pair rows taken per step by the triviality tests; each
+# step's gathers make a few temporaries of that size
 _SIG_BYTES = 1 << 20
 
 
@@ -54,9 +54,10 @@ class GreensData:
     """Green's class partitions.
 
     r_class, l_class and j_class label each element by its R-, L- and
-    J-class; labels are numbered by smallest contained element.  The class
-    labels answer every question the decision routes ask of a monoid not
-    known to lie in DA, so no n x n preorder is built.
+    J-class; labels are numbered by smallest contained element.  The
+    decision routes never ask for them: inside DA the table answers, and
+    outside DA there is nothing to ask.  The ``greens`` command prints them,
+    and the corpus checks and tests use them as references.
     """
 
     j_class: np.ndarray
@@ -95,31 +96,22 @@ def _first_seen_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse.ravel()], first[order]
 
 
-def _fold_labels(count: int, blocks) -> np.ndarray:
-    """First-seen labels of count rows given as column blocks, one block at a time.
+def _fold_labels(rows: np.ndarray) -> np.ndarray:
+    """First-seen labels of the rows of a 2-D array, through a dict keyed by
+    the row bytes.
 
-    Each block (count rows, any dtype) refines the running labels: the rows
-    (label, block row) are relabelled by first appearance, through a dict
-    keyed by the row bytes.  Rows share a label exactly when they agree on
-    every block so far, and first-seen numbering depends only on that
-    partition, so the result equals ``_first_seen_labels`` of the whole
-    concatenation while only one block (plus the labels) is held.  A dict,
-    not the sort of ``_first_seen_labels``, because signature rows are few
-    and wide, where the dict is about three times faster (random rows of
-    19 x 44 and 1 771 x 3 112 bytes, one core of a 2-core x86 host); the
-    oracle's many narrow rows sort faster.
+    The same labels as ``_first_seen_labels``, but a dict, not its sort,
+    because signature rows are few and wide, where the dict is about three
+    times faster (random rows of 19 x 44 and 1 771 x 3 112 bytes, one core
+    of a 2-core x86 host); the oracle's many narrow rows sort faster.
     """
-    if count == 0:
-        return np.zeros(0, dtype=np.int32)
-    labels = [0] * count
-    for i, block in enumerate(blocks):
-        block = np.ascontiguousarray(block).view(np.uint8).reshape(count, -1)
-        if not block.shape[1]:
-            continue
-        keys = block.view(np.dtype((np.void, block.shape[1]))).ravel().tolist()
-        seen: dict = {}
-        labels = [seen.setdefault(k, len(seen)) for k in (zip(labels, keys) if i else keys)]
-    return np.array(labels, dtype=np.int32)
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    if not width:
+        return np.zeros(rows.shape[0], dtype=np.int32)
+    seen: dict = {}
+    keys = rows.view(np.dtype((np.void, width))).ravel().tolist()
+    return np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.int32)
 
 
 def _scc_labels(succ: list[list[int]]) -> list[int]:
@@ -299,12 +291,6 @@ class FiniteMonoid:
         return tuple(self.idempotent_array.tolist())
 
     @property
-    def known_in_da(self) -> bool:
-        """Whether this monoid is known to lie in DA, without deciding it:
-        is_in_da() has said so, or it was passed on at construction."""
-        return self._in_da is True
-
-    @property
     def omega_table(self) -> np.ndarray:
         """x^omega for every x, by raising all elements to their powers at once.
 
@@ -372,38 +358,35 @@ class FiniteMonoid:
 
     def _is_trivial(self, rel: str) -> bool:
         """Whether every rel-class ("J", "R" or "L") is one element, computed
-        once: outside DA, and wherever DA membership is not known, from
-        Green's classes; known to be in DA, from the idempotent pairs of
-        ``_band_slices`` (the predicates below give the proofs)."""
+        once: J-, R- and L-trivial monoids lie in DA, and inside DA no
+        idempotent of ``_band_slices`` pairs with another (the predicates
+        below give the proofs)."""
         if rel not in self._trivial:
-            if self.known_in_da:    # each idempotent pairs with itself, and no other
-                self._trivial[rel] = all(np.count_nonzero(hit) == len(hit)
-                                         for _, hit in _band_slices(self, rel))
-            else:
-                g = self.greens()
-                self._trivial[rel] = {"J": g.num_j, "R": g.num_r, "L": g.num_l}[rel] == self.size
+            self._trivial[rel] = self.is_in_da() and all(
+                np.count_nonzero(hit) == len(hit) for _, hit in _band_slices(self, rel))
         return self._trivial[rel]
 
     def is_j_trivial(self) -> bool:
         """Every J-class is a single element.
 
-        Known to be in DA: no two distinct idempotents have efe = e and
-        fef = f.  Such a pair is J-equivalent in any monoid; conversely, in
-        DA the regular J-class of e is a rectangular band, so f J e gives
-        efe = e and fef = f.  An aperiodic monoid whose regular J-classes
-        are trivial satisfies x^w x = x^w, and (xy)^w = (yx)^w because
-        conjugate idempotents are J-equivalent: those are the identities
-        of J.  The pairs are tested in row slices of about _SIG_BYTES, up
-        to the first slice that holds one.
+        Exactly when the monoid lies in DA and no two distinct idempotents
+        have efe = e and fef = f.  Such a pair is J-equivalent in any monoid;
+        conversely, in DA the regular J-class of e is a rectangular band, so
+        f J e gives efe = e and fef = f.  An aperiodic monoid whose regular
+        J-classes are trivial satisfies x^w x = x^w, and (xy)^w = (yx)^w
+        because conjugate idempotents are J-equivalent: those are the
+        identities of J.  The pairs are tested in row slices of about
+        _SIG_BYTES, up to the first slice that holds one.
         """
         return self._is_trivial("J")
 
     def is_r_trivial(self) -> bool:
         """Every R-class is a single element.
 
-        Known to be in DA: no two distinct idempotents have ef = f and
-        fe = e, which is e R f.  The identity (xy)^w x = (xy)^w of R then
-        holds, as its sides are R-equivalent and the right one idempotent.
+        Exactly when the monoid lies in DA and no two distinct idempotents
+        have ef = f and fe = e, which is e R f.  The identity
+        (xy)^w x = (xy)^w of R then holds, as its sides are R-equivalent and
+        the right one idempotent.
         """
         return self._is_trivial("R")
 
@@ -448,7 +431,7 @@ class FiniteMonoid:
         return f"FiniteMonoid(size={self.size})"
 
 
-def _band_slices(m: FiniteMonoid, rel: str = "J"):
+def _band_slices(m: FiniteMonoid, rel: str):
     """Yield (e, hit) per slice of about _SIG_BYTES of idempotent-pair rows:
     e a column of idempotents, and hit[i, j] whether e[i] and the j-th
     idempotent f are rel-equivalent ("J", "R" or "L"), read off the table.
@@ -468,17 +451,6 @@ def _band_slices(m: FiniteMonoid, rel: str = "J"):
             yield e, (ef == idems) & (fe == e)
         else:
             yield e, (ef == e) & (fe == idems)
-
-
-def _band_pairs(m: FiniteMonoid) -> tuple[np.ndarray, np.ndarray]:
-    """The J-equivalent idempotent pairs (es, fs) of ``_band_slices``, in
-    (e, f) order."""
-    es, fs = [], []
-    for e, hit in _band_slices(m):
-        i, j = np.nonzero(hit)
-        es.append(e[i, 0])
-        fs.append(m.idempotent_array[j])
-    return np.concatenate(es), np.concatenate(fs)
 
 
 def _physical_memory() -> int | None:

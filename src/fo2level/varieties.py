@@ -1,34 +1,34 @@
 """Congruences on finite monoids and the R_m/L_m membership recursion.
 
-The three congruences here relate elements by how idempotents absorb them:
+The three congruences here relate elements of a DA monoid by how
+idempotents absorb them:
 
 * ``sim_k``: u ~ v when for every idempotent e, either both eu and ev fall
   strictly below e in the J-order, or eu == ev.
 * ``sim_d``: the left-right dual (uf against f).
 * ``sim_li``: the two-sided version over J-equivalent idempotent pairs.
 
-Each labels u by its signature, the products eu (uf, euf) with -1 where one
+Each labels u by its signature, the products eu (uf, eue) with -1 where one
 leaves the J-class of its idempotent, in O(|E|·|M|) with no n×n relation.
 
-Two paths tell whether a product p stays in the J-class of its idempotent
-e.  Outside DA, and wherever DA membership is not known, they compare
-Green's J-classes, the only test that is correct there.  Once a monoid is
-known to lie in DA (``FiniteMonoid.is_in_da`` has said so, or the monoid
-was built as a quotient or reverse of one known to), the table answers
-alone, because every regular D-class of a DA monoid is a rectangular band
-(Tesson & Thérien, "Diamonds are forever: the variety DA", 2002):
+They are defined on DA monoids only, and raise ``ValueError`` elsewhere:
+every R_m and L_m lies in DA, so ``quotient_chain`` yields a monoid outside
+DA alone and stops, and ``fo2_level`` answers NotFO2 before it walks one.
+Inside DA the table answers every J-class question, because every regular
+D-class of a DA monoid is a rectangular band (Tesson & Thérien, "Diamonds
+are forever: the variety DA", 2002):
 
-* for p = eu (or ue, or euf with f J e), p J e puts p in the regular
-  D-class of e, so epe = e, and ep = p gives pe = e (for ue: ep = e).
-  Conversely pe = e gives e <=_J p, and p <=_J e holds anyway.  So the
-  test is pe = e for ~K and ~LI, and ep = e for ~D;
-* idempotents e, f are J-equivalent exactly when efe = e and fef = f,
-  which pairs them for ~LI and decides J-triviality
-  (``FiniteMonoid.is_j_trivial``).
+* for p = eu (or ue, or eue), p J e puts p in the regular D-class of e, so
+  epe = e, and ep = p gives pe = e (for ue: ep = e).  Conversely pe = e
+  gives e <=_J p, and p <=_J e holds anyway.  So the test is pe = e for ~K
+  and ~LI, and ep = e for ~D;
+* for e J f, the row of the pair (e, f) in the ~LI signature is a function
+  of the row of (e, e), so the |E| diagonal pairs give the same classes as
+  all |E|^2: euf <=_J eu <=_J e, and if eu J e then eu lies in e's row of
+  the rectangular band, so euf = ef; and eu J e exactly when eue J e.
 
 DA is closed under quotients and reversal, so ``quotient`` passes the fact
-on, and ``quotient_chain`` decides it once, on its first member: no member
-of a DA monoid's chain builds Green's classes.
+on, and a chain decides it once, on its first member.
 
 Membership in R_m / L_m is decided by the Mal'cev recursion: R_1 = L_1 is
 the J-trivial monoids, R_{m+1} holds when the quotient by sim_k lies in L_m,
@@ -50,7 +50,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .monoid import _SIG_BYTES, FiniteMonoid, _band_pairs, _fold_labels
+from .monoid import FiniteMonoid, _fold_labels
 
 
 class NotACongruenceError(ValueError):
@@ -75,27 +75,21 @@ class Congruence:
     num_classes: int
 
 
-def _by_signature(m: FiniteMonoid, chunks, dual: bool = False) -> Congruence:
+def _by_signature(m: FiniteMonoid, products: np.ndarray, anchors: np.ndarray,
+                  dual: bool = False) -> Congruence:
     """Classes of equal columns of products, one row per anchor idempotent.
 
-    chunks yields (products, anchors) blocks of rows, folded into running
-    labels one block at a time.  An entry that leaves the J-class of its
-    row's anchor lies strictly below it and becomes -1, so "both below, or
-    equal" is plain equality.  First-seen labels number the classes by
+    A product p stays in the J-class of its row's anchor a exactly when
+    p*a = a (a*p = a when dual, for products u*a): see the module docstring.
+    One that leaves it lies strictly below a and becomes -1, so "both below,
+    or equal" is plain equality.  First-seen labels number the classes by
     smallest element.
-
-    Known to be in DA, a product p stays in the J-class of its anchor a
-    exactly when p*a = a (a*p = a when dual, for products u*a): see the
-    module docstring.  Otherwise the J-classes are compared.
     """
-    if m.known_in_da:
-        T = m.table
-        stays = (lambda p, a: T[a, p] == a) if dual else (lambda p, a: T[p, a] == a)
-    else:
-        jcls = m.greens().j_class
-        stays = (lambda p, a: jcls[p] == jcls[a])
-    labels = _fold_labels(m.size, (np.where(stays(p, a[:, None]), p, -1).T
-                                   for p, a in chunks))
+    if not m.is_in_da():
+        raise ValueError("the congruences are defined on DA monoids only")
+    a = anchors[:, None]
+    stays = m.table[a, products] == a if dual else m.table[products, a] == a
+    labels = _fold_labels(np.where(stays, products, -1).T)
     labels.setflags(write=False)
     return Congruence(m, labels, int(labels.max()) + 1)
 
@@ -104,37 +98,25 @@ def sim_k(m: FiniteMonoid) -> Congruence:
     """u ~ v iff for all idempotents e: eu, ev both strictly below e, or eu == ev.
 
     eu lies J-below e, so it is strictly below exactly when it leaves the
-    J-class of e; the same holds for uf against f and for euf against e.
+    J-class of e; the same holds for uf against f and for eue against e.
     """
     idems = m.idempotent_array
-    return _by_signature(m, [(m.table[idems], idems)])
+    return _by_signature(m, m.table[idems], idems)
 
 
 def sim_d(m: FiniteMonoid) -> Congruence:
     """u ~ v iff for all idempotents f: uf, vf both strictly below f, or uf == vf."""
     idems = m.idempotent_array
-    return _by_signature(m, [(m.table.T[idems], idems)], dual=True)
+    return _by_signature(m, m.table.T[idems], idems, dual=True)
 
 
 def sim_li(m: FiniteMonoid) -> Congruence:
-    """Two-sided variant over J-equivalent idempotent pairs (e, f).
-
-    Known to be in DA, the pairs are those with efe = e and fef = f;
-    otherwise they come from the J-classes.  They can number |E|^2, so
-    their signature rows are built and folded in steps of about _SIG_BYTES:
-    memory O(step * |M|) beside the pair list, with the same classes as one
-    whole signature.
-    """
+    """Two-sided variant over J-equivalent idempotent pairs (e, f), read off
+    the diagonal pairs (e, e): the signature of eue, |E| x |M| like
+    ``sim_k`` (the module docstring proves the other pairs add nothing)."""
     T = m.table
     idems = m.idempotent_array
-    if m.known_in_da:
-        es, fs = _band_pairs(m)
-    else:
-        jcls = m.greens().j_class[idems]
-        es, fs = (idems[i] for i in np.nonzero(jcls[:, None] == jcls[None, :]))
-    step = max(1, _SIG_BYTES // (T.itemsize * m.size))
-    return _by_signature(m, ((T[T[es[i:i + step], :], fs[i:i + step, None]], es[i:i + step])
-                             for i in range(0, len(es), step)))
+    return _by_signature(m, T[T[idems], idems[:, None]], idems)
 
 
 def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
@@ -143,7 +125,7 @@ def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
     The compatibility check is exhaustive: the class of u*v must agree with
     the class of rep(u)*rep(v) for every pair, which is equivalent to full
     well-definedness.  Each class is represented by its least element.  A
-    quotient of a monoid known to lie in DA is known to lie in DA.
+    quotient of a DA monoid lies in DA.
     """
     if c.monoid is not m:
         raise ValueError("congruence belongs to a different monoid")
@@ -165,23 +147,24 @@ def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
     if m.words is not None:
         words = [m.words[r] for r in reps.tolist()]
     return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, words=words,
-                        validate=False, in_da=True if m.known_in_da else None)
+                        validate=False, in_da=m.is_in_da() or None)
 
 
 def quotient_chain(m: FiniteMonoid, side: str) -> Iterator[FiniteMonoid]:
     """Lazily yield M, M/~K, (M/~K)/~D, ... (side "R") or the mirror chain
     starting with ~D (side "L"), up to the first J-trivial monoid.
 
-    One step that keeps the size is normal (on a left-zero monoid ~D is
-    trivial but ~K is not).  Two in a row mean ~K and ~D are both trivial:
-    the chain is stuck and ends on a monoid that is not J-trivial.
+    A monoid outside DA is yielded alone: it lies in no R_m or L_m, and the
+    congruences are not defined on it.  One step that keeps the size is
+    normal (on a left-zero monoid ~D is trivial but ~K is not).  Two in a
+    row mean ~K and ~D are both trivial: the chain is stuck and ends on a
+    monoid that is not J-trivial.
     """
     steps = (sim_k, sim_d) if side == "R" else (sim_d, sim_k)
-    m.is_in_da()    # decided once and passed down: DA members take the table path
     stalled = 0
     for i in count():
         yield m
-        if m.is_j_trivial():
+        if not m.is_in_da() or m.is_j_trivial():
             return
         q = quotient(m, steps[i % 2](m))
         stalled = stalled + 1 if q.size == m.size else 0

@@ -1,4 +1,5 @@
 import random
+import string
 from typing import NamedTuple
 
 import numpy as np
@@ -155,9 +156,17 @@ def associative(table):
                for x in range(table.shape[0]))
 
 def direct_product(a, b):
+    """The product monoid, element x * b.size + y for (x, y).  When both
+    factors have generator maps, the images (g, 1) and (1, h) of their
+    generators generate it, under the letters a, b, c, ... in that order."""
     n = b.size
     table = (a.table[:, None, :, None] * n + b.table[None, :, None, :]).reshape(a.size * n, -1)
-    return FiniteMonoid(table, a.identity * n + b.identity)
+    gens = None
+    if a.gens is not None and b.gens is not None:
+        images = ([x * n + b.identity for x in a.gens.values()]
+                  + [a.identity * n + y for y in b.gens.values()])
+        gens = dict(zip(string.ascii_letters, images))
+    return FiniteMonoid(table, a.identity * n + b.identity, gens=gens)
 
 
 def large_dfa():

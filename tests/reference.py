@@ -22,6 +22,12 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   the oracle's refinement bookkeeping (``np.unique`` and ``np.isin``).
 * ``refines``: whether one congruence's classes lie inside another's,
   element by element.
+* ``reference_sim_k``, ``reference_sim_d`` and ``reference_sim_li``: the
+  congruences as n x n relations over Green's J-classes, on any finite
+  monoid, ~LI over every J-equivalent pair of idempotents;
+  ``reference_in_Rm``, ``reference_in_Lm`` and ``reference_level``: the
+  Mal'cev recursion level by level over them, with J-triviality read off
+  the count of Green's J-classes; ``reference_chain``: the chain they walk.
 """
 
 import numpy as np
@@ -30,7 +36,7 @@ from fo2level.automata import Concat, EmptyWord, Letter, Regex, RegexNode, Star,
 from fo2level.identities import Prod, Term, Var
 from fo2level.monoid import FiniteMonoid, reverse_monoid
 from fo2level.rankers import X, Y, enumerate_rankers, eval_ranker, is_condensed
-from fo2level.varieties import Congruence
+from fo2level.varieties import Congruence, LevelResult, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +260,79 @@ def refines(fine: Congruence, coarse: Congruence) -> bool:
         if seen.setdefault(f, c) != c:
             return False
     return True
+
+
+def pairwise_labels(m, images):
+    """Labels of the relation "both leave the anchor's J-class, or equal images",
+    intersected over (anchor, images) pairs, numbered by smallest element."""
+    jcls = m.greens().j_class
+    n = m.size
+    rel = np.ones((n, n), dtype=bool)
+    for anchor, img in images:
+        below = jcls[img] != jcls[anchor]
+        rel &= (below[:, None] & below[None, :]) | (img[:, None] == img[None, :])
+    assert np.array_equal(rel, rel.T) and not (rel @ rel & ~rel).any()
+    labels = np.full(n, -1, dtype=np.int32)
+    nxt = 0
+    for i in range(n):
+        if labels[i] < 0:
+            labels[rel[i]] = nxt
+            nxt += 1
+    return labels
+
+
+def reference_sim_k(m):
+    return pairwise_labels(m, [(e, m.table[e, :]) for e in m.idempotents()])
+
+
+def reference_sim_d(m):
+    return pairwise_labels(m, [(f, m.table[:, f]) for f in m.idempotents()])
+
+
+def reference_sim_li(m):
+    T, jcls = m.table, m.greens().j_class
+    return pairwise_labels(m, [(e, T[T[e, :], f]) for e in m.idempotents()
+                               for f in m.idempotents() if jcls[e] == jcls[f]])
+
+
+def reference_quotient(m, reference):
+    labels = reference(m)
+    return quotient(m, Congruence(m, labels, int(labels.max()) + 1))
+
+
+def reference_j_trivial(m):
+    return m.greens().num_j == m.size
+
+
+def reference_in_Rm(m, level):
+    if level == 1:
+        return reference_j_trivial(m)
+    return reference_in_Lm(reference_quotient(m, reference_sim_k), level - 1)
+
+
+def reference_in_Lm(m, level):
+    if level == 1:
+        return reference_j_trivial(m)
+    return reference_in_Rm(reference_quotient(m, reference_sim_d), level - 1)
+
+
+def reference_level(m, max_m):
+    if not m.is_in_da():
+        return LevelResult("not-fo2")
+    for d in range(1, max(max_m, m.size + 1) + 1):
+        if reference_in_Rm(m, d + 1) and reference_in_Lm(m, d + 1):
+            return LevelResult("level", d) if d <= max_m else LevelResult("exceeded", max_m)
+    raise AssertionError("no level up to size+1")
+
+
+def reference_chain(m, side):
+    """M, M/~K, (M/~K)/~D, ... (side "R", ~D first for "L") by the reference
+    congruences, up to the first J-trivial member or two steps in a row
+    that keep the size (after which every quotient is the same table)."""
+    steps = (reference_sim_k, reference_sim_d) if side == "R" else (reference_sim_d,
+                                                                    reference_sim_k)
+    chain = [m]
+    while not reference_j_trivial(chain[-1]) and (
+            len(chain) < 3 or chain[-3].size > chain[-1].size):
+        chain.append(reference_quotient(chain[-1], steps[(len(chain) - 1) % 2]))
+    return chain

@@ -134,6 +134,13 @@ def test_usage_errors(capsys):
     assert code == 1
 
 
+def test_monoid_cap_below_one_is_a_usage_error(capsys):
+    for cap in ("0", "-5"):
+        code, out, err = run(capsys, "analyze", "--regex", "a", "--monoid-cap", cap)
+        assert code == 1 and out == ""
+        assert err == "usage error: --monoid-cap must be >= 1\n"
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "--regex", "(a|b)*a(a|b)(a|b)(a|b)",
                        "--monoid-cap", "4")
@@ -216,9 +223,9 @@ def test_out_of_int32_table_entry_is_a_format_error(tmp_path, capsys):
 
 
 def test_report_flags_match_ungated_predicates(distinct_monoids, tmp_path, capsys):
-    # outside DA the report gates the flags to false without Green's
-    # classes; the predicates themselves must agree, on each monoid and its
-    # reverse (read back from a file, so the file checks run too)
+    # the report's triviality flags, read off the table inside DA and false
+    # outside it, must equal the counts of Green's classes, on each monoid
+    # and its reverse (read back from a file, so the file checks run too)
     seen = {"in_da": 0, "aperiodic_not_da": 0, "not_aperiodic": 0, "j_trivial": 0}
     p = tmp_path / "m.monoid"
     for m in (m for m in distinct_monoids if m.size <= 100):
@@ -228,8 +235,9 @@ def test_report_flags_match_ungated_predicates(distinct_monoids, tmp_path, capsy
                                "--method", "quotient")
             assert code == 0
             doc = json.loads(out)
+            g = mono.greens()
             assert (doc["j_trivial"], doc["r_trivial"], doc["l_trivial"]) == (
-                mono.is_j_trivial(), mono.is_r_trivial(), mono.is_l_trivial())
+                g.num_j == mono.size, g.num_r == mono.size, g.num_l == mono.size)
             in_da, aperiodic = mono.is_in_da(), mono.is_aperiodic()
             seen["in_da"] += in_da
             seen["aperiodic_not_da"] += aperiodic and not in_da
