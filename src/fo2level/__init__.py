@@ -16,7 +16,7 @@ from .automata import (
 )
 from .monoid import (
     FiniteMonoid, GreensData, MonoidFormatError, MonoidTooLargeError,
-    transition_monoid, syntactic_monoid, reverse_monoid, parse_monoid_file,
+    transition_monoid, reverse_monoid, parse_monoid_file,
 )
 from .varieties import (
     Congruence, LevelResult, NotACongruenceError, InternalInconsistencyError,
@@ -34,8 +34,8 @@ from .rankers import (
     Ranker, RankerSyntaxError, RankerBudgetError, RankerTable, OracleOutcome,
     parse_ranker, next_pos, prev_pos, eval_ranker, ranker_positions,
     is_condensed, is_condensed_no_overrun, enumerate_rankers,
-    oracle_equiv_refines_morphism, oracle_right_refines_morphism,
-    least_oracle_n, left_factorization, right_factorization, subwords_upto,
+    oracle_equiv_refines_morphism, least_oracle_n,
+    left_factorization, right_factorization, subwords_upto,
 )
 
 __version__ = "0.1.0"

@@ -251,61 +251,34 @@ class Dfa:
         return s in self.finals
 
 
-def _canonical(d: Dfa) -> Dfa:
-    """Renumber states by BFS from the initial state, letters in alphabet order."""
-    order = [d.initial]
-    rank = {d.initial: 0}
-    qi = 0
-    while qi < len(order):
-        s = order[qi]
-        qi += 1
-        for t in d.delta[s]:
-            if t not in rank:
-                rank[t] = len(order)
-                order.append(t)
-    if len(order) != d.n_states:
-        raise ValueError("canonical renumbering requires all states reachable")
-    delta = tuple(tuple(rank[t] for t in d.delta[s]) for s in order)
-    finals = frozenset(rank[f] for f in d.finals if f in rank)
-    return Dfa(d.alphabet, delta, 0, finals)
-
-
 def minimize(d: Dfa) -> Dfa:
-    """Minimal complete DFA for the same language, canonically numbered."""
-    # keep reachable states only
-    reach = [d.initial]
-    seen = {d.initial}
-    qi = 0
-    while qi < len(reach):
-        s = reach[qi]
-        qi += 1
-        for t in d.delta[s]:
-            if t not in seen:
-                seen.add(t)
-                reach.append(t)
-    # Moore partition refinement
-    block = {s: (s in d.finals) for s in reach}
+    """Minimal complete DFA for the same language, canonically numbered.
+
+    Moore refinement runs over all states; then one BFS from the initial
+    state's block, letters in alphabet order, numbers the blocks it reaches,
+    which are those of the reachable states.  The refinement is a
+    congruence, so any state of a block gives its transitions and finality.
+    """
+    n = d.n_states
+    block = [int(s in d.finals) for s in range(n)]
+    count = len(set(block))
     while True:
-        sig = {s: (block[s], tuple(block[d.delta[s][a]] for a in range(len(d.alphabet))))
-               for s in reach}
-        relabel = {}
-        for s in reach:
-            relabel.setdefault(sig[s], len(relabel))
-        new_block = {s: relabel[sig[s]] for s in reach}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        sig: dict[tuple, int] = {}
+        new = [sig.setdefault((block[s], *[block[t] for t in d.delta[s]]), len(sig))
+               for s in range(n)]
+        if len(sig) == count:
             break
-        block = new_block
-    n_blocks = len(set(block.values()))
-    delta = [None] * n_blocks
-    finals = set()
-    for s in reach:
-        b = block[s]
-        delta[b] = tuple(block[d.delta[s][a]] for a in range(len(d.alphabet)))
-        if s in d.finals:
-            finals.add(b)
-    merged = Dfa(d.alphabet, tuple(delta), block[d.initial], frozenset(finals))
-    return _canonical(merged)
+        block, count = new, len(sig)
+    member = dict(zip(block, range(n)))  # a state of each block
+    rank = {block[d.initial]: 0}
+    order = [block[d.initial]]
+    for b in order:
+        for t in d.delta[member[b]]:
+            if block[t] not in rank:
+                rank[block[t]] = len(order)
+                order.append(block[t])
+    delta = tuple(tuple(rank[block[t]] for t in d.delta[member[b]]) for b in order)
+    return Dfa(d.alphabet, delta, 0, frozenset(rank[b] for b in order if member[b] in d.finals))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from .corpus import (check_action_agreement, check_alphabet_stability,
                      check_monotonicity, check_relation_congruence,
                      check_subword_direction, corpus_alphabet, make_entries,
                      straubing_tally)
-from .identities import (IdentityBudgetError, da_identity, format_term,
-                         identities_level, satisfies_identity)
+from .identities import IdentityBudgetError, identities_level
 from .monoid import (FiniteMonoid, MonoidFormatError, MonoidTooLargeError,
                      parse_monoid_file, transition_monoid)
 from .rankers import (RankerBudgetError, RankerSyntaxError, eval_ranker,
@@ -131,10 +130,10 @@ def cmd_analyze(args) -> int:
     if ident is not None:
         witness = _witness_json(mono, ident.witness_identity, ident.witness)
     elif level.status == "not-fo2":
-        # the quotient route has answered: allow all |M|^2 pairs for its witness
-        lhs, rhs = da_identity()
-        da = satisfies_identity(mono, lhs, rhs, max_assignments=mono.size ** 2)
-        witness = _witness_json(mono, f"{format_term(lhs)} = {format_term(rhs)}", da.witness)
+        # the identities route stops at its DA check outside DA; the quotient
+        # route has answered, so that check may take all |M|^2 pairs
+        da = identities_level(mono, 1, max_assignments=mono.size ** 2)
+        witness = _witness_json(mono, da.witness_identity, da.witness)
 
     agreement = True
     if quot is not None and ident is not None:
@@ -166,7 +165,7 @@ def cmd_analyze(args) -> int:
                     assg = ", ".join(f"{k}={v}" for k, v in value["assignment"].items())
                     print(f"witness: {value['identity']} fails at {assg}")
             elif value is None:
-                print(f"{key}: none" if key != "fo2_level" else "fo2_level: none")
+                print(f"{key}: none")
             elif isinstance(value, bool):
                 print(f"{key}: {'true' if value else 'false'}")
             else:

@@ -16,15 +16,17 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .automata import Dfa, all_words, minimize
 from .identities import (check_straubing, in_Lm_by_identities,
                          in_Rm_by_identities)
-from .monoid import FiniteMonoid, transition_monoid
+from .monoid import FiniteMonoid, reverse_monoid, transition_monoid
 from .rankers import (RankerTable, is_condensed, is_condensed_no_overrun,
                       enumerate_rankers, least_oracle_n,
-                      left_factorization, right_factorization,
-                      oracle_right_refines_morphism, subwords_upto)
+                      left_factorization, right_factorization, subwords_upto)
 from .varieties import LevelResult, fo2_level, in_Lm, in_Rm, quotient, sim_d, sim_k, sim_li
 
 
@@ -64,41 +66,30 @@ def corpus_alphabet(letters: int) -> tuple[str, ...]:
     return tuple(string.ascii_lowercase[:letters])
 
 
-def analyze_dfa(dfa: Dfa, max_m: int = 6) -> CorpusEntry:
-    mono = transition_monoid(minimize(dfa))
-    return CorpusEntry(
-        dfa=dfa,
-        monoid=mono,
-        aperiodic=mono.is_aperiodic(),
-        in_da=mono.is_in_da(),
-        j_trivial=mono.is_j_trivial(),
-        r_trivial=mono.is_r_trivial(),
-        l_trivial=mono.is_l_trivial(),
-        level=fo2_level(mono, max_m),
-    )
+def _draws(seed: int, max_states: int, letters: int, max_m: int):
+    """The seeded stream of random DFAs, each minimized once and analyzed."""
+    rng = random.Random(seed)
+    alpha = corpus_alphabet(letters)
+    while True:
+        dfa = minimize(random_dfa(rng, max_states, alpha))
+        mono = transition_monoid(dfa)
+        yield CorpusEntry(dfa=dfa, monoid=mono, aperiodic=mono.is_aperiodic(),
+                          in_da=mono.is_in_da(), j_trivial=mono.is_j_trivial(),
+                          r_trivial=mono.is_r_trivial(), l_trivial=mono.is_l_trivial(),
+                          level=fo2_level(mono, max_m))
 
 
 def make_entries(seed: int, count: int, max_states: int = 4, letters: int = 2,
                  max_m: int = 6) -> list[CorpusEntry]:
     """`count` random draws, each minimized and analyzed (duplicates kept)."""
-    rng = random.Random(seed)
-    alpha = corpus_alphabet(letters)
-    return [analyze_dfa(minimize(random_dfa(rng, max_states, alpha)), max_m)
-            for _ in range(count)]
+    return list(islice(_draws(seed, max_states, letters, max_m), count))
 
 
 def da_entries(seed: int, target: int, max_states: int = 4, letters: int = 2,
                max_m: int = 6, max_draws: int = 200_000) -> list[CorpusEntry]:
     """Rejection-sample random minimal DFAs until `target` have monoids in DA."""
-    rng = random.Random(seed)
-    alpha = corpus_alphabet(letters)
-    out: list[CorpusEntry] = []
-    for _ in range(max_draws):
-        if len(out) >= target:
-            break
-        entry = analyze_dfa(minimize(random_dfa(rng, max_states, alpha)), max_m)
-        if entry.in_da:
-            out.append(entry)
+    draws = islice(_draws(seed, max_states, letters, max_m), max_draws)
+    out = list(islice((e for e in draws if e.in_da), target))
     if len(out) < target:
         raise RuntimeError(f"could not collect {target} DA monoids in {max_draws} draws")
     return out
@@ -164,30 +155,26 @@ def check_congruence_quotients(entries) -> CheckResult:
 
 
 def check_action_agreement(entries) -> CheckResult:
-    """Exhaustive element check: s R s*x and x ~K y force s*x == s*y (and dual)."""
+    """Exhaustive element check: s R s*x and x ~K y force s*x == s*y.  The
+    dual (s L x*s and x ~D y force x*s == y*s) is the same check on the
+    reverse monoid, whose R-classes are the L-classes and whose ~K is ~D;
+    both run per pair (x, y), right before left."""
     checked = 0
     for e in entries:
-        mono = e.monoid
-        T = mono.table
-        g = mono.greens()
-        rcls, lcls = g.r_class, g.l_class
-        ck = sim_k(mono).class_of
-        cd = sim_d(mono).class_of
-        n = mono.size
+        n = e.monoid.size
+        sides = [(side, mono.table, mono.greens().r_class, sim_k(mono).class_of)
+                 for side, mono in (("right", e.monoid), ("left", reverse_monoid(e.monoid)))]
         for x in range(n):
             for y in range(n):
-                if ck[x] == ck[y]:
-                    for s in range(n):
-                        checked += 1
-                        if rcls[s] == rcls[T[s, x]] and T[s, x] != T[s, y]:
-                            return CheckResult("stable-action-agreement", False, checked,
-                                               f"right: s={s} x={x} y={y} size={n}")
-                if cd[x] == cd[y]:
-                    for s in range(n):
-                        checked += 1
-                        if lcls[s] == lcls[T[x, s]] and T[x, s] != T[y, s]:
-                            return CheckResult("stable-action-agreement", False, checked,
-                                               f"left: s={s} x={x} y={y} size={n}")
+                for side, T, rcls, ck in sides:
+                    if ck[x] != ck[y]:
+                        continue
+                    bad = (rcls == rcls[T[:, x]]) & (T[:, x] != T[:, y])
+                    if bad.any():
+                        s = int(np.argmax(bad))
+                        return CheckResult("stable-action-agreement", False, checked + s + 1,
+                                           f"{side}: s={s} x={x} y={y} size={n}")
+                    checked += n
     return CheckResult("stable-action-agreement", True, checked)
 
 
@@ -241,44 +228,41 @@ def check_oracle_bounds(entries, max_n: int = 8, max_len: int = 6) -> CheckResul
                        f"n <= {max_n}, words up to {max_len}")
 
 
-def check_right_oracle_bounds(entries, max_n: int = 8, max_len: int = 6,
-                              max_level: int = 4) -> CheckResult:
-    """R_m members admit n with the right-relation refining the morphism
-    (and dually for L_m via the left relation on mirrored input)."""
-    checked = 0
-    tables: dict[tuple, RankerTable] = {}
-    for e in entries:
-        mono = e.monoid
-        m_r = next((m for m in range(1, max_level + 1) if in_Rm(mono, m)), None)
-        if m_r is None:
-            continue
-        alpha = tuple(mono.gens)
-        key = (alpha, m_r, max_n)
-        if key not in tables:
-            tables[key] = RankerTable(alpha, m_r, max_n, all_words(alpha, max_len))
-        ok = False
-        for n in range(1, max_n + 1):
-            checked += 1
-            if oracle_right_refines_morphism(mono, m_r, n, max_len, table=tables[key]).holds:
-                ok = True
-                break
-        if not ok:
-            return CheckResult("right-relation-oracle-bound", False, checked,
-                               f"R_{m_r} member, size={mono.size}, no n <= {max_n}")
-    return CheckResult("right-relation-oracle-bound", True, checked,
-                       f"n <= {max_n}, words up to {max_len}")
-
-
 # ---------------------------------------------------------------------------
 # Word-level checks (monoid independent)
 # ---------------------------------------------------------------------------
 
-def _partition(table: RankerTable, kind: str, m: int, n: int):
-    if kind == "R":
-        return table.partition_right(m, n)
-    if kind == "L":
-        return table.partition_left(m, n)
-    return table.partition_equiv(m, n)
+def _word_table(alphabet, max_len: int, max_m: int, max_n: int, table: RankerTable | None):
+    """The alphabet, the given table (or one over all words up to max_len)
+    and its two views, each a word list and an index of the words' rows: the
+    table's words, and their mirror images, where the reverse of a word
+    finds that word's row.  A clause run on a pair's mirror images through
+    the mirror view reads the labels of the reversed factors of the pair."""
+    alphabet = tuple(alphabet)
+    if table is None:
+        table = RankerTable(alphabet, max_m, max_n, all_words(alphabet, max_len))
+    views = [(words, {w: k for k, w in enumerate(words)})
+             for words in (table.words, [w[::-1] for w in table.words])]
+    return alphabet, table, views
+
+
+def _related_pairs(words, *labelings):
+    """The index pairs i < j, in list order, of the words one of the
+    labelings relates, each with whether each labeling relates them."""
+    for i in range(len(words)):
+        related = [labels[i + 1:] == labels[i] for labels in labelings]
+        for j in np.flatnonzero(np.logical_or.reduce(related)).tolist():
+            yield i, i + 1 + j, [bool(r[j]) for r in related]
+
+
+def _agree(labels, index, p: str, q: str) -> bool:
+    return labels[index[p]] == labels[index[q]]
+
+
+# The right side's clause names, then the left side's, which are the right
+# side's clauses on the mirror images (first and last a trade places)
+_FACTOR_CLAUSES = (("right/left-factor", "right/last-prefix", "right/last-suffix"),
+                   ("left/right-factor", "left/first-suffix", "left/first-prefix"))
 
 
 def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
@@ -291,64 +275,40 @@ def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
     (both sides) and the last-a prefix factor is R_{m,n-1}-related; dually for
     the left relation.  The last-a suffix clause (claimed L_{m-1,n-1}) has
     known counterexamples and is only checked when include_suffix_clause is
-    set.
+    set.  Since u L_{m,n} v iff rev u R_{m,n} rev v, the left side is the
+    right side's clause code on the mirror images, with R and L swapped.
     """
-    alphabet = tuple(alphabet)
-    if table is None:
-        table = RankerTable(alphabet, max_m, max_n, all_words(alphabet, max_len))
-    wi = {w: k for k, w in enumerate(table.words)}
+    alphabet, table, views = _word_table(alphabet, max_len, max_m, max_n, table)
     checked = 0
     name = "factor-compat" + ("-with-suffix-clause" if include_suffix_clause else "")
     for m in range(2, max_m + 1):
         for n in range(2, max_n + 1):
-            R = table.partition_right(m, n)
-            Rn1 = table.partition_right(m, n - 1)
-            L = table.partition_left(m, n)
-            Ln1 = table.partition_left(m, n - 1)
-            Lsuf = table.partition_left(m - 1, n - 1) if (m - 1 >= 1 and n - 1 >= 1) else None
-            Rsuf = table.partition_right(m - 1, n - 1) if (m - 1 >= 1 and n - 1 >= 1) else None
-            for i, u in enumerate(table.words):
-                for j in range(i + 1, len(table.words)):
-                    v = table.words[j]
-                    rel_r = R[i] == R[j]
-                    rel_l = L[i] == L[j]
-                    if not (rel_r or rel_l):
-                        continue
-                    for a in alphabet:
-                        fu, fv = left_factorization(u, a), left_factorization(v, a)
-                        gu, gv = right_factorization(u, a), right_factorization(v, a)
-                        if rel_r:
-                            if fu and fv:
-                                checked += 1
-                                if (Rn1[wi[fu[0]]] != Rn1[wi[fv[0]]]
-                                        or Rn1[wi[fu[1]]] != Rn1[wi[fv[1]]]):
-                                    return CheckResult(name, False, checked,
-                                                       f"right/left-factor {u!r} {v!r} a={a!r} (m={m},n={n})")
-                            if gu and gv:
-                                checked += 1
-                                if Rn1[wi[gu[0]]] != Rn1[wi[gv[0]]]:
-                                    return CheckResult(name, False, checked,
-                                                       f"right/last-prefix {u!r} {v!r} a={a!r} (m={m},n={n})")
-                                if include_suffix_clause and Lsuf is not None:
-                                    if Lsuf[wi[gu[1]]] != Lsuf[wi[gv[1]]]:
-                                        return CheckResult(name, False, checked,
-                                                           f"right/last-suffix {u!r} {v!r} a={a!r} (m={m},n={n})")
-                        if rel_l:
-                            if gu and gv:
-                                checked += 1
-                                if (Ln1[wi[gu[0]]] != Ln1[wi[gv[0]]]
-                                        or Ln1[wi[gu[1]]] != Ln1[wi[gv[1]]]):
-                                    return CheckResult(name, False, checked,
-                                                       f"left/right-factor {u!r} {v!r} a={a!r} (m={m},n={n})")
-                            if fu and fv:
-                                checked += 1
-                                if Ln1[wi[fu[1]]] != Ln1[wi[fv[1]]]:
-                                    return CheckResult(name, False, checked,
-                                                       f"left/first-suffix {u!r} {v!r} a={a!r} (m={m},n={n})")
-                                if include_suffix_clause and Rsuf is not None:
-                                    if Rsuf[wi[fu[0]]] != Rsuf[wi[fv[0]]]:
-                                        return CheckResult(name, False, checked,
-                                                           f"left/first-prefix {u!r} {v!r} a={a!r} (m={m},n={n})")
+            R, L = table.partition_right(m, n), table.partition_left(m, n)
+            sides = ((_FACTOR_CLAUSES[0], *views[0], table.partition_right(m, n - 1),
+                      table.partition_left(m - 1, n - 1)),
+                     (_FACTOR_CLAUSES[1], *views[1], table.partition_left(m, n - 1),
+                      table.partition_right(m - 1, n - 1)))
+            for i, j, related in _related_pairs(table.words, R, L):
+                for a in alphabet:
+                    for (clauses, words, index, near, far), rel in zip(sides, related):
+                        x, y = words[i], words[j]
+                        if not (rel and a in x and a in y):
+                            continue
+                        checked += 1
+                        fx, fy = left_factorization(x, a), left_factorization(y, a)
+                        failed = None
+                        if not (_agree(near, index, fx[0], fy[0]) and _agree(near, index, fx[1], fy[1])):
+                            failed = clauses[0]
+                        else:
+                            checked += 1
+                            gx, gy = right_factorization(x, a), right_factorization(y, a)
+                            if not _agree(near, index, gx[0], gy[0]):
+                                failed = clauses[1]
+                            elif include_suffix_clause and not _agree(far, index, gx[1], gy[1]):
+                                failed = clauses[2]
+                        if failed:
+                            return CheckResult(name, False, checked, f"{failed} {table.words[i]!r} "
+                                               f"{table.words[j]!r} a={a!r} (m={m},n={n})")
     return CheckResult(name, True, checked, f"words up to {max_len}, m,n <= {max_m},{max_n}")
 
 
@@ -356,37 +316,25 @@ def check_equiv_factor(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
                        max_n: int = 3, table: RankerTable | None = None) -> CheckResult:
     """Equivalence factor compatibility: u ~ v at (m, n) with first-a factors
     gives prefixes at (m-1, n-1) and suffixes at (m, n-1); mirrored for
-    last-a factors."""
-    alphabet = tuple(alphabet)
-    if table is None:
-        table = RankerTable(alphabet, max_m, max_n, all_words(alphabet, max_len))
-    wi = {w: k for k, w in enumerate(table.words)}
+    last-a factors, which is the first-a clause on the mirror images."""
+    alphabet, table, views = _word_table(alphabet, max_len, max_m, max_n, table)
     checked = 0
     for m in range(2, max_m + 1):
         for n in range(2, max_n + 1):
-            E = table.partition_equiv(m, n)
             Edown = table.partition_equiv(m - 1, n - 1)
             Esame = table.partition_equiv(m, n - 1)
-            for i, u in enumerate(table.words):
-                for j in range(i + 1, len(table.words)):
-                    if E[i] != E[j]:
-                        continue
-                    v = table.words[j]
-                    for a in alphabet:
-                        fu, fv = left_factorization(u, a), left_factorization(v, a)
-                        if fu and fv:
-                            checked += 1
-                            if (Edown[wi[fu[0]]] != Edown[wi[fv[0]]]
-                                    or Esame[wi[fu[1]]] != Esame[wi[fv[1]]]):
-                                return CheckResult("equiv-factor-compat", False, checked,
-                                                   f"first-a {u!r} {v!r} a={a!r} (m={m},n={n})")
-                        gu, gv = right_factorization(u, a), right_factorization(v, a)
-                        if gu and gv:
-                            checked += 1
-                            if (Edown[wi[gu[1]]] != Edown[wi[gv[1]]]
-                                    or Esame[wi[gu[0]]] != Esame[wi[gv[0]]]):
-                                return CheckResult("equiv-factor-compat", False, checked,
-                                                   f"last-a {u!r} {v!r} a={a!r} (m={m},n={n})")
+            for i, j, _ in _related_pairs(table.words, table.partition_equiv(m, n)):
+                for a in alphabet:
+                    for clause, (words, index) in zip(("first-a", "last-a"), views):
+                        x, y = words[i], words[j]
+                        if a not in x or a not in y:
+                            continue
+                        checked += 1
+                        fx, fy = left_factorization(x, a), left_factorization(y, a)
+                        if not (_agree(Edown, index, fx[0], fy[0]) and _agree(Esame, index, fx[1], fy[1])):
+                            return CheckResult("equiv-factor-compat", False, checked,
+                                               f"{clause} {table.words[i]!r} {table.words[j]!r} "
+                                               f"a={a!r} (m={m},n={n})")
     return CheckResult("equiv-factor-compat", True, checked,
                        f"words up to {max_len}, m,n <= {max_m},{max_n}")
 
@@ -403,28 +351,21 @@ def check_inner_segment(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
                         max_n: int = 3, table: RankerTable | None = None) -> CheckResult:
     """Crossed factorization: between the last a and the first b after it,
     equivalent words have (m-1, n-1)-equivalent middle segments."""
-    alphabet = tuple(alphabet)
-    if table is None:
-        table = RankerTable(alphabet, max_m, max_n, all_words(alphabet, max_len))
-    wi = {w: k for k, w in enumerate(table.words)}
+    alphabet, table, [(words, index), _] = _word_table(alphabet, max_len, max_m, max_n, table)
     checked = 0
     for m in range(2, max_m + 1):
         for n in range(2, max_n + 1):
-            E = table.partition_equiv(m, n)
             Edown = table.partition_equiv(m - 1, n - 1)
-            for i, u in enumerate(table.words):
-                for j in range(i + 1, len(table.words)):
-                    if E[i] != E[j]:
-                        continue
-                    v = table.words[j]
-                    for a in alphabet:
-                        for b in alphabet:
-                            du, dv = _double_factorization(u, a, b), _double_factorization(v, a, b)
-                            if du and dv:
-                                checked += 1
-                                if Edown[wi[du[1]]] != Edown[wi[dv[1]]]:
-                                    return CheckResult("inner-segment-equiv", False, checked,
-                                                       f"{u!r} {v!r} a={a!r} b={b!r} (m={m},n={n})")
+            for i, j, _ in _related_pairs(words, table.partition_equiv(m, n)):
+                u, v = words[i], words[j]
+                for a in alphabet:
+                    for b in alphabet:
+                        du, dv = _double_factorization(u, a, b), _double_factorization(v, a, b)
+                        if du and dv:
+                            checked += 1
+                            if not _agree(Edown, index, du[1], dv[1]):
+                                return CheckResult("inner-segment-equiv", False, checked,
+                                                   f"{u!r} {v!r} a={a!r} b={b!r} (m={m},n={n})")
     return CheckResult("inner-segment-equiv", True, checked,
                        f"words up to {max_len}, m,n <= {max_m},{max_n}")
 
@@ -434,26 +375,22 @@ def check_relation_congruence(alphabet=("a", "b"), max_len: int = 6, samples: in
                               table: RankerTable | None = None) -> CheckResult:
     """Sampled congruence property of the one-sided relations: related words
     stay related under prepending and appending a letter."""
-    alphabet = tuple(alphabet)
-    if table is None:
-        # extensions lengthen words by one, so the table covers max_len + 1
-        table = RankerTable(alphabet, max_m, max_n, all_words(alphabet, max_len + 1))
-    wi = {w: k for k, w in enumerate(table.words)}
-    short = [w for w in table.words if len(w) <= max_len]
+    # extensions lengthen words by one, so a built table covers max_len + 1
+    alphabet, table, [(words, wi), _] = _word_table(alphabet, max_len + 1, max_m, max_n, table)
+    short = [w for w in words if len(w) <= max_len]
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
         m = rng.randint(1, max_m)
         n = rng.randint(1, max_n)
         kind = rng.choice("RL")
-        labels = _partition(table, kind, m, n)
+        labels = (table.partition_right if kind == "R" else table.partition_left)(m, n)
         u = rng.choice(short)
         mates = [w for w in short if labels[wi[w]] == labels[wi[u]]]
         v = rng.choice(mates)
         c = rng.choice(alphabet)
         checked += 1
-        if (labels[wi[c + u]] != labels[wi[c + v]]
-                or labels[wi[u + c]] != labels[wi[v + c]]):
+        if not (_agree(labels, wi, c + u, c + v) and _agree(labels, wi, u + c, v + c)):
             return CheckResult("relation-congruence", False, checked,
                                f"{kind} (m={m},n={n}) {u!r} {v!r} extended by {c!r}")
     return CheckResult("relation-congruence", True, checked, f"{samples} sampled extensions")
@@ -462,9 +399,7 @@ def check_relation_congruence(alphabet=("a", "b"), max_len: int = 6, samples: in
 def check_subword_direction(alphabet=("a", "b"), max_len: int = 5, max_n: int = 3,
                             table: RankerTable | None = None) -> CheckResult:
     """One-block equivalence at depth n forces equal subword sets up to n."""
-    alphabet = tuple(alphabet)
-    if table is None:
-        table = RankerTable(alphabet, 1, max_n, all_words(alphabet, max_len))
+    _, table, _ = _word_table(alphabet, max_len, 1, max_n, table)
     checked = 0
     for n in range(1, max_n + 1):
         E = table.partition_equiv(1, n)

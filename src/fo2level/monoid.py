@@ -561,12 +561,6 @@ def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
     return FiniteMonoid(table, 0, gens=gens, words=words, validate=False)
 
 
-def syntactic_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
-    """Transition monoid of the minimal DFA for L(dfa)."""
-    from .automata import minimize
-    return transition_monoid(minimize(dfa), max_size=max_size)
-
-
 def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
     """The monoid with the opposite product (x *' y = y * x).
 

@@ -774,18 +774,6 @@ def _mixed_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mixed[labels])
 
 
-def _first_violation(labels: np.ndarray, images: np.ndarray, words: list[str]) -> OracleOutcome:
-    """Check that the images are constant on every label class.  The first
-    word (in list order) whose image differs from that of its class's first
-    word is returned with that first word as the counterexample."""
-    rep, bad = _violations(labels, images)
-    classes = int(labels.max(initial=-1)) + 1
-    if bad.any():
-        j = int(np.argmax(bad))
-        return OracleOutcome(False, (words[rep[j]], words[j]), classes)
-    return OracleOutcome(True, None, classes)
-
-
 def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
                                   table: RankerTable | None = None,
                                   max_words: int = MAX_WORDS) -> OracleOutcome:
@@ -797,8 +785,13 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     (in word enumeration order) is returned as a counterexample.
     """
     table = _oracle_table(monoid, m, n, max_len, table, max_words)
-    return _first_violation(table.partition_equiv(m, n),
-                            _word_images(monoid, table), table.words)
+    labels = table.partition_equiv(m, n)
+    rep, bad = _violations(labels, _word_images(monoid, table))
+    classes = int(labels.max(initial=-1)) + 1
+    if bad.any():
+        j = int(np.argmax(bad))
+        return OracleOutcome(False, (table.words[rep[j]], table.words[j]), classes)
+    return OracleOutcome(True, None, classes)
 
 
 def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
@@ -833,14 +826,6 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
         keep = _mixed_words(labels, bad)
         table, images = table.restricted(keep), images[keep]
     return None, counterexample
-
-
-def oracle_right_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
-                                  table: RankerTable | None = None) -> OracleOutcome:
-    """Same refinement check for the right relation (condensed X-side rankers)."""
-    table = _oracle_table(monoid, m, n, max_len, table, MAX_WORDS)
-    return _first_violation(table.partition_right(m, n),
-                            _word_images(monoid, table), table.words)
 
 
 # ---------------------------------------------------------------------------

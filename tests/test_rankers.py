@@ -21,8 +21,7 @@ from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError
                               is_condensed, is_condensed_no_overrun,
                               _mixed_words, _pack_rows, _violations,
                               least_oracle_n, next_pos,
-                              oracle_equiv_refines_morphism,
-                              oracle_right_refines_morphism, parse_ranker,
+                              oracle_equiv_refines_morphism, parse_ranker,
                               prev_pos, subwords_upto)
 from reference import (equiv_wi, first_class_words, l_factorize, mixed_class_words,
                        r_factorize, rel_left, rel_right)
@@ -448,14 +447,12 @@ def test_oracles_match_per_word_loop(regex, m, ns):
     first_pass = None
     for n in ns:
         old_e = _per_word_oracle(mono, table.partition_equiv(m, n), table.words)
-        old_r = _per_word_oracle(mono, table.partition_right(m, n), table.words)
         assert _triple(oracle_equiv_refines_morphism(mono, m, n, 7)) == old_e
         assert _triple(oracle_equiv_refines_morphism(mono, m, n, 7, table=table)) == old_e
-        assert _triple(oracle_right_refines_morphism(mono, m, n, 7)) == old_r
-        failures += (not old_e[0]) + (not old_r[0])
+        failures += not old_e[0]
         if old_e[0] and first_pass is None:
             first_pass = n
-    assert failures >= len(ns)
+    assert failures >= 2  # every case fails at n = 1 and n = 2
     # ns runs 1, 2, ..., so the search finds the first passing n, or no n
     # and the counterexample at the last one
     expect = (first_pass, None) if first_pass else (None, old_e[1])
@@ -521,9 +518,8 @@ def test_oracle_budget_checked_before_enumerating(monkeypatch, capsys):
     assert main(["oracle", "--regex", "(a|b)*a", "--m", "1", "--max-len", "40"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
     mono = monoid_of("(a|b)*a")
-    for oracle in (oracle_equiv_refines_morphism, oracle_right_refines_morphism):
-        with pytest.raises(RankerBudgetError):
-            oracle(mono, 1, 1, 40)
+    with pytest.raises(RankerBudgetError):
+        oracle_equiv_refines_morphism(mono, 1, 1, 40)
 
 
 def test_oracle_word_tables_checked_before_enumerating(monkeypatch, capsys):
