@@ -334,8 +334,13 @@ class FiniteMonoid:
         R-class of a D-class meets each of its L-classes, so the least
         element of x's J-class is the least L-class minimum over the R-class
         of x: two passes over the elements, no third graph.  Cost O(|M|*|A|)
-        with a generator map, O(|M|^2) without.
+        with a generator map, O(|M|^2) without, or none when the reverse
+        monoid has them: its right graph is this one's left graph, so they
+        are its classes, label for label, with R and L swapped.
         """
+        if self._greens is None and self._reverse is not None and self._reverse._greens is not None:
+            g = self._reverse._greens   # the opposite monoid's, with R and L swapped
+            self._greens = GreensData(g.j_class, g.l_class, g.r_class)
         if self._greens is None:
             T = self._table
             gens = list(self.gens.values()) if self.gens is not None else slice(None)
@@ -569,11 +574,13 @@ def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
     passed on: DA is closed under reversal.  Built once per monoid and kept,
     like its other derived structure, so callers that mirror a monoid again
     and again (a loop over words that reads its L-classes as the reverse's
-    R-classes, say) share one copy and its Green's classes.
+    R-classes, say) share one copy.  The two are each other's reverse and
+    share their Green's classes (see ``FiniteMonoid.greens``).
     """
     if m._reverse is None:
         m._reverse = FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False,
                                   in_da=m._in_da)
+        m._reverse._reverse = m
     return m._reverse
 
 

@@ -89,15 +89,16 @@ class Ranker:
 
 
 def parse_ranker(text: str, alphabet=None) -> Ranker:
-    """Parse whitespace-separated tokens like ``Xa Yb Xc``."""
+    """Parse whitespace-separated tokens like ``Xa Yb Xc``: a direction and
+    one letter each, since words spell one character per letter."""
     toks = text.split()
     if not toks:
         raise RankerSyntaxError("empty ranker")
     steps = []
     for t in toks:
-        if len(t) < 2 or t[0] not in (X, Y):
+        if len(t) != 2 or t[0] not in (X, Y):
             raise RankerSyntaxError(f"bad ranker token {t!r}")
-        letter = t[1:]
+        letter = t[1]
         if alphabet is not None and letter not in alphabet:
             raise RankerSyntaxError(f"letter {letter!r} outside alphabet")
         steps.append((t[0], letter))
@@ -332,15 +333,19 @@ class RankerTable:
     which the oracles also read the word images off.  The next/previous-
     occurrence tables are laid out the same way, (max length + 2) x words
     per instruction, and filled by running minima and maxima along the
-    position axis, a whole row of words per step.  The words' letter and
+    position axis, a whole row of words per step; tables restricted to
+    fewer words share them and read their words' columns through a
+    word-column index.  The words' letter and
     occurrence tables are checked against physical memory with the rows,
     and words longer than int16 positions allow are refused.
-    The word rows are filled on demand, one depth at a time, each depth
-    one gather over all its rankers and words from the depth before (at
-    flat index (instruction * (max length + 2) + position) * words + word),
-    and kept as one block per depth: a partition at depth n fills and reads
-    only the blocks of depths <= n, and ``filled_depth`` says how deep the
-    table is filled.  Reading ``values`` or ``condensed`` fills every depth.
+    The word rows are two products, each filled on demand one depth at a
+    time and kept as one block per depth: positions (``filled_depth`` says
+    how deep), each depth one gather from the positions of the depth
+    before, and condensedness, built from the position blocks only when
+    ``condensed``, ``partition_right`` or ``partition_left`` first needs
+    the depth, so ``partition_equiv`` and the oracles compute none.  A
+    partition at depth n fills and reads only depths <= n; reading
+    ``values`` fills every depth of positions, ``condensed`` of both.
 
     The equivalence partition uses exact signatures: per word, the
     definedness bits of the distinct ranker value rows and their compressed
@@ -385,14 +390,12 @@ class RankerTable:
             before[...] = np.where(hit, pos + np.int16(1), np.int16(0))
             _accumulate_rows(np.maximum, before)
 
-        # The frontier keeps, per ranker of the last filled depth and word, the
-        # position p (0 when undefined), the open interval (lo, hi) it was
-        # reached in, and whether the run is condensed ("alive") so far.  At
-        # depth 1 the interval is (0, len + 1) for every ranker, one row each.
+        # depth 1's positions: X from 0, Y from len + 1; past depth 1, position
+        # 0 means undefined and stays so
         top = (codes >= 0).sum(axis=0, dtype=np.int16) + np.int16(1)
-        p = np.concatenate([occ[:k, 0], occ[k:, top, np.arange(W)]])
-        self._frontier = (p, np.zeros((1, W), dtype=np.int16), top[None, :], p != 0)
-        occ[:, 0] = 0  # past depth 1, position 0 means undefined and stays so
+        self._cols = np.arange(W)  # each word's column in the occurrence tables
+        self._first = np.concatenate([occ[:k, 0], occ[k:, top, self._cols]])
+        occ[:, 0] = 0
         self._occ = occ
 
         # The class structure, depth by depth: every ranker extended by every
@@ -426,49 +429,73 @@ class RankerTable:
         self.depth = np.concatenate(depth_l or [[]]).astype(np.int16)
         self.blocks = np.concatenate(blocks_l or [[]]).astype(np.int16)
         self._rankers: list[Ranker] | None = None
-        # one (rankers of the depth) x words block per filled depth
+        # one (rankers of the depth) x words block per filled depth, of
+        # positions and, built after them, of condensedness
         self._value_blocks: list[np.ndarray] = []
         self._condensed_blocks: list[np.ndarray] = []
         self.filled_depth = 0
+        # per ranker of the last condensed depth and word, the open interval
+        # (lo, hi) its position was reached in and whether it is condensed;
+        # before depth 1, (0, len + 1) and alive, one row for all rankers
+        self._interval = (np.zeros((1, W), dtype=np.int16), top[None, :], np.ones((1, W), dtype=bool))
         self._fill_lock = threading.Lock()
         self._partitions: dict[tuple[str, int, int], np.ndarray] = {}
 
     def _fill(self, n: int) -> int:
-        """Fill the rows of every depth up to n; returns their count.  The
-        lock keeps concurrent readers from appending a depth twice."""
+        """Fill the positions of every depth up to n; returns their rows'
+        count.  A depth is one gather from the occurrence tables at flat
+        index (instruction * (max length + 2) + parent's position) * columns
+        + the word's column.  The lock keeps concurrent readers from
+        appending a depth twice."""
         n = min(n, len(self._ends) - 1)
         W = len(self.words)
         rows = max(1, (1 << 17) // max(W, 1))  # bounds the flat-index temporary
         with self._fill_lock:
             while self.filled_depth < n:
                 depth = self.filled_depth + 1
-                p, lo, hi, alive = self._frontier
+                if depth == 1:
+                    p, self._first = self._first, None
+                else:
+                    parent, t = self._growth[depth - 2]
+                    pp = self._value_blocks[-1][parent]
+                    flat = self._occ.reshape(-1)
+                    stride = self._occ.shape[1] * self._occ.shape[2]  # one instruction's table
+                    p = np.empty_like(pp)
+                    for r in range(0, len(p), rows):
+                        at = pp[r:r + rows] * np.intp(self._occ.shape[2])
+                        at += (t[r:r + rows] * stride)[:, None]
+                        at += self._cols
+                        np.take(flat, at, out=p[r:r + rows])
+                self._value_blocks.append(p)
+                self.filled_depth = depth
+                if depth == len(self._ends) - 1:  # complete: no further depth reads them
+                    self._occ = self._cols = None
+        return self._ends[n]
+
+    def _fill_condensed(self, n: int) -> int:
+        """Fill the positions and then the condensedness of every depth up
+        to n; returns their rows' count.  A depth's (lo, hi, alive) follows
+        from its parent's and the positions of both depths: X moves right
+        from the parent's position p inside (p, hi), Y left inside (lo, p)."""
+        end = self._fill(n)
+        n = min(n, len(self._ends) - 1)
+        with self._fill_lock:
+            while len(self._condensed_blocks) < n:
+                depth = len(self._condensed_blocks) + 1
+                lo, hi, alive = self._interval
                 if depth > 1:
                     parent, t = self._growth[depth - 2]
                     is_y = (t >= len(self.alphabet))[:, None]
-                    pp = p[parent]
-                    # X moves right from p inside (p, hi), Y left from p inside (lo, p)
-                    flat = self._occ.reshape(-1)
-                    col = np.arange(W)
-                    stride = self._occ.shape[1] * W  # one instruction's table
-                    p = np.empty_like(pp)
-                    for r in range(0, len(p), rows):
-                        at = pp[r:r + rows] * np.intp(W)
-                        at += (t[r:r + rows] * stride)[:, None]
-                        at += col
-                        np.take(flat, at, out=p[r:r + rows])
+                    pp = self._value_blocks[depth - 2][parent]
                     # only depth 1's bounds have one row (for all of its >= 2 rankers)
                     lo = np.where(is_y, lo[parent] if len(lo) > 1 else lo, pp)
                     hi = np.where(is_y, pp, hi[parent] if len(hi) > 1 else hi)
-                    alive = alive[parent] & (lo < p) & (p < hi)
-                self._value_blocks.append(p)
+                    alive = alive[parent]
+                p = self._value_blocks[depth - 1]
+                alive = alive & (lo < p) & (p < hi)
                 self._condensed_blocks.append(alive)
-                self.filled_depth = depth
-                if depth < len(self._ends) - 1:
-                    self._frontier = (p, lo, hi, alive)
-                else:  # complete: the inputs of further depths are no longer needed
-                    self._frontier = self._occ = None
-        return self._ends[n]
+                self._interval = (lo, hi, alive) if depth < len(self._ends) - 1 else None
+        return end
 
     def _rows(self, blocks: list[np.ndarray], dtype, mask: np.ndarray | None = None) -> np.ndarray:
         """The rows of the per-depth blocks, all or those where mask (over
@@ -486,12 +513,14 @@ class RankerTable:
 
     def restricted(self, keep: np.ndarray) -> RankerTable:
         """The table over the words at the increasing indices keep, filled as
-        deep as this one.
+        deep as this one, in positions and in condensedness.
 
-        It shares the class arrays and slices the word axis of the filled
-        blocks, the frontier (whose depth-1 interval bounds stay one row for
-        all rankers) and the occurrence tables, so its deeper depths fill
-        only the kept words; the words are sliced as an object array.
+        It shares the class arrays and the occurrence tables, whose word
+        columns it reads through its own slice of the word-column index,
+        and slices the word axis of the blocks filled so far and of the
+        frontiers they grow from (depth 1's positions until they are
+        filled, the last condensed depth's intervals), so its deeper depths
+        fill only the kept words; the words are sliced as an object array.
         Every partition compares the words two at a time, so each partition
         of the restricted table is this one's restricted to keep, up to the
         numbering of the labels.
@@ -502,9 +531,12 @@ class RankerTable:
             sub = copy.copy(self)
             sub._value_blocks = [b[:, keep] for b in self._value_blocks]
             sub._condensed_blocks = [b[:, keep] for b in self._condensed_blocks]
-            if self._frontier is not None:
-                sub._frontier = tuple(a[:, keep] for a in self._frontier)
-                sub._occ = self._occ[:, :, keep]
+            if self._first is not None:
+                sub._first = self._first[:, keep]
+            if self._occ is not None:
+                sub._cols = self._cols[keep]
+            if self._interval is not None:
+                sub._interval = tuple(a[:, keep] for a in self._interval)
         sub._word_array = self._word_array[keep]
         sub.words = sub._word_array.tolist()
         sub._codes = None
@@ -537,7 +569,7 @@ class RankerTable:
     def condensed(self) -> np.ndarray:
         """Whether each ranker (row) is condensed on each word (column);
         reading it fills every depth."""
-        self._fill(self.max_depth)
+        self._fill_condensed(self.max_depth)
         return self._rows(self._condensed_blocks, bool)
 
     def _class_mask(self, start: str | None, m: int, n: int) -> np.ndarray:
@@ -555,7 +587,7 @@ class RankerTable:
     def _condensed_labels(self, kind: str, m: int, n: int, mask: np.ndarray) -> np.ndarray:
         key = (kind, m, n)
         if key not in self._partitions:
-            end = self._fill(n)
+            end = self._fill_condensed(n)
             rows = self._rows(self._condensed_blocks, bool, mask[:end])
             self._partitions[key] = _first_seen_labels(_pack_rows(rows).T)[0]
         return self._partitions[key]

@@ -270,6 +270,9 @@ def test_rankers_command(capsys):
     assert "position: undefined" in out
     code, _, err = run(capsys, "rankers", "--word", "abc", "--ranker", "Qa")
     assert code == 1
+    # words spell one character per letter, so a two-character letter never lands
+    code, out, err = run(capsys, "rankers", "--word", "abab", "--ranker", "Xab Ya")
+    assert code == 1 and out == "" and "bad ranker token 'Xab'" in err
 
 
 def test_greens_command(capsys):

@@ -403,6 +403,29 @@ def test_omega_table_and_da_match_scalar_references(dfa, minimal):
     assert m.is_aperiodic() == all(T[om[x]][x] == om[x] for x in range(m.size))
 
 
+def test_reverse_monoid_passes_greens_classes_on(distinct_monoids, da_chain_members):
+    # a monoid and its reverse are each other's reverse; whichever computes
+    # its Green's classes first hands them to the other, R and L swapped
+    def greens_arrays(g):
+        return g.j_class, g.r_class, g.l_class
+
+    for m in distinct_monoids + da_chain_members:
+        own = greens_arrays(FiniteMonoid(m.table, m.identity, gens=m.gens, validate=False).greens())
+        opposite = greens_arrays(
+            FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False).greens())
+        for first in ("monoid", "reverse"):
+            mono = FiniteMonoid(m.table, m.identity, gens=m.gens, validate=False)
+            rev = reverse_monoid(mono)
+            assert reverse_monoid(rev) is mono
+            ahead, behind = (mono, rev) if first == "monoid" else (rev, mono)
+            g = ahead.greens()
+            passed = behind.greens()
+            assert passed.r_class is g.l_class and passed.l_class is g.r_class
+            assert passed.j_class is g.j_class
+            for got, expect in ((mono.greens(), own), (rev.greens(), opposite)):
+                assert all(np.array_equal(a, b) for a, b in zip(greens_arrays(got), expect)), first
+
+
 # -- checks that only file inputs run -----------------------------------------
 
 def test_built_monoids_pass_the_generation_walk(distinct_monoids, da_chain_members):

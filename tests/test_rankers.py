@@ -37,7 +37,7 @@ def test_parse_ranker():
     r = parse_ranker("Xa Yb Xc")
     assert r.depth == 3 and r.blocks == 3 and str(r) == "Xa Yb Xc"
     assert parse_ranker("Xa Xb Ya").blocks == 2
-    for bad in ["", "Za", "X", "xa"]:
+    for bad in ["", "Za", "X", "xa", "Xab", "Xa Xbc"]:
         with pytest.raises(RankerSyntaxError):
             parse_ranker(bad)
     with pytest.raises(RankerSyntaxError):
@@ -603,6 +603,48 @@ def test_partitions_in_any_order_match_a_completed_table(table_ab6):
         assert np.array_equal(lazy.condensed, done.condensed)
 
 
+def _scalar_condensed(table):
+    return np.array([[is_condensed(r, w) for w in table.words] for r in table.rankers], dtype=bool)
+
+
+def test_condensedness_read_after_the_positions_matches_a_completed_table(table_ab6):
+    # positions and condensedness are separate on-demand products: an
+    # equivalence partition fills positions only, and condensedness read
+    # afterwards, one depth at a time, is what a completed table holds
+    for base in _lazy_table_cases(table_ab6):
+        done, lazy = _fresh(base), _fresh(base)
+        expect = done.condensed
+        assert np.array_equal(expect, _scalar_condensed(done))
+        lazy.partition_equiv(1, base.max_depth)
+        assert lazy.filled_depth == base.max_depth and lazy._condensed_blocks == []
+        m = base.max_blocks
+        for n in range(1, base.max_depth + 1):
+            for kind in ("partition_right", "partition_left"):
+                assert np.array_equal(getattr(lazy, kind)(m, n), getattr(done, kind)(m, n)), (kind, n)
+            assert len(lazy._condensed_blocks) == n
+            lo, hi = lazy._ends[n - 1], lazy._ends[n]
+            assert np.array_equal(lazy._condensed_blocks[-1], expect[lo:hi]), n
+        assert np.array_equal(lazy.condensed, expect)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shuffled_word_lists(), st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_condensedness_first_read_on_a_restricted_table(case, depth, condensed, rng):
+    # the full table is filled to depth in positions and to at most that in
+    # condensedness before it is restricted
+    alpha, words = case
+    full = RankerTable(alpha, 3, 4, words)
+    full._fill(depth)
+    full._fill_condensed(min(depth, condensed))
+    keep = np.flatnonzero([rng.random() < 0.4 for _ in words])
+    sub = full.restricted(keep)
+    assert len(sub._condensed_blocks) == min(depth, condensed) and sub.filled_depth == depth
+    got = sub.condensed
+    assert np.array_equal(got, _scalar_condensed(sub))
+    assert np.array_equal(got, _fresh(full).condensed[:, keep])
+    assert full.filled_depth == depth and len(full._condensed_blocks) == min(depth, condensed)
+
+
 def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
     # n = 3 passes up to length 9; length 10 needs n = 4.  After each failing
     # n the search partitions only the words of classes that mix images.
@@ -620,6 +662,8 @@ def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
     assert calls[0][2] == len(table.words) == 2047
     assert calls[3][2] <= 0.1 * len(table.words)
     assert table.filled_depth <= max(n for t, n, _ in calls if t is table)
+    # the search reads positions only: no table builds a condensed block
+    assert all(t._condensed_blocks == [] for t, _, _ in calls)
 
 
 def test_least_oracle_n_encodes_its_words_once(monkeypatch):
@@ -653,19 +697,22 @@ def test_least_oracle_n_encodes_its_words_once(monkeypatch):
 @given(_shuffled_word_lists(), st.integers(0, 2), st.randoms(use_true_random=False))
 def test_occurrence_tables_match_scalar_next_and_prev(case, depth, rng):
     # positions x words per instruction, the words on the last axis; the
-    # restricted table slices that axis
+    # restricted table shares the tables and reads its words' columns
+    # through its word-column index
     alpha, words = case
     table = RankerTable(alpha, 2, 3, words)
     table._fill(depth)
     keep = np.flatnonzero([rng.random() < 0.5 for _ in words])
     k, top = len(alpha), table._maxlen + 1
     for tab in (table, table.restricted(keep)):
-        assert tab._occ.shape == (2 * k, top + 1, len(tab.words))
+        assert tab._occ is table._occ and tab._occ.shape == (2 * k, top + 1, len(words))
+        assert len(tab._cols) == len(tab.words)
         for i, a in enumerate(alpha):
             for t, scalar in ((i, next_pos), (k + i, prev_pos)):
                 # position 0 reads 0 (undefined) once depth 1 is built
                 expect = [[0] + [scalar(w, a, x) or 0 for x in range(1, top + 1)] for w in tab.words]
-                assert np.array_equal(tab._occ[t].T, np.reshape(expect, (-1, top + 1))), (a, scalar)
+                got = tab._occ[t][:, tab._cols].T
+                assert np.array_equal(got, np.reshape(expect, (-1, top + 1))), (a, scalar)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 53])
@@ -700,19 +747,22 @@ def test_construction_fills_no_row(monkeypatch):
 
 
 def test_concurrent_partitions_fill_each_depth_once(table_ab6):
-    requests = [(m, n) for m in range(1, 4) for n in range(1, 4)] * 2
+    # positions and condensedness are filled under one lock, in either order
+    requests = [(kind, m, n) for kind in ("partition_equiv", "partition_right")
+                for m in range(1, 4) for n in range(1, 4)] * 2
     random.Random(8).shuffle(requests)
-    expect = {mn: table_ab6.partition_equiv(*mn) for mn in requests}
+    expect = {r: getattr(table_ab6, r[0])(*r[1:]) for r in requests}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
             lazy = _fresh(table_ab6)
             with ThreadPoolExecutor(max_workers=6) as pool:
-                got = list(pool.map(lambda mn: lazy.partition_equiv(*mn), requests, timeout=60))
+                got = list(pool.map(lambda r: getattr(lazy, r[0])(*r[1:]), requests, timeout=60))
             assert np.array_equal(lazy.values, table_ab6.values)
-            for mn, labels in zip(requests, got):
-                assert np.array_equal(labels, expect[mn]), mn
+            assert np.array_equal(lazy.condensed, table_ab6.condensed)
+            for r, labels in zip(requests, got):
+                assert np.array_equal(labels, expect[r]), r
     finally:
         sys.setswitchinterval(switch)
 
