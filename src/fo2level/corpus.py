@@ -217,7 +217,7 @@ def check_oracle_bounds(entries, max_n: int = 8, max_len: int = 6) -> CheckResul
         alpha = tuple(e.monoid.gens)
         key = (alpha, m)
         if key not in tables:
-            tables[key] = RankerTable(alpha, m, max_n, all_words(alpha, max_len))
+            tables[key] = RankerTable(alpha, m, max_n, max_len)
         n, counterexample = least_oracle_n(e.monoid, m, max_n, max_len, table=tables[key])
         checked += 1
         if n is None:
@@ -240,9 +240,9 @@ def _word_table(alphabet, max_len: int, max_m: int, max_n: int, table: RankerTab
     the mirror view reads the labels of the reversed factors of the pair."""
     alphabet = tuple(alphabet)
     if table is None:
-        table = RankerTable(alphabet, max_m, max_n, all_words(alphabet, max_len))
-    views = [(words, {w: k for k, w in enumerate(words)})
-             for words in (table.words, [w[::-1] for w in table.words])]
+        table = RankerTable(alphabet, max_m, max_n, max_len)
+    words = list(table.words)
+    views = [(view, {w: k for k, w in enumerate(view)}) for view in (words, [w[::-1] for w in words])]
     return alphabet, table, views
 
 

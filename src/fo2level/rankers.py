@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import copy
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import all_words
-from .monoid import FiniteMonoid, _first_seen_labels, _physical_memory
+from .monoid import FiniteMonoid, _first_seen_labels, _fold_labels, _physical_memory
 
 X = "X"
 Y = "Y"
@@ -256,19 +256,54 @@ def _check_fits(need: int, what: str) -> None:
                                 f"but {have / 2**30:.1f} GiB is available")
 
 
-def _word_lengths(words: list[str]) -> np.ndarray:
-    return np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-
-
-def _letter_codes(words: list[str], lens: np.ndarray) -> np.ndarray:
-    """Code point of every letter as a max-length x words matrix, position-major
-    (row x holds letter x + 1 of every word), padded with -1 (no letter); a
-    letter outside any alphabet keeps its code.  lens are the word lengths."""
+def _letter_codes(words: list[str], lens: np.ndarray, alphabet: tuple) -> _Words:
+    """A word list (of lengths lens) as a letter matrix, max length x words,
+    position-major (row x holds letter x + 1 of every word).  A cell holds
+    its letter's index among the names, the alphabet and then the words'
+    other letters in code-point order, and the padding the index after."""
+    text = "".join(words)
+    found = sorted(set(text))  # in code-point order
+    names = alphabet + tuple(a for a in found if a not in alphabet)
+    index = np.array([names.index(a) for a in found], dtype=np.min_scalar_type(len(names)))
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     maxlen = int(lens.max(initial=0))
-    codes = np.full((maxlen, len(words)), -1, dtype=np.int32)
-    codes.T[np.arange(maxlen) < lens[:, None]] = np.frombuffer(
-        "".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    return codes
+    letters = np.full((maxlen, len(words)), len(names), dtype=index.dtype)
+    letters.T[np.arange(maxlen) < lens[:, None]] = index[np.searchsorted([ord(a) for a in found], codes)]
+    return _Words(letters, lens, names)
+
+
+def _all_word_letters(alphabet: tuple, max_len: int) -> _Words:
+    """All words over the alphabet up to max_len, in ``all_words`` order,
+    laid out as ``_letter_codes`` lays them out, built with no string: each
+    length's columns are the previous length's, each extended by every
+    letter."""
+    k = len(alphabet)
+    counts = [k ** length for length in range(max_len + 1)] if k else [1]
+    lens = np.repeat(np.arange(len(counts)), counts)
+    letters = np.full((len(counts) - 1, len(lens)), k, dtype=np.min_scalar_type(k))
+    start = 1
+    for length in range(1, len(counts)):
+        block = letters[:, start:start + counts[length]]
+        block[:length - 1] = np.repeat(letters[:length - 1, start - counts[length - 1]:start], k, axis=1)
+        block[length - 1].reshape(-1, k)[...] = np.arange(k)  # a row is contiguous: a view
+        start += counts[length]
+    return _Words(letters, lens, alphabet)
+
+
+def _all_words_size(k: int, max_len: int, max_words: int) -> tuple[int, int]:
+    """The number of words over k letters up to max_len and of their letters
+    in all; RankerBudgetError when the words are more than max_words."""
+    total = letters = 0
+    term = 1
+    for length in range(max_len + 1):
+        total += term
+        letters += length * term
+        if total > max_words:
+            raise RankerBudgetError(f"more than {max_words} words up to length {max_len}")
+        term *= k
+        if not term:
+            break
+    return total, letters
 
 
 def _accumulate_rows(ufunc, a: np.ndarray) -> np.ndarray:
@@ -304,15 +339,51 @@ def _word_table_bytes(k: int, count: int, letters: int, maxlen: int) -> int:
     """Bytes a table over count words (letters in all, the longest maxlen
     letters) holds besides its ranker rows, counted before any word exists.
 
-    That is the words (as str objects, list, object-array and index
-    entries, and as the UTF-32 buffer ``_letter_codes`` reads) and, per
-    cell of the (maxlen + 2) x words grid, the int32 letter matrix (kept
-    for the word images), the 2k int16 occurrence tables and temporaries.
-    Words longer than int16 positions allow are refused outright.
+    An upper bound, the same for every table: the words as strings (str
+    objects, list and index entries, which a table over all words builds
+    only when ``words`` is read), the UTF-32 buffer and letter indices
+    ``_letter_codes`` encodes a list through, and, per cell of the
+    (maxlen + 2) x words grid, the letter matrix (one byte a cell, counted
+    as four), the 2k int16 occurrence tables and temporaries.  Words longer
+    than int16 positions allow are refused outright.
     """
     if maxlen > _MAX_WORD_LEN:
         raise RankerBudgetError(f"words longer than {_MAX_WORD_LEN} letters")
     return 200 * count + 9 * letters + (12 + 4 * k) * count * (maxlen + 2)
+
+
+class _Words(Sequence):
+    """A table's words: the letter matrix, the word lengths, the letter
+    names and the words' columns in the matrix.  As a sequence of strings
+    its length is known at once and the strings are decoded all together,
+    once, on the first read; ``word(i)`` decodes one alone."""
+
+    def __init__(self, letters: np.ndarray, lens: np.ndarray, names: tuple, cols=None):
+        self.letters, self.lens, self.names = letters, lens, names
+        self.cols = np.arange(len(lens)) if cols is None else cols
+        self._list, self._lock = None, threading.Lock()
+
+    def word(self, i) -> str:
+        col = self.cols[i]
+        return "".join(map(self.names.__getitem__, self.letters[:self.lens[col], col].tolist()))
+
+    def _decoded(self) -> list[str]:
+        with self._lock:
+            if self._list is None:
+                self._list = [self.word(i) for i in range(len(self.cols))]
+        return self._list
+
+    def __len__(self):
+        return len(self.cols)
+
+    def __getitem__(self, i):
+        return self._decoded()[i]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other):
+        return self._decoded() == other
 
 
 class RankerTable:
@@ -326,16 +397,15 @@ class RankerTable:
     before any row is allocated.
 
     The constructor enumerates the class as arrays (each ranker's start,
-    depth, blocks, parent and last instruction, at O(rankers) with no
-    factor for the word count; the ``Ranker`` objects are built on first
-    read of ``rankers``) and encodes the words once, as a letter matrix
-    laid out position-major (positions x words, words on the long axis),
-    which the oracles also read the word images off.  The next/previous-
-    occurrence tables are laid out the same way, (max length + 2) x words
-    per instruction, and filled by running minima and maxima along the
-    position axis, a whole row of words per step; tables restricted to
-    fewer words share them and read their words' columns through a
-    word-column index.  The words' letter and
+    depth, blocks, parent and last instruction, at O(rankers); the
+    ``Ranker`` objects are built on first read of ``rankers``).  words is a
+    list of distinct words, or an int max_len for all words (at most
+    ``MAX_WORDS``) over the one-character letters up to that length in
+    ``all_words`` order; either way the table holds them as one letter
+    matrix, position-major (positions x words), and decodes strings only
+    when they are read (``_Words``).  The next/previous-occurrence tables
+    are laid out the same way, (max length + 2) x words per instruction,
+    and filled by running minima and maxima along the position axis.  Letter and
     occurrence tables are checked against physical memory with the rows,
     and words longer than int16 positions allow are refused.
     The word rows are two products, each filled on demand one depth at a
@@ -359,25 +429,32 @@ class RankerTable:
         self.alphabet = tuple(alphabet)
         self.max_blocks = max_blocks
         self.max_depth = max_depth
-        self.words = list(words)
-        if len(set(self.words)) != len(self.words):
-            raise ValueError("duplicate words")
-        total = _ranker_count(len(self.alphabet), max_blocks, max_depth, max_rankers)
-        W, k = len(self.words), len(self.alphabet)
-        lens = _word_lengths(self.words)
-        maxlen = int(lens.max(initial=0))
-        _check_fits(3 * total * W + _word_table_bytes(k, W, int(lens.sum()), maxlen),
+        k = len(self.alphabet)
+        total = _ranker_count(k, max_blocks, max_depth, max_rankers)
+        if isinstance(words, int):
+            if any(len(a) != 1 for a in self.alphabet):
+                raise ValueError("words spell one character per letter")
+            W, letters = _all_words_size(k, words, MAX_WORDS)
+            maxlen = words if k else 0
+        else:
+            words = list(words)
+            if len(set(words)) != len(words):
+                raise ValueError("duplicate words")
+            lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+            W, letters, maxlen = len(words), int(lens.sum()), int(lens.max(initial=0))
+        _check_fits(3 * total * W + _word_table_bytes(k, W, letters, maxlen),
                     f"{total} rankers x {W} words up to length {maxlen}")
-        self._codes = codes = _letter_codes(self.words, lens)
-        self._word_array: np.ndarray | None = None
+        self.words = (_all_word_letters(self.alphabet, maxlen) if isinstance(words, int)
+                      else _letter_codes(words, lens, self.alphabet))
         self._maxlen = maxlen
+        letters = self.words.letters
         # occ[t, x, j] for x in 0..maxlen+1: for instruction t = (X, a) the first
         # a-position of word j after x, for t = (Y, a) the last one before x;
         # 0 when there is none
         occ = np.zeros((2 * k, maxlen + 2, W), dtype=np.int16)
         pos = np.arange(maxlen, dtype=np.int16)[:, None]  # position - 1 of each row
         for i, a in enumerate(self.alphabet):
-            hit = codes == (ord(a) if len(a) == 1 else -2)  # -2 matches no position
+            hit = letters == i
             # position - 1 where a occurs, else -1, whose uint16 view 65535 is
             # above every position: the running minimum from the end, plus 1,
             # is the next position, and none wraps round to 0
@@ -392,9 +469,8 @@ class RankerTable:
 
         # depth 1's positions: X from 0, Y from len + 1; past depth 1, position
         # 0 means undefined and stays so
-        top = (codes >= 0).sum(axis=0, dtype=np.int16) + np.int16(1)
-        self._cols = np.arange(W)  # each word's column in the occurrence tables
-        self._first = np.concatenate([occ[:k, 0], occ[k:, top, self._cols]])
+        top = (self.words.lens + 1).astype(np.int16)
+        self._first = np.concatenate([occ[:k, 0], occ[k:, top, self.words.cols]])
         occ[:, 0] = 0
         self._occ = occ
 
@@ -464,12 +540,12 @@ class RankerTable:
                     for r in range(0, len(p), rows):
                         at = pp[r:r + rows] * np.intp(self._occ.shape[2])
                         at += (t[r:r + rows] * stride)[:, None]
-                        at += self._cols
+                        at += self.words.cols
                         np.take(flat, at, out=p[r:r + rows])
                 self._value_blocks.append(p)
                 self.filled_depth = depth
                 if depth == len(self._ends) - 1:  # complete: no further depth reads them
-                    self._occ = self._cols = None
+                    self._occ = None
         return self._ends[n]
 
     def _fill_condensed(self, n: int) -> int:
@@ -515,31 +591,26 @@ class RankerTable:
         """The table over the words at the increasing indices keep, filled as
         deep as this one, in positions and in condensedness.
 
-        It shares the class arrays and the occurrence tables, whose word
-        columns it reads through its own slice of the word-column index,
-        and slices the word axis of the blocks filled so far and of the
-        frontiers they grow from (depth 1's positions until they are
-        filled, the last condensed depth's intervals), so its deeper depths
-        fill only the kept words; the words are sliced as an object array.
-        Every partition compares the words two at a time, so each partition
-        of the restricted table is this one's restricted to keep, up to the
+        It shares the class arrays, the letter matrix and the occurrence
+        tables, whose word columns it reads through its own slice of the
+        word-column index, and slices the word axis of the blocks filled so
+        far and of the frontiers they grow from (depth 1's positions until
+        they are filled, the last condensed depth's intervals), so its
+        deeper depths fill only the kept words; it builds no string.  Every
+        partition compares the words two at a time, so each partition of
+        the restricted table is this one's restricted to keep, up to the
         numbering of the labels.
         """
         with self._fill_lock:
-            if self._word_array is None:
-                self._word_array = np.array(self.words, dtype=object)
             sub = copy.copy(self)
             sub._value_blocks = [b[:, keep] for b in self._value_blocks]
             sub._condensed_blocks = [b[:, keep] for b in self._condensed_blocks]
             if self._first is not None:
                 sub._first = self._first[:, keep]
-            if self._occ is not None:
-                sub._cols = self._cols[keep]
             if self._interval is not None:
                 sub._interval = tuple(a[:, keep] for a in self._interval)
-        sub._word_array = self._word_array[keep]
-        sub.words = sub._word_array.tolist()
-        sub._codes = None
+        w = self.words
+        sub.words = _Words(w.letters, w.lens, w.names, w.cols[keep])
         sub._fill_lock = threading.Lock()
         sub._partitions = {}
         return sub
@@ -628,18 +699,15 @@ class RankerTable:
         agree on definedness and on the sign of every in-force pair, and
         labels are numbered by first appearance in the word list.
 
-        Cost: O(W * (P + max length)) for W words.  The selected rows are
-        copied once out of the depth blocks.  Profiles are ordered by the
-        families their rankers belong to, so that the rows and the columns
-        of each block are ranges of profiles, read as slices.  The level
-        grids of both blocks lie side by side, level-major, (max length + 1)
-        levels by two chunks of words, so that the running maximum (the
-        type of the previous present level) and the running sum of rank
-        increments each take one pass along axis 0 for both blocks of the
-        whole chunk.  A chunk holds about 2**20 value and level cells.
-        Ranks never exceed the number of levels, so they take one byte
-        while words are shorter than 255 letters and two after.  The keys
-        are checked against the memory available before they are allocated.
+        Cost: O(W * (P + max length)) for W words.  Profiles are labelled
+        through a dict of their row bytes and ordered by family through a
+        presence mask over the 6 * P (group, profile) slots, so each block's
+        rows and columns are ranges of profiles.  The level grids of both
+        blocks lie side by side, level-major, in chunks of about 2**20
+        cells, so the running maximum and the running sum of rank increments
+        each take one pass along the level axis.  Ranks take one byte below
+        255 letters and two after; the keys are checked against the memory
+        available before they are allocated.
         """
         key = ("E", m, n)
         if key in self._partitions:
@@ -647,7 +715,8 @@ class RankerTable:
         end = self._fill(n)
         sel = self._class_mask(None, m, n)[:end]
         V = self._rows(self._value_blocks, np.int16, sel)
-        plabels, pfirst = _first_seen_labels(V.view(np.uint8))
+        plabels = _fold_labels(V)  # few wide rows
+        pfirst = _first_indices(plabels)
         P = len(pfirst)
         # Each ranker's group: X-start of depth n, X-start of depth < n with
         # m blocks, X-start of depth < n with fewer, then the Y-start ones in
@@ -657,7 +726,9 @@ class RankerTable:
         # groups 0-2, X columns 2-4, Y rows 3-5 and Y columns 1-3.
         shallow = self.depth[:end][sel] < n
         inward = shallow * (1 + (self.blocks[:end][sel] < m))
-        pair = np.unique(np.where(self.start[:end][sel] == 1, 5 - inward, inward) * P + plabels)
+        present = np.zeros(6 * P, dtype=bool)  # per (group, profile) slot, in order
+        present[np.where(self.start[:end][sel] == 1, 5 - inward, inward) * P + plabels] = True
+        pair = np.flatnonzero(present)
         profiles = V[pfirst[pair % max(P, 1)]]
         g = [0, *np.searchsorted(pair, np.arange(1, 7) * P).tolist()]  # g[i]: profiles in groups < i
         # per block that puts a pair in force: its rows, its columns, both
@@ -724,77 +795,62 @@ class OracleOutcome:
 
 def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
                   table: RankerTable | None, max_words: int) -> RankerTable:
-    """The given table, or one over all words up to max_len.  The generator
-    names must be single letters, the word count is checked against
-    max_words, and the word tables against physical memory, before any
-    word is enumerated."""
+    """The given table, or one over all words up to max_len, whose letter
+    matrix is built directly, with no string.  The generator names must be
+    single letters, the word count is checked against max_words, and the
+    word tables against physical memory, before any word is enumerated."""
     if monoid.gens is None:
         raise ValueError("oracle needs a monoid with a generator map")
     alphabet = tuple(monoid.gens)
     for a in alphabet:
         if len(a) != 1:
             raise ValueError(f"oracle needs one-letter generator names, not {a!r}")
-    total = letters = 0
-    term = 1
-    for length in range(max_len + 1):
-        total += term
-        letters += length * term
-        if total > max_words:
-            raise RankerBudgetError(f"more than {max_words} words up to length {max_len}")
-        term *= len(alphabet)
-        if not term:
-            break
+    total, letters = _all_words_size(len(alphabet), max_len, max_words)
     if table is None:
         longest = max_len if alphabet else 0
         _check_fits(_word_table_bytes(len(alphabet), total, letters, longest),
                     f"tables of {total} words up to length {longest}")
-        table = RankerTable(alphabet, m, n, all_words(alphabet, max_len))
+        table = RankerTable(alphabet, m, n, max_len)
     return table
 
 
 def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
-    """Images of the table's words under the generator morphism (whose
-    names are single letters), read off the table's letter matrix (a
-    restricted table encodes its words here): one search of the generator
-    code points per slice of about 2**16 cells, then one gather per
-    position; raises like ``eval_word`` on the first unknown letter."""
+    """Images of the table's words under the generator morphism, read off
+    the letter matrix at the table's word columns, full or restricted: per
+    slice of about 2**16 cells one take of each letter index's generator
+    (the identity for the padding), then one flat take from the monoid
+    table per position.  The first word with a letter the monoid lacks
+    raises ``eval_word``'s error."""
     words = table.words
-    codes = _letter_codes(words, _word_lengths(words)) if table._codes is None else table._codes
-    # generator code points, sorted, behind a sentinel that matches no letter
-    # and the padding, whose image is the identity
-    gens = sorted((ord(a), g) for a, g in monoid.gens.items())
-    gen_code = np.array([-2, -1] + [c for c, _ in gens], dtype=np.int32)
-    gen_elem = np.array([monoid.identity] * 2 + [g for _, g in gens], dtype=np.intp)
+    gen = np.array([monoid.gens.get(a, -1) for a in words.names] + [monoid.identity], dtype=np.intp)
+    lacks = gen < 0
+    if lacks.any():
+        hit = lacks.take(words.letters.take(words.cols, axis=1)).any(axis=0)
+        if hit.any():
+            monoid.eval_word(words.word(int(np.argmax(hit))))  # raises
+    flat, size = monoid.table.reshape(-1), np.intp(monoid.size)
     images = np.full(len(words), monoid.identity, dtype=np.intp)
-    unknown = np.zeros(len(words), dtype=bool)
     rows = max(1, (1 << 16) // max(len(words), 1))
-    for x in range(0, len(codes), rows):
-        block = codes[x:x + rows]
-        at = np.searchsorted(gen_code, block)
-        np.minimum(at, len(gen_code) - 1, out=at)
-        bad = gen_code[at] != block
-        if bad.any():
-            unknown |= bad.any(axis=0)
-            at[bad] = 0
-        for elem in gen_elem[at]:
-            images = monoid.table[images, elem]
-    if unknown.any():
-        word = words[int(np.argmax(unknown))]
-        raise ValueError(f"unknown letter {next(a for a in word if a not in monoid.gens)!r}")
+    for x in range(0, len(words.letters), rows):
+        for elem in gen.take(words.letters[x:x + rows].take(words.cols, axis=1)):
+            elem += images * size
+            images = flat.take(elem)
     return images
+
+
+def _first_indices(labels: np.ndarray) -> np.ndarray:
+    """The index of the first row labelled k, for each k, of labels numbered
+    by first appearance: where the running maximum grows, with no sort."""
+    grows = np.ones(len(labels), dtype=bool)
+    top = np.maximum.accumulate(labels)
+    np.greater(top[1:], top[:-1], out=grows[1:])
+    return np.flatnonzero(grows)
 
 
 def _violations(labels: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per word, the index of the first word (in list order) of its label
-    class, and whether the two words' images differ.
-
-    Labels are numbered by first appearance, so the first word of class k
-    is where the running maximum of the labels first reaches k: no sort.
-    """
-    grows = np.ones(len(labels), dtype=bool)
-    top = np.maximum.accumulate(labels)
-    np.greater(top[1:], top[:-1], out=grows[1:])
-    rep = np.flatnonzero(grows)[labels]
+    class, and whether the two words' images differ."""
+    rep = _first_indices(labels)[labels]
     return rep, images != images[rep]
 
 
@@ -822,7 +878,7 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     classes = int(labels.max(initial=-1)) + 1
     if bad.any():
         j = int(np.argmax(bad))
-        return OracleOutcome(False, (table.words[rep[j]], table.words[j]), classes)
+        return OracleOutcome(False, (table.words.word(rep[j]), table.words.word(j)), classes)
     return OracleOutcome(True, None, classes)
 
 
@@ -854,7 +910,7 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
         if not bad.any():
             return n, None
         j = int(np.argmax(bad))
-        counterexample = (table.words[rep[j]], table.words[j])
+        counterexample = (table.words.word(rep[j]), table.words.word(j))
         keep = _mixed_words(labels, bad)
         table, images = table.restricted(keep), images[keep]
     return None, counterexample

@@ -313,7 +313,7 @@ def test_oracle_refuses_multi_letter_generators(flag, text, tmp_path, capsys, mo
     def refuse(*_args, **_kwargs):
         raise AssertionError("words enumerated before the generator names were checked")
 
-    monkeypatch.setattr(rankers_module, "all_words", refuse)
+    monkeypatch.setattr(rankers_module, "_all_word_letters", refuse)
     p = tmp_path / "input"
     p.write_text(text)
     code, _, err = run(capsys, "oracle", flag, str(p), "--m", "1", "--max-len", "3")

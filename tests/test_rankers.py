@@ -15,11 +15,11 @@ from conftest import left_zero, preorders, trivial, two_element_zero
 from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
 from fo2level.cli import main
 from fo2level.corpus import random_dfa
-from fo2level.monoid import transition_monoid
+from fo2level.monoid import FiniteMonoid, transition_monoid
 from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError,
                               RankerTable, enumerate_rankers, eval_ranker,
                               is_condensed, is_condensed_no_overrun,
-                              _mixed_words, _pack_rows, _violations,
+                              _mixed_words, _pack_rows, _violations, _word_images,
                               least_oracle_n, next_pos,
                               oracle_equiv_refines_morphism, parse_ranker,
                               prev_pos, subwords_upto)
@@ -509,11 +509,55 @@ def test_oracle_images_refuse_unknown_letters():
         oracle_equiv_refines_morphism(monoid_of("(ab)*"), 1, 1, 4, table=table)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_word_matrices_decode_and_map_like_the_word_strings(k, max_len, rng):
+    # the matrix of all words is built with no string, the same as encoding
+    # the all_words list; restrictions decode their kept words; the word
+    # images are eval_word's on full, restricted and string-built tables,
+    # shuffled and with the foreign letter d, which the monoid also reads
+    alpha = tuple("abc"[:k])
+    words = all_words(alpha, max_len)
+    direct, encoded = RankerTable(alpha, 1, 1, max_len), RankerTable(alpha, 1, 1, words)
+    assert direct.words.names == encoded.words.names == alpha
+    assert np.array_equal(direct.words.letters, encoded.words.letters)
+    assert np.array_equal(direct.words.lens, encoded.words.lens)
+    assert [direct.words.word(i) for i in range(len(words))] == words == direct.words
+    with pytest.raises(ValueError, match="one character per letter"):
+        RankerTable(alpha + ("de",), 1, 1, max_len)
+    keep = np.flatnonzero([rng.random() < 0.4 for _ in words])
+    sub = direct.restricted(keep)
+    assert sub.words == [words[i] for i in keep] == [sub.words.word(i) for i in range(len(keep))]
+    foreign = all_words(alpha + ("d",), min(max_len, 4))
+    rng.shuffle(foreign)
+    shuffled = RankerTable(alpha, 1, 1, foreign)
+    assert shuffled.words == foreign and shuffled.words.names == alpha + (("d",) if max_len else ())
+    built = transition_monoid(minimize(random_dfa(rng, 4, alpha + ("d",))))
+    # relabelled so that the identity, which pads the words, is the last element
+    perm = (np.arange(built.size) - 1) % built.size
+    relabelled = np.empty_like(built.table)
+    relabelled[np.ix_(perm, perm)] = perm[built.table]
+    mono = FiniteMonoid(relabelled, int(perm[built.identity]),
+                        {a: int(perm[g]) for a, g in built.gens.items()})
+    for table in (direct, sub, encoded, shuffled, shuffled.restricted(keep[keep < len(foreign)])):
+        assert _word_images(mono, table).tolist() == [mono.eval_word(w) for w in table.words]
+    # a passed-in table with a letter the monoid lacks: eval_word's error on
+    # the first word that holds one
+    lacking = transition_monoid(minimize(random_dfa(rng, 4, alpha)))
+    if "d" in shuffled.words.names:
+        with pytest.raises(ValueError) as expect:
+            [lacking.eval_word(w) for w in shuffled.words]
+        with pytest.raises(ValueError, match=f"^{expect.value}$"):
+            _word_images(lacking, shuffled)
+        with pytest.raises(ValueError, match=f"^{expect.value}$"):
+            oracle_equiv_refines_morphism(lacking, 1, 1, max_len, table=shuffled)
+
+
 def test_oracle_budget_checked_before_enumerating(monkeypatch, capsys):
     def refuse(*_args, **_kwargs):
         raise AssertionError("words enumerated before the budget check")
 
-    monkeypatch.setattr(fo2level.rankers, "all_words", refuse)
+    monkeypatch.setattr(fo2level.rankers, "_all_word_letters", refuse)
     monkeypatch.setattr(fo2level.automata, "all_words", refuse)
     assert main(["oracle", "--regex", "(a|b)*a", "--m", "1", "--max-len", "40"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
@@ -526,7 +570,7 @@ def test_oracle_word_tables_checked_before_enumerating(monkeypatch, capsys):
     def refuse(*_args, **_kwargs):
         raise AssertionError("words or letter tables built before the memory check")
 
-    monkeypatch.setattr(fo2level.rankers, "all_words", refuse)
+    monkeypatch.setattr(fo2level.rankers, "_all_word_letters", refuse)
     monkeypatch.setattr(fo2level.automata, "all_words", refuse)
     monkeypatch.setattr(fo2level.rankers, "_letter_codes", refuse)
     # 30 001 unary words: the letter and occurrence tables alone take gigabytes
@@ -667,30 +711,39 @@ def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
 
 
 def test_least_oracle_n_encodes_its_words_once(monkeypatch):
-    encoded = []
-    letter_codes = fo2level.rankers._letter_codes
-
-    def counting(words, *lens):
-        encoded.append(len(words))
-        return letter_codes(words, *lens)
-
-    monkeypatch.setattr(fo2level.rankers, "_letter_codes", counting)
-    mono = monoid_of("(a|b)*abb(a|b)*")
+    # a table over a word list is encoded when it is built
     words = all_words(("a", "b"), 8)
-    got = least_oracle_n(mono, 1, 6, 8)
-    # the table and the word images read one letter matrix; the restricted
-    # tables of the later n encode nothing
-    assert encoded == [len(words)]
-    # a table passed in was encoded when it was built, and is read as it is
     table = RankerTable(("a", "b"), 1, 6, words)
-    encoded.clear()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("words spelled or encoded after the tables were built")
+
+    restricted = []
+    restrict = RankerTable.restricted
+
+    def recording(self, keep):
+        sub = restrict(self, keep)
+        restricted.append((self, sub))
+        return sub
+
+    monkeypatch.setattr(fo2level.automata, "all_words", refuse)
+    monkeypatch.setattr(fo2level.rankers, "_letter_codes", refuse)
+    monkeypatch.setattr(RankerTable, "restricted", recording)
+    mono = monoid_of("(a|b)*abb(a|b)*")
+    # the oracle's own table builds its letter matrix with no word string,
+    # and every restricted table reads its parent's matrix object
+    got = least_oracle_n(mono, 1, 6, 8)
+    assert got == (3, None) and len(restricted) == 2
+    assert all(sub.words.letters is parent.words.letters for parent, sub in restricted)
+    # a table passed in is read as it is
+    restricted.clear()
     assert least_oracle_n(mono, 1, 6, 8, table=table) == got
-    assert encoded == []
-    # a restricted table encodes its own words when an oracle reads them
+    assert restricted[0][0] is table
+    assert all(sub.words.letters is table.words.letters for _, sub in restricted)
+    # a restricted table reads its words' images off the shared matrix
     sub = table.restricted(np.arange(0, len(words), 3))
     outcome = oracle_equiv_refines_morphism(mono, 1, 2, 8, table=sub)
     assert _triple(outcome) == _per_word_oracle(mono, sub.partition_equiv(1, 2), sub.words)
-    assert encoded == [len(sub.words)]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -706,12 +759,12 @@ def test_occurrence_tables_match_scalar_next_and_prev(case, depth, rng):
     k, top = len(alpha), table._maxlen + 1
     for tab in (table, table.restricted(keep)):
         assert tab._occ is table._occ and tab._occ.shape == (2 * k, top + 1, len(words))
-        assert len(tab._cols) == len(tab.words)
+        assert len(tab.words.cols) == len(tab.words)
         for i, a in enumerate(alpha):
             for t, scalar in ((i, next_pos), (k + i, prev_pos)):
                 # position 0 reads 0 (undefined) once depth 1 is built
                 expect = [[0] + [scalar(w, a, x) or 0 for x in range(1, top + 1)] for w in tab.words]
-                got = tab._occ[t][:, tab._cols].T
+                got = tab._occ[t][:, tab.words.cols].T
                 assert np.array_equal(got, np.reshape(expect, (-1, top + 1))), (a, scalar)
 
 
@@ -763,6 +816,23 @@ def test_concurrent_partitions_fill_each_depth_once(table_ab6):
             assert np.array_equal(lazy.condensed, table_ab6.condensed)
             for r, labels in zip(requests, got):
                 assert np.array_equal(labels, expect[r]), r
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_concurrent_reads_decode_the_words_once(table_ab6):
+    # every reader gets the one list the first read decoded, restricted
+    # tables included
+    keep = np.arange(0, len(table_ab6.words), 3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            for words, expect in ((RankerTable(("a", "b"), 1, 1, 6).words, table_ab6.words),
+                                  (table_ab6.restricted(keep).words, [table_ab6.words[i] for i in keep])):
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    got = list(pool.map(lambda _: words._decoded(), range(12), timeout=60))
+                assert all(g is got[0] for g in got) and got[0] == expect
     finally:
         sys.setswitchinterval(switch)
 
