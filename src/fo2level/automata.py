@@ -446,18 +446,15 @@ def parse_dfa_file(text: str) -> Dfa:
     return Dfa(alphabet, delta, sidx[initial_toks[0]], finals)
 
 
-def all_words(alphabet, max_len: int, min_len: int = 0) -> list[str]:
-    """All words over the alphabet with min_len <= length <= max_len.
+def all_words(alphabet, max_len: int) -> list[str]:
+    """All words over the alphabet up to length max_len.
 
     Order: by length, then lexicographically in alphabet order.  Each
     length's list extends the one before by every letter.
     """
     alphabet = tuple(alphabet)
-    out: list[str] = []
-    level = [""]
-    for length in range(max_len + 1):
-        if length >= min_len:
-            out.extend(level)
-        if length < max_len:
-            level = [w + a for w in level for a in alphabet]
+    out, level = [""], [""]
+    for _ in range(max_len):
+        level = [w + a for w in level for a in alphabet]
+        out += level
     return out

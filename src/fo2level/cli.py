@@ -122,8 +122,10 @@ def cmd_analyze(args) -> int:
     run_quotient = args.method in ("quotient", "both")
     run_identities = args.method in ("identities", "both")
 
-    quot = fo2_level(mono, args.max_m) if run_quotient else None
+    # the identities route first, so that its budget refusals cost no
+    # quotient-route work
     ident = identities_level(mono, args.max_m) if run_identities else None
+    quot = fo2_level(mono, args.max_m) if run_quotient else None
 
     level = quot if quot is not None else ident.result
     witness = None
@@ -179,12 +181,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.m < 1 or args.max_n < 1 or args.max_len < 0:
+        raise _UsageError("--m and --max-n must be >= 1, --max-len >= 0")
     description, _states, mono = _load_monoid(args)
     if mono.gens is None:
         raise _UsageError("the oracle needs a generator map (use a language "
                           "input or a monoid file with gen lines)")
-    if args.m < 1 or args.max_n < 1 or args.max_len < 0:
-        raise _UsageError("--m and --max-n must be >= 1, --max-len >= 0")
     print(f"input: {description}")
     print(f"monoid_size: {mono.size}")
     n, counterexample = least_oracle_n(mono, args.m, args.max_n, args.max_len)

@@ -474,15 +474,12 @@ def _physical_memory() -> int | None:
     return min(limits, default=None)
 
 
-def _check_table_fits(n: int) -> None:
-    """Refuse an n x n int32 table larger than the memory available, before
-    allocating it."""
-    need = n * n * np.dtype(np.int32).itemsize
+def _check_fits(need: int, what: str, error: type[Exception]) -> None:
+    """Refuse an allocation of need bytes larger than the memory available,
+    before making it: raise error, whose message starts with what."""
     have = _physical_memory()
     if have is not None and need > have:
-        raise MonoidTooLargeError(
-            f"transition monoid has {n} elements; its {n}x{n} table needs "
-            f"{need / 2**30:.1f} GiB but {have / 2**30:.1f} GiB is available")
+        raise error(f"{what} {need / 2**30:.1f} GiB but {have / 2**30:.1f} GiB is available")
 
 
 # Cells of the intp index a slice of the row fill gathers through, about 8 MB.
@@ -542,7 +539,8 @@ def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
             right.append(j)
         frontier = np.frombuffer(b"".join(fresh), dtype=letter_maps.dtype).reshape(-1, S)
         starts.append(n)
-    _check_table_fits(n)
+    _check_fits(n * n * np.dtype(np.int32).itemsize,
+                f"transition monoid has {n} elements; its {n}x{n} table needs", MonoidTooLargeError)
     R = np.array(right, dtype=np.intp).reshape(n, A)
     parent = np.array(parent, dtype=np.intp)
     letter = np.array(letter, dtype=np.intp)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _first_seen_labels, _fold_labels, _physical_memory
+from .monoid import FiniteMonoid, _check_fits, _first_seen_labels, _fold_labels
 
 X = "X"
 Y = "Y"
@@ -186,47 +186,24 @@ def is_condensed_no_overrun(r: Ranker, u: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Enumeration and budgets
 # ---------------------------------------------------------------------------
 
-def _instruction_order(alphabet) -> list[tuple[str, str]]:
-    return [(X, a) for a in alphabet] + [(Y, a) for a in alphabet]
+MAX_RANKERS = 2_000_000
+MAX_WORDS = 2_000_000
 
 
-def enumerate_rankers(alphabet, m: int, n: int, start: str = "either") -> list[Ranker]:
-    """All rankers with depth <= n and <= m blocks, optionally filtered by the
-    starting direction.  Order: depth-major, then lexicographic with X
-    before Y and letters in alphabet order."""
-    if m < 1 or n < 1:
-        return []
-    if start not in (X, Y, "either"):
-        raise ValueError("start must be 'X', 'Y' or 'either'")
-    instr = _instruction_order(alphabet)
-    out: list[Ranker] = []
-    level: list[tuple[tuple, str, int]] = []  # (steps, last_dir, blocks)
-    for d, a in instr:
-        if start in (d, "either"):
-            level.append((((d, a),), d, 1))
-    out.extend(Ranker(s) for s, _, _ in level)
-    for _depth in range(2, n + 1):
-        nxt = []
-        for steps, last, blocks in level:
-            for d, a in instr:
-                b = blocks + (d != last)
-                if b <= m:
-                    nxt.append((steps + ((d, a),), d, b))
-        out.extend(Ranker(s) for s, _, _ in nxt)
-        level = nxt
-    return out
+def enumerate_rankers(alphabet, m: int, n: int) -> list[Ranker]:
+    """All rankers with depth <= n and <= m blocks: the rows of a
+    ``RankerTable`` over no word, so at most ``MAX_RANKERS`` of them
+    (RankerBudgetError otherwise).  Order: depth-major, then lexicographic
+    with X before Y and letters in alphabet order."""
+    return RankerTable(alphabet, m, n, []).rankers
 
 
-# ---------------------------------------------------------------------------
-# Vectorized evaluation over a fixed word list
-# ---------------------------------------------------------------------------
-
-def _ranker_count(k: int, m: int, n: int, max_rankers: int) -> int:
+def _ranker_count(k: int, m: int, n: int) -> int:
     """Number of rankers over k letters of depth <= n with <= m blocks;
-    RankerBudgetError when they are more than max_rankers.
+    RankerBudgetError when they are more than ``MAX_RANKERS``.
 
     Counted in closed form, depth by depth: ``ends[b]`` is the number of
     rankers of the current depth with b blocks whose last instruction has a
@@ -242,18 +219,10 @@ def _ranker_count(k: int, m: int, n: int, max_rankers: int) -> int:
             grown = ends + [0] if len(ends) <= m else ends  # one block more than before
             ends = [0] + [k * (grown[b] + grown[b - 1]) for b in range(1, len(grown))]
         total += 2 * sum(ends)
-        if total > max_rankers:
+        if total > MAX_RANKERS:
             raise RankerBudgetError(
-                f"more than {max_rankers} rankers of depth <= {n} with <= {m} blocks")
+                f"more than {MAX_RANKERS} rankers of depth <= {n} with <= {m} blocks")
     return total
-
-
-def _check_fits(need: int, what: str) -> None:
-    """Refuse an allocation of need bytes larger than the memory available."""
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise RankerBudgetError(f"{what} need {need / 2**30:.1f} GiB "
-                                f"but {have / 2**30:.1f} GiB is available")
 
 
 def _letter_codes(words: list[str], lens: np.ndarray, alphabet: tuple) -> _Words:
@@ -290,16 +259,16 @@ def _all_word_letters(alphabet: tuple, max_len: int) -> _Words:
     return _Words(letters, lens, alphabet)
 
 
-def _all_words_size(k: int, max_len: int, max_words: int) -> tuple[int, int]:
+def _all_words_size(k: int, max_len: int) -> tuple[int, int]:
     """The number of words over k letters up to max_len and of their letters
-    in all; RankerBudgetError when the words are more than max_words."""
+    in all; RankerBudgetError when the words are more than ``MAX_WORDS``."""
     total = letters = 0
     term = 1
     for length in range(max_len + 1):
         total += term
         letters += length * term
-        if total > max_words:
-            raise RankerBudgetError(f"more than {max_words} words up to length {max_len}")
+        if total > MAX_WORDS:
+            raise RankerBudgetError(f"more than {MAX_WORDS} words up to length {max_len}")
         term *= k
         if not term:
             break
@@ -390,26 +359,27 @@ class RankerTable:
     """Positions and condensedness of every ranker in a class over a word list.
 
     Built once per (alphabet, max_blocks, max_depth, words); partitions for
-    any smaller (m, n) are derived from the same table and cached.  The class
-    size is counted in closed form and checked against ``max_rankers``, and
-    the full table's size (3 bytes per ranker and word: int16 ``values``,
-    bool ``condensed``) against the memory available, at ``max_depth`` and
-    before any row is allocated.
+    any smaller (m, n) are derived from the same table and cached.  The
+    constructor is the ranker layer's one budget gate, and checks before it
+    builds any word or row: an int max_len's word count against
+    ``MAX_WORDS``, the class size, counted in closed form, against
+    ``MAX_RANKERS``, and the full table (3 bytes per ranker and word at
+    ``max_depth``: int16 ``values``, bool ``condensed``) with the letter and
+    occurrence tables against the memory available; words longer than int16
+    positions allow are refused.
 
     The constructor enumerates the class as arrays (each ranker's start,
     depth, blocks, parent and last instruction, at O(rankers); the
     ``Ranker`` objects are built on first read of ``rankers``).  words is a
-    list of distinct words, or an int max_len for all words (at most
-    ``MAX_WORDS``) over the one-character letters up to that length in
-    ``all_words`` order; either way the table holds them as one letter
-    matrix, position-major (positions x words), and decodes strings only
-    when they are read (``_Words``).  The next/previous-occurrence tables
-    are laid out the same way, (max length + 2) x words per instruction,
-    and filled by running minima and maxima along the position axis.  Letter and
-    occurrence tables are checked against physical memory with the rows,
-    and words longer than int16 positions allow are refused.
-    The word rows are two products, each filled on demand one depth at a
-    time and kept as one block per depth: positions (``filled_depth`` says
+    list of distinct words, or an int max_len for all words over the
+    one-character letters up to that length in ``all_words`` order; either
+    way the table holds them as one letter matrix, position-major
+    (positions x words), and decodes strings only when they are read
+    (``_Words``).  The next/previous-occurrence tables are laid out the
+    same way, (max length + 2) x words per instruction, and filled by
+    running minima and maxima along the position axis.  The word rows are
+    two products, each filled on demand one depth at a time and kept as
+    one block per depth: positions (``filled_depth`` says
     how deep), each depth one gather from the positions of the depth
     before, and condensedness, built from the position blocks only when
     ``condensed``, ``partition_right`` or ``partition_left`` first needs
@@ -424,17 +394,15 @@ class RankerTable:
     the direct definition relates them.
     """
 
-    def __init__(self, alphabet, max_blocks: int, max_depth: int, words,
-                 max_rankers: int = 2_000_000):
+    def __init__(self, alphabet, max_blocks: int, max_depth: int, words):
         self.alphabet = tuple(alphabet)
         self.max_blocks = max_blocks
         self.max_depth = max_depth
         k = len(self.alphabet)
-        total = _ranker_count(k, max_blocks, max_depth, max_rankers)
         if isinstance(words, int):
             if any(len(a) != 1 for a in self.alphabet):
                 raise ValueError("words spell one character per letter")
-            W, letters = _all_words_size(k, words, MAX_WORDS)
+            W, letters = _all_words_size(k, words)
             maxlen = words if k else 0
         else:
             words = list(words)
@@ -442,8 +410,9 @@ class RankerTable:
                 raise ValueError("duplicate words")
             lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
             W, letters, maxlen = len(words), int(lens.sum()), int(lens.max(initial=0))
+        total = _ranker_count(k, max_blocks, max_depth)
         _check_fits(3 * total * W + _word_table_bytes(k, W, letters, maxlen),
-                    f"{total} rankers x {W} words up to length {maxlen}")
+                    f"{total} rankers x {W} words up to length {maxlen} need", RankerBudgetError)
         self.words = (_all_word_letters(self.alphabet, maxlen) if isinstance(words, int)
                       else _letter_codes(words, lens, self.alphabet))
         self._maxlen = maxlen
@@ -620,7 +589,7 @@ class RankerTable:
         """The class's rankers in row order, built on first read from the
         parent and instruction arrays; reading them fills no row."""
         if self._rankers is None:
-            instr = _instruction_order(self.alphabet)
+            instr = [(X, a) for a in self.alphabet] + [(Y, a) for a in self.alphabet]
             steps = [(s,) for s in instr] if self._ends[-1] else []
             out = list(steps)
             for parent, t in self._growth:
@@ -741,7 +710,7 @@ class RankerTable:
         rank_dtype = np.dtype(np.uint8 if levels <= 255 else np.uint16)  # ranks <= levels
         head = (len(profiles) + 7) // 8
         width = head + rank_dtype.itemsize * sum(m1 - m0 for *_, (m0, m1) in blocks)
-        _check_fits(W * (4 + width), f"signatures of {P} profiles")
+        _check_fits(W * (4 + width), f"signatures of {P} profiles need", RankerBudgetError)
         keys = np.empty((W, width), dtype=np.uint8)
         step = max(1, (1 << 20) // max(1, len(profiles) + len(blocks) * levels))
         shift = np.arange(levels, dtype=np.int32)[:, None] * 4
@@ -783,9 +752,6 @@ class RankerTable:
 # Morphism refinement oracle
 # ---------------------------------------------------------------------------
 
-MAX_WORDS = 2_000_000
-
-
 @dataclass(frozen=True)
 class OracleOutcome:
     holds: bool
@@ -794,24 +760,18 @@ class OracleOutcome:
 
 
 def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
-                  table: RankerTable | None, max_words: int) -> RankerTable:
-    """The given table, or one over all words up to max_len, whose letter
-    matrix is built directly, with no string.  The generator names must be
-    single letters, the word count is checked against max_words, and the
-    word tables against physical memory, before any word is enumerated."""
+                  table: RankerTable | None) -> RankerTable:
+    """The given table, or a ``RankerTable`` over all words up to max_len
+    over the generator names, which must be single letters.  The table's
+    constructor makes the word, ranker and memory checks before it builds
+    any word; a given table is read as it is, whatever max_len."""
     if monoid.gens is None:
         raise ValueError("oracle needs a monoid with a generator map")
     alphabet = tuple(monoid.gens)
     for a in alphabet:
         if len(a) != 1:
             raise ValueError(f"oracle needs one-letter generator names, not {a!r}")
-    total, letters = _all_words_size(len(alphabet), max_len, max_words)
-    if table is None:
-        longest = max_len if alphabet else 0
-        _check_fits(_word_table_bytes(len(alphabet), total, letters, longest),
-                    f"tables of {total} words up to length {longest}")
-        table = RankerTable(alphabet, m, n, max_len)
-    return table
+    return RankerTable(alphabet, m, n, max_len) if table is None else table
 
 
 def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
@@ -863,8 +823,7 @@ def _mixed_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
 
 
 def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
-                                  table: RankerTable | None = None,
-                                  max_words: int = MAX_WORDS) -> OracleOutcome:
+                                  table: RankerTable | None = None) -> OracleOutcome:
     """Check that ranker equivalence at (m, n) refines the word morphism.
 
     Enumerates all words up to max_len over the generator alphabet,
@@ -872,7 +831,7 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     morphism image is constant on every class.  The first violating pair
     (in word enumeration order) is returned as a counterexample.
     """
-    table = _oracle_table(monoid, m, n, max_len, table, max_words)
+    table = _oracle_table(monoid, m, n, max_len, table)
     labels = table.partition_equiv(m, n)
     rep, bad = _violations(labels, _word_images(monoid, table))
     classes = int(labels.max(initial=-1)) + 1
@@ -901,7 +860,7 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
     n = 1, 2, ..., while the deeper depths fill and partition only the kept
     words.  The given table is read (and filled) at n = 1 only.
     """
-    table = _oracle_table(monoid, m, max_n, max_len, table, MAX_WORDS)
+    table = _oracle_table(monoid, m, max_n, max_len, table)
     images = _word_images(monoid, table)
     counterexample = None
     for n in range(1, max_n + 1):

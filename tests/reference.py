@@ -3,6 +3,10 @@
 None of these is called by the package.  They follow the definitions word
 by word and ranker by ranker, so they are slow but easy to check by eye:
 
+* ``reference_rankers(alphabet, m, n, start)``: the rankers of depth <= n
+  with <= m blocks, filtered by the starting direction, grown one
+  instruction at a time as tuples; ``RankerTable`` enumerates them as
+  parent and instruction arrays.
 * ``rel_right(u, v, m, n)``: the same rankers among the X-starting ones of
   depth <= n with <= m blocks, plus the Y-starting ones of depth <= n-1
   with <= m-1 blocks, are condensed on u and on v; ``rel_left`` is the
@@ -39,13 +43,40 @@ from fo2level.automata import (Concat, Dfa, EmptyWord, Letter, Regex, RegexNode,
                                _concat)
 from fo2level.identities import Prod, Term, Var
 from fo2level.monoid import FiniteMonoid, reverse_monoid
-from fo2level.rankers import X, Y, enumerate_rankers, eval_ranker, is_condensed
+from fo2level.rankers import X, Y, Ranker, eval_ranker, is_condensed
 from fo2level.varieties import Congruence, LevelResult, quotient
 
 
 # ---------------------------------------------------------------------------
 # Word relations (direct definitions)
 # ---------------------------------------------------------------------------
+
+def reference_rankers(alphabet, m: int, n: int, start: str = "either") -> list[Ranker]:
+    """All rankers with depth <= n and <= m blocks, optionally filtered by the
+    starting direction.  Order: depth-major, then lexicographic with X
+    before Y and letters in alphabet order."""
+    if m < 1 or n < 1:
+        return []
+    if start not in (X, Y, "either"):
+        raise ValueError("start must be 'X', 'Y' or 'either'")
+    instr = [(X, a) for a in alphabet] + [(Y, a) for a in alphabet]
+    out: list[Ranker] = []
+    level: list[tuple[tuple, str, int]] = []  # (steps, last_dir, blocks)
+    for d, a in instr:
+        if start in (d, "either"):
+            level.append((((d, a),), d, 1))
+    out.extend(Ranker(s) for s, _, _ in level)
+    for _depth in range(2, n + 1):
+        nxt = []
+        for steps, last, blocks in level:
+            for d, a in instr:
+                b = blocks + (d != last)
+                if b <= m:
+                    nxt.append((steps + ((d, a),), d, b))
+        out.extend(Ranker(s) for s, _, _ in nxt)
+        level = nxt
+    return out
+
 
 def _infer_alphabet(u: str, v: str, alphabet):
     if alphabet is not None:
@@ -60,7 +91,7 @@ def rel_right(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     alpha = _infer_alphabet(u, v, alphabet)
-    rankers = enumerate_rankers(alpha, m, n, X) + enumerate_rankers(alpha, m - 1, n - 1, Y)
+    rankers = reference_rankers(alpha, m, n, X) + reference_rankers(alpha, m - 1, n - 1, Y)
     return all(is_condensed(r, u) == is_condensed(r, v) for r in rankers)
 
 
@@ -82,7 +113,7 @@ def equiv_wi(u: str, v: str, m: int, n: int, alphabet=None) -> bool:
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     alpha = _infer_alphabet(u, v, alphabet)
-    rankers = enumerate_rankers(alpha, m, n, "either")
+    rankers = reference_rankers(alpha, m, n)
     pu = {r: eval_ranker(r, u) for r in rankers}
     pv = {r: eval_ranker(r, v) for r in rankers}
     for r in rankers:

@@ -51,7 +51,7 @@ def test_criterion_1_ranker_reference_examples():
 
 
 def test_criterion_2_dual_route_agreement(da_corpus):
-    res = check_dual_route(da_corpus, ms=(2, 3))
+    res = check_dual_route(da_corpus)
     _report(2, "dual-route-agreement", res.ok,
             f"{len(da_corpus)} DA monoids, {res.checked} memberships" +
             (f"; {res.detail}" if not res.ok else ""))
@@ -73,8 +73,8 @@ def test_criterion_3_level_anchors(da_corpus, mixed_entries):
 
 
 def test_criterion_4_hierarchy_monotonicity(da_corpus, mixed_entries):
-    res1 = check_monotonicity(da_corpus, ms=(1, 2, 3))
-    res2 = check_monotonicity(mixed_entries, ms=(1, 2, 3))
+    res1 = check_monotonicity(da_corpus)
+    res2 = check_monotonicity(mixed_entries)
     ok = res1.ok and res2.ok
     _report(4, "hierarchy-monotonicity", ok,
             f"{res1.checked + res2.checked} membership steps")

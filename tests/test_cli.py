@@ -392,6 +392,31 @@ def test_identity_search_over_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_identities_budget_refusal_comes_before_the_quotient_route(tmp_path, capsys,
+                                                                   monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the quotient route ran before the identities route")
+
+    p = tmp_path / "level3.monoid"
+    p.write_text(monoid_text(level_three()))
+    monkeypatch.setattr(cli, "fo2_level", refuse)
+    # the DA check reads all 6^2 pairs, one more than the budget
+    monkeypatch.setattr(cli, "identities_level", functools.partial(
+        identities_module.identities_level, max_assignments=35))
+    code, out, err = run(capsys, "analyze", "--monoid", str(p))
+    assert code == 3 and out == ""
+    assert err == ("budget exceeded: identity check too large: 6^2 assignments exceed "
+                   "the budget of 35\n")
+
+
+def test_oracle_arguments_are_checked_before_the_input_is_loaded(capsys):
+    # a cap of one element would refuse the monoid, but --m 0 is refused first
+    code, out, err = run(capsys, "oracle", "--regex", "(a|b)*abb(a|b)*", "--monoid-cap", "1",
+                         "--m", "0")
+    assert code == 1 and out == ""
+    assert err == "usage error: --m and --max-n must be >= 1, --max-len >= 0\n"
+
+
 def test_module_entry_point_runs_from_a_checkout():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

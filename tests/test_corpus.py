@@ -156,7 +156,7 @@ def test_oracle_bounds_small():
 
 
 def test_straubing_tally_shape(da_corpus):
-    rows = straubing_tally(da_corpus[:25], ms=(1, 2))
+    rows = straubing_tally(da_corpus[:25])
     assert [r.m for r in rows] == [1, 2]
     assert all(r.total == 25 for r in rows)
     # level 1 of the conjecture is the classical J-triviality identity set,

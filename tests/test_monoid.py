@@ -240,7 +240,7 @@ def test_element_names_are_shortest_words():
 def test_table_checked_against_memory_before_allocation(monkeypatch):
     # 2**24 elements need a 1 PiB table; the check refuses it without allocating
     with pytest.raises(MonoidTooLargeError, match="GiB"):
-        monoid_module._check_table_fits(2**24)
+        monoid_module._check_fits(4 * 2**48, "a 2**24 x 2**24 table needs", MonoidTooLargeError)
     d = regex_to_min_dfa(parse_regex("(ab)*"))       # 6 elements: 144 bytes
     monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 143)
     with pytest.raises(MonoidTooLargeError):

@@ -24,7 +24,7 @@ from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError
                               oracle_equiv_refines_morphism, parse_ranker,
                               prev_pos, subwords_upto)
 from reference import (equiv_wi, first_class_words, l_factorize, mixed_class_words,
-                       r_factorize, rel_left, rel_right)
+                       r_factorize, reference_rankers, rel_left, rel_right)
 
 XYBXC = parse_ranker("Xa Yb Xc")
 
@@ -114,15 +114,31 @@ def test_condensed_semantics_agree_deep_sample():
 
 
 def test_enumerate_rankers_counts_and_order():
-    assert [str(r) for r in enumerate_rankers(("a", "b"), 1, 1, "X")] == ["Xa", "Xb"]
-    assert len(enumerate_rankers(("a", "b"), 1, 2, "X")) == 6
-    assert len(enumerate_rankers(("a", "b"), 2, 2, "X")) == 10
+    def x_start(m, n):
+        return [r for r in enumerate_rankers(("a", "b"), m, n) if r.start == X]
+
+    assert [str(r) for r in x_start(1, 1)] == ["Xa", "Xb"]
+    assert len(x_start(1, 2)) == 6
+    assert len(x_start(2, 2)) == 10
     rs = enumerate_rankers(("a", "b"), 2, 2)
     # depth-major, X before Y, letters in alphabet order
     assert [str(r) for r in rs[:4]] == ["Xa", "Xb", "Ya", "Yb"]
     assert all(r.depth == 2 for r in rs[4:])
     assert len(rs) == 4 + 16  # all depth-2 sequences have at most 2 blocks
     assert enumerate_rankers(("a", "b"), 0, 3) == []
+
+
+def test_enumeration_matches_the_reference():
+    # enumerate_rankers is a table's rows; filtered by the table's start
+    # column they are the reference's rankers of each starting direction
+    for alpha in ((), ("a",), ("a", "b"), ("b", "a", "c")):
+        for m in range(5):
+            for n in range(5):
+                assert enumerate_rankers(alpha, m, n) == reference_rankers(alpha, m, n)
+                table = RankerTable(alpha, m, n, [])
+                for code, start in ((0, X), (1, Y)):
+                    rows = [r for r, s in zip(table.rankers, table.start.tolist()) if s == code]
+                    assert rows == reference_rankers(alpha, m, n, start)
 
 
 def test_rel_right_examples():
@@ -566,6 +582,21 @@ def test_oracle_budget_checked_before_enumerating(monkeypatch, capsys):
         oracle_equiv_refines_morphism(mono, 1, 1, 40)
 
 
+def test_a_passed_table_is_read_whatever_max_len(monkeypatch):
+    # max_len over the word budget enumerates nothing when a table is given
+    mono = monoid_of("(a|b)*abb(a|b)*")
+    table = RankerTable(tuple(mono.gens), 1, 3, 5)
+    expect = oracle_equiv_refines_morphism(mono, 1, 1, 5), least_oracle_n(mono, 1, 3, 5)
+    assert not expect[0].holds and expect[1] == (2, None)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("words enumerated for a given table")
+
+    monkeypatch.setattr(fo2level.rankers, "_all_word_letters", refuse)
+    assert oracle_equiv_refines_morphism(mono, 1, 1, 40, table=table) == expect[0]
+    assert least_oracle_n(mono, 1, 3, 40, table=table) == expect[1]
+
+
 def test_oracle_word_tables_checked_before_enumerating(monkeypatch, capsys):
     def refuse(*_args, **_kwargs):
         raise AssertionError("words or letter tables built before the memory check")
@@ -574,12 +605,13 @@ def test_oracle_word_tables_checked_before_enumerating(monkeypatch, capsys):
     monkeypatch.setattr(fo2level.automata, "all_words", refuse)
     monkeypatch.setattr(fo2level.rankers, "_letter_codes", refuse)
     # 30 001 unary words: the letter and occurrence tables alone take gigabytes
-    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: 2**30)
+    monkeypatch.setattr(fo2level.monoid, "_physical_memory", lambda: 2**30)
     args = ["oracle", "--regex", "a*", "--m", "1", "--max-n", "2", "--max-len"]
     assert main(args + ["30000"]) == 3
-    assert "budget exceeded: tables of 30001 words up to length 30000" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("budget exceeded: 4 rankers x 30001 words up to length "
+                                       "30000 need 17.2 GiB but 1.0 GiB is available\n")
     # positions are int16, whatever the memory
-    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: None)
+    monkeypatch.setattr(fo2level.monoid, "_physical_memory", lambda: None)
     assert main(args + ["32767"]) == 3
     assert "longer than 32766 letters" in capsys.readouterr().err
     with pytest.raises(RankerBudgetError, match="longer than 32766"):
@@ -590,12 +622,15 @@ def test_table_budgets_are_checked_before_any_row(monkeypatch):
     for alpha in (("a",), ("a", "b"), ("a", "b", "c")):
         for m in range(0, 4):
             for n in range(0, 5):
-                count = len(enumerate_rankers(alpha, m, n))
-                table = RankerTable(alpha, m, n, ["", "ab", "ca"], max_rankers=count)
+                count = len(reference_rankers(alpha, m, n))
+                monkeypatch.setattr(fo2level.rankers, "MAX_RANKERS", count)
+                table = RankerTable(alpha, m, n, ["", "ab", "ca"])
                 assert len(table.rankers) == count == table.values.shape[0]
                 if count:
+                    monkeypatch.setattr(fo2level.rankers, "MAX_RANKERS", count - 1)
                     with pytest.raises(RankerBudgetError):
-                        RankerTable(alpha, m, n, ["ab"], max_rankers=count - 1)
+                        RankerTable(alpha, m, n, ["ab"])
+    monkeypatch.undo()
 
     table = RankerTable(("a", "b"), 2, 2, all_words(("a", "b"), 2))
 
@@ -606,11 +641,11 @@ def test_table_budgets_are_checked_before_any_row(monkeypatch):
     with pytest.raises(RankerBudgetError):
         RankerTable(("a", "b", "c"), 10, 40, all_words(("a", "b"), 8))
     # within the ranker budget but larger than memory: 20 rankers x 7 words x 3 bytes
-    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: 419)
+    monkeypatch.setattr(fo2level.monoid, "_physical_memory", lambda: 419)
     with pytest.raises(RankerBudgetError, match="GiB"):
         RankerTable(("a", "b"), 2, 2, all_words(("a", "b"), 2))
     # the signature keys are checked the same way
-    monkeypatch.setattr(fo2level.rankers, "_physical_memory", lambda: 6)
+    monkeypatch.setattr(fo2level.monoid, "_physical_memory", lambda: 6)
     with pytest.raises(RankerBudgetError, match="GiB"):
         table.partition_equiv(2, 2)
 
@@ -793,9 +828,9 @@ def test_construction_fills_no_row(monkeypatch):
     for alpha, m, n in [(("a", "b"), 2, 6), (("a", "b", "c"), 3, 4)]:
         table = RankerTable(alpha, m, n, all_words(alpha, 3))
         assert built == []
-        assert len(table.rankers) == fo2level.rankers._ranker_count(len(alpha), m, n, 10**9)
-        assert table.rankers == enumerate_rankers(alpha, m, n)
+        rankers = table.rankers
         assert table.filled_depth == 0
+        assert rankers == reference_rankers(alpha, m, n)
         built.clear()
 
 
