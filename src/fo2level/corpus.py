@@ -85,13 +85,16 @@ def make_entries(seed: int, count: int, max_states: int = 4, letters: int = 2,
     return list(islice(_draws(seed, max_states, letters, max_m), count))
 
 
+_MAX_DRAWS = 200_000
+
+
 def da_entries(seed: int, target: int, max_states: int = 4, letters: int = 2,
                max_m: int = 6) -> list[CorpusEntry]:
-    """Rejection-sample up to 200 000 random minimal DFAs until `target` have monoids in DA."""
-    draws = islice(_draws(seed, max_states, letters, max_m), 200_000)
+    """Rejection-sample random minimal DFAs until `target` have monoids in DA."""
+    draws = islice(_draws(seed, max_states, letters, max_m), _MAX_DRAWS)
     out = list(islice((e for e in draws if e.in_da), target))
     if len(out) < target:
-        raise RuntimeError(f"could not collect {target} DA monoids in 200000 draws")
+        raise RuntimeError(f"could not collect {target} DA monoids in {_MAX_DRAWS} draws")
     return out
 
 

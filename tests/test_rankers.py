@@ -831,6 +831,7 @@ def test_construction_fills_no_row(monkeypatch):
         rankers = table.rankers
         assert table.filled_depth == 0
         assert rankers == reference_rankers(alpha, m, n)
+        assert len(rankers) == fo2level.rankers._ranker_count(len(alpha), m, n)
         built.clear()
 
 
