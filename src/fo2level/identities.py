@@ -19,11 +19,13 @@ The membership and depth functions decide the phi-word identities by a
 forward search instead (``_phi_search``).  The values (phi G_k,
 phi mirror G_k, phi I_k, phi mirror I_k) after choosing x1..xk determine
 all later values, so each depth keeps only the distinct reachable tuples,
-each with the least prefix that reaches it.  One search serves both sides
-and every depth, at a cost of the sum over depths of reachable tuples x |E|
-instead of |E|^k, and yields the same lexicographically least witnesses as
-the exhaustive scan.  Budgets cap the assignments of an exhaustive check
-and the reachable tuples x |E| of each search step, before either runs.
+each with the least prefix that reaches it, and of those only the tuples
+on which a side still fails: in DA a tuple on which both sides hold leads
+only to such tuples.  One search serves both sides and every depth, at a
+cost of the sum over depths of failing tuples x |E| instead of |E|^k, and
+yields the same lexicographically least witnesses as the exhaustive scan.
+Budgets cap the assignments of an exhaustive check and the failing tuples
+x |E| of each search step, before either runs.
 Everything here is pure and reentrant.
 """
 
@@ -147,7 +149,7 @@ class IdentityCheck(NamedTuple):
 # int32 array of this length until the step ends, so a step holds
 # about 2 MB for the deepest phi-word identities, a search step about a
 # dozen such arrays, and the memory does not depend on how large |E|^v,
-# |M|^v or the reachable tuples x |E| are; the arrays also stay
+# |M|^v or the failing tuples x |E| are; the arrays also stay
 # cache-resident.
 _CHUNK = 1 << 14
 
@@ -269,8 +271,8 @@ def _identity_text(m: int, side: int) -> str:
 
 def _phi_search(m: FiniteMonoid, max_assignments: int):
     """Decide phi(G_k) = phi(I_k) and its mirror for k = 2, 3, ... in one
-    forward search, yielding (k, R witness, L witness) per depth; a witness
-    is None where the identity holds.
+    forward search over a DA monoid, yielding (k, R witness, L witness) per
+    depth; a witness is None where the identity holds.
 
     After x1..xk the four values (phi G_k, phi mirror G_k, phi I_k,
     phi mirror I_k) = (g, g~, i, i~) decide every later depth: appending
@@ -279,15 +281,26 @@ def _phi_search(m: FiniteMonoid, max_assignments: int):
     only the distinct reachable tuples, each with the least prefix reaching
     it, and a step costs tuples x |E| candidates instead of |E|^k.
 
+    Only failing tuples, those with i != g or i~ != g~, are kept past the
+    depth that finds them, since in DA a tuple with i = g and i~ = g~ has
+    only such successors.  In DA an idempotent p with p <=_J x satisfies
+    p x p = p (Tesson & Thérien, "Diamonds are forever"), and phi lies
+    J-below both g and g~.  So i = g and i~ = g~ give
+    i' = g' phi i~ = phi g~ phi g~ = phi g~ = g' and
+    i~' = i phi g~' = g phi g phi = g phi = g~'.  Once no tuple fails,
+    every later depth holds on both sides and costs nothing.
+
     Candidates are enumerated as (old tuple in first-seen order, x_{k+1}
     ascending) and new tuples are numbered by first appearance.  Since a
     tuple's successors depend on the tuple alone, the least prefix reaching
     a new tuple extends the least prefix of some old one; by induction
     first-seen order is the order of least prefixes, so the first failing
     tuple carries the lexicographically least failing assignment, the
-    witness an exhaustive scan returns.  The budget caps the candidates of
-    each step before it is taken, and a step runs in slices of _CHUNK
-    candidates.
+    witness an exhaustive scan returns.  A failing tuple is reached only
+    from failing ones, so dropping the others changes neither this order
+    among failing tuples nor the witnesses.  The budget caps the
+    candidates of each step, failing tuples x |E|, before it is taken, and
+    a step runs in slices of _CHUNK candidates.
     """
     T, om = m.table, m.omega_table
     n = m.size
@@ -298,7 +311,7 @@ def _phi_search(m: FiniteMonoid, max_assignments: int):
     d = len(reps)
     idem = om[reps]
     links = []          # per depth >= 2: the candidate index that first reached each tuple
-    state = None        # 4 x tuples: rows g, g~, i, i~
+    state = None        # 4 x failing tuples: rows g, g~, i, i~
 
     def witness(bad):
         """The prefix stored for the first tuple in bad, or None if bad is empty."""
@@ -313,10 +326,13 @@ def _phi_search(m: FiniteMonoid, max_assignments: int):
 
     count = d           # before the first step, the choices of x1
     for k in itertools.count(2):
+        if not count:
+            yield k, None, None
+            continue
         total = count * d
         if total > max_assignments:
             raise IdentityBudgetError(
-                f"identity search too large: {count} reachable tuples x {d} idempotents "
+                f"identity search too large: {count} failing tuples x {d} idempotents "
                 f"at depth {k} exceed the budget of {max_assignments}")
         if state is not None:
             gg = om[T[state[0], state[1]]]
@@ -348,9 +364,11 @@ def _phi_search(m: FiniteMonoid, max_assignments: int):
             values.append(np.stack((g[first], gt[first], i[first], it[first])))
         links.append(np.concatenate(cands))
         state = np.concatenate(values, axis=1)
-        count = state.shape[1]
-        yield (k, witness(np.flatnonzero(state[0] != state[2])),
-               witness(np.flatnonzero(state[1] != state[3])))
+        r_bad, l_bad = state[0] != state[2], state[1] != state[3]
+        yield k, witness(np.flatnonzero(r_bad)), witness(np.flatnonzero(l_bad))
+        keep = np.flatnonzero(r_bad | l_bad)
+        state, links[-1] = state.take(keep, axis=1), links[-1].take(keep)
+        count = len(keep)
 
 
 def _phi_holds(m: FiniteMonoid, level: int, side: int, max_assignments: int) -> bool:
@@ -391,12 +409,13 @@ def identities_level(m: FiniteMonoid, max_m: int = 6,
 
     Mirrors ``varieties.fo2_level`` but decides each membership by identity
     checking alone: the DA identity exhaustively, then the R and L phi-word
-    identities of every depth in one forward search over reachable value
-    tuples (``_phi_search``), whose cost is the sum over depths of reachable
-    tuples x |E| and whose budget caps that product at each depth.  The
-    returned witness is the lexicographically least assignment refuting the
-    last membership that failed before the answer (the DA identity for
-    NotFO2, otherwise the identity separating depth m-1 from m, R before L).
+    identities of every depth in one forward search over the value tuples
+    on which a side still fails (``_phi_search``), whose cost is the sum
+    over depths of failing tuples x |E| and whose budget caps that product
+    at each depth.  The returned witness is the lexicographically least
+    assignment refuting the last membership that failed before the answer
+    (the DA identity for NotFO2, otherwise the identity separating depth
+    m-1 from m, R before L).
     """
     if max_m < 1:
         raise ValueError("max_m must be >= 1")

@@ -23,6 +23,7 @@ membership, once decided, is passed on to the reverse monoid (and, by
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -47,6 +48,10 @@ class MonoidTooLargeError(ValueError):
 # bytes of idempotent-pair rows taken per step by the triviality tests; each
 # step's gathers make a few temporaries of that size
 _SIG_BYTES = 1 << 20
+
+# Cells per slice of the transition monoid's row fill (its intp index, about
+# 8 MB) and of Light's associativity test.
+_FILL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +198,18 @@ def _light_associative(table: np.ndarray, gens: Iterable[int]) -> bool:
     also exact when the identity law holds and gens generate the table: the
     elements s with (x*s)*y == x*(s*y) for all x, y contain 1 and are closed
     under products, since (x*st)*y = ((x*s)*t)*y = (x*s)*(t*y) =
-    x*(s*(t*y)) = x*((s*t)*y).  Cost O(|M|^2*|A|).
+    x*(s*(t*y)) = x*((s*t)*y).  Cost O(|M|^2*|A|), taken in slices of rows
+    x of about _FILL_CELLS cells, so each comparison stays in cache.
     """
-    return all(np.array_equal(table[table[:, a], :], table[:, table[a, :]]) for a in gens)
+    n = table.shape[0]
+    gens = list(gens)
+    step = max(1, _FILL_CELLS // n)
+    for lo in range(0, n, step):
+        rows = table[lo:lo + step]
+        for a in gens:
+            if not np.array_equal(table.take(rows[:, a], axis=0), rows.take(table[a], axis=1)):
+                return False
+    return True
 
 
 class FiniteMonoid:
@@ -482,10 +496,6 @@ def _check_fits(need: int, what: str, error: type[Exception]) -> None:
         raise error(f"{what} {need / 2**30:.1f} GiB but {have / 2**30:.1f} GiB is available")
 
 
-# Cells of the intp index a slice of the row fill gathers through, about 8 MB.
-_FILL_CELLS = 1 << 20
-
-
 def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
     """Close the letter transformations of a complete DFA under composition.
 
@@ -582,12 +592,62 @@ def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
     return m._reverse
 
 
+# A sign not followed by a digit: numpy reads "-" alone as 0 and "- 1" as
+# -1, where int() refuses both.
+_LONE_SIGN = re.compile(r"[+-](?![0-9])")
+
+
+def _read_ints(text: str) -> np.ndarray | None:
+    """The whitespace-separated integers of text as int64, in one C-level
+    read, or None where a token is not an ASCII decimal integer (digits
+    after an optional sign).  A value past int64 reads as one of its
+    bounds, so it stays out of any table's range.
+    """
+    if ("-" in text or "+" in text) and _LONE_SIGN.search(text):
+        return None
+    try:
+        return np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:      # a token it could not read
+        return None
+
+
+def _read_table(rows: list[str], n: int) -> np.ndarray:
+    """The n table rows as an n x n int64 array with entries in 0..n-1.
+
+    All rows are read at once, each followed by an n, which no entry may
+    equal.  Every token gives one value, so when there are n * (n + 1)
+    values and the first n of every n + 1 lie in 0..n-1, the n ends fill
+    the last column and each row had n entries.  Otherwise the rows are
+    checked one by one, in file order, for the first fault: a wrong entry
+    count, then a token that is not an integer; failing both, an entry is
+    out of range.
+    """
+    grid = _read_ints(f" {n}\n".join(rows) + f" {n}")
+    if grid is not None and grid.size == n * (n + 1):
+        table = grid.reshape(n, n + 1)[:, :n]
+        if table.min() >= 0 and table.max() < n:
+            return table
+    for row in rows:
+        count = len(row.split())
+        if count != n:
+            raise MonoidFormatError(f"table row has {count} entries, expected {n}")
+        values = _read_ints(row)
+        if values is None or values.size != n:
+            raise MonoidFormatError(f"malformed table row: {row!r}")
+    raise MonoidFormatError("table entry out of range")
+
+
 def parse_monoid_file(text: str) -> FiniteMonoid:
     """Parse the line-based monoid format and validate the axioms.
 
-    Expected: ``size: N``, ``identity: i``, optional ``gen SYMBOL i`` lines,
-    then ``table`` followed by N rows of N indices (row r, column c = r*c).
-    ``#`` starts a comment line.
+    Expected: ``size: N``, ``identity: i``, optional ``gen SYMBOL i`` lines
+    (each symbol once), then ``table`` followed by N rows of N indices (row
+    r, column c = r*c).  ``#`` starts a comment line.  Table entries are
+    ASCII decimal integers with an optional sign, separated by spaces or
+    tabs.  The table is checked against the memory available, then read
+    into one int64 array in a single pass (``_read_table``) and
+    range-checked before it becomes the int32 table; no entry becomes a
+    Python string or int unless the table is refused.
     """
     lines = []
     for raw in text.splitlines():
@@ -614,6 +674,8 @@ def parse_monoid_file(text: str) -> FiniteMonoid:
         toks = lines[i].split()
         if len(toks) != 3:
             raise MonoidFormatError(f"malformed gen line: {lines[i]!r}")
+        if toks[1] in gens:
+            raise MonoidFormatError(f"duplicate generator {toks[1]!r}")
         try:
             gens[toks[1]] = int(toks[2])
         except ValueError:
@@ -624,13 +686,9 @@ def parse_monoid_file(text: str) -> FiniteMonoid:
     rows = lines[i + 1:]
     if len(rows) != n:
         raise MonoidFormatError(f"expected {n} table rows, found {len(rows)}")
-    table = []
-    for row in rows:
-        toks = row.split()
-        if len(toks) != n:
-            raise MonoidFormatError(f"table row has {len(toks)} entries, expected {n}")
-        try:
-            table.append([int(t) for t in toks])
-        except ValueError:
-            raise MonoidFormatError(f"malformed table row: {row!r}") from None
+    # the int64 read (with its column of row ends) and the int32 table
+    _check_fits(8 * n * (n + 1) + 4 * n * n,
+                f"monoid file has {n} elements; reading its {n}x{n} table needs",
+                MonoidTooLargeError)
+    table = _read_table(rows, n).astype(np.int32)
     return FiniteMonoid(table, identity, gens=gens or None, validate=True)

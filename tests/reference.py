@@ -25,6 +25,9 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   the merged automaton.
 * ``omega_power`` and ``eval_term``: x^omega by walking the powers of x,
   and omega terms evaluated node by node.
+* ``reference_phi_search``: the phi-word search carrying every reachable
+  value tuple to the next depth; ``identities._phi_search`` carries only
+  the failing ones.
 * ``first_class_words`` and ``mixed_class_words``: the sorting forms of
   the oracle's refinement bookkeeping (``np.unique`` and ``np.isin``).
 * ``refines``: whether one congruence's classes lie inside another's,
@@ -37,8 +40,11 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   the count of Green's J-classes; ``reference_chain``: the chain they walk.
 """
 
+import itertools
+
 import numpy as np
 
+from fo2level import identities
 from fo2level.automata import (Concat, Dfa, EmptyWord, Letter, Regex, RegexNode, Star, Union,
                                _concat)
 from fo2level.identities import Prod, Term, Var
@@ -312,6 +318,77 @@ def eval_term(m: FiniteMonoid, t: Term, assignment) -> int:
             x = m.mul(x, eval_term(m, p, assignment))
         return x
     return omega_power(m, eval_term(m, t.inner, assignment))
+
+
+def reference_phi_search(m: FiniteMonoid, max_assignments: int = 10_000_000):
+    """The phi-word search over every reachable value tuple, on any monoid:
+    (k, R witness, L witness) for k = 2, 3, ...; a witness is None where
+    phi(G_k) = phi(I_k) (R) or its mirror (L) holds.  Each depth keeps all
+    distinct tuples (g, g~, i, i~) in first-seen order with the candidate
+    that first reached each, so witnesses are the least failing prefixes.
+    The budget caps reachable tuples x |E| per step."""
+    T, om = m.table, m.omega_table
+    n = m.size
+    if n ** 4 > np.iinfo(np.int64).max:
+        raise identities.IdentityBudgetError(
+            f"identity search too large: tuples over {n} elements do not fit a 64-bit key")
+    reps = identities._representatives(m)
+    d = len(reps)
+    idem = om[reps]
+    links = []          # per depth >= 2: the candidate index that first reached each tuple
+    state = None        # 4 x tuples: rows g, g~, i, i~
+
+    def witness(bad):
+        """The prefix stored for the first tuple in bad, or None if bad is empty."""
+        if not len(bad):
+            return None
+        s, xs = int(bad[0]), []
+        for cand in reversed(links):
+            s, x = divmod(int(cand[s]), d)
+            xs.append(x)
+        xs.append(s)
+        return {j: int(reps[x]) for j, x in enumerate(reversed(xs), start=1)}
+
+    count = d           # before the first step, the choices of x1
+    for k in itertools.count(2):
+        total = count * d
+        if total > max_assignments:
+            raise identities.IdentityBudgetError(
+                f"identity search too large: {count} reachable tuples x {d} idempotents "
+                f"at depth {k} exceed the budget of {max_assignments}")
+        if state is not None:
+            gg = om[T[state[0], state[1]]]
+        seen = np.empty(0, dtype=np.int64)
+        cands, values = [], []
+        for base in range(0, total, identities._CHUNK):
+            c = np.arange(base, min(base + identities._CHUNK, total), dtype=np.int64)
+            old, e = c // d, idem[c % d]
+            if state is None:
+                p1 = om[T[T[idem[old], e], idem[old]]]
+                g, gt = T[e, p1], T[p1, e]
+                i = it = T[g, e]
+            else:
+                g0, gt0, i0, it0 = state[:, old]
+                phi = om[T[T[e, gg[old]], e]]
+                g, gt = T[phi, gt0], T[g0, phi]
+                i, it = T[T[g, phi], it0], T[T[i0, phi], gt]
+            key = ((g.astype(np.int64) * n + gt) * n + i) * n + it
+            uniq, first = np.unique(key, return_index=True)
+            if len(seen):
+                at = np.searchsorted(seen, uniq)
+                fresh = seen[np.minimum(at, len(seen) - 1)] != uniq
+                uniq, first = uniq[fresh], first[fresh]
+                seen = np.insert(seen, at[fresh], uniq)
+            else:
+                seen = uniq
+            first.sort()
+            cands.append(c[first])
+            values.append(np.stack((g[first], gt[first], i[first], it[first])))
+        links.append(np.concatenate(cands))
+        state = np.concatenate(values, axis=1)
+        count = state.shape[1]
+        yield (k, witness(np.flatnonzero(state[0] != state[2])),
+               witness(np.flatnonzero(state[1] != state[3])))
 
 
 # ---------------------------------------------------------------------------

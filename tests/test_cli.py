@@ -222,6 +222,30 @@ def test_out_of_int32_table_entry_is_a_format_error(tmp_path, capsys):
         assert err == "error: table entry out of range\n"
 
 
+def test_monoid_file_refusals_exit_codes(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "two.monoid"
+    for row, msg in (("1 0x", "malformed table row: '1 0x'"),
+                     ("1 1.5", "malformed table row: '1 1.5'"),
+                     ("1 2147483648", "table entry out of range"),
+                     ("1 9223372036854775808", "table entry out of range")):
+        p.write_text(f"size: 2\nidentity: 0\ntable\n0 1\n{row}\n")
+        code, out, err = run(capsys, "analyze", "--monoid", str(p))
+        assert (code, out, err) == (1, "", f"error: {msg}\n")
+    p.write_text("size: 2\nidentity: 0\ngen a 1\ngen a 0\ntable\n0 1\n1 0\n")
+    code, out, err = run(capsys, "analyze", "--monoid", str(p))
+    assert (code, out, err) == (1, "", "error: duplicate generator 'a'\n")
+    # signs, tabs and runs of spaces are read
+    p.write_text("size: 2\nidentity: 0\ngen a 1\ntable\n+0\t 1\n1    +0\n")
+    code, out, _ = run(capsys, "analyze", "--monoid", str(p))
+    assert code == 0 and "monoid_size: 2" in out
+    # a table larger than memory: exit 3 before it is read
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 63)
+    code, out, err = run(capsys, "analyze", "--monoid", str(p))
+    assert (code, out) == (3, "")
+    assert err == ("budget exceeded: monoid file has 2 elements; reading its 2x2 table needs "
+                   "0.0 GiB but 0.0 GiB is available\n")
+
+
 def test_report_flags_match_ungated_predicates(distinct_monoids, tmp_path, capsys):
     # the report's triviality flags, read off the table inside DA and false
     # outside it, must equal the counts of Green's classes, on each monoid
@@ -378,17 +402,19 @@ def test_back_to_back_calls_share_no_state(capsys):
 
 
 def test_identity_search_over_budget_exit_code(tmp_path, capsys, monkeypatch):
-    # |M| = |E| = 6: the DA check needs 36 assignments, the search 16 x 6
+    # |M| = |E| = 6: the DA check needs 36 assignments, the search 6 x 6, then
+    # 8 failing tuples x 6 at depth 3
     p = tmp_path / "level3.monoid"
     p.write_text("size: 6\nidentity: 0\ntable\n0 1 2 3 4 5\n1 1 1 3 4 5\n2 2 2 3 4 5\n"
                  "3 4 5 3 4 5\n4 4 4 3 4 5\n5 5 5 3 4 5\n")
     code, out, _ = run(capsys, "analyze", "--monoid", str(p), "--method", "identities")
     assert code == 0 and "fo2_level: 3" in out
     monkeypatch.setattr(cli, "identities_level", functools.partial(
-        identities_module.identities_level, max_assignments=95))
+        identities_module.identities_level, max_assignments=47))
     code, out, err = run(capsys, "analyze", "--monoid", str(p), "--method", "identities")
     assert code == 3 and out == ""
-    assert err.startswith("budget exceeded: ") and "16 reachable tuples" in err
+    assert err == ("budget exceeded: identity search too large: 8 failing tuples x 6 "
+                   "idempotents at depth 3 exceed the budget of 47\n")
     assert "Traceback" not in err
 
 

@@ -21,7 +21,7 @@ from fo2level.identities import (IdentitiesLevel, IdentityBudgetError, IdentityC
                                  straubing_terms, term_num_vars)
 from fo2level.monoid import MonoidTooLargeError, reverse_monoid, transition_monoid
 from fo2level.varieties import NOT_FO2, LevelResult
-from reference import eval_term
+from reference import eval_term, reference_phi_search
 
 
 def monoid_of(text):
@@ -282,7 +282,8 @@ def test_check_straubing():
 
 # -- the forward search behind the phi-word identities ----------------------
 
-# level_three() (|M| = |E| = 6): its search reaches 16 tuples at depth 4
+# level_three() (|M| = |E| = 6): carrying every tuple, its search reaches 14,
+# 16 and 14 tuples at depths 2, 3 and 4; 8, 2 and 0 of them fail
 
 
 def phi_identity(level, side):
@@ -346,18 +347,61 @@ def test_forward_search_witness_does_not_depend_on_chunk_size(monkeypatch):
         assert identities_level(m, max_m=4) == exp
 
 
-def test_forward_search_budget_counts_reachable_tuples():
+def test_forward_search_budget_counts_failing_tuples():
     m = level_three()
     assert len(m.idempotents()) == 6
-    # DA needs 6^2 = 36, the search at most 16 tuples x 6 = 96 < 6^3
+    # DA needs 6^2 = 36, the search 6 x 6, then 8 failing tuples x 6 = 48 < 6^3
     answer = identities_level(m)
     assert answer.result == LevelResult("level", 3)
-    assert identities_level(m, max_assignments=100) == answer
-    assert in_Rm_by_identities(m, 4, max_assignments=100)
-    with pytest.raises(IdentityBudgetError, match="16 reachable tuples x 6 idempotents"):
-        identities_level(m, max_assignments=95)
-    with pytest.raises(IdentityBudgetError, match="16 reachable tuples"):
-        in_Lm_by_identities(m, 4, max_assignments=95)
+    assert identities_level(m, max_assignments=48) == answer
+    assert in_Rm_by_identities(m, 4, max_assignments=48)
+    with pytest.raises(IdentityBudgetError, match="8 failing tuples x 6 idempotents at depth 3"):
+        identities_level(m, max_assignments=47)
+    with pytest.raises(IdentityBudgetError, match="8 failing tuples"):
+        in_Lm_by_identities(m, 4, max_assignments=47)
     # depths below the one that needs the budget are still answered
-    assert not in_Rm_by_identities(m, 3, max_assignments=95)
+    assert not in_Rm_by_identities(m, 2, max_assignments=47)
 
+
+def test_search_keeps_only_failing_tuples(monkeypatch):
+    # from the failing tuples alone, level_three() reaches 14, 15 and 3
+    # tuples at depths 2, 3 and 4, of which 8, 2 and 0 fail
+    m = level_three()
+    steps = []          # one entry per slice the search computes
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(identities.np, "unique", counted)
+    search = identities._phi_search(m, 10_000_000)
+    assert next(search) == (2, {1: 1, 2: 3}, {1: 1, 2: 2})
+    del steps[:]
+    assert next(search) == (3, {1: 1, 2: 2, 3: 3}, None)
+    assert next(search) == (4, None, None)
+    assert len(steps) == 2
+    # no failing tuple is left: every later depth holds and costs nothing
+    assert [next(search) for _ in range(20)] == [(k, None, None) for k in range(5, 25)]
+    assert len(steps) == 2
+    # the budget names the failing tuples a step starts from, before the step
+    search = identities._phi_search(m, 47)
+    next(search)
+    del steps[:]
+    with pytest.raises(IdentityBudgetError, match="8 failing tuples x 6 idempotents at depth 3 "):
+        next(search)
+    assert steps == []
+    # the mirror monoid fails on the other side, from as many tuples
+    search = identities._phi_search(reverse_monoid(m), 47)
+    assert next(search) == (2, {1: 1, 2: 2}, {1: 1, 2: 3})
+    with pytest.raises(IdentityBudgetError, match="8 failing tuples"):
+        next(search)
+
+
+def test_search_matches_the_unpruned_reference(distinct_monoids, da_chain_members):
+    # pruning relies on DA, where the search runs; checked on both orders
+    monoids = [m for m in distinct_monoids if m.is_in_da()] + da_chain_members
+    assert len(monoids) > 100
+    for m in monoids + [reverse_monoid(m) for m in monoids]:
+        got = list(itertools.islice(identities._phi_search(m, 10_000_000), 5))
+        assert got == list(itertools.islice(reference_phi_search(m), 5)), m.table.tolist()

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,9 @@ def test_parse_monoid_file():
     assert one.size == 1
 
 
+TWO = "size: 2\nidentity: 0\ngen a 1\ntable\n"
+
+
 @pytest.mark.parametrize("text,msg", [
     ("size: 2\nidentity: 0\ntable\n0 1\n1\n", "entries"),
     ("size: 2\nidentity: 1\ntable\n0 1\n1 0\n", "identity law"),
@@ -209,6 +213,35 @@ def test_parse_monoid_file():
     ("size: 2\nidentity: 0\ntable\n0 1\n1 99999999999\n", "table entry out of range"),
     ("size: 2\nidentity: 0\ntable\n0 1\n1 -99999999999999999999\n",
      "table entry out of range"),
+    # a generator symbol given twice, with another element or the same one
+    ("size: 2\nidentity: 0\ngen a 1\ngen a 0\ntable\n0 1\n1 0\n", "duplicate generator 'a'"),
+    ("size: 2\nidentity: 0\ngen a 1\ngen a 1\ntable\n0 1\n1 0\n", "duplicate generator 'a'"),
+    # table entries: signs, tabs and runs of spaces are read
+    (TWO + "+0 +1\n1 0\n", None),
+    (TWO + "0\t1\n1 \t 0\n", None),
+    (TWO + "0    1\n01  -0\n", None),
+    (TWO + "0 1\n1 0x\n", "malformed table row: '1 0x'"),
+    (TWO + "0 1\n1 1.5\n", "malformed table row: '1 1.5'"),
+    (TWO + "0 1\n1 2147483648\n", "table entry out of range"),
+    (TWO + "0 1\n1 9223372036854775808\n", "table entry out of range"),
+    (TWO + "0 1\n1 -9223372036854775809\n", "table entry out of range"),
+    (TWO + "0 1\n1 -1\n", "table entry out of range"),
+    # int32 would wrap these to 0 and 1
+    (TWO + "0 1\n1 -4294967296\n", "table entry out of range"),
+    (TWO + "0 1\n1 4294967297\n", "table entry out of range"),
+    # a sign alone is no entry, though numpy reads "-" as 0 and "- 1" as -1
+    (TWO + "0 1\n1 -\n", "malformed table row: '1 -'"),
+    (TWO + "0 +\n1 0\n", "malformed table row: '0 \\+'"),
+    (TWO + "- 1\n1 0\n", "malformed table row: '- 1'"),
+    # tokens int() read, refused by the table reader: non-ASCII digits,
+    # underscores between digits, and non-ASCII spaces
+    (TWO + "0 1\n1 \u0660\n", "malformed table row"),
+    (TWO + "0 1\n1 0_0\n", "malformed table row: '1 0_0'"),
+    (TWO + "0 1\n1\u00a00\n", "malformed table row"),
+    # the first faulty row decides, and a wrong count before a bad token
+    (TWO + "0 x\n1\n", "malformed table row: '0 x'"),
+    (TWO + "0 -1\n1\n", "table row has 1 entries, expected 2"),
+    (TWO + "0 1 x\n1 0\n", "table row has 3 entries, expected 2"),
 ])
 def test_parse_monoid_file_errors(text, msg):
     if msg is None:
@@ -216,6 +249,56 @@ def test_parse_monoid_file_errors(text, msg):
     else:
         with pytest.raises(MonoidFormatError, match=msg):
             parse_monoid_file(text)
+
+
+def _int_reader_outcome(rows, n):
+    """What a reader that splits each row and calls int() on every token
+    makes of the rows: the table's list form or the refusal message."""
+    table = []
+    for row in rows:
+        toks = row.split()
+        if len(toks) != n:
+            return f"table row has {len(toks)} entries, expected {n}"
+        try:
+            table.append([int(t) for t in toks])
+        except ValueError:
+            return f"malformed table row: {row!r}"
+    try:
+        return FiniteMonoid(table, 0).table.tolist()
+    except MonoidFormatError as exc:
+        return str(exc)
+
+
+def test_table_reader_matches_int_on_random_rows():
+    # ASCII tokens with and without faults, in rows of 1 to 3 entries
+    rng = random.Random(5)
+    tokens = ["0", "1", "+1", "-0", "01", "2", "-1", "x", "1.0", "-", "+", "0x1", "1-",
+              "9223372036854775808", "-99999999999999999999"]
+    for _ in range(3000):
+        rows = ["0 1"] + ["".join(rng.choice(tokens) + rng.choice([" ", "\t", "  "])
+                                  for _ in range(rng.randint(1, 3))).strip()
+                          for _ in range(rng.randint(1, 2))]
+        text = "size: 2\nidentity: 0\ntable\n" + "\n".join(rows) + "\n"
+        want = _int_reader_outcome(rows, 2) if len(rows) == 2 else "expected 2 table rows, found 3"
+        try:
+            got = parse_monoid_file(text).table.tolist()
+        except MonoidFormatError as exc:
+            got = str(exc)
+        assert got == want, rows
+
+
+def test_monoid_file_table_checked_against_memory_before_reading(monkeypatch):
+    # 2 elements: the int64 read with its end column takes 48 bytes, the
+    # int32 table 16
+    text = TWO + "0 1\n1 0\n"
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 63)
+    monkeypatch.setattr(monoid_module, "_read_table", None)     # never reached
+    with pytest.raises(MonoidTooLargeError, match="monoid file has 2 elements; reading its "
+                                                  "2x2 table needs 0.0 GiB but 0.0 GiB"):
+        parse_monoid_file(text)
+    monkeypatch.undo()
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 64)
+    assert parse_monoid_file(text).size == 2
 
 
 def test_monoid_size_cap():
@@ -450,10 +533,11 @@ def test_built_monoids_pass_the_generation_walk(distinct_monoids, da_chain_membe
         FiniteMonoid(left_zero().table, 0, gens={"a": 1})
 
 
-def test_light_associativity_matches_exhaustive_check(mixed_entries):
+def test_light_associativity_matches_exhaustive_check(mixed_entries, monkeypatch):
     # random tables obeying the identity law, and built tables with one entry
     # changed; Light's test over every element is the exhaustive check, and
-    # over the generators it agrees whenever they reach every element
+    # over the generators it agrees whenever they reach every element, in
+    # slices of one row, of a few rows and of the whole table
     rng = np.random.default_rng(5)
     cases = []
     for _ in range(3000):
@@ -472,10 +556,13 @@ def test_light_associativity_matches_exhaustive_check(mixed_entries):
     outcomes = {True: 0, False: 0}
     for t, gens in cases:
         exhaustive = associative(t)
-        assert monoid_module._light_associative(t, range(len(t))) == exhaustive, t
-        if monoid_module._generated(t, 0, gens):
-            assert monoid_module._light_associative(t, gens) == exhaustive, (t, gens)
-            outcomes[exhaustive] += 1
+        generated = monoid_module._generated(t, 0, gens)
+        for cells in (1, 7, 1 << 20):
+            monkeypatch.setattr(monoid_module, "_FILL_CELLS", cells)
+            assert monoid_module._light_associative(t, range(len(t))) == exhaustive, t
+            if generated:
+                assert monoid_module._light_associative(t, gens) == exhaustive, (t, gens)
+        outcomes[exhaustive] += generated
         gen_map = {f"g{i}": g for i, g in enumerate(gens)}
         if exhaustive:
             assert FiniteMonoid(t, 0, validate=True).size == len(t)
