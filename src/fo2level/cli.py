@@ -118,6 +118,8 @@ def _witness_json(mono: FiniteMonoid, identity: str | None, assignment):
 
 
 def cmd_analyze(args) -> int:
+    if args.max_m < 1:
+        raise _UsageError("--max-m must be >= 1")
     description, dfa_states, mono = _load_monoid(args)
     run_quotient = args.method in ("quotient", "both")
     run_identities = args.method in ("identities", "both")

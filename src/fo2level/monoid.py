@@ -50,8 +50,11 @@ class MonoidTooLargeError(ValueError):
 _SIG_BYTES = 1 << 20
 
 # Cells per slice of the transition monoid's row fill (its intp index, about
-# 8 MB) and of Light's associativity test.
+# 8 MB), of Light's associativity test and of a monoid file's table read.
 _FILL_CELLS = 1 << 20
+
+# ``_first_seen_labels`` hashes a row by weighing its 64-bit word i by this to the power i + 1
+_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,33 +85,44 @@ class GreensData:
         return int(self.l_class.max()) + 1
 
 
-def _first_seen_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_seen_labels(rows: np.ndarray) -> np.ndarray:
     """Label equal rows of a 2-D array 0, 1, ... in order of first appearance.
 
-    Returns (labels, first) with ``first[k]`` the index of the first row
-    labelled k.  Rows are compared as raw bytes through a ``np.void`` view,
-    so one sort labels them all.
-    """
-    rows = np.ascontiguousarray(rows)
+    The rows, as bytes padded to whole 64-bit words, are grouped by a hash
+    (one sort of hash and row index together), and each is compared with the
+    first row of its group; on a collision ``_fold_labels`` labels them."""
     count, width = rows.shape[0], rows.shape[1] * rows.dtype.itemsize
-    if count == 0 or width == 0:
-        return np.zeros(count, dtype=np.int32), np.zeros(min(count, 1), dtype=np.intp)
-    keys = rows.view(np.dtype((np.void, width))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[order] = np.arange(len(first), dtype=np.int32)
-    return rank[inverse.ravel()], first[order]
+    rows = np.ascontiguousarray(rows).view(np.uint8).reshape(count, width)
+    if width % 8:
+        rows = np.concatenate([rows, np.zeros((count, -width % 8), dtype=np.uint8)], axis=1)
+    words = rows.view(np.uint64)
+    h = words >> np.uint64(29)
+    h ^= words
+    h = h @ np.full(words.shape[1], _HASH_BASE).cumprod()
+    low = np.uint64((1 << max(count - 1, 1).bit_length()) - 1)  # bits of a row index
+    h &= ~low
+    h |= np.arange(count, dtype=np.uint64)
+    h.sort()  # by hash, then by row
+    order = (h & low).astype(np.intp)
+    start = np.ones(count, dtype=bool)  # where a run of equal hashes starts
+    np.greater(h[1:] ^ h[:-1], low, out=start[1:])
+    first = order[start]
+    rep = np.empty(count, dtype=np.intp)  # the first row of each row's group
+    rep[order] = first[np.cumsum(start) - 1]
+    if not (words[rep] == words).all():
+        return _fold_labels(rows)
+    labels = np.zeros(count, dtype=np.int32)
+    labels[first] = 1
+    return (np.cumsum(labels, dtype=np.int32) - 1)[rep]
 
 
 def _fold_labels(rows: np.ndarray) -> np.ndarray:
     """First-seen labels of the rows of a 2-D array, through a dict keyed by
     the row bytes.
 
-    The same labels as ``_first_seen_labels``, but a dict, not its sort,
-    because signature rows are few and wide, where the dict is about three
-    times faster (random rows of 19 x 44 and 1 771 x 3 112 bytes, one core
-    of a 2-core x86 host); the oracle's many narrow rows sort faster.
+    The same labels as ``_first_seen_labels``, but faster on few wide rows
+    (19 x 11 int64 rows: about 9 against 49 us; 1 771 x 778: 6.2 against
+    8.2 ms, one core of a 2-core x86 host); many narrow rows hash faster.
     """
     rows = np.ascontiguousarray(rows)
     width = rows.shape[1] * rows.itemsize
@@ -611,22 +625,28 @@ def _read_ints(text: str) -> np.ndarray | None:
         return None
 
 
-def _read_table(rows: list[str], n: int) -> np.ndarray:
-    """The n table rows as an n x n int64 array with entries in 0..n-1.
+def _read_table(rows: list[str], n: int, step: int) -> np.ndarray:
+    """The n table rows as an n x n int32 array with entries in 0..n-1.
 
-    All rows are read at once, each followed by an n, which no entry may
-    equal.  Every token gives one value, so when there are n * (n + 1)
-    values and the first n of every n + 1 lie in 0..n-1, the n ends fill
-    the last column and each row had n entries.  Otherwise the rows are
-    checked one by one, in file order, for the first fault: a wrong entry
-    count, then a token that is not an integer; failing both, an entry is
-    out of range.
+    Each slice of step rows is read at once, every row followed by an n,
+    which no entry may equal: when r rows give r * (n + 1) values and the
+    first n of every n + 1 lie in 0..n-1, each row had n entries.  On any
+    fault the rows are checked one by one, in file order, for the first: a
+    wrong entry count, a token that is not an integer, else a range fault.
     """
-    grid = _read_ints(f" {n}\n".join(rows) + f" {n}")
-    if grid is not None and grid.size == n * (n + 1):
-        table = grid.reshape(n, n + 1)[:, :n]
-        if table.min() >= 0 and table.max() < n:
-            return table
+    table = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, step):
+        part = rows[lo:lo + step]
+        grid = _read_ints(f" {n}\n".join(part + [""]))
+        if grid is None or grid.size != len(part) * (n + 1):
+            break
+        grid = grid.reshape(len(part), n + 1)[:, :n]
+        if grid.min() < 0 or grid.max() >= n:
+            break
+        table[lo:lo + len(part)] = grid
+        del grid  # before the next slice is read
+    else:
+        return table
     for row in rows:
         count = len(row.split())
         if count != n:
@@ -645,9 +665,9 @@ def parse_monoid_file(text: str) -> FiniteMonoid:
     r, column c = r*c).  ``#`` starts a comment line.  Table entries are
     ASCII decimal integers with an optional sign, separated by spaces or
     tabs.  The table is checked against the memory available, then read
-    into one int64 array in a single pass (``_read_table``) and
-    range-checked before it becomes the int32 table; no entry becomes a
-    Python string or int unless the table is refused.
+    in slices of rows, each in one numpy pass, range-checked and written
+    into the int32 table (``_read_table``); no entry becomes a Python
+    string or int unless the table is refused.
     """
     lines = []
     for raw in text.splitlines():
@@ -686,9 +706,9 @@ def parse_monoid_file(text: str) -> FiniteMonoid:
     rows = lines[i + 1:]
     if len(rows) != n:
         raise MonoidFormatError(f"expected {n} table rows, found {len(rows)}")
-    # the int64 read (with its column of row ends) and the int32 table
-    _check_fits(8 * n * (n + 1) + 4 * n * n,
+    # equal slices of about _FILL_CELLS entries; the int32 table and one slice's int64 read
+    step = -(-n // -(-n * (n + 1) // _FILL_CELLS))
+    _check_fits(4 * n * n + 8 * (n + 1) * step,
                 f"monoid file has {n} elements; reading its {n}x{n} table needs",
                 MonoidTooLargeError)
-    table = _read_table(rows, n).astype(np.int32)
-    return FiniteMonoid(table, identity, gens=gens or None, validate=True)
+    return FiniteMonoid(_read_table(rows, n, step), identity, gens=gens or None, validate=True)

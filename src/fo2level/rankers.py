@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _check_fits, _first_seen_labels, _fold_labels
+from .monoid import FiniteMonoid, _check_fits, _first_seen_labels
 
 X = "X"
 Y = "Y"
@@ -287,6 +287,10 @@ def _accumulate_rows(ufunc, a: np.ndarray) -> np.ndarray:
     return a
 
 
+# roles (bits 0-1 row, column of block X; 2-3 of Y) by 4 * (depth < n) + 2 * start + (blocks < m)
+_ROLES = np.array([1, 1, 4, 4, 9, 11, 6, 14], dtype=np.uint8)
+_TYPES = np.array([[c & 3, c >> 2] for c in range(16)], dtype=np.uint8)  # a role code's X, Y types
+
 _BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
 
 
@@ -387,11 +391,9 @@ class RankerTable:
     partition at depth n fills and reads only depths <= n; reading
     ``values`` fills every depth of positions, ``condensed`` of both.
 
-    The equivalence partition uses exact signatures: per word, the
-    definedness bits of the distinct ranker value rows and their compressed
-    ranks among the values the four comparison families compare them with
-    (see ``partition_equiv``).  Two words get the same label precisely when
-    the direct definition relates them.
+    The equivalence partition uses exact signatures, the compressed ranks of
+    the distinct ranker value rows (``partition_equiv``): two words get the
+    same label precisely when the direct definition relates them.
     """
 
     def __init__(self, alphabet, max_blocks: int, max_depth: int, words):
@@ -572,12 +574,12 @@ class RankerTable:
         """
         with self._fill_lock:
             sub = copy.copy(self)
-            sub._value_blocks = [b[:, keep] for b in self._value_blocks]
-            sub._condensed_blocks = [b[:, keep] for b in self._condensed_blocks]
+            sub._value_blocks = [b.take(keep, axis=1) for b in self._value_blocks]
+            sub._condensed_blocks = [b.take(keep, axis=1) for b in self._condensed_blocks]
             if self._first is not None:
-                sub._first = self._first[:, keep]
+                sub._first = self._first.take(keep, axis=1)
             if self._interval is not None:
-                sub._interval = tuple(a[:, keep] for a in self._interval)
+                sub._interval = tuple(a.take(keep, axis=1) for a in self._interval)
         w = self.words
         sub.words = _Words(w.letters, w.lens, w.names, w.cols[keep])
         sub._fill_lock = threading.Lock()
@@ -629,7 +631,7 @@ class RankerTable:
         if key not in self._partitions:
             end = self._fill_condensed(n)
             rows = self._rows(self._condensed_blocks, bool, mask[:end])
-            self._partitions[key] = _first_seen_labels(_pack_rows(rows).T)[0]
+            self._partitions[key] = _first_seen_labels(_pack_rows(rows).T)
         return self._partitions[key]
 
     def partition_right(self, m: int, n: int) -> np.ndarray:
@@ -648,104 +650,80 @@ class RankerTable:
         Rankers with equal value rows are merged into P profiles.  The
         comparison families put in force the profile pairs of two blocks:
         rows X-start (m, n) against columns for X, and rows Y-start (m, n)
-        against columns for Y.  In a block a profile is row-only,
-        column-only or both, and a pair is in force when one side is a row
-        and the other a column.  Per word and block the distinct values of
-        the block's profiles are its levels (undefined is 0, below every
-        position); a level is pure row-only, pure column-only or mixed.
-        Each run of consecutive pure row-only levels, and each run of pure
+        against columns for Y.  Per word and block the distinct values of
+        the block's profiles are its levels, undefined (0) always one of its
+        own; a level is pure row-only, pure column-only or mixed.  Each run
+        of consecutive defined pure row-only levels, and each of pure
         column-only ones, is merged into one level, and a profile's
         compressed rank is the index of its level after merging.  A word's
-        key is the definedness bits of the profiles followed by their
-        compressed ranks in the X block and then in the Y block; a block
-        without rows or without columns puts no pair in force and adds
-        nothing.
+        key is each profile's compressed ranks in the blocks it belongs to;
+        with no column (n = 1) no pair is in force, and it is definedness.
 
-        The key is exact.  A merged level holds no in-force pair, so
-        merging loses no sign; any two adjacent levels left after merging
-        hold an in-force pair across them, so the signs fix the merged
-        order.  Two words therefore have equal keys precisely when they
-        agree on definedness and on the sign of every in-force pair, and
-        labels are numbered by first appearance in the word list.
+        The key is exact.  A rank is 1 exactly where its profile is
+        undefined, and every profile is a row of its start's block.  A
+        merged level holds no in-force pair, so merging loses no sign; any
+        two adjacent defined levels left after merging hold an in-force pair
+        across them, so the signs fix the merged order.  Equal keys thus
+        mean equal definedness and equal signs on every in-force pair.
 
-        Cost: O(W * (P + max length)) for W words.  Profiles are labelled
-        through a dict of their row bytes and ordered by family through a
-        presence mask over the 6 * P (group, profile) slots, so each block's
-        rows and columns are ranges of profiles.  The level grids of both
-        blocks lie side by side, level-major, in chunks of about 2**20
-        cells, so the running maximum and the running sum of rank increments
-        each take one pass along the level axis.  Ranks take one byte below
-        255 letters and two after; the keys are checked against the memory
-        available before they are allocated.
+        Cost: O(W * (P + max length)) for W words, in a fixed number of
+        numpy steps per chunk of about 2**20 cells.  One dict of the row
+        bytes finds the profiles and their rankers' roles, by which they are
+        ordered: one scatter per run of equal roles sets both blocks' level
+        types in a level-major grid, running maxima of 4 * level + type and
+        running sums along the level axis give the ranks, and one take reads
+        them.  The keys are checked against the memory available first, and
+        labelled by first appearance in the word list.
         """
         key = ("E", m, n)
         if key in self._partitions:
             return self._partitions[key]
         end = self._fill(n)
         sel = self._class_mask(None, m, n)[:end]
-        V = self._rows(self._value_blocks, np.int16, sel)
-        plabels = _fold_labels(V)  # few wide rows
-        pfirst = _first_indices(plabels)
-        P = len(pfirst)
-        # Each ranker's group: X-start of depth n, X-start of depth < n with
-        # m blocks, X-start of depth < n with fewer, then the Y-start ones in
-        # the mirror order.  Profiles are ordered by group, a profile whose
-        # rankers fall in several groups once in each (the copies have equal
-        # values, so the keys give the same partition).  Then X rows are
-        # groups 0-2, X columns 2-4, Y rows 3-5 and Y columns 1-3.
-        shallow = self.depth[:end][sel] < n
-        inward = shallow * (1 + (self.blocks[:end][sel] < m))
-        present = np.zeros(6 * P, dtype=bool)  # per (group, profile) slot, in order
-        present[np.where(self.start[:end][sel] == 1, 5 - inward, inward) * P + plabels] = True
-        pair = np.flatnonzero(present)
-        profiles = V[pfirst[pair % max(P, 1)]]
-        g = [0, *np.searchsorted(pair, np.arange(1, 7) * P).tolist()]  # g[i]: profiles in groups < i
-        # per block that puts a pair in force: its rows, its columns, both
-        blocks = [((r0, r1), (c0, c1), (min(r0, c0), max(r1, c1)))
-                  for (r0, r1), (c0, c1) in (((0, g[3]), (g[2], g[5])), ((g[3], g[6]), (g[1], g[4])))
-                  if r1 > r0 and c1 > c0]
-
         W = len(self.words)
+        role = _ROLES.take(4 * (self.depth[:end] < n) + 2 * self.start[:end] + (self.blocks[:end] < m))
+        roles: dict[bytes, int] = {}
+        for block, lo, hi in zip(self._value_blocks, self._ends, self._ends[1:n + 1]):
+            rows = block.compress(sel[lo:hi], axis=0).view(np.dtype((np.void, 2 * W)))
+            for row, r in zip(rows.ravel().tolist(), role[lo:hi][sel[lo:hi]].tolist()):
+                roles[row] = roles.get(row, 0) | r
+        rows = sorted(roles, key=roles.__getitem__)
+        codes = [roles[row] for row in rows]
+        P = len(rows)
+        profiles = np.frombuffer(b"".join(rows), dtype=np.int16).reshape(P, W)
+        if not any(c & 10 for c in codes):
+            return self._partitions.setdefault(key, _first_seen_labels((profiles > 0).T))
+
+        runs = [i for i in range(P) if not i or codes[i] != codes[i - 1]] + [P]
         levels = self._maxlen + 1  # values 0 (undefined) .. maxlen
-        rank_dtype = np.dtype(np.uint8 if levels <= 255 else np.uint16)  # ranks <= levels
-        head = (len(profiles) + 7) // 8
-        width = head + rank_dtype.itemsize * sum(m1 - m0 for *_, (m0, m1) in blocks)
-        _check_fits(W * (4 + width), f"signatures of {P} profiles need", RankerBudgetError)
-        keys = np.empty((W, width), dtype=np.uint8)
-        step = max(1, (1 << 20) // max(1, len(profiles) + len(blocks) * levels))
-        shift = np.arange(levels, dtype=np.int32)[:, None] * 4
+        rank = np.dtype(np.uint8 if levels <= 255 else np.uint16)  # ranks <= levels
+        pair = np.dtype(f"u{2 * rank.itemsize}")  # a profile's ranks in X and Y
+        keep = np.where(_TYPES > 0, ~rank.type(0), rank.type(0)).view(pair).ravel().take(codes)[:, None]
+        lanes = -(-P * pair.itemsize // 8)
+        _check_fits(W * (16 * lanes + 48), f"signatures of {P} profiles need", RankerBudgetError)
+        keys = np.zeros((W, 8 * lanes // pair.itemsize), dtype=pair)
+        step = max(1, (1 << 20) // max(1, P + 2 * levels))
         for lo in range(0, W, step):
             vals = profiles[:, lo:lo + step]
             c = vals.shape[1]
-            keys[lo:lo + c, :head] = _pack_rows(vals > 0).T
-            if not blocks:
-                continue
-            top, wide = int(vals.max(initial=0)) + 1, len(blocks) * c  # levels in this chunk
-            # level-major cell of each value in block 0's grid; block b's grid
-            # starts b * c cells further on
-            cells = np.multiply(vals, wide, dtype=np.intp)
+            top = int(vals.max(initial=0)) + 1  # levels in this chunk
+            cells = np.multiply(vals, c, dtype=np.intp)  # level-major cell of each value
             cells += np.arange(c)
-            # 0 absent, 1 pure row-only, 2 pure column-only, 3 mixed
-            t = np.zeros(top * wide, dtype=np.uint8)
-            col = np.zeros(top * wide, dtype=np.uint8)
-            for b, ((r0, r1), (c0, c1), _) in enumerate(blocks):
-                t[b * c:][cells[r0:r1]] = 1
-                col[b * c:][cells[c0:c1]] = 2
-            t |= col
-            t = t.reshape(top, wide)
-            new = t > 0
-            # (level, type) of the last present level so far, 4 * level + type
-            last = _accumulate_rows(np.maximum, np.where(new, shift[:top] + t, 0))
-            new[1:] &= (t[1:] == 3) | (t[1:] != (last[:-1] & 3))
-            ranks = _accumulate_rows(np.add, new.astype(rank_dtype)).ravel()
-            at = head
-            for b, (*_, (m0, m1)) in enumerate(blocks):
-                span = (m1 - m0) * rank_dtype.itemsize
-                keys[lo:lo + c, at:at + span].view(rank_dtype)[...] = ranks[b * c:].take(cells[m0:m1]).T
-                at += span
-        labels = _first_seen_labels(keys)[0]
-        self._partitions[key] = labels
-        return labels
+            # per cell its level's types in X and Y: 0 absent, 1 (2) pure row- (column-)only, 3 mixed
+            grid = np.zeros(top * c, dtype=np.uint16)
+            for a, b in zip(runs, runs[1:]):
+                grid[cells[a:b]] |= _TYPES[codes[a]].view(np.uint16)[0]
+            grid = grid.view(np.uint8).reshape(top, c, 2)
+            grid[0] = 3
+            new = grid > 0
+            last = np.arange(0, 4 * top, 4, dtype=np.min_scalar_type(4 * top))[:, None, None] + grid
+            last *= new
+            _accumulate_rows(np.maximum, last)
+            last &= 3
+            new[1:] &= (grid[1:] == 3) | (grid[1:] != last[:-1])
+            ranks = _accumulate_rows(np.add, new.astype(rank)).view(pair).ravel().take(cells)
+            np.bitwise_and(ranks.T, keep.T, out=keys[lo:lo + c, :P])
+        return self._partitions.setdefault(key, _first_seen_labels(keys))
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,44 @@ def test_oracle_arguments_are_checked_before_the_input_is_loaded(capsys):
     assert err == "usage error: --m and --max-n must be >= 1, --max-len >= 0\n"
 
 
+def test_analyze_max_m_below_one_is_a_usage_error(capsys, monkeypatch):
+    def refuse(_args):
+        raise AssertionError("input loaded before --max-m was checked")
+
+    monkeypatch.setattr(cli, "_load_monoid", refuse)
+    for max_m in ("0", "-2"):
+        code, out, err = run(capsys, "analyze", "--regex", "a", "--max-m", max_m)
+        assert code == 1 and out == ""
+        assert err == "usage error: --max-m must be >= 1\n"
+
+
+# (regex, --m, --max-len, monoid size) of the calls of the ranker-oracle
+# benchmark workload; each holds at n = 4, also with a and b swapped
+ORACLE_GOLDEN = (
+    ("(ab)*", 1, 11, 6),
+    ("(a|b)*abb(a|b)*", 1, 10, 10),
+    ("(a|b)*abb(a|b)*", 2, 10, 10),
+    ("b(a|b)*a", 1, 10, 5),
+    ("(aab)*", 1, 10, 12),
+    ("(abb)*", 1, 10, 12),
+    ("(a|b)*b", 1, 10, 3),
+    ("(ab|b)*", 2, 10, 6),
+    ("(a|b)*aab(a|b)*", 2, 10, 10),
+    ("a(ba)*b", 2, 10, 6),
+    ("(abb)*", 2, 10, 12),
+)
+
+
+@pytest.mark.parametrize("regex,m,max_len,size", ORACLE_GOLDEN)
+def test_oracle_golden_outputs(regex, m, max_len, size, capsys):
+    for r in (regex, regex.translate(str.maketrans("ab", "ba"))):
+        code, out, err = run(capsys, "oracle", "--regex", r, "--m", str(m), "--max-n", "6",
+                             "--max-len", str(max_len))
+        assert code == 0 and err == ""
+        assert out == (f"input: regex {r}\nmonoid_size: {size}\n"
+                       f"oracle: holds at n=4 (m={m}, words up to length {max_len})\n")
+
+
 def test_module_entry_point_runs_from_a_checkout():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -287,6 +287,49 @@ def test_table_reader_matches_int_on_random_rows():
         assert got == want, rows
 
 
+def _cyclic_rows(n):
+    """The table rows of Z_n as text, each a rotation of the first."""
+    first = " ".join(map(str, range(n)))
+    twice = first + " " + first
+    starts = [0] + [j + 1 for j, ch in enumerate(first) if ch == " "]
+    return [twice[i:i + len(first)] for i in starts]
+
+
+def test_monoid_file_table_is_read_in_slices(monkeypatch):
+    # 1 500 elements, a 9.6 MB file: read whole, the joined row text (twice)
+    # and an int64 grid put the peak at 35.6 MiB; read in three slices of 500
+    # rows into the int32 table it is 26.9 MiB
+    n = 1500
+    text = f"size: {n}\nidentity: 0\ntable\n" + "\n".join(_cyclic_rows(n)) + "\n"
+    monkeypatch.setattr(monoid_module, "FiniteMonoid", lambda table, *_args, **_kwargs: table)
+    tracemalloc.start()
+    try:
+        table = parse_monoid_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 31 * 2**20
+    assert table.dtype == np.int32
+    assert np.array_equal(table, (np.arange(n)[:, None] + np.arange(n)) % n)
+
+
+def test_an_entry_count_fault_outranks_an_earlier_range_fault_across_slices():
+    # 1 100 elements are read in two slices of 550 rows: the out-of-range
+    # entry stops the first slice, and the short row of the second is the
+    # fault reported, as when the rows are checked one by one
+    n = 1100
+    rows = _cyclic_rows(n)
+    rows[3] = rows[3].replace(" 7 ", f" {n} ", 1)
+    rows[900] = rows[900].rsplit(" ", 1)[0]
+    text = f"size: {n}\nidentity: 0\ntable\n" + "\n".join(rows) + "\n"
+    with pytest.raises(MonoidFormatError, match=f"table row has {n - 1} entries, expected {n}"):
+        parse_monoid_file(text)
+    rows[900] = _cyclic_rows(n)[900]
+    text = f"size: {n}\nidentity: 0\ntable\n" + "\n".join(rows) + "\n"
+    with pytest.raises(MonoidFormatError, match="table entry out of range"):
+        parse_monoid_file(text)
+
+
 def test_monoid_file_table_checked_against_memory_before_reading(monkeypatch):
     # 2 elements: the int64 read with its end column takes 48 bytes, the
     # int32 table 16
@@ -580,4 +623,18 @@ def test_folded_labels_match_one_sort_of_the_whole_rows():
                 rows = rng.integers(0, distinct, size=(count, width)).astype(dt)
                 got = monoid_module._fold_labels(rows)
                 assert got.dtype == np.int32 and np.array_equal(
-                    got, monoid_module._first_seen_labels(rows)[0]), (count, width, distinct, dt)
+                    got, monoid_module._first_seen_labels(rows)), (count, width, distinct, dt)
+
+
+def test_hashed_labels_fall_back_to_the_dict_on_a_collision(monkeypatch):
+    # with a zero hash base every row hashes alike, so wherever two rows
+    # differ they are labelled through the dict of their bytes instead
+    monkeypatch.setattr(monoid_module, "_HASH_BASE", np.uint64(0))
+    rng = np.random.default_rng(6)
+    for count, width in ((0, 3), (6, 0), (40, 1), (300, 19), (64, 34)):
+        for distinct in (1, 3, 1000):
+            rows = rng.integers(0, distinct, size=(count, width)).astype(np.int16)
+            first: dict = {}
+            want = [first.setdefault(row.tobytes(), len(first)) for row in rows]
+            got = monoid_module._first_seen_labels(rows)
+            assert got.dtype == np.int32 and got.tolist() == want, (count, width, distinct)

@@ -423,6 +423,17 @@ def test_equiv_partitions_on_words_longer_than_255_letters():
                                   _per_word_equiv_labels(table, m, n)), (m, n)
 
 
+def test_equiv_partitions_survive_hash_collisions(monkeypatch):
+    # a zero hash base makes every word's key hash alike: the labels come
+    # from the dict of the keys' bytes instead, and are the same
+    monkeypatch.setattr(fo2level.monoid, "_HASH_BASE", np.uint64(0))
+    table = RankerTable(("a", "b"), 2, 3, all_words(("a", "b"), 5))
+    for m in range(1, 3):
+        for n in range(1, 4):
+            assert np.array_equal(table.partition_equiv(m, n),
+                                  _per_word_equiv_labels(table, m, n)), (m, n)
+
+
 def test_equiv_partition_memory_is_linear_in_profiles():
     # W = 1 093 words and P = 673 profiles: keys of O(P) bytes a word stay
     # far below the bound, two key bits per profile pair in force do not

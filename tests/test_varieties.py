@@ -14,6 +14,7 @@ from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level.identities import identities_level
 from fo2level.monoid import (FiniteMonoid, MonoidTooLargeError, reverse_monoid,
                              transition_monoid)
+from fo2level.rankers import RankerTable
 from fo2level.varieties import (Congruence, InternalInconsistencyError,
                                 LevelResult, NotACongruenceError, fo2_level,
                                 in_Lm, in_Rm, quotient, quotient_chain,
@@ -359,3 +360,26 @@ def test_benchmark_tracer_wraps_existing_functions(monkeypatch):
         rec.remove()
     assert varieties.fo2_level is original
     assert rec.counts[(-1, "varieties.quotients_built")] == 3
+
+
+def test_benchmark_tracer_wraps_the_ranker_layer(monkeypatch, capsys):
+    # the traced ranker-oracle run wraps RankerTable methods and reads the
+    # table's rankers and words by name; a renamed one fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracer
+    original = RankerTable.partition_equiv
+    rec = tracer.Recorder()
+    rec.install()
+    try:
+        assert RankerTable.partition_equiv is not original
+        assert cli.main(["oracle", "--regex", "(ab)*", "--m", "1", "--max-n", "6",
+                         "--max-len", "8"]) == 0
+    finally:
+        rec.remove()
+    assert RankerTable.partition_equiv is original
+    assert capsys.readouterr().out.endswith("holds at n=3 (m=1, words up to length 8)\n")
+    assert rec.counts[(-1, "rankers.partition_calls")] == 3
+    assert rec.counts[(-1, "rankers.rankers")] == 252      # depth <= 6, one block, 2 letters
+    assert rec.counts[(-1, "rankers.words")] == 511        # up to length 8
+    names = {span[0] for span in rec.spans}
+    assert {"rankers.oracle", "rankers.table_build", "rankers.partition_equiv"} <= names
