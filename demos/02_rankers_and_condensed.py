@@ -7,8 +7,8 @@ word when the run zooms monotonically inward, never landing on or beyond a
 previously visited position.
 """
 
-from fo2level import (eval_ranker, is_condensed, is_condensed_no_overrun,
-                      parse_ranker, ranker_positions)
+from fo2level import RankerTable, eval_ranker, is_condensed, parse_ranker
+from fo2level.rankers import ranker_positions
 
 r = parse_ranker("Xa Yb Xc")
 for word in ["bca", "bac", "cabc", "bcba"]:
@@ -27,10 +27,13 @@ r2 = parse_ranker("Xb Ya Xb")
 print(f"{r2} on 'ab': trace {ranker_positions(r2, 'ab')}, "
       f"condensed: {is_condensed(r2, 'ab')} (revisits position 2)")
 
-# the two formulations of condensedness coincide
+# a RankerTable computes condensedness for a whole ranker class over a word
+# list at once; the one-sided relations read these rows, and they agree with
+# is_condensed cell by cell
 SAMPLES = ["ab", "abba", "bda", "abcabc", "bbaab"]
-for word in SAMPLES:
-    for text in ["Xa Yb", "Xa Yb Xa", "Xb Xa Yb", "Ya Xb Yc"]:
-        rk = parse_ranker(text)
-        assert is_condensed(rk, word) == is_condensed_no_overrun(rk, word)
-print("\ninterval-chain and no-overrun semantics agree on all samples")
+table = RankerTable(("a", "b", "c"), 3, 3, SAMPLES)
+for rk, row in zip(table.rankers, table.condensed.tolist()):
+    for word, cell in zip(table.words, row):
+        assert cell == is_condensed(rk, word)
+print(f"\ntable and interval chain agree on {len(table.rankers)} rankers "
+      f"x {len(table.words)} words")

@@ -13,7 +13,7 @@ from fo2level import parse_regex, regex_to_min_dfa, transition_monoid
 for regex in ["(ab)*", "a(a|b)*", "a*b*"]:
     monoid = transition_monoid(regex_to_min_dfa(parse_regex(regex)))
     g = monoid.greens()
-    idem = set(monoid.idempotents())
+    idem = set(monoid.idempotent_array.tolist())
     print(f"syntactic monoid of {regex}: {monoid.size} elements, "
           f"{g.num_j} J / {g.num_r} R / {g.num_l} L classes")
     print("  elem        J   R   L   idempotent")

@@ -4,13 +4,12 @@
 For a language of alternation depth m there is some depth n at which the
 ranker-equivalence classes (m blocks, depth n) separate every pair of
 words with different syntactic-monoid images.  The oracle enumerates all
-short words, partitions them by equivalence signature, and checks the
-morphism is constant on each class, reporting the first violating pair
-otherwise.
+short words, partitions them by equivalence signature, and searches the
+least n at which the morphism is constant on each class, reporting the
+last violating pair when no n up to the bound works.
 """
 
-from fo2level import (RankerTable, all_words, fo2_level,
-                      oracle_equiv_refines_morphism, parse_regex,
+from fo2level import (RankerTable, fo2_level, least_oracle_n, parse_regex,
                       regex_to_min_dfa, transition_monoid)
 
 for regex in ["(a|b)*a(a|b)*", "a(a|b)*", "(a|b)(a|b)(a|b)"]:
@@ -18,13 +17,13 @@ for regex in ["(a|b)*a(a|b)*", "a(a|b)*", "(a|b)(a|b)(a|b)"]:
     level = fo2_level(monoid)
     m = level.m
     print(f"{regex}: monoid size {monoid.size}, depth {level}")
-    table = RankerTable(("a", "b"), m, 6, all_words(("a", "b"), 6))
-    for n in range(1, 7):
-        out = oracle_equiv_refines_morphism(monoid, m, n, 6, table=table)
-        if out.holds:
-            print(f"    n={n}: {out.num_classes:4d} classes, refines the morphism")
-            break
-        u, v = out.counterexample
-        print(f"    n={n}: {out.num_classes:4d} classes, counterexample "
-              f"{u!r} ~ {v!r} with different images")
+    table = RankerTable(("a", "b"), m, 6, 6)  # all words up to length 6
+    least, counterexample = least_oracle_n(monoid, m, 6, 6, table=table)
+    for n in range(1, (least or 6) + 1):
+        classes = int(table.partition_equiv(m, n).max()) + 1
+        verdict = "refines the morphism" if n == least else "some class mixes images"
+        print(f"    n={n}: {classes:4d} classes, {verdict}")
+    if least is None:
+        u, v = counterexample
+        print(f"    last counterexample: {u!r} ~ {v!r} with different images")
     print()

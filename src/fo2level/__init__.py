@@ -31,10 +31,8 @@ from .identities import (
     straubing_terms, check_straubing,
 )
 from .rankers import (
-    Ranker, RankerSyntaxError, RankerBudgetError, RankerTable, OracleOutcome,
-    parse_ranker, next_pos, prev_pos, eval_ranker, ranker_positions,
-    is_condensed, is_condensed_no_overrun, enumerate_rankers,
-    oracle_equiv_refines_morphism, least_oracle_n,
+    Ranker, RankerSyntaxError, RankerBudgetError, RankerTable,
+    parse_ranker, eval_ranker, is_condensed, least_oracle_n,
     left_factorization, right_factorization, subwords_upto,
 )
 

@@ -214,7 +214,7 @@ def cmd_rankers(args) -> int:
 def cmd_greens(args) -> int:
     description, _states, mono = _load_monoid(args)
     g = mono.greens()
-    idem = set(mono.idempotents())
+    idem = set(mono.idempotent_array.tolist())
     elements = [{
         "index": x,
         "name": mono.element_name(x),
@@ -251,7 +251,7 @@ def cmd_corpus(args) -> int:
     print(f"corpus: seed={args.seed} count={args.count} "
           f"max_states={args.max_states} letters={args.letters}")
     entries = make_entries(args.seed, args.count, args.max_states, args.letters)
-    da = [e for e in entries if e.in_da]
+    da = [e for e in entries if e.monoid.is_in_da()]
     n_level = {}
     for e in da:
         key = str(e.level)

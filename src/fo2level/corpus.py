@@ -7,8 +7,9 @@ draws.  The checkers below exercise, at desk scale, the facts the decision
 procedure rests on: agreement of the two membership routes, hierarchy
 monotonicity, congruence verification, the element- and word-level
 stability properties, factorization compatibility of the ranker relations,
-and the refinement oracles.  Each checker returns a CheckResult so the CLI
-and the acceptance suite can share them.
+and the ranker table's condensedness against its scalar definition.  Each
+checker returns a CheckResult so the CLI and the acceptance suite can share
+them.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from .automata import Dfa, all_words, minimize
 from .identities import (check_straubing, in_Lm_by_identities,
                          in_Rm_by_identities)
 from .monoid import FiniteMonoid, reverse_monoid, transition_monoid
-from .rankers import (RankerTable, is_condensed, is_condensed_no_overrun,
-                      enumerate_rankers, least_oracle_n,
-                      left_factorization, right_factorization, subwords_upto)
+from .rankers import (RankerTable, is_condensed, left_factorization,
+                      right_factorization, subwords_upto)
 from .varieties import LevelResult, fo2_level, in_Lm, in_Rm, quotient, sim_d, sim_k, sim_li
 
 
@@ -34,11 +34,6 @@ from .varieties import LevelResult, fo2_level, in_Lm, in_Rm, quotient, sim_d, si
 class CorpusEntry:
     dfa: Dfa
     monoid: FiniteMonoid
-    aperiodic: bool
-    in_da: bool
-    j_trivial: bool
-    r_trivial: bool
-    l_trivial: bool
     level: LevelResult
 
 
@@ -73,29 +68,13 @@ def _draws(seed: int, max_states: int, letters: int, max_m: int):
     while True:
         dfa = minimize(random_dfa(rng, max_states, alpha))
         mono = transition_monoid(dfa)
-        yield CorpusEntry(dfa=dfa, monoid=mono, aperiodic=mono.is_aperiodic(),
-                          in_da=mono.is_in_da(), j_trivial=mono.is_j_trivial(),
-                          r_trivial=mono.is_r_trivial(), l_trivial=mono.is_l_trivial(),
-                          level=fo2_level(mono, max_m))
+        yield CorpusEntry(dfa=dfa, monoid=mono, level=fo2_level(mono, max_m))
 
 
 def make_entries(seed: int, count: int, max_states: int = 4, letters: int = 2,
                  max_m: int = 6) -> list[CorpusEntry]:
     """`count` random draws, each minimized and analyzed (duplicates kept)."""
     return list(islice(_draws(seed, max_states, letters, max_m), count))
-
-
-_MAX_DRAWS = 200_000
-
-
-def da_entries(seed: int, target: int, max_states: int = 4, letters: int = 2,
-               max_m: int = 6) -> list[CorpusEntry]:
-    """Rejection-sample random minimal DFAs until `target` have monoids in DA."""
-    draws = islice(_draws(seed, max_states, letters, max_m), _MAX_DRAWS)
-    out = list(islice((e for e in draws if e.in_da), target))
-    if len(out) < target:
-        raise RuntimeError(f"could not collect {target} DA monoids in {_MAX_DRAWS} draws")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +101,12 @@ def check_level_anchors(entries) -> CheckResult:
     checked = 0
     for e in entries:
         checked += 1
-        if e.in_da and (e.level.is_level and e.level.m == 1) != e.j_trivial:
+        mono = e.monoid
+        if mono.is_in_da() and (e.level.is_level and e.level.m == 1) != mono.is_j_trivial():
             return CheckResult("level-anchors", False, checked, "level-1 vs J-trivial")
-        if in_Rm(e.monoid, 2) != e.r_trivial:
+        if in_Rm(mono, 2) != mono.is_r_trivial():
             return CheckResult("level-anchors", False, checked, "R_2 vs R-trivial")
-        if in_Lm(e.monoid, 2) != e.l_trivial:
+        if in_Lm(mono, 2) != mono.is_l_trivial():
             return CheckResult("level-anchors", False, checked, "L_2 vs L-trivial")
     return CheckResult("level-anchors", True, checked)
 
@@ -141,7 +121,7 @@ def check_monotonicity(entries) -> CheckResult:
             if (r or l) and not (in_Rm(e.monoid, m + 1) and in_Lm(e.monoid, m + 1)):
                 return CheckResult("hierarchy-monotonicity", False, checked,
                                    f"m={m}, size={e.monoid.size}")
-            if (r or l) and not e.in_da:
+            if (r or l) and not e.monoid.is_in_da():
                 return CheckResult("hierarchy-monotonicity", False, checked,
                                    f"member outside DA at m={m}")
     return CheckResult("hierarchy-monotonicity", True, checked, "m in {1, 2, 3}")
@@ -186,9 +166,9 @@ def check_alphabet_stability(entries, max_len: int = 4) -> CheckResult:
     phi(x) R phi(xz), over all word triples up to max_len."""
     checked = 0
     for e in entries:
-        if not e.in_da:
-            continue
         mono = e.monoid
+        if not mono.is_in_da():
+            continue
         rcls = mono.greens().r_class
         words = all_words(tuple(mono.gens), max_len)
         images = {w: mono.eval_word(w) for w in words}
@@ -206,29 +186,6 @@ def check_alphabet_stability(entries, max_len: int = 4) -> CheckResult:
                             return CheckResult("alphabet-stability", False, checked,
                                                f"x={x!r} y={y!r} z={z!r} size={mono.size}")
     return CheckResult("alphabet-stability", True, checked, f"words up to {max_len}")
-
-
-def check_oracle_bounds(entries, max_n: int = 8, max_len: int = 6) -> CheckResult:
-    """Every corpus monoid at Level(m) admits n <= max_n with the
-    equivalence-refines-morphism oracle passing on words up to max_len."""
-    checked = 0
-    tables: dict[tuple, RankerTable] = {}
-    for e in entries:
-        if not e.level.is_level:
-            continue
-        m = e.level.m
-        alpha = tuple(e.monoid.gens)
-        key = (alpha, m)
-        if key not in tables:
-            tables[key] = RankerTable(alpha, m, max_n, max_len)
-        n, counterexample = least_oracle_n(e.monoid, m, max_n, max_len, table=tables[key])
-        checked += 1
-        if n is None:
-            return CheckResult("equivalence-oracle-bound", False, checked,
-                               f"no n <= {max_n} at level {m}, size={e.monoid.size}, "
-                               f"counterexample {counterexample}")
-    return CheckResult("equivalence-oracle-bound", True, checked,
-                       f"n <= {max_n}, words up to {max_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +376,15 @@ def check_subword_direction(alphabet=("a", "b"), max_len: int = 5, max_n: int = 
 
 def check_condensed_semantics(alphabet=("a", "b"), max_len: int = 6,
                               max_depth: int = 4) -> CheckResult:
-    """The interval-chain and no-overrun condensed semantics coincide."""
-    alphabet = tuple(alphabet)
-    words = all_words(alphabet, max_len)
-    rankers = enumerate_rankers(alphabet, max_depth, max_depth)
+    """The condensedness rows of a ``RankerTable``, which the one-sided
+    partitions read, agree with the scalar interval chain ``is_condensed``,
+    cell by cell in ranker-major order, on all words up to max_len."""
+    table = RankerTable(alphabet, max_depth, max_depth, max_len)
     checked = 0
-    for r in rankers:
-        for w in words:
+    for r, row in zip(table.rankers, table.condensed.tolist()):
+        for w, cell in zip(table.words, row):
             checked += 1
-            if is_condensed(r, w) != is_condensed_no_overrun(r, w):
+            if cell != is_condensed(r, w):
                 return CheckResult("condensed-semantics-agreement", False, checked,
                                    f"ranker {r} on {w!r}")
     return CheckResult("condensed-semantics-agreement", True, checked,
@@ -459,7 +416,7 @@ def straubing_tally(entries) -> list[TallyRow]:
         for e in entries:
             total += 1
             conj = check_straubing(e.monoid, m)
-            truth = e.aperiodic and e.level.is_level and e.level.m <= m
+            truth = e.monoid.is_aperiodic() and e.level.is_level and e.level.m <= m
             if conj == truth:
                 agree += 1
         rows.append(TallyRow(m, agree, total))

@@ -315,9 +315,6 @@ class FiniteMonoid:
             self._idempotents.setflags(write=False)
         return self._idempotents
 
-    def idempotents(self) -> tuple[int, ...]:
-        return tuple(self.idempotent_array.tolist())
-
     @property
     def omega_table(self) -> np.ndarray:
         """x^omega for every x, by raising all elements to their powers at once.

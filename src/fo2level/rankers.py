@@ -10,10 +10,10 @@ A ranker is *condensed* on a word when its execution zooms monotonically
 inward: maintaining an open interval that starts at (0, len+1), every
 instruction must land strictly inside the current interval, and the landed
 position replaces the left endpoint when the next instruction moves right,
-or the right endpoint when it moves left.  The interval-chain recurrence
-implemented in ``is_condensed`` is normative; ``is_condensed_no_overrun``
-is an independent simulation (fail when a move lands on or passes a
-previously visited position) kept as a testing oracle.
+or the right endpoint when it moves left.  ``is_condensed`` implements this
+interval-chain recurrence for one ranker and word; ``RankerTable.condensed``
+computes it for a whole class over a word list, and the ``corpus`` command
+checks the two against each other cell by cell.
 
 ``RankerTable`` vectorizes evaluation of a whole ranker class over a fixed
 word list and exposes the partitions of the word relations the rankers
@@ -167,38 +167,12 @@ def is_condensed(r: Ranker, u: str) -> bool:
     return True
 
 
-def is_condensed_no_overrun(r: Ranker, u: str) -> bool:
-    """Secondary semantics: no move may land on or pass a visited position."""
-    trace = ranker_positions(r, u)
-    if trace[-1] is None:
-        return False
-    cur = 0 if r.steps[0][0] == X else len(u) + 1
-    visited: list[int] = []
-    for p, (d, _a) in zip(trace, r.steps):
-        for v in visited:
-            if d == X and cur < v <= p:
-                return False
-            if d == Y and p <= v < cur:
-                return False
-        visited.append(p)
-        cur = p
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Enumeration and budgets
 # ---------------------------------------------------------------------------
 
 MAX_RANKERS = 2_000_000
 MAX_WORDS = 2_000_000
-
-
-def enumerate_rankers(alphabet, m: int, n: int) -> list[Ranker]:
-    """All rankers with depth <= n and <= m blocks: the rows of a
-    ``RankerTable`` over no word, so at most ``MAX_RANKERS`` of them
-    (RankerBudgetError otherwise).  Order: depth-major, then lexicographic
-    with X before Y and letters in alphabet order."""
-    return RankerTable(alphabet, m, n, []).rankers
 
 
 def _ranker_count(k: int, m: int, n: int) -> int:
@@ -730,13 +704,6 @@ class RankerTable:
 # Morphism refinement oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleOutcome:
-    holds: bool
-    counterexample: tuple[str, str] | None
-    num_classes: int
-
-
 def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
                   table: RankerTable | None) -> RankerTable:
     """The given table, or a ``RankerTable`` over all words up to max_len
@@ -800,30 +767,12 @@ def _mixed_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mixed[labels])
 
 
-def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
-                                  table: RankerTable | None = None) -> OracleOutcome:
-    """Check that ranker equivalence at (m, n) refines the word morphism.
-
-    Enumerates all words up to max_len over the generator alphabet,
-    partitions them by ranker-equivalence signature, and verifies the
-    morphism image is constant on every class.  The first violating pair
-    (in word enumeration order) is returned as a counterexample.
-    """
-    table = _oracle_table(monoid, m, n, max_len, table)
-    labels = table.partition_equiv(m, n)
-    rep, bad = _violations(labels, _word_images(monoid, table))
-    classes = int(labels.max(initial=-1)) + 1
-    if bad.any():
-        j = int(np.argmax(bad))
-        return OracleOutcome(False, (table.words.word(rep[j]), table.words.word(j)), classes)
-    return OracleOutcome(True, None, classes)
-
-
 def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
                    table: RankerTable | None = None
                    ) -> tuple[int | None, tuple[str, str] | None]:
-    """Smallest n <= max_n making the refinement oracle pass (None when no
-    n does), and the counterexample at the last n tried (None when it passes).
+    """Smallest n <= max_n at which ranker equivalence at (m, n) refines
+    the word morphism on the words up to max_len (None when no n does), and
+    the counterexample at the last n tried (None when it passes).
 
     The search refines a partition.  The rankers and comparison families of
     equivalence at (m, n) are among those at (m, n + 1), so each class at
@@ -834,8 +783,8 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
     the first word of its class lie in one class at n that mixes images, so
     both are kept, and the partition of the kept words is the full one
     restricted to them (``RankerTable.restricted``).  So n and the
-    counterexample are those of ``oracle_equiv_refines_morphism`` tried at
-    n = 1, 2, ..., while the deeper depths fill and partition only the kept
+    counterexample are those of the check at one n on the full table (the
+    tests' ``oracle_equiv_refines_morphism``) tried at n = 1, 2, ..., while the deeper depths fill and partition only the kept
     words.  The given table is read (and filled) at n = 1 only.
     """
     table = _oracle_table(monoid, m, max_n, max_len, table)

@@ -1,5 +1,6 @@
 import random
 import string
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -7,12 +8,24 @@ import pytest
 from hypothesis import strategies as st
 
 from fo2level.automata import Dfa, all_words, minimize
-from fo2level.corpus import corpus_alphabet, da_entries, make_entries, random_dfa
+from fo2level.corpus import _draws, corpus_alphabet, make_entries, random_dfa
 from fo2level.monoid import FiniteMonoid, reverse_monoid, transition_monoid
 from fo2level.rankers import RankerTable
 from fo2level.varieties import quotient_chain
 
 CORPUS_SEED = 7
+
+_MAX_DRAWS = 200_000
+
+
+def da_entries(seed: int, target: int, max_states: int = 4, letters: int = 2,
+               max_m: int = 6):
+    """Rejection-sample random minimal DFAs until `target` have monoids in DA."""
+    draws = islice(_draws(seed, max_states, letters, max_m), _MAX_DRAWS)
+    out = list(islice((e for e in draws if e.monoid.is_in_da()), target))
+    if len(out) < target:
+        raise RuntimeError(f"could not collect {target} DA monoids in {_MAX_DRAWS} draws")
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,10 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   with <= m blocks, filtered by the starting direction, grown one
   instruction at a time as tuples; ``RankerTable`` enumerates them as
   parent and instruction arrays.
+* ``is_condensed_no_overrun(r, u)``: condensedness as a simulation, which
+  fails when a move lands on or passes a visited position; the tests check
+  it against the interval chain of ``is_condensed``, and the ``corpus``
+  command checks ``RankerTable.condensed`` against ``is_condensed``.
 * ``rel_right(u, v, m, n)``: the same rankers among the X-starting ones of
   depth <= n with <= m blocks, plus the Y-starting ones of depth <= n-1
   with <= m-1 blocks, are condensed on u and on v; ``rel_left`` is the
@@ -28,6 +32,11 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
 * ``reference_phi_search``: the phi-word search carrying every reachable
   value tuple to the next depth; ``identities._phi_search`` carries only
   the failing ones.
+* ``oracle_equiv_refines_morphism``: the refinement oracle at one n, on
+  the full table; ``least_oracle_n`` gives the answers of trying it at
+  n = 1, 2, ... while it restricts the table to the words still in doubt.
+  ``check_oracle_bounds``: a corpus check that every monoid at Level(m)
+  passes ``least_oracle_n`` at some n <= max_n.
 * ``first_class_words`` and ``mixed_class_words``: the sorting forms of
   the oracle's refinement bookkeeping (``np.unique`` and ``np.isin``).
 * ``refines``: whether one congruence's classes lie inside another's,
@@ -41,6 +50,7 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +58,10 @@ from fo2level import identities
 from fo2level.automata import (Concat, Dfa, EmptyWord, Letter, Regex, RegexNode, Star, Union,
                                _concat)
 from fo2level.identities import Prod, Term, Var
+from fo2level.corpus import CheckResult
 from fo2level.monoid import FiniteMonoid, reverse_monoid
-from fo2level.rankers import X, Y, Ranker, eval_ranker, is_condensed
+from fo2level.rankers import (X, Y, Ranker, RankerTable, _oracle_table, _violations, _word_images,
+                              eval_ranker, is_condensed, least_oracle_n, ranker_positions)
 from fo2level.varieties import Congruence, LevelResult, quotient
 
 
@@ -82,6 +94,24 @@ def reference_rankers(alphabet, m: int, n: int, start: str = "either") -> list[R
         out.extend(Ranker(s) for s, _, _ in nxt)
         level = nxt
     return out
+
+
+def is_condensed_no_overrun(r: Ranker, u: str) -> bool:
+    """Secondary semantics: no move may land on or pass a visited position."""
+    trace = ranker_positions(r, u)
+    if trace[-1] is None:
+        return False
+    cur = 0 if r.steps[0][0] == X else len(u) + 1
+    visited: list[int] = []
+    for p, (d, _a) in zip(trace, r.steps):
+        for v in visited:
+            if d == X and cur < v <= p:
+                return False
+            if d == Y and p <= v < cur:
+                return False
+        visited.append(p)
+        cur = p
+    return True
 
 
 def _infer_alphabet(u: str, v: str, alphabet):
@@ -392,8 +422,57 @@ def reference_phi_search(m: FiniteMonoid, max_assignments: int = 10_000_000):
 
 
 # ---------------------------------------------------------------------------
-# Refinement bookkeeping of the oracle search
+# The refinement oracle at one n, and its bookkeeping
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OracleOutcome:
+    holds: bool
+    counterexample: tuple[str, str] | None
+    num_classes: int
+
+
+def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len: int,
+                                  table: RankerTable | None = None) -> OracleOutcome:
+    """Check that ranker equivalence at (m, n) refines the word morphism.
+
+    Enumerates all words up to max_len over the generator alphabet,
+    partitions them by ranker-equivalence signature, and verifies the
+    morphism image is constant on every class.  The first violating pair
+    (in word enumeration order) is returned as a counterexample.
+    """
+    table = _oracle_table(monoid, m, n, max_len, table)
+    labels = table.partition_equiv(m, n)
+    rep, bad = _violations(labels, _word_images(monoid, table))
+    classes = int(labels.max(initial=-1)) + 1
+    if bad.any():
+        j = int(np.argmax(bad))
+        return OracleOutcome(False, (table.words.word(rep[j]), table.words.word(j)), classes)
+    return OracleOutcome(True, None, classes)
+
+
+def check_oracle_bounds(entries, max_n: int = 8, max_len: int = 6) -> CheckResult:
+    """Every corpus monoid at Level(m) admits n <= max_n with the
+    equivalence-refines-morphism oracle passing on words up to max_len."""
+    checked = 0
+    tables: dict[tuple, RankerTable] = {}
+    for e in entries:
+        if not e.level.is_level:
+            continue
+        m = e.level.m
+        alpha = tuple(e.monoid.gens)
+        key = (alpha, m)
+        if key not in tables:
+            tables[key] = RankerTable(alpha, m, max_n, max_len)
+        n, counterexample = least_oracle_n(e.monoid, m, max_n, max_len, table=tables[key])
+        checked += 1
+        if n is None:
+            return CheckResult("equivalence-oracle-bound", False, checked,
+                               f"no n <= {max_n} at level {m}, size={e.monoid.size}, "
+                               f"counterexample {counterexample}")
+    return CheckResult("equivalence-oracle-bound", True, checked,
+                       f"n <= {max_n}, words up to {max_len}")
+
 
 def first_class_words(labels: np.ndarray) -> np.ndarray:
     """Per word, the index of the first word of its label class."""
@@ -441,17 +520,17 @@ def pairwise_labels(m, images):
 
 
 def reference_sim_k(m):
-    return pairwise_labels(m, [(e, m.table[e, :]) for e in m.idempotents()])
+    return pairwise_labels(m, [(e, m.table[e, :]) for e in m.idempotent_array.tolist()])
 
 
 def reference_sim_d(m):
-    return pairwise_labels(m, [(f, m.table[:, f]) for f in m.idempotents()])
+    return pairwise_labels(m, [(f, m.table[:, f]) for f in m.idempotent_array.tolist()])
 
 
 def reference_sim_li(m):
     T, jcls = m.table, m.greens().j_class
-    return pairwise_labels(m, [(e, T[T[e, :], f]) for e in m.idempotents()
-                               for f in m.idempotents() if jcls[e] == jcls[f]])
+    return pairwise_labels(m, [(e, T[T[e, :], f]) for e in m.idempotent_array.tolist()
+                               for f in m.idempotent_array.tolist() if jcls[e] == jcls[f]])
 
 
 def reference_quotient(m, reference):

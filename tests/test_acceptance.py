@@ -14,12 +14,13 @@ from fo2level.corpus import (check_action_agreement, check_alphabet_stability,
                              check_congruence_quotients, check_dual_route,
                              check_equiv_factor, check_factor_compat,
                              check_inner_segment, check_level_anchors,
-                             check_monotonicity, check_oracle_bounds,
+                             check_monotonicity,
                              check_relation_congruence)
 from fo2level.identities import identities_level
 from fo2level.monoid import transition_monoid
 from fo2level.rankers import eval_ranker, is_condensed, parse_ranker
 from fo2level.varieties import fo2_level
+from reference import check_oracle_bounds
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

@@ -11,14 +11,17 @@ from fo2level.corpus import (check_action_agreement,
                              check_congruence_quotients, check_dual_route,
                              check_equiv_factor, check_factor_compat,
                              check_inner_segment, check_level_anchors,
-                             check_monotonicity, check_oracle_bounds,
+                             check_monotonicity,
                              check_relation_congruence,
                              check_subword_direction, corpus_alphabet,
-                             da_entries, make_entries, random_dfa,
+                             make_entries, random_dfa,
                              straubing_tally)
 from fo2level.monoid import reverse_monoid
 from fo2level.rankers import RankerTable
 from fo2level.varieties import in_Lm, in_Rm, sim_d, sim_k
+
+from conftest import da_entries
+from reference import check_oracle_bounds
 
 
 def test_generation_deterministic():
@@ -38,14 +41,14 @@ def test_random_dfa_shape():
 
 def test_da_entries_are_in_da(da_corpus):
     assert len(da_corpus) == 200
-    assert all(e.in_da for e in da_corpus)
+    assert all(e.monoid.is_in_da() for e in da_corpus)
     assert all(e.monoid.is_aperiodic() for e in da_corpus)
     assert all(e.level.is_level for e in da_corpus)
 
 
 def test_monoid_level_checks_small():
     entries = make_entries(11, 40)
-    da = [e for e in entries if e.in_da]
+    da = [e for e in entries if e.monoid.is_in_da()]
     assert check_dual_route(da).ok
     assert check_level_anchors(entries).ok
     assert check_monotonicity(entries).ok
@@ -62,6 +65,23 @@ def test_word_level_checks_small():
     assert check_relation_congruence(alpha, max_len=5, samples=200, seed=1).ok
     assert check_subword_direction(alpha, max_len=4).ok
     assert check_condensed_semantics(alpha, max_len=5, max_depth=3).ok
+
+
+def test_condensed_semantics_reads_the_table(monkeypatch):
+    # one flipped cell of the rows the one-sided partitions read is the
+    # check's first and only failure
+    condensed = RankerTable.condensed.fget
+
+    def flipped(table):
+        cells = condensed(table)
+        cells[40, 37] = not cells[40, 37]
+        return cells
+
+    monkeypatch.setattr(RankerTable, "condensed", property(flipped))
+    table = RankerTable(("a", "b"), 3, 3, 5)
+    res = check_condensed_semantics(("a", "b"), max_len=5, max_depth=3)
+    assert not res.ok and res.checked == 40 * 63 + 38
+    assert res.detail == f"ranker {table.rankers[40]} on {table.words[37]!r}"
 
 
 def test_factor_suffix_clause_has_counterexample():
@@ -113,7 +133,7 @@ def test_action_agreement_failures_on_both_sides(monkeypatch):
     # stand-ins for ~K and ~D that are no congruences make the check fail:
     # the left side, run on the reverse monoid, fails where the loop over
     # the monoid's L-classes does
-    entries = [e for e in make_entries(5, 80, 5) if e.in_da and e.monoid.size > 2]
+    entries = [e for e in make_entries(5, 80, 5) if e.monoid.is_in_da() and e.monoid.size > 2]
     rng = random.Random(3)
     sides = set()
     for e in entries:

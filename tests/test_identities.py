@@ -123,7 +123,7 @@ def test_identity_budget():
 def test_phi_identity_budget_counts_idempotents():
     # |M| = 6 and |E| = 4: 16 <= 20 < 36
     m = monoid_of("(ab)*")
-    assert (m.size, len(m.idempotents())) == (6, 4)
+    assert (m.size, len(m.idempotent_array)) == (6, 4)
     lhs, rhs = phi_word(build_G(2)), phi_word(build_I(2))
     assert satisfies_identity(m, lhs, rhs, max_assignments=20) == satisfies_identity(m, lhs, rhs)
     with pytest.raises(IdentityBudgetError, match="too large: 6\\^2"):
@@ -158,7 +158,7 @@ def test_identity_domains_match_full_enumeration(dfa, minimal):
         m = transition_monoid(minimize(dfa) if minimal else dfa, max_size=20)
     except MonoidTooLargeError:
         reject()
-    n, e = m.size, len(m.idempotents())
+    n, e = m.size, len(m.idempotent_array)
     # phi-word identities range over one element per idempotent ...
     for level in (2, 3):
         for lhs, rhs in ((phi_word(build_G(level)), phi_word(build_I(level))),
@@ -349,7 +349,7 @@ def test_forward_search_witness_does_not_depend_on_chunk_size(monkeypatch):
 
 def test_forward_search_budget_counts_failing_tuples():
     m = level_three()
-    assert len(m.idempotents()) == 6
+    assert len(m.idempotent_array) == 6
     # DA needs 6^2 = 36, the search 6 x 6, then 8 failing tuples x 6 = 48 < 6^3
     answer = identities_level(m)
     assert answer.result == LevelResult("level", 3)

@@ -17,14 +17,13 @@ from fo2level.cli import main
 from fo2level.corpus import random_dfa
 from fo2level.monoid import FiniteMonoid, transition_monoid
 from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError,
-                              RankerTable, enumerate_rankers, eval_ranker,
-                              is_condensed, is_condensed_no_overrun,
+                              RankerTable, eval_ranker, is_condensed,
                               _mixed_words, _pack_rows, _violations, _word_images,
-                              least_oracle_n, next_pos,
-                              oracle_equiv_refines_morphism, parse_ranker,
+                              least_oracle_n, next_pos, parse_ranker,
                               prev_pos, subwords_upto)
-from reference import (equiv_wi, first_class_words, l_factorize, mixed_class_words,
-                       r_factorize, reference_rankers, rel_left, rel_right)
+from reference import (equiv_wi, first_class_words, is_condensed_no_overrun, l_factorize,
+                       mixed_class_words, oracle_equiv_refines_morphism, r_factorize,
+                       reference_rankers, rel_left, rel_right)
 
 XYBXC = parse_ranker("Xa Yb Xc")
 
@@ -81,7 +80,7 @@ def test_condensed_rejects_revisits():
 
 
 def test_condensed_implies_defined():
-    rankers = enumerate_rankers(("a", "b"), 3, 3)
+    rankers = RankerTable(("a", "b"), 3, 3, []).rankers
     for w in all_words(("a", "b"), 5):
         for r in rankers:
             if is_condensed(r, w):
@@ -90,14 +89,14 @@ def test_condensed_implies_defined():
 
 def test_condensed_semantics_agree_two_letters():
     # normative interval chain vs the no-overrun simulation
-    rankers = enumerate_rankers(("a", "b"), 4, 4)
+    rankers = RankerTable(("a", "b"), 4, 4, []).rankers
     for w in all_words(("a", "b"), 7):
         for r in rankers:
             assert is_condensed(r, w) == is_condensed_no_overrun(r, w), (r, w)
 
 
 def test_condensed_semantics_agree_three_letters():
-    rankers = enumerate_rankers(("a", "b", "c"), 4, 4)
+    rankers = RankerTable(("a", "b", "c"), 4, 4, []).rankers
     for w in all_words(("a", "b", "c"), 5):
         for r in rankers:
             assert is_condensed(r, w) == is_condensed_no_overrun(r, w), (r, w)
@@ -115,27 +114,27 @@ def test_condensed_semantics_agree_deep_sample():
 
 def test_enumerate_rankers_counts_and_order():
     def x_start(m, n):
-        return [r for r in enumerate_rankers(("a", "b"), m, n) if r.start == X]
+        return [r for r in RankerTable(("a", "b"), m, n, []).rankers if r.start == X]
 
     assert [str(r) for r in x_start(1, 1)] == ["Xa", "Xb"]
     assert len(x_start(1, 2)) == 6
     assert len(x_start(2, 2)) == 10
-    rs = enumerate_rankers(("a", "b"), 2, 2)
+    rs = RankerTable(("a", "b"), 2, 2, []).rankers
     # depth-major, X before Y, letters in alphabet order
     assert [str(r) for r in rs[:4]] == ["Xa", "Xb", "Ya", "Yb"]
     assert all(r.depth == 2 for r in rs[4:])
     assert len(rs) == 4 + 16  # all depth-2 sequences have at most 2 blocks
-    assert enumerate_rankers(("a", "b"), 0, 3) == []
+    assert RankerTable(("a", "b"), 0, 3, []).rankers == []
 
 
 def test_enumeration_matches_the_reference():
-    # enumerate_rankers is a table's rows; filtered by the table's start
+    # a table's rows over no word; filtered by the table's start
     # column they are the reference's rankers of each starting direction
     for alpha in ((), ("a",), ("a", "b"), ("b", "a", "c")):
         for m in range(5):
             for n in range(5):
-                assert enumerate_rankers(alpha, m, n) == reference_rankers(alpha, m, n)
                 table = RankerTable(alpha, m, n, [])
+                assert table.rankers == reference_rankers(alpha, m, n)
                 for code, start in ((0, X), (1, Y)):
                     rows = [r for r, s in zip(table.rankers, table.start.tolist()) if s == code]
                     assert rows == reference_rankers(alpha, m, n, start)

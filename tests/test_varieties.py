@@ -113,7 +113,7 @@ def test_da_path_is_never_taken_outside_da(distinct_monoids):
 
 def test_da_path_memory_is_bounded():
     m = rectangular_band_with_identity(12)
-    assert m.is_in_da() and m.idempotents()
+    assert m.is_in_da() and m.idempotent_array.size
     tracemalloc.start()
     try:
         flags = trivialities(m)
@@ -139,7 +139,7 @@ def test_j_triviality_fold_stops_at_first_pair(monkeypatch):
             slices.append(block)
             yield block
 
-    monkeypatch.setattr(monoid_module, "_SIG_BYTES", m.table.itemsize * len(m.idempotents()))
+    monkeypatch.setattr(monoid_module, "_SIG_BYTES", m.table.itemsize * len(m.idempotent_array))
     monkeypatch.setattr(monoid_module, "_band_slices", counted)
     assert not m.is_j_trivial()
     assert len(slices) == 2
