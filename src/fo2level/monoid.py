@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import os
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 try:
     import resource
@@ -50,10 +51,14 @@ class MonoidTooLargeError(ValueError):
 _SIG_BYTES = 1 << 20
 
 # Cells per slice of the transition monoid's row fill (its intp index, about
-# 8 MB), of Light's associativity test and of a monoid file's table read.
+# 8 MB) and of Light's associativity test.
 _FILL_CELLS = 1 << 20
 
-# ``_first_seen_labels`` hashes a row by weighing its 64-bit word i by this to the power i + 1
+# Entries per slice of a monoid file's table read: its int64 read (1 MB)
+# and its rows' text stay a small part of the file.
+_READ_CELLS = 1 << 17
+
+# ``_first_equal_rows`` hashes a row by weighing its 64-bit word i by this to the power i + 1
 _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -85,12 +90,13 @@ class GreensData:
         return int(self.l_class.max()) + 1
 
 
-def _first_seen_labels(rows: np.ndarray) -> np.ndarray:
-    """Label equal rows of a 2-D array 0, 1, ... in order of first appearance.
+def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
+    """For each row of a 2-D array, the index of the first row equal to it.
 
     The rows, as bytes padded to whole 64-bit words, are grouped by a hash
-    (one sort of hash and row index together), and each is compared with the
-    first row of its group; on a collision ``_fold_labels`` labels them."""
+    (one sort of hash and row index together, so each group begins with its
+    first row), and each is compared with the first row of its group; on a
+    collision ``_fold_labels`` groups them."""
     count, width = rows.shape[0], rows.shape[1] * rows.dtype.itemsize
     rows = np.ascontiguousarray(rows).view(np.uint8).reshape(count, width)
     if width % 8:
@@ -104,16 +110,30 @@ def _first_seen_labels(rows: np.ndarray) -> np.ndarray:
     h |= np.arange(count, dtype=np.uint64)
     h.sort()  # by hash, then by row
     order = (h & low).astype(np.intp)
-    start = np.ones(count, dtype=bool)  # where a run of equal hashes starts
+    start = np.empty(count, dtype=bool)  # where a run of equal hashes starts
+    start[:1] = True
     np.greater(h[1:] ^ h[:-1], low, out=start[1:])
-    first = order[start]
-    rep = np.empty(count, dtype=np.intp)  # the first row of each row's group
-    rep[order] = first[np.cumsum(start) - 1]
-    if not (words[rep] == words).all():
-        return _fold_labels(rows)
-    labels = np.zeros(count, dtype=np.int32)
-    labels[first] = 1
-    return (np.cumsum(labels, dtype=np.int32) - 1)[rep]
+    starts = np.flatnonzero(start)
+    rep = np.empty(count, dtype=np.intp)
+    rep[order] = np.repeat(order.take(starts), np.diff(starts, append=count))
+    if (words.take(rep, axis=0) == words).all():
+        return rep
+    labels = _fold_labels(rows)
+    return np.unique(labels, return_index=True)[1].take(labels)
+
+
+def _first_seen_labels(rows: np.ndarray) -> np.ndarray:
+    """Label equal rows of a 2-D array 0, 1, ... in order of first appearance."""
+    return _labels_of_firsts(_first_equal_rows(rows))
+
+
+def _labels_of_firsts(rep: np.ndarray) -> np.ndarray:
+    """Labels numbered by first appearance, from each row's first equal row:
+    the rows that are their own first take 0, 1, ... in order."""
+    first = np.flatnonzero(rep == np.arange(len(rep)))
+    labels = np.empty(len(rep), dtype=np.int32)
+    labels[first] = np.arange(len(first), dtype=np.int32)
+    return labels.take(rep)
 
 
 def _fold_labels(rows: np.ndarray) -> np.ndarray:
@@ -622,18 +642,35 @@ def _read_ints(text: str) -> np.ndarray | None:
         return None
 
 
-def _read_table(rows: list[str], n: int, step: int) -> np.ndarray:
-    """The n table rows as an n x n int32 array with entries in 0..n-1.
+# Characters of a monoid file split into lines at a time.
+_LINE_CHARS = 1 << 18
 
-    Each slice of step rows is read at once, every row followed by an n,
-    which no entry may equal: when r rows give r * (n + 1) values and the
-    first n of every n + 1 lie in 0..n-1, each row had n entries.  On any
-    fault the rows are checked one by one, in file order, for the first: a
-    wrong entry count, a token that is not an integer, else a range fault.
+
+def _line_blocks(text: str, pos: int = 0) -> Iterator[tuple[list[str], int]]:
+    """The stripped lines of text from pos on that are neither blank nor a
+    comment, split as ``str.splitlines`` splits them, in blocks of about
+    _LINE_CHARS characters that end at a newline, each with its end."""
+    while pos < len(text):
+        end = text.find("\n", pos + _LINE_CHARS) + 1 or len(text)
+        yield [s for s in map(str.strip, text[pos:end].splitlines()) if s and not s.startswith("#")], end
+        pos = end
+
+
+def _read_table(rows: Callable[[], Iterator[str]], n: int, step: int) -> np.ndarray:
+    """The n table rows, which each call of rows gives from the first, as
+    an n x n int32 array with entries in 0..n-1.
+
+    The rows are taken a slice of step rows at a time, and each slice is
+    read at once, every row followed by an n, which no entry may equal:
+    when r rows give r * (n + 1) values and the first n of every n + 1 lie
+    in 0..n-1, each row had n entries.  On any fault the rows are checked
+    one by one, in file order, for the first: a wrong entry count, a token
+    that is not an integer, else a range fault.
     """
     table = np.empty((n, n), dtype=np.int32)
+    slices = rows()
     for lo in range(0, n, step):
-        part = rows[lo:lo + step]
+        part = list(islice(slices, step))
         grid = _read_ints(f" {n}\n".join(part + [""]))
         if grid is None or grid.size != len(part) * (n + 1):
             break
@@ -641,10 +678,10 @@ def _read_table(rows: list[str], n: int, step: int) -> np.ndarray:
         if grid.min() < 0 or grid.max() >= n:
             break
         table[lo:lo + len(part)] = grid
-        del grid  # before the next slice is read
+        del part, grid  # before the next slice is read
     else:
         return table
-    for row in rows:
+    for row in rows():
         count = len(row.split())
         if count != n:
             raise MonoidFormatError(f"table row has {count} entries, expected {n}")
@@ -661,51 +698,56 @@ def parse_monoid_file(text: str) -> FiniteMonoid:
     (each symbol once), then ``table`` followed by N rows of N indices (row
     r, column c = r*c).  ``#`` starts a comment line.  Table entries are
     ASCII decimal integers with an optional sign, separated by spaces or
-    tabs.  The table is checked against the memory available, then read
-    in slices of rows, each in one numpy pass, range-checked and written
-    into the int32 table (``_read_table``); no entry becomes a Python
-    string or int unless the table is refused.
+    tabs.  The lines are taken from the text a block at a time, never all
+    together (``_line_blocks``).  The table is checked against the memory
+    available, then read in slices of rows, each in one numpy pass,
+    range-checked and written into the int32 table (``_read_table``); no
+    entry becomes a Python string or int unless the table is refused.
     """
-    lines = []
-    for raw in text.splitlines():
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            lines.append(s)
-    if not lines or not lines[0].startswith("size:"):
+    # the first block of lines is kept for the table read, so a small file is split once
+    blocks = _line_blocks(text)
+    first, end = next(blocks, ([], 0))
+    lines = chain(first, chain.from_iterable(block for block, _ in blocks))
+    line = next(lines, "")
+    if not line.startswith("size:"):
         raise MonoidFormatError("missing 'size:' line")
     try:
-        n = int(lines[0][5:].strip())
+        n = int(line[5:].strip())
     except ValueError:
         raise MonoidFormatError("malformed 'size:' line") from None
     if n < 1:
         raise MonoidFormatError("size must be at least 1")
-    if len(lines) < 2 or not lines[1].startswith("identity:"):
+    line = next(lines, "")
+    if not line.startswith("identity:"):
         raise MonoidFormatError("missing 'identity:' line")
     try:
-        identity = int(lines[1][9:].strip())
+        identity = int(line[9:].strip())
     except ValueError:
         raise MonoidFormatError("malformed 'identity:' line") from None
     gens = {}
-    i = 2
-    while i < len(lines) and lines[i].startswith("gen "):
-        toks = lines[i].split()
+    line = next(lines, "")
+    while line.startswith("gen "):
+        toks = line.split()
         if len(toks) != 3:
-            raise MonoidFormatError(f"malformed gen line: {lines[i]!r}")
+            raise MonoidFormatError(f"malformed gen line: {line!r}")
         if toks[1] in gens:
             raise MonoidFormatError(f"duplicate generator {toks[1]!r}")
         try:
             gens[toks[1]] = int(toks[2])
         except ValueError:
-            raise MonoidFormatError(f"malformed gen line: {lines[i]!r}") from None
-        i += 1
-    if i >= len(lines) or lines[i] != "table":
+            raise MonoidFormatError(f"malformed gen line: {line!r}") from None
+        line = next(lines, "")
+    if line != "table":
         raise MonoidFormatError("missing 'table' line")
-    rows = lines[i + 1:]
-    if len(rows) != n:
-        raise MonoidFormatError(f"expected {n} table rows, found {len(rows)}")
-    # equal slices of about _FILL_CELLS entries; the int32 table and one slice's int64 read
-    step = -(-n // -(-n * (n + 1) // _FILL_CELLS))
+    found = sum(1 for _ in lines)  # the rest of the lines
+    if found != n:
+        raise MonoidFormatError(f"expected {n} table rows, found {found}")
+    # equal slices of about _READ_CELLS entries; the int32 table and one slice's int64 read
+    step = -(-n // -(-n * (n + 1) // _READ_CELLS))
     _check_fits(4 * n * n + 8 * (n + 1) * step,
                 f"monoid file has {n} elements; reading its {n}x{n} table needs",
                 MonoidTooLargeError)
+    def rows():  # the lines after the size, identity, gen and table lines
+        rest = chain.from_iterable(block for block, _ in _line_blocks(text, end))
+        return islice(chain(first, rest), 3 + len(gens), None)
     return FiniteMonoid(_read_table(rows, n, step), identity, gens=gens or None, validate=True)

@@ -34,14 +34,13 @@ per word is independent; everything here is pure.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _check_fits, _first_seen_labels
+from .monoid import FiniteMonoid, _check_fits, _first_equal_rows, _first_seen_labels, _labels_of_firsts
 
 X = "X"
 Y = "Y"
@@ -217,18 +216,20 @@ def _letter_codes(words: list[str], lens: np.ndarray, alphabet: tuple) -> _Words
 
 def _all_word_letters(alphabet: tuple, max_len: int) -> _Words:
     """All words over the alphabet up to max_len, in ``all_words`` order,
-    laid out as ``_letter_codes`` lays them out, built with no string: each
-    length's columns are the previous length's, each extended by every
-    letter."""
+    laid out as ``_letter_codes`` lays them out, built with no string: the
+    longest words spell their column's digits in base k, and the words of
+    each shorter length are every k**(max_len - length)-th of them, cut
+    short."""
     k = len(alphabet)
     counts = [k ** length for length in range(max_len + 1)] if k else [1]
     lens = np.repeat(np.arange(len(counts)), counts)
     letters = np.full((len(counts) - 1, len(lens)), k, dtype=np.min_scalar_type(k))
+    longest = letters[:, len(lens) - counts[-1]:]
+    for x, row in enumerate(longest):  # a row is contiguous: its reshape is a view
+        row.reshape(counts[x], k, -1)[...] = np.arange(k)[:, None]
     start = 1
-    for length in range(1, len(counts)):
-        block = letters[:, start:start + counts[length]]
-        block[:length - 1] = np.repeat(letters[:length - 1, start - counts[length - 1]:start], k, axis=1)
-        block[length - 1].reshape(-1, k)[...] = np.arange(k)  # a row is contiguous: a view
+    for length in range(1, len(counts) - 1):
+        letters[:length, start:start + counts[length]] = longest[:length, ::counts[-1 - length]]
         start += counts[length]
     return _Words(letters, lens, alphabet)
 
@@ -264,6 +265,9 @@ def _accumulate_rows(ufunc, a: np.ndarray) -> np.ndarray:
 # roles (bits 0-1 row, column of block X; 2-3 of Y) by 4 * (depth < n) + 2 * start + (blocks < m)
 _ROLES = np.array([1, 1, 4, 4, 9, 11, 6, 14], dtype=np.uint8)
 _TYPES = np.array([[c & 3, c >> 2] for c in range(16)], dtype=np.uint8)  # a role code's X, Y types
+_TYPES16 = _TYPES.view(np.uint16).ravel()
+# per role code, the mask of the ranks a profile keeps, for one- and two-byte ranks
+_KEEP = [np.where(_TYPES > 0, ~t(0), t(0)).ravel() for t in (np.uint8, np.uint16)]
 
 _BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
 
@@ -278,7 +282,8 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return (padded.reshape(groups, 8, bits.shape[1]) * _BIT_WEIGHTS).sum(axis=1, dtype=np.uint8)
 
 
-# positions, and len + 1 for the Y-instructions' start, are int16
+# positions are unsigned, one byte for words of up to 254 letters and two
+# below this bound, and len + 1, the Y-instructions' start, is int16
 _MAX_WORD_LEN = 32_766
 
 
@@ -291,8 +296,8 @@ def _word_table_bytes(k: int, count: int, letters: int, maxlen: int) -> int:
     only when ``words`` is read), the UTF-32 buffer and letter indices
     ``_letter_codes`` encodes a list through, and, per cell of the
     (maxlen + 2) x words grid, the letter matrix (one byte a cell, counted
-    as four), the 2k int16 occurrence tables and temporaries.  Words longer
-    than int16 positions allow are refused outright.
+    as four), the 2k occurrence tables (counted at two bytes a position)
+    and temporaries.  Words longer than int16 allows are refused outright.
     """
     if maxlen > _MAX_WORD_LEN:
         raise RankerBudgetError(f"words longer than {_MAX_WORD_LEN} letters")
@@ -342,9 +347,9 @@ class RankerTable:
     builds any word or row: an int max_len's word count against
     ``MAX_WORDS``, the class size, counted in closed form, against
     ``MAX_RANKERS``, and the full table (3 bytes per ranker and word at
-    ``max_depth``: int16 ``values``, bool ``condensed``) with the letter and
-    occurrence tables against the memory available; words longer than int16
-    positions allow are refused.
+    ``max_depth``: positions of at most two bytes, bool ``condensed``) with
+    the letter and occurrence tables against the memory available; words
+    longer than int16 allows are refused.
 
     The constructor enumerates the class as arrays (each ranker's start,
     depth, blocks, parent and last instruction, at O(rankers); the
@@ -355,7 +360,8 @@ class RankerTable:
     (positions x words), and decodes strings only when they are read
     (``_Words``).  The next/previous-occurrence tables are laid out the
     same way, (max length + 2) x words per instruction, and filled by
-    running minima and maxima along the position axis.  The word rows are
+    running minima and maxima along the position axis, in one byte a
+    position for words of up to 254 letters, else two.  The word rows are
     two products, each filled on demand one depth at a time and kept as
     one block per depth: positions (``filled_depth`` says
     how deep), each depth one gather from the positions of the depth
@@ -396,26 +402,27 @@ class RankerTable:
         # occ[t, x, j] for x in 0..maxlen+1: for instruction t = (X, a) the first
         # a-position of word j after x, for t = (Y, a) the last one before x;
         # 0 when there is none
-        occ = np.zeros((2 * k, maxlen + 2, W), dtype=np.int16)
-        pos = np.arange(maxlen, dtype=np.int16)[:, None]  # position - 1 of each row
-        for i, a in enumerate(self.alphabet):
-            hit = letters == i
-            # position - 1 where a occurs, else -1, whose uint16 view 65535 is
-            # above every position: the running minimum from the end, plus 1,
-            # is the next position, and none wraps round to 0
-            after = occ[i, :maxlen]
-            after[...] = np.where(hit, pos, np.int16(-1))
-            after = after.view(np.uint16)
-            _accumulate_rows(np.minimum, after[::-1])
-            after += 1
-            before = occ[k + i, 2:]
-            before[...] = np.where(hit, pos + np.int16(1), np.int16(0))
-            _accumulate_rows(np.maximum, before)
+        occ = np.zeros((2 * k, maxlen + 2, W), dtype=np.uint8 if maxlen < 255 else np.uint16)
+        # per letter, position - 1 where it occurs, else -1, which wraps round
+        # above every position: the running minimum from the end, plus 1, is
+        # the next position, and none wraps round to 0; and the position
+        # where it occurs, else 0, whose running maximum is the last
+        after, before = occ[:k, :maxlen], occ[k:, 2:]
+        pos = np.arange(1, maxlen + 1, dtype=occ.dtype)[:, None]  # the position of each row
+        for i in range(k):
+            np.multiply(letters == i, pos, out=before[i])
+            np.subtract(before[i], 1, out=after[i])
+        # all letters at once, a position (x) at a time
+        after = after.transpose(1, 0, 2)
+        _accumulate_rows(np.minimum, after[::-1])
+        after += 1
+        _accumulate_rows(np.maximum, before.transpose(1, 0, 2))
 
-        # depth 1's positions: X from 0, Y from len + 1; past depth 1, position
-        # 0 means undefined and stays so
-        top = (self.words.lens + 1).astype(np.int16)
-        self._first = np.concatenate([occ[:k, 0], occ[k:, top, self.words.cols]])
+        # depth 1's positions: X from 0, Y from len + 1, where the last
+        # position of the tables holds, as no padding letter occurs; past
+        # depth 1, position 0 means undefined and stays so
+        self._first = np.concatenate([occ[:k, 0], occ[k:, maxlen + 1]])
+        self._position_type = occ.dtype  # of every position block
         occ[:, 0] = 0
         self._occ = occ
 
@@ -424,30 +431,26 @@ class RankerTable:
         # _growth[d - 2] holds, per ranker of depth d, its parent's index
         # within depth d - 1 and its last instruction.
         count = 2 * k
-        is_y = np.arange(2 * k) >= k
-        start = is_y
+        instr_y = np.arange(2 * k) >= k
+        start = is_y = instr_y
         blocks = np.ones(2 * k, dtype=np.int16)
-        start_l, depth_l, blocks_l = [], [], []
+        start_l, blocks_l = [], []
         self._growth: list[tuple[np.ndarray, np.ndarray]] = []
         self._ends = [0]  # _ends[d]: rows of depth <= d
         for depth in range(1, max_depth + 1 if total else 1):
             if depth > 1:
-                parent = np.repeat(np.arange(count), 2 * k)
-                t = np.tile(np.arange(2 * k), count)
-                child_y = t >= k
-                child_blocks = blocks[parent] + (child_y != is_y[parent])
+                child_blocks = blocks[:, None] + (instr_y != is_y[:, None])  # (parent, instruction)
                 keep = child_blocks <= max_blocks
-                parent, t, is_y, blocks = parent[keep], t[keep], child_y[keep], child_blocks[keep]
-                start = start[parent]
+                parent, t = np.nonzero(keep)
+                is_y, blocks, start = instr_y[t], child_blocks[keep], start[parent]
                 count = len(parent)
                 self._growth.append((parent, t))
             start_l.append(start)
             blocks_l.append(blocks)
-            depth_l.append(np.full(count, depth, dtype=np.int16))
             self._ends.append(self._ends[-1] + count)
 
         self.start = np.concatenate(start_l or [[]]).astype(np.int8)   # 0 = X, 1 = Y
-        self.depth = np.concatenate(depth_l or [[]]).astype(np.int16)
+        self.depth = np.repeat(np.arange(1, len(self._ends), dtype=np.int16), np.diff(self._ends))
         self.blocks = np.concatenate(blocks_l or [[]]).astype(np.int16)
         self._rankers: list[Ranker] | None = None
         # one (rankers of the depth) x words block per filled depth, of
@@ -457,20 +460,21 @@ class RankerTable:
         self.filled_depth = 0
         # per ranker of the last condensed depth and word, the open interval
         # (lo, hi) its position was reached in and whether it is condensed;
-        # before depth 1, (0, len + 1) and alive, one row for all rankers
-        self._interval = (np.zeros((1, W), dtype=np.int16), top[None, :], np.ones((1, W), dtype=bool))
+        # None before depth 1 and once every depth is condensed
+        self._interval = None
         self._fill_lock = threading.Lock()
         self._partitions: dict[tuple[str, int, int], np.ndarray] = {}
+        self._firsts: dict[tuple[str, int, int], np.ndarray] = {}  # per word, its class's first word
 
     def _fill(self, n: int) -> int:
         """Fill the positions of every depth up to n; returns their rows'
         count.  A depth is one gather from the occurrence tables at flat
         index (instruction * (max length + 2) + parent's position) * columns
-        + the word's column.  The lock keeps concurrent readers from
-        appending a depth twice."""
+        + the word's column, whose parent's part is computed once per parent.
+        The lock keeps concurrent readers from appending a depth twice."""
         n = min(n, len(self._ends) - 1)
-        W = len(self.words)
-        rows = max(1, (1 << 17) // max(W, 1))  # bounds the flat-index temporary
+        cols = self.words.cols
+        rows = max(1, (1 << 17) // max(len(cols), 1))  # bounds the flat-index temporaries
         with self._fill_lock:
             while self.filled_depth < n:
                 depth = self.filled_depth + 1
@@ -478,14 +482,17 @@ class RankerTable:
                     p, self._first = self._first, None
                 else:
                     parent, t = self._growth[depth - 2]
-                    pp = self._value_blocks[-1][parent]
+                    prev = self._value_blocks[-1]
                     flat = self._occ.reshape(-1)
                     stride = self._occ.shape[1] * self._occ.shape[2]  # one instruction's table
-                    p = np.empty_like(pp)
+                    p = np.empty((len(parent), len(cols)), dtype=prev.dtype)
                     for r in range(0, len(p), rows):
-                        at = pp[r:r + rows] * np.intp(self._occ.shape[2])
+                        # the parents of these rows, consecutive: their part of the index
+                        par = parent[r:r + rows]
+                        base = np.multiply(prev[par[0]:par[-1] + 1], np.intp(self._occ.shape[2]), dtype=np.intp)
+                        base += cols
+                        at = base.take(par - par[0], axis=0)
                         at += (t[r:r + rows] * stride)[:, None]
-                        at += self.words.cols
                         np.take(flat, at, out=p[r:r + rows])
                 self._value_blocks.append(p)
                 self.filled_depth = depth
@@ -503,8 +510,11 @@ class RankerTable:
         with self._fill_lock:
             while len(self._condensed_blocks) < n:
                 depth = len(self._condensed_blocks) + 1
-                lo, hi, alive = self._interval
-                if depth > 1:
+                if depth == 1:  # (0, len + 1) and alive, one row for all rankers
+                    top = self.words.lens.take(self.words.cols) + 1
+                    lo, hi, alive = np.zeros((1, len(top)), dtype=np.int16), top.astype(np.int16)[None], True
+                else:
+                    lo, hi, alive = self._interval
                     parent, t = self._growth[depth - 2]
                     is_y = (t >= len(self.alphabet))[:, None]
                     pp = self._value_blocks[depth - 2][parent]
@@ -547,7 +557,8 @@ class RankerTable:
         numbering of the labels.
         """
         with self._fill_lock:
-            sub = copy.copy(self)
+            sub = object.__new__(RankerTable)
+            sub.__dict__.update(self.__dict__)
             sub._value_blocks = [b.take(keep, axis=1) for b in self._value_blocks]
             sub._condensed_blocks = [b.take(keep, axis=1) for b in self._condensed_blocks]
             if self._first is not None:
@@ -557,7 +568,7 @@ class RankerTable:
         w = self.words
         sub.words = _Words(w.letters, w.lens, w.names, w.cols[keep])
         sub._fill_lock = threading.Lock()
-        sub._partitions = {}
+        sub._partitions, sub._firsts = {}, {}
         return sub
 
     @property
@@ -579,7 +590,7 @@ class RankerTable:
         """Position of each ranker (row) on each word (column), 0 where it is
         undefined; reading it fills every depth."""
         self._fill(self.max_depth)
-        return self._rows(self._value_blocks, np.int16)
+        return self._rows(self._value_blocks, self._position_type).astype(np.int16)
 
     @property
     def condensed(self) -> np.ndarray:
@@ -588,11 +599,17 @@ class RankerTable:
         self._fill_condensed(self.max_depth)
         return self._rows(self._condensed_blocks, bool)
 
-    def _class_mask(self, start: str | None, m: int, n: int) -> np.ndarray:
+    def _nonempty_class(self, m: int, n: int) -> bool:
+        """Whether the class at (m, n) has rankers; ValueError past the table's bounds."""
         if m < 1 or n < 1:
-            return np.zeros(len(self.depth), dtype=bool)
+            return False
         if m > self.max_blocks or n > self.max_depth:
             raise ValueError("requested class exceeds the table bounds")
+        return True
+
+    def _class_mask(self, start: str | None, m: int, n: int) -> np.ndarray:
+        if not self._nonempty_class(m, n):
+            return np.zeros(len(self.depth), dtype=bool)
         mask = (self.depth <= n) & (self.blocks <= m)
         if start == X:
             mask &= self.start == 0
@@ -642,62 +659,87 @@ class RankerTable:
 
         Cost: O(W * (P + max length)) for W words, in a fixed number of
         numpy steps per chunk of about 2**20 cells.  One dict of the row
-        bytes finds the profiles and their rankers' roles, by which they are
-        ordered: one scatter per run of equal roles sets both blocks' level
-        types in a level-major grid, running maxima of 4 * level + type and
-        running sums along the level axis give the ranks, and one take reads
-        them.  The keys are checked against the memory available first, and
-        labelled by first appearance in the word list.
+        bytes (a byte a position for words of up to 254 letters) finds the
+        profiles and their rankers' roles, by which they are ordered: per
+        run of equal roles one assignment sets both blocks' level types in
+        its own plane of a level-major grid, one OR joins the planes,
+        running maxima of 4 * level + type and running sums along the level
+        axis give the ranks, and one take reads them.  The keys are checked
+        against the memory available first, then grouped by one hash of
+        their bytes (``_first_equal_rows``), which gives each word the first
+        word of its class; the labels, numbered by first appearance in the
+        word list, and the bookkeeping of ``least_oracle_n`` are both read
+        off that grouping.
         """
         key = ("E", m, n)
         if key in self._partitions:
             return self._partitions[key]
-        end = self._fill(n)
-        sel = self._class_mask(None, m, n)[:end]
+        end = self._fill(n) if self._nonempty_class(m, n) else 0  # the class's rows' end
         W = len(self.words)
-        role = _ROLES.take(4 * (self.depth[:end] < n) + 2 * self.start[:end] + (self.blocks[:end] < m))
+        row_type = np.dtype((np.void, self._position_type.itemsize * W))
+        # each ranker's role, 0 outside the class
+        blocks = self.blocks[:end]
+        role = 2 * self.start[:end] + (blocks < m)
+        role[:self._ends[n - 1]] += 4  # the rows of depth < n
+        role = _ROLES.take(role)
+        role *= blocks <= m
+        each = iter(role.tolist())
         roles: dict[bytes, int] = {}
-        for block, lo, hi in zip(self._value_blocks, self._ends, self._ends[1:n + 1]):
-            rows = block.compress(sel[lo:hi], axis=0).view(np.dtype((np.void, 2 * W)))
-            for row, r in zip(rows.ravel().tolist(), role[lo:hi][sel[lo:hi]].tolist()):
-                roles[row] = roles.get(row, 0) | r
+        for block in self._value_blocks[:n] if end else ():
+            for row, r in zip(block.view(row_type).ravel().tolist(), each):
+                if r:
+                    roles[row] = roles.get(row, 0) | r
         rows = sorted(roles, key=roles.__getitem__)
         codes = [roles[row] for row in rows]
         P = len(rows)
-        profiles = np.frombuffer(b"".join(rows), dtype=np.int16).reshape(P, W)
-        if not any(c & 10 for c in codes):
-            return self._partitions.setdefault(key, _first_seen_labels((profiles > 0).T))
+        profiles = np.frombuffer(b"".join(rows), dtype=self._position_type).reshape(P, W)
+        if any(c & 10 for c in codes):
+            keys = self._equiv_keys(profiles, codes)
+        else:  # definedness, padded to whole 64-bit words
+            keys = np.zeros((W, -(-P // 8) * 8), dtype=bool)
+            np.greater(profiles.T, 0, out=keys[:, :P])
+        rep = _first_equal_rows(keys)
+        self._firsts.setdefault(key, rep)
+        return self._partitions.setdefault(key, _labels_of_firsts(rep))
 
-        runs = [i for i in range(P) if not i or codes[i] != codes[i - 1]] + [P]
+    def _equiv_keys(self, profiles: np.ndarray, codes: list[int]) -> np.ndarray:
+        """Each word's compressed ranks in the profiles, ordered by role code,
+        as a row padded to whole 64-bit words (``partition_equiv``)."""
+        P, W = profiles.shape
+        runs = [i for i in range(P) if not i or codes[i] != codes[i - 1]]
+        types = _TYPES16.take([codes[i] for i in runs])
+        runs.append(P)
         levels = self._maxlen + 1  # values 0 (undefined) .. maxlen
         rank = np.dtype(np.uint8 if levels <= 255 else np.uint16)  # ranks <= levels
         pair = np.dtype(f"u{2 * rank.itemsize}")  # a profile's ranks in X and Y
-        keep = np.where(_TYPES > 0, ~rank.type(0), rank.type(0)).view(pair).ravel().take(codes)[:, None]
+        keep = _KEEP[rank.itemsize - 1].view(pair).take(codes)
         lanes = -(-P * pair.itemsize // 8)
         _check_fits(W * (16 * lanes + 48), f"signatures of {P} profiles need", RankerBudgetError)
         keys = np.zeros((W, 8 * lanes // pair.itemsize), dtype=pair)
-        step = max(1, (1 << 20) // max(1, P + 2 * levels))
+        step = max(1, (1 << 20) // (P + (len(types) + 2) * levels))
         for lo in range(0, W, step):
             vals = profiles[:, lo:lo + step]
             c = vals.shape[1]
             top = int(vals.max(initial=0)) + 1  # levels in this chunk
             cells = np.multiply(vals, c, dtype=np.intp)  # level-major cell of each value
             cells += np.arange(c)
-            # per cell its level's types in X and Y: 0 absent, 1 (2) pure row- (column-)only, 3 mixed
-            grid = np.zeros(top * c, dtype=np.uint16)
-            for a, b in zip(runs, runs[1:]):
-                grid[cells[a:b]] |= _TYPES[codes[a]].view(np.uint16)[0]
-            grid = grid.view(np.uint8).reshape(top, c, 2)
+            # per run of equal roles, its level types at its profiles' cells;
+            # per cell its level's types in X and Y: 0 absent, 1 (2) pure
+            # row- (column-)only, 3 mixed
+            grid = np.zeros((len(types), top * c), dtype=np.uint16)
+            for g, t, a, b in zip(grid, types, runs, runs[1:]):
+                g[cells[a:b]] = t
+            grid = np.bitwise_or.reduce(grid, axis=0).view(np.uint8).reshape(top, c, 2)
             grid[0] = 3
-            new = grid > 0
+            new = np.minimum(grid, 1, dtype=rank)  # present levels, narrowed to the new ones below
             last = np.arange(0, 4 * top, 4, dtype=np.min_scalar_type(4 * top))[:, None, None] + grid
             last *= new
             _accumulate_rows(np.maximum, last)
             last &= 3
             new[1:] &= (grid[1:] == 3) | (grid[1:] != last[:-1])
-            ranks = _accumulate_rows(np.add, new.astype(rank)).view(pair).ravel().take(cells)
-            np.bitwise_and(ranks.T, keep.T, out=keys[lo:lo + c, :P])
-        return self._partitions.setdefault(key, _first_seen_labels(keys))
+            ranks = _accumulate_rows(np.add, new).view(pair).ravel().take(cells)
+            np.bitwise_and(ranks.T, keep, out=keys[lo:lo + c, :P])
+        return keys
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +764,11 @@ def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
 def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
     """Images of the table's words under the generator morphism, read off
     the letter matrix at the table's word columns, full or restricted: per
-    slice of about 2**16 cells one take of each letter index's generator
-    (the identity for the padding), then one flat take from the monoid
-    table per position.  The first word with a letter the monoid lacks
-    raises ``eval_word``'s error."""
+    position one flat take from the monoid table's columns of the letter
+    indices' generators (the identity for the padding), at image * letters
+    + letter index, taking the letter matrix in slices of about 2**16
+    cells.  The first word with a letter the monoid lacks raises
+    ``eval_word``'s error."""
     words = table.words
     gen = np.array([monoid.gens.get(a, -1) for a in words.names] + [monoid.identity], dtype=np.intp)
     lacks = gen < 0
@@ -733,38 +776,24 @@ def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
         hit = lacks.take(words.letters.take(words.cols, axis=1)).any(axis=0)
         if hit.any():
             monoid.eval_word(words.word(int(np.argmax(hit))))  # raises
-    flat, size = monoid.table.reshape(-1), np.intp(monoid.size)
+    flat = monoid.table.take(gen, axis=1).astype(np.intp).reshape(-1)  # x * each letter's generator
     images = np.full(len(words), monoid.identity, dtype=np.intp)
     rows = max(1, (1 << 16) // max(len(words), 1))
     for x in range(0, len(words.letters), rows):
-        for elem in gen.take(words.letters[x:x + rows].take(words.cols, axis=1)):
-            elem += images * size
-            images = flat.take(elem)
+        for letter in words.letters[x:x + rows].take(words.cols, axis=1):
+            images *= len(gen)
+            images += letter
+            images = flat.take(images)
     return images
 
 
-def _first_indices(labels: np.ndarray) -> np.ndarray:
-    """The index of the first row labelled k, for each k, of labels numbered
-    by first appearance: where the running maximum grows, with no sort."""
-    grows = np.ones(len(labels), dtype=bool)
-    top = np.maximum.accumulate(labels)
-    np.greater(top[1:], top[:-1], out=grows[1:])
-    return np.flatnonzero(grows)
-
-
-def _violations(labels: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per word, the index of the first word (in list order) of its label
-    class, and whether the two words' images differ."""
-    rep = _first_indices(labels)[labels]
-    return rep, images != images[rep]
-
-
-def _mixed_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """The increasing indices of the words whose label class holds a word
-    where bad is set, by a mask over the classes."""
-    mixed = np.zeros(int(labels.max(initial=-1)) + 1, dtype=bool)
-    mixed[labels[bad]] = True
-    return np.flatnonzero(mixed[labels])
+def _mixed_words(rep: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The increasing indices of the words whose class (the words sharing a
+    first word in rep) holds a word where bad is set, by a mask over the
+    first words."""
+    mixed = np.zeros(len(rep), dtype=bool)
+    mixed[rep[bad]] = True
+    return np.flatnonzero(mixed[rep])
 
 
 def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
@@ -784,22 +813,26 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
     both are kept, and the partition of the kept words is the full one
     restricted to them (``RankerTable.restricted``).  So n and the
     counterexample are those of the check at one n on the full table (the
-    tests' ``oracle_equiv_refines_morphism``) tried at n = 1, 2, ..., while the deeper depths fill and partition only the kept
-    words.  The given table is read (and filled) at n = 1 only.
+    tests' ``oracle_equiv_refines_morphism``) tried at n = 1, 2, ...,
+    while the deeper depths fill and partition only the kept words.  The
+    violations and the kept words are read off the first word of each
+    word's class, which ``partition_equiv`` keeps from the grouping its
+    labels come from.  The given table is read (and filled) at n = 1 only.
     """
     table = _oracle_table(monoid, m, max_n, max_len, table)
     images = _word_images(monoid, table)
-    counterexample = None
+    words = pair = None  # the counterexample's indices among the words of the last n tried
     for n in range(1, max_n + 1):
-        labels = table.partition_equiv(m, n)
-        rep, bad = _violations(labels, images)
+        table.partition_equiv(m, n)
+        rep = table._firsts[("E", m, n)]
+        bad = images != images.take(rep)
         if not bad.any():
             return n, None
         j = int(np.argmax(bad))
-        counterexample = (table.words.word(rep[j]), table.words.word(j))
-        keep = _mixed_words(labels, bad)
-        table, images = table.restricted(keep), images[keep]
-    return None, counterexample
+        words, pair = table.words, (rep[j], j)
+        keep = _mixed_words(rep, bad)
+        table, images = table.restricted(keep), images.take(keep)
+    return None, None if pair is None else tuple(map(words.word, pair))
 
 
 # ---------------------------------------------------------------------------

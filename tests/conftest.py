@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from fo2level.automata import Dfa, all_words, minimize
 from fo2level.corpus import _draws, corpus_alphabet, make_entries, random_dfa
@@ -14,6 +14,11 @@ from fo2level.rankers import RankerTable
 from fo2level.varieties import quotient_chain
 
 CORPUS_SEED = 7
+
+# every property test draws the same examples on every run, and none has a
+# deadline: a slow example on a loaded host is not a failure
+settings.register_profile("fo2level", deadline=None, derandomize=True)
+settings.load_profile("fo2level")
 
 _MAX_DRAWS = 200_000
 

@@ -60,7 +60,7 @@ from fo2level.automata import (Concat, Dfa, EmptyWord, Letter, Regex, RegexNode,
 from fo2level.identities import Prod, Term, Var
 from fo2level.corpus import CheckResult
 from fo2level.monoid import FiniteMonoid, reverse_monoid
-from fo2level.rankers import (X, Y, Ranker, RankerTable, _oracle_table, _violations, _word_images,
+from fo2level.rankers import (X, Y, Ranker, RankerTable, _oracle_table, _word_images,
                               eval_ranker, is_condensed, least_oracle_n, ranker_positions)
 from fo2level.varieties import Congruence, LevelResult, quotient
 
@@ -443,7 +443,9 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
     """
     table = _oracle_table(monoid, m, n, max_len, table)
     labels = table.partition_equiv(m, n)
-    rep, bad = _violations(labels, _word_images(monoid, table))
+    images = _word_images(monoid, table)
+    rep = first_class_words(labels)
+    bad = images != images[rep]
     classes = int(labels.max(initial=-1)) + 1
     if bad.any():
         j = int(np.argmax(bad))

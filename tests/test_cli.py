@@ -481,6 +481,25 @@ def test_oracle_golden_outputs(regex, m, max_len, size, capsys):
                        f"oracle: holds at n=4 (m={m}, words up to length {max_len})\n")
 
 
+# (regex, monoid size, last counterexample as written, with a and b swapped)
+# of failing searches at --m 2 --max-n 3 --max-len 10
+ORACLE_FAILING = (
+    ("(ab)*", 6, "'ababababa' vs 'ababaababa'", "'ababababa' vs 'ababaababa'"),
+    ("(a|b)*abb(a|b)*", 10, "'ababababab' vs 'ababbaabab'", "'ababababa' vs 'ababaababa'"),
+    ("(abb)*", 12, "'abbabbab' vs 'abbabbbab'", "'abaabaab' vs 'abaaabaab'"),
+)
+
+
+@pytest.mark.parametrize("regex,size,pair,swapped", ORACLE_FAILING)
+def test_oracle_failing_search_outputs(regex, size, pair, swapped, capsys):
+    for r, p in ((regex, pair), (regex.translate(str.maketrans("ab", "ba")), swapped)):
+        code, out, err = run(capsys, "oracle", "--regex", r, "--m", "2", "--max-n", "3",
+                             "--max-len", "10")
+        assert code == 0 and err == ""
+        assert out == (f"input: regex {r}\nmonoid_size: {size}\n"
+                       f"oracle: no n <= 3 works (m=2); last counterexample: {p}\n")
+
+
 def test_module_entry_point_runs_from_a_checkout():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

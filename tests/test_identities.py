@@ -151,7 +151,7 @@ def reference_check(m, lhs, rhs):
     return IdentityCheck(False, {k + 1: int(grid[k, bad[0]]) for k in range(v)})
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(dfas(), st.booleans())
 def test_identity_domains_match_full_enumeration(dfa, minimal):
     try:
@@ -314,7 +314,7 @@ def exhaustive_level(m, max_m):
     return IdentitiesLevel(LevelResult("exceeded", max_m), identity, witness)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(dfas(), st.booleans(), st.booleans())
 def test_forward_search_matches_exhaustive_scan(dfa, minimal, reverse):
     try:

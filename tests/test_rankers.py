@@ -15,10 +15,10 @@ from conftest import left_zero, preorders, trivial, two_element_zero
 from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
 from fo2level.cli import main
 from fo2level.corpus import random_dfa
-from fo2level.monoid import FiniteMonoid, transition_monoid
+from fo2level.monoid import FiniteMonoid, _first_equal_rows, transition_monoid
 from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError,
                               RankerTable, eval_ranker, is_condensed,
-                              _mixed_words, _pack_rows, _violations, _word_images,
+                              _mixed_words, _pack_rows, _word_images,
                               least_oracle_n, next_pos, parse_ranker,
                               prev_pos, subwords_upto)
 from reference import (equiv_wi, first_class_words, is_condensed_no_overrun, l_factorize,
@@ -349,7 +349,7 @@ def _shuffled_word_lists(draw):
     return tuple(alpha), words
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(_shuffled_word_lists())
 def test_equiv_partitions_match_per_word_signatures_on_random_lists(case):
     alpha, words = case
@@ -363,7 +363,7 @@ def test_equiv_partitions_match_per_word_signatures_on_random_lists(case):
 _PARTITIONS = ("partition_equiv", "partition_right", "partition_left")
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_shuffled_word_lists(), st.integers(0, 4), st.randoms(use_true_random=False))
 def test_restricted_tables_partition_like_the_full_table(case, depth, rng):
     alpha, words = case
@@ -382,7 +382,7 @@ def test_restricted_tables_partition_like_the_full_table(case, depth, rng):
         assert np.array_equal(labels, expect), (kind, m, n, depth)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_shuffled_word_lists())
 def test_deeper_partitions_refine_shallower_ones(case):
     alpha, words = case
@@ -393,6 +393,9 @@ def test_deeper_partitions_refine_shallower_ones(case):
                 coarse, fine = getattr(table, kind)(m, n), getattr(table, kind)(m, n + 1)
                 # each class at n + 1 lies in one class at n
                 assert len(set(zip(fine.tolist(), coarse.tolist()))) == int(fine.max()) + 1, (kind, m, n)
+        # an empty class, asked for once the table is filled, relates every word
+        for m, n in ((0, 2), (2, 0), (1, -1)):
+            assert not getattr(table, kind)(m, n).any(), (kind, m, n)
 
 
 @pytest.mark.parametrize("alpha,m,n,words", [((), 1, 1, ["", "a"]), (("a",), 1, 2, []),
@@ -420,17 +423,29 @@ def test_equiv_partitions_on_words_longer_than_255_letters():
         for n in range(1, 4):
             assert np.array_equal(table.partition_equiv(m, n),
                                   _per_word_equiv_labels(table, m, n)), (m, n)
+    # and the search's classes on them: one fails at every n, one holds
+    for text in ("(aa|b)*", "(a|b)*b"):
+        mono = monoid_of(text)
+        for m in range(1, 3):
+            assert least_oracle_n(mono, m, 3, 0, table=_fresh(table)) == \
+                _per_n_search(mono, m, 3, 0, _fresh(table)), (text, m)
 
 
 def test_equiv_partitions_survive_hash_collisions(monkeypatch):
-    # a zero hash base makes every word's key hash alike: the labels come
-    # from the dict of the keys' bytes instead, and are the same
+    # a zero hash base makes every word's key hash alike: the labels, and
+    # the first words of the classes the search reads, come from the dict of
+    # the keys' bytes instead, and are the same
     monkeypatch.setattr(fo2level.monoid, "_HASH_BASE", np.uint64(0))
     table = RankerTable(("a", "b"), 2, 3, all_words(("a", "b"), 5))
     for m in range(1, 3):
         for n in range(1, 4):
             assert np.array_equal(table.partition_equiv(m, n),
                                   _per_word_equiv_labels(table, m, n)), (m, n)
+    for text in ("(ab)*", "(a|b)*abb(a|b)*", "(aa|b)*"):  # the last fails at every n
+        mono = monoid_of(text)
+        for m in range(1, 3):
+            assert least_oracle_n(mono, m, 3, 5, table=_fresh(table)) == \
+                _per_n_search(mono, m, 3, 5, _fresh(table)), (text, m)
 
 
 def test_equiv_partition_memory_is_linear_in_profiles():
@@ -494,7 +509,7 @@ def _per_n_search(monoid, m, max_n, max_len, table):
     return None, outcome.counterexample
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_shuffled_word_lists(), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_least_oracle_n_matches_the_per_n_loop_on_random_lists(case, m, rng):
     # the monoid reads every letter of the words, the foreign d included,
@@ -535,7 +550,7 @@ def test_oracle_images_refuse_unknown_letters():
         oracle_equiv_refines_morphism(monoid_of("(ab)*"), 1, 1, 4, table=table)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.integers(1, 3), st.integers(0, 6), st.randoms(use_true_random=False))
 def test_word_matrices_decode_and_map_like_the_word_strings(k, max_len, rng):
     # the matrix of all words is built with no string, the same as encoding
@@ -716,7 +731,7 @@ def test_condensedness_read_after_the_positions_matches_a_completed_table(table_
         assert np.array_equal(lazy.condensed, expect)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(_shuffled_word_lists(), st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
 def test_condensedness_first_read_on_a_restricted_table(case, depth, condensed, rng):
     # the full table is filled to depth in positions and to at most that in
@@ -791,7 +806,7 @@ def test_least_oracle_n_encodes_its_words_once(monkeypatch):
     assert _triple(outcome) == _per_word_oracle(mono, sub.partition_equiv(1, 2), sub.words)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(_shuffled_word_lists(), st.integers(0, 2), st.randoms(use_true_random=False))
 def test_occurrence_tables_match_scalar_next_and_prev(case, depth, rng):
     # positions x words per instruction, the words on the last axis; the
@@ -819,17 +834,17 @@ def test_pack_rows_matches_packbits(rows):
     assert np.array_equal(_pack_rows(bits), np.packbits(bits, axis=0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.lists(st.integers(0, 6), max_size=80),
        st.sampled_from(["drawn", "one class", "singletons"]), st.randoms(use_true_random=False))
 def test_sort_free_bookkeeping_matches_the_sorting_reference(raw, shape, rng):
     labels = {"drawn": _first_seen(raw), "one class": np.zeros(len(raw), dtype=np.int32),
               "singletons": np.arange(len(raw), dtype=np.int32)}[shape]
     images = np.array([rng.randrange(3) for _ in raw], dtype=np.intp)
-    rep, bad = _violations(labels, images)
-    first = first_class_words(labels)
-    assert np.array_equal(rep, first) and np.array_equal(bad, images != images[first])
-    assert np.array_equal(_mixed_words(labels, bad), mixed_class_words(labels, bad))
+    rep = _first_equal_rows(labels[:, None])
+    assert np.array_equal(rep, first_class_words(labels))
+    bad = images != images[rep]
+    assert np.array_equal(_mixed_words(rep, bad), mixed_class_words(labels, bad))
 
 
 def test_construction_fills_no_row(monkeypatch):

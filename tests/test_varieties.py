@@ -282,7 +282,7 @@ def assert_matches_references(m):
         assert fo2_level(m, cap) == reference_level(m, cap)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(dfas(), st.booleans(), st.booleans())
 def test_signatures_and_chains_match_references(dfa, minimal, reverse):
     try:
