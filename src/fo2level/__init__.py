@@ -26,9 +26,8 @@ from .varieties import (
 from .identities import (
     Var, Prod, Omega, IdentityBudgetError, IdentityCheck,
     format_term, mirror, build_G, build_I, phi_of, phi_word,
-    satisfies_identity, da_identity, aperiodicity_identity,
-    in_Rm_by_identities, in_Lm_by_identities, identities_level,
-    straubing_terms, check_straubing,
+    satisfies_identity, da_identity, in_Rm_by_identities,
+    in_Lm_by_identities, identities_level, straubing_terms, check_straubing,
 )
 from .rankers import (
     Ranker, RankerSyntaxError, RankerBudgetError, RankerTable,

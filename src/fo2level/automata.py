@@ -11,6 +11,7 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -170,21 +171,11 @@ class _RegexParser:
         return Letter(c)
 
 
-def _letters_of(node: RegexNode, out: set):
-    if isinstance(node, Letter):
-        out.add(node.symbol)
-    elif isinstance(node, (Concat, Union)):
-        for p in node.parts:
-            _letters_of(p, out)
-    elif isinstance(node, Star):
-        _letters_of(node.inner, out)
-
-
 def parse_regex(text: str, alphabet=None) -> Regex:
     """Parse a regex (`|` union, juxtaposition concat, `*` star, `~` empty word).
 
-    If ``alphabet`` is omitted it is inferred as the set of letters occurring,
-    in sorted order.  An explicitly declared empty alphabet is rejected.
+    An omitted ``alphabet`` is the text's sorted non-whitespace characters
+    outside _METACHARS.  An explicitly declared empty alphabet is rejected.
     """
     declared = None
     if alphabet is not None:
@@ -201,9 +192,7 @@ def parse_regex(text: str, alphabet=None) -> Regex:
     if parser.peek() is not None:
         raise RegexSyntaxError("unexpected character", parser.i)
     if alphabet is None:
-        used = set()
-        _letters_of(root, used)
-        alphabet = tuple(sorted(used))
+        alphabet = tuple(sorted({c for c in text if not c.isspace() and c not in _METACHARS}))
     return Regex(root, alphabet)
 
 
@@ -376,19 +365,29 @@ def regex_to_min_dfa(r: Regex) -> Dfa:
 # DFA file format
 # ---------------------------------------------------------------------------
 
+# Characters of a DFA or monoid file split into lines at a time.
+_LINE_CHARS = 1 << 18
+
+
+def _line_blocks(text: str, pos: int = 0) -> Iterator[tuple[list[str], int]]:
+    """The stripped lines of text from pos on that are neither blank nor a
+    comment, split as ``str.splitlines`` splits them, in blocks of about
+    _LINE_CHARS characters that end at a newline, each with its end."""
+    while pos < len(text):
+        end = text.find("\n", pos + _LINE_CHARS) + 1 or len(text)
+        yield [s for s in map(str.strip, text[pos:end].splitlines()) if s and not s.startswith("#")], end
+        pos = end
+
+
 def parse_dfa_file(text: str) -> Dfa:
     """Parse the line-based DFA format.
 
     Expected headers, in order: ``alphabet:``, ``states:``, ``initial:``,
     ``final:`` (possibly with an empty list), followed by ``SRC SYM DST``
     transition triples.  Missing transitions go to an implicit non-final
-    sink appended as the last state.  ``#`` starts a comment line.
+    sink appended as the last state.  ``#`` starts a comment line (``_line_blocks``).
     """
-    lines = []
-    for raw in text.splitlines():
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            lines.append(s)
+    lines = [s for block, _ in _line_blocks(text) for s in block]
 
     def header(idx: int, key: str) -> list[str]:
         if idx >= len(lines) or not lines[idx].startswith(key + ":"):

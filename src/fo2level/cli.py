@@ -277,7 +277,7 @@ def cmd_corpus(args) -> int:
         check_inner_segment(alpha, max_len=5),
         check_relation_congruence(alpha, max_len=5, samples=300, seed=args.seed),
         check_subword_direction(alpha, max_len=4),
-        check_condensed_semantics(alpha, max_len=5, max_depth=3),
+        check_condensed_semantics(alpha, max_len=5),
     ]
     for res in gating:
         print(res.line())

@@ -25,7 +25,7 @@ from .automata import Dfa, all_words, minimize
 from .identities import (check_straubing, in_Lm_by_identities,
                          in_Rm_by_identities)
 from .monoid import FiniteMonoid, reverse_monoid, transition_monoid
-from .rankers import (RankerTable, is_condensed, left_factorization,
+from .rankers import (RankerBudgetError, RankerTable, is_condensed, left_factorization,
                       right_factorization, subwords_upto)
 from .varieties import LevelResult, fo2_level, in_Lm, in_Rm, quotient, sim_d, sim_k, sim_li
 
@@ -71,10 +71,9 @@ def _draws(seed: int, max_states: int, letters: int, max_m: int):
         yield CorpusEntry(dfa=dfa, monoid=mono, level=fo2_level(mono, max_m))
 
 
-def make_entries(seed: int, count: int, max_states: int = 4, letters: int = 2,
-                 max_m: int = 6) -> list[CorpusEntry]:
+def make_entries(seed: int, count: int, max_states: int = 4, letters: int = 2) -> list[CorpusEntry]:
     """`count` random draws, each minimized and analyzed (duplicates kept)."""
-    return list(islice(_draws(seed, max_states, letters, max_m), count))
+    return list(islice(_draws(seed, max_states, letters, 6), count))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +160,23 @@ def check_action_agreement(entries) -> CheckResult:
     return CheckResult("stable-action-agreement", True, checked)
 
 
+# Most word triples ``check_alphabet_stability`` may visit per monoid (5 letters: 156^3; 6: 259^3)
+MAX_TRIPLES = 10_000_000
+
+
 def check_alphabet_stability(entries, max_len: int = 4) -> CheckResult:
     """On DA monoids: phi(x) R phi(xy) and alph(z) within alph(y) force
-    phi(x) R phi(xz), over all word triples up to max_len."""
+    phi(x) R phi(xz), over all word triples up to max_len; RankerBudgetError
+    past ``MAX_TRIPLES`` triples, counted before any word is built."""
     checked = 0
     for e in entries:
         mono = e.monoid
         if not mono.is_in_da():
             continue
+        count = sum(len(mono.gens) ** length for length in range(max_len + 1))
+        if count ** 3 > MAX_TRIPLES:
+            raise RankerBudgetError(f"alphabet stability: {count}^3 word triples up to length "
+                                    f"{max_len} exceed the budget of {MAX_TRIPLES}")
         rcls = mono.greens().r_class
         words = all_words(tuple(mono.gens), max_len)
         images = {w: mono.eval_word(w) for w in words}
@@ -192,7 +200,10 @@ def check_alphabet_stability(entries, max_len: int = 4) -> CheckResult:
 # Word-level checks (monoid independent)
 # ---------------------------------------------------------------------------
 
-def _word_table(alphabet, max_len: int, max_m: int, max_n: int, table: RankerTable | None):
+_MAX_MN = 3  # the block and depth bounds of the word-level checks
+
+
+def _word_table(alphabet, max_len: int, max_m: int, table: RankerTable | None):
     """The alphabet, the given table (or one over all words up to max_len)
     and its two views, each a word list and an index of the words' rows: the
     table's words, and their mirror images, where the reverse of a word
@@ -200,7 +211,7 @@ def _word_table(alphabet, max_len: int, max_m: int, max_n: int, table: RankerTab
     the mirror view reads the labels of the reversed factors of the pair."""
     alphabet = tuple(alphabet)
     if table is None:
-        table = RankerTable(alphabet, max_m, max_n, max_len)
+        table = RankerTable(alphabet, max_m, _MAX_MN, max_len)
     words = list(table.words)
     views = [(view, {w: k for k, w in enumerate(view)}) for view in (words, [w[::-1] for w in words])]
     return alphabet, table, views
@@ -225,8 +236,7 @@ _FACTOR_CLAUSES = (("right/left-factor", "right/last-prefix", "right/last-suffix
                    ("left/right-factor", "left/first-suffix", "left/first-prefix"))
 
 
-def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
-                        max_n: int = 3, include_suffix_clause: bool = False,
+def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, include_suffix_clause: bool = False,
                         table: RankerTable | None = None) -> CheckResult:
     """Factor compatibility of the one-sided relations under first/last-letter
     factorizations, including the mirror-dual statements.
@@ -238,11 +248,11 @@ def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
     set.  Since u L_{m,n} v iff rev u R_{m,n} rev v, the left side is the
     right side's clause code on the mirror images, with R and L swapped.
     """
-    alphabet, table, views = _word_table(alphabet, max_len, max_m, max_n, table)
+    alphabet, table, views = _word_table(alphabet, max_len, _MAX_MN, table)
     checked = 0
     name = "factor-compat" + ("-with-suffix-clause" if include_suffix_clause else "")
-    for m in range(2, max_m + 1):
-        for n in range(2, max_n + 1):
+    for m in range(2, _MAX_MN + 1):
+        for n in range(2, _MAX_MN + 1):
             R, L = table.partition_right(m, n), table.partition_left(m, n)
             sides = ((_FACTOR_CLAUSES[0], *views[0], table.partition_right(m, n - 1),
                       table.partition_left(m - 1, n - 1)),
@@ -269,18 +279,18 @@ def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
                         if failed:
                             return CheckResult(name, False, checked, f"{failed} {table.words[i]!r} "
                                                f"{table.words[j]!r} a={a!r} (m={m},n={n})")
-    return CheckResult(name, True, checked, f"words up to {max_len}, m,n <= {max_m},{max_n}")
+    return CheckResult(name, True, checked, f"words up to {max_len}, m,n <= {_MAX_MN},{_MAX_MN}")
 
 
-def check_equiv_factor(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
-                       max_n: int = 3, table: RankerTable | None = None) -> CheckResult:
+def check_equiv_factor(alphabet=("a", "b"), max_len: int = 6,
+                       table: RankerTable | None = None) -> CheckResult:
     """Equivalence factor compatibility: u ~ v at (m, n) with first-a factors
     gives prefixes at (m-1, n-1) and suffixes at (m, n-1); mirrored for
     last-a factors, which is the first-a clause on the mirror images."""
-    alphabet, table, views = _word_table(alphabet, max_len, max_m, max_n, table)
+    alphabet, table, views = _word_table(alphabet, max_len, _MAX_MN, table)
     checked = 0
-    for m in range(2, max_m + 1):
-        for n in range(2, max_n + 1):
+    for m in range(2, _MAX_MN + 1):
+        for n in range(2, _MAX_MN + 1):
             Edown = table.partition_equiv(m - 1, n - 1)
             Esame = table.partition_equiv(m, n - 1)
             for i, j, _ in _related_pairs(table.words, table.partition_equiv(m, n)):
@@ -296,7 +306,7 @@ def check_equiv_factor(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
                                                f"{clause} {table.words[i]!r} {table.words[j]!r} "
                                                f"a={a!r} (m={m},n={n})")
     return CheckResult("equiv-factor-compat", True, checked,
-                       f"words up to {max_len}, m,n <= {max_m},{max_n}")
+                       f"words up to {max_len}, m,n <= {_MAX_MN},{_MAX_MN}")
 
 
 def _double_factorization(w: str, a: str, b: str):
@@ -307,14 +317,14 @@ def _double_factorization(w: str, a: str, b: str):
     return w[:ia], w[ia + 1:ib], w[ib + 1:]
 
 
-def check_inner_segment(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
-                        max_n: int = 3, table: RankerTable | None = None) -> CheckResult:
+def check_inner_segment(alphabet=("a", "b"), max_len: int = 6,
+                        table: RankerTable | None = None) -> CheckResult:
     """Crossed factorization: between the last a and the first b after it,
     equivalent words have (m-1, n-1)-equivalent middle segments."""
-    alphabet, table, [(words, index), _] = _word_table(alphabet, max_len, max_m, max_n, table)
+    alphabet, table, [(words, index), _] = _word_table(alphabet, max_len, _MAX_MN, table)
     checked = 0
-    for m in range(2, max_m + 1):
-        for n in range(2, max_n + 1):
+    for m in range(2, _MAX_MN + 1):
+        for n in range(2, _MAX_MN + 1):
             Edown = table.partition_equiv(m - 1, n - 1)
             for i, j, _ in _related_pairs(words, table.partition_equiv(m, n)):
                 u, v = words[i], words[j]
@@ -327,22 +337,21 @@ def check_inner_segment(alphabet=("a", "b"), max_len: int = 6, max_m: int = 3,
                                 return CheckResult("inner-segment-equiv", False, checked,
                                                    f"{u!r} {v!r} a={a!r} b={b!r} (m={m},n={n})")
     return CheckResult("inner-segment-equiv", True, checked,
-                       f"words up to {max_len}, m,n <= {max_m},{max_n}")
+                       f"words up to {max_len}, m,n <= {_MAX_MN},{_MAX_MN}")
 
 
 def check_relation_congruence(alphabet=("a", "b"), max_len: int = 6, samples: int = 1000,
-                              seed: int = 0, max_m: int = 3, max_n: int = 3,
-                              table: RankerTable | None = None) -> CheckResult:
+                              seed: int = 0, table: RankerTable | None = None) -> CheckResult:
     """Sampled congruence property of the one-sided relations: related words
     stay related under prepending and appending a letter."""
     # extensions lengthen words by one, so a built table covers max_len + 1
-    alphabet, table, [(words, wi), _] = _word_table(alphabet, max_len + 1, max_m, max_n, table)
+    alphabet, table, [(words, wi), _] = _word_table(alphabet, max_len + 1, _MAX_MN, table)
     short = [w for w in words if len(w) <= max_len]
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
-        m = rng.randint(1, max_m)
-        n = rng.randint(1, max_n)
+        m = rng.randint(1, _MAX_MN)
+        n = rng.randint(1, _MAX_MN)
         kind = rng.choice("RL")
         labels = (table.partition_right if kind == "R" else table.partition_left)(m, n)
         u = rng.choice(short)
@@ -356,12 +365,12 @@ def check_relation_congruence(alphabet=("a", "b"), max_len: int = 6, samples: in
     return CheckResult("relation-congruence", True, checked, f"{samples} sampled extensions")
 
 
-def check_subword_direction(alphabet=("a", "b"), max_len: int = 5, max_n: int = 3,
+def check_subword_direction(alphabet=("a", "b"), max_len: int = 5,
                             table: RankerTable | None = None) -> CheckResult:
     """One-block equivalence at depth n forces equal subword sets up to n."""
-    _, table, _ = _word_table(alphabet, max_len, 1, max_n, table)
+    _, table, _ = _word_table(alphabet, max_len, 1, table)
     checked = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, _MAX_MN + 1):
         E = table.partition_equiv(1, n)
         subs = [subwords_upto(w, n) for w in table.words]
         for i in range(len(table.words)):
@@ -371,15 +380,14 @@ def check_subword_direction(alphabet=("a", "b"), max_len: int = 5, max_n: int = 
                     if subs[i] != subs[j]:
                         return CheckResult("subword-direction", False, checked,
                                            f"{table.words[i]!r} {table.words[j]!r} n={n}")
-    return CheckResult("subword-direction", True, checked, f"words up to {max_len}, n <= {max_n}")
+    return CheckResult("subword-direction", True, checked, f"words up to {max_len}, n <= {_MAX_MN}")
 
 
-def check_condensed_semantics(alphabet=("a", "b"), max_len: int = 6,
-                              max_depth: int = 4) -> CheckResult:
+def check_condensed_semantics(alphabet=("a", "b"), max_len: int = 6) -> CheckResult:
     """The condensedness rows of a ``RankerTable``, which the one-sided
     partitions read, agree with the scalar interval chain ``is_condensed``,
     cell by cell in ranker-major order, on all words up to max_len."""
-    table = RankerTable(alphabet, max_depth, max_depth, max_len)
+    table = RankerTable(alphabet, _MAX_MN, _MAX_MN, max_len)
     checked = 0
     for r, row in zip(table.rankers, table.condensed.tolist()):
         for w, cell in zip(table.words, row):
@@ -388,7 +396,7 @@ def check_condensed_semantics(alphabet=("a", "b"), max_len: int = 6,
                 return CheckResult("condensed-semantics-agreement", False, checked,
                                    f"ranker {r} on {w!r}")
     return CheckResult("condensed-semantics-agreement", True, checked,
-                       f"depth <= {max_depth}, words up to {max_len}")
+                       f"depth <= {_MAX_MN}, words up to {max_len}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,9 @@ when it satisfies the DA identity (xy)^w x (xy)^w = (xy)^w together with
 phi(G_m) = phi(I_m), and in L_m with both words mirrored.  This gives a
 decision route independent of the quotient recursion in ``varieties``.
 
-``satisfies_identity`` checks any identity exhaustively (vectorized, in
-steps that grow up to a fixed size) over a domain read off the terms: when
-every variable occurs only as x^w, the terms depend on x only through x^w,
-so each variable ranges over one representative per idempotent and the
-cost is |E|^v; otherwise it ranges over all of M at cost |M|^v (the DA,
-aperiodicity and Straubing terms).
+``satisfies_identity`` checks any identity exhaustively over all of M
+(vectorized, in steps that grow up to a fixed size) at cost |M|^v: the DA
+and Straubing terms, which read their variables raw.
 
 The membership and depth functions decide the phi-word identities by a
 forward search instead (``_phi_search``).  The values (phi G_k,
@@ -146,11 +143,10 @@ class IdentityCheck(NamedTuple):
 
 # Assignments (or search candidates) per vectorized step, at most; an
 # exhaustive check starts at a sixteenth of it.  Every subterm keeps one
-# int32 array of this length until the step ends, so a step holds
-# about 2 MB for the deepest phi-word identities, a search step about a
-# dozen such arrays, and the memory does not depend on how large |E|^v,
-# |M|^v or the failing tuples x |E| are; the arrays also stay
-# cache-resident.
+# int32 array of this length until the step ends, so a step holds 64 KB a
+# subterm, a search step about a dozen such arrays, and the memory does not
+# depend on how large |M|^v or the failing tuples x |E| are; the arrays
+# also stay cache-resident.
 _CHUNK = 1 << 14
 
 
@@ -176,44 +172,23 @@ def _grid_eval(m: FiniteMonoid, t: Term, dom: np.ndarray, base: int, count: int,
     return out
 
 
-def _vars_under_omega(t: Term) -> bool:
-    """True when every variable of t occurs as the direct child of an Omega."""
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Omega):
-        return isinstance(t.inner, Var) or _vars_under_omega(t.inner)
-    return all(_vars_under_omega(p) for p in t.parts)
-
-
 def _representatives(m: FiniteMonoid) -> np.ndarray:
-    """rho(e) = min{x : x^w = e} for each idempotent e, ascending."""
+    """rho(e) = min{x : x^w = e} for each idempotent e, ascending.
+
+    Where terms read every variable x only as x^w (the phi words), these
+    lose no witness: replacing each x*_k of the lexicographically least
+    failing tuple x* over all of M by rho(x*_k^w) keeps it failing and
+    lowers no coordinate, so x* already consists of representatives."""
     return np.sort(np.unique(m.omega_table, return_index=True)[1]).astype(np.int32)
-
-
-def _assignment_domain(m: FiniteMonoid, lhs: Term, rhs: Term) -> np.ndarray:
-    """The ascending elements each variable ranges over: all of M, or
-    rho(e) = min{x : x^w = e} for each idempotent e when both terms read
-    every variable x only as x^w."""
-    if _vars_under_omega(lhs) and _vars_under_omega(rhs):
-        return _representatives(m)
-    return np.arange(m.size, dtype=np.int32)
 
 
 def satisfies_identity(m: FiniteMonoid, lhs: Term, rhs: Term,
                        max_assignments: int = 10_000_000) -> IdentityCheck:
-    """Check lhs == rhs under every assignment of elements to variables.
+    """Check lhs == rhs under every assignment of elements of M to variables.
 
-    Variables range over all of M, except when both terms read every
-    variable x only as x^w (every phi-word identity does): then each ranges
-    over rho(e) = min{x : x^w = e} for the idempotents e, which gives every
-    value of x^w once, so |E|^v assignments decide the identity instead of
-    |M|^v.  The budget caps that count.
-
-    Returns the first failing assignment as a witness, scanning in
-    mixed-radix order on ascending domain elements.  The witness is the
-    lexicographically least failing tuple over all of M in either case: if
-    x* is that tuple, replacing each x*_k by rho(x*_k^w) keeps it failing
-    and lowers no coordinate, so x* already consists of representatives.
+    The |M|^v assignments are scanned in mixed-radix order on ascending
+    elements, so the witness returned is the lexicographically least
+    failing tuple.  The budget caps |M|^v.
 
     The scan runs in vectorized steps that start at _CHUNK / 16 assignments
     and grow fourfold up to _CHUNK, so a witness in the first rows costs
@@ -225,7 +200,7 @@ def satisfies_identity(m: FiniteMonoid, lhs: Term, rhs: Term,
     step.
     """
     nvars = max(term_num_vars(lhs), term_num_vars(rhs))
-    dom = _assignment_domain(m, lhs, rhs)
+    dom = np.arange(m.size, dtype=np.int32)
     d = len(dom)
     total = d ** nvars
     if total > max_assignments:
@@ -253,11 +228,6 @@ def da_identity() -> tuple[Term, Term]:
     """(x1 x2)^w x1 (x1 x2)^w  =  (x1 x2)^w."""
     e = Omega(Prod((Var(1), Var(2))))
     return Prod((e, Var(1), e)), e
-
-
-def aperiodicity_identity() -> tuple[Term, Term]:
-    """x1^w x1 = x1^w."""
-    return Prod((Omega(Var(1)), Var(1))), Omega(Var(1))
 
 
 @lru_cache(maxsize=None)
@@ -296,11 +266,12 @@ def _phi_search(m: FiniteMonoid, max_assignments: int):
     a new tuple extends the least prefix of some old one; by induction
     first-seen order is the order of least prefixes, so the first failing
     tuple carries the lexicographically least failing assignment, the
-    witness an exhaustive scan returns.  A failing tuple is reached only
-    from failing ones, so dropping the others changes neither this order
-    among failing tuples nor the witnesses.  The budget caps the
-    candidates of each step, failing tuples x |E|, before it is taken, and
-    a step runs in slices of _CHUNK candidates.
+    witness an exhaustive scan over all of M returns (``_representatives``).
+    A failing tuple is reached only from failing ones, so dropping the
+    others changes neither this order among failing tuples nor the
+    witnesses.  The budget caps the candidates of each step, failing
+    tuples x |E|, before it is taken, and a step runs in slices of _CHUNK
+    candidates.
     """
     T, om = m.table, m.omega_table
     n = m.size
@@ -460,11 +431,6 @@ def straubing_terms(m: int) -> tuple[Term, Term]:
     return Prod((left, u_prev, right)), Prod((left, v_prev, right))
 
 
-def check_straubing(m: FiniteMonoid, level: int,
-                    max_assignments: int = 10_000_000) -> bool:
-    """Aperiodicity plus u_level = v_level, checked exhaustively."""
-    if not satisfies_identity(m, *aperiodicity_identity(),
-                              max_assignments=max_assignments).holds:
-        return False
-    u, v = straubing_terms(level)
-    return satisfies_identity(m, u, v, max_assignments=max_assignments).holds
+def check_straubing(m: FiniteMonoid, level: int) -> bool:
+    """Aperiodicity (off the omega table) plus u_level = v_level, checked exhaustively."""
+    return m.is_aperiodic() and satisfies_identity(m, *straubing_terms(level)).holds

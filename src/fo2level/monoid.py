@@ -35,7 +35,7 @@ except ImportError:     # not on every platform
 
 import numpy as np
 
-from .automata import Dfa
+from .automata import Dfa, _line_blocks
 
 
 class MonoidFormatError(ValueError):
@@ -122,11 +122,6 @@ def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
     return np.unique(labels, return_index=True)[1].take(labels)
 
 
-def _first_seen_labels(rows: np.ndarray) -> np.ndarray:
-    """Label equal rows of a 2-D array 0, 1, ... in order of first appearance."""
-    return _labels_of_firsts(_first_equal_rows(rows))
-
-
 def _labels_of_firsts(rep: np.ndarray) -> np.ndarray:
     """Labels numbered by first appearance, from each row's first equal row:
     the rows that are their own first take 0, 1, ... in order."""
@@ -140,9 +135,10 @@ def _fold_labels(rows: np.ndarray) -> np.ndarray:
     """First-seen labels of the rows of a 2-D array, through a dict keyed by
     the row bytes.
 
-    The same labels as ``_first_seen_labels``, but faster on few wide rows
-    (19 x 11 int64 rows: about 9 against 49 us; 1 771 x 778: 6.2 against
-    8.2 ms, one core of a 2-core x86 host); many narrow rows hash faster.
+    The same labels as ``_labels_of_firsts(_first_equal_rows(rows))``, but
+    faster on few wide rows (19 x 11 int64 rows: about 9 against 49 us;
+    1 771 x 778: 6.2 against 8.2 ms, one core of a 2-core x86 host); many
+    narrow rows hash faster.
     """
     rows = np.ascontiguousarray(rows)
     width = rows.shape[1] * rows.itemsize
@@ -640,20 +636,6 @@ def _read_ints(text: str) -> np.ndarray | None:
         return np.fromstring(text, dtype=np.int64, sep=" ")
     except ValueError:      # a token it could not read
         return None
-
-
-# Characters of a monoid file split into lines at a time.
-_LINE_CHARS = 1 << 18
-
-
-def _line_blocks(text: str, pos: int = 0) -> Iterator[tuple[list[str], int]]:
-    """The stripped lines of text from pos on that are neither blank nor a
-    comment, split as ``str.splitlines`` splits them, in blocks of about
-    _LINE_CHARS characters that end at a newline, each with its end."""
-    while pos < len(text):
-        end = text.find("\n", pos + _LINE_CHARS) + 1 or len(text)
-        yield [s for s in map(str.strip, text[pos:end].splitlines()) if s and not s.startswith("#")], end
-        pos = end
 
 
 def _read_table(rows: Callable[[], Iterator[str]], n: int, step: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _check_fits, _first_equal_rows, _first_seen_labels, _labels_of_firsts
+from .monoid import FiniteMonoid, _check_fits, _first_equal_rows, _labels_of_firsts
 
 X = "X"
 Y = "Y"
@@ -87,7 +87,7 @@ class Ranker:
         return " ".join(d + a for d, a in self.steps)
 
 
-def parse_ranker(text: str, alphabet=None) -> Ranker:
+def parse_ranker(text: str) -> Ranker:
     """Parse whitespace-separated tokens like ``Xa Yb Xc``: a direction and
     one letter each, since words spell one character per letter."""
     toks = text.split()
@@ -97,10 +97,7 @@ def parse_ranker(text: str, alphabet=None) -> Ranker:
     for t in toks:
         if len(t) != 2 or t[0] not in (X, Y):
             raise RankerSyntaxError(f"bad ranker token {t!r}")
-        letter = t[1]
-        if alphabet is not None and letter not in alphabet:
-            raise RankerSyntaxError(f"letter {letter!r} outside alphabet")
-        steps.append((t[0], letter))
+        steps.append((t[0], t[1]))
     return Ranker(tuple(steps))
 
 
@@ -622,7 +619,7 @@ class RankerTable:
         if key not in self._partitions:
             end = self._fill_condensed(n)
             rows = self._rows(self._condensed_blocks, bool, mask[:end])
-            self._partitions[key] = _first_seen_labels(_pack_rows(rows).T)
+            self._partitions[key] = _labels_of_firsts(_first_equal_rows(_pack_rows(rows).T))
         return self._partitions[key]
 
     def partition_right(self, m: int, n: int) -> np.ndarray:

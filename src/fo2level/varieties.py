@@ -75,21 +75,19 @@ class Congruence:
     num_classes: int
 
 
-def _by_signature(m: FiniteMonoid, products: np.ndarray, anchors: np.ndarray,
-                  dual: bool = False) -> Congruence:
-    """Classes of equal columns of products, one row per anchor idempotent.
+def _by_signature(m: FiniteMonoid, table: np.ndarray, products: np.ndarray) -> Congruence:
+    """Classes of equal columns of products, one row per idempotent e.
 
-    A product p stays in the J-class of its row's anchor a exactly when
-    p*a = a (a*p = a when dual, for products u*a): see the module docstring.
-    One that leaves it lies strictly below a and becomes -1, so "both below,
-    or equal" is plain equality.  First-seen labels number the classes by
-    smallest element.
+    A product p stays in the J-class of its row's e exactly when
+    table[p, e] = e (pe = e for eu and eue in m.table, ep = e for ue in its
+    transpose: see the module docstring).  One that leaves it lies strictly
+    below e and becomes -1, so "both below, or equal" is plain equality.
+    First-seen labels number the classes by smallest element.
     """
     if not m.is_in_da():
         raise ValueError("the congruences are defined on DA monoids only")
-    a = anchors[:, None]
-    stays = m.table[a, products] == a if dual else m.table[products, a] == a
-    labels = _fold_labels(np.where(stays, products, -1).T)
+    e = m.idempotent_array[:, None]
+    labels = _fold_labels(np.where(table[products, e] == e, products, -1).T)
     labels.setflags(write=False)
     return Congruence(m, labels, int(labels.max()) + 1)
 
@@ -100,14 +98,12 @@ def sim_k(m: FiniteMonoid) -> Congruence:
     eu lies J-below e, so it is strictly below exactly when it leaves the
     J-class of e; the same holds for uf against f and for eue against e.
     """
-    idems = m.idempotent_array
-    return _by_signature(m, m.table[idems], idems)
+    return _by_signature(m, m.table, m.table[m.idempotent_array])
 
 
 def sim_d(m: FiniteMonoid) -> Congruence:
     """u ~ v iff for all idempotents f: uf, vf both strictly below f, or uf == vf."""
-    idems = m.idempotent_array
-    return _by_signature(m, m.table.T[idems], idems, dual=True)
+    return _by_signature(m, m.table.T, m.table.T[m.idempotent_array])
 
 
 def sim_li(m: FiniteMonoid) -> Congruence:
@@ -116,7 +112,7 @@ def sim_li(m: FiniteMonoid) -> Congruence:
     ``sim_k`` (the module docstring proves the other pairs add nothing)."""
     T = m.table
     idems = m.idempotent_array
-    return _by_signature(m, T[T[idems], idems[:, None]], idems)
+    return _by_signature(m, T, T[T[idems], idems[:, None]])
 
 
 def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:

@@ -2,11 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import monoid_text
+from fo2level import automata
 from fo2level.automata import (Concat, Dfa, DfaFormatError, EmptyWord, Letter,
                                RegexSyntaxError, Star, Union, all_words,
                                minimize, parse_dfa_file,
                                parse_regex, regex_to_min_dfa)
+from fo2level.monoid import parse_monoid_file, transition_monoid
 from reference import reference_minimize, regex_matches
 
 
@@ -35,6 +39,46 @@ def test_parse_alphabet_inference_and_declaration():
     assert exc.value.position == 1
     with pytest.raises(RegexSyntaxError):
         parse_regex("a", alphabet=[])
+
+
+# ASCII and Unicode whitespace, which the parser skips, and letters that
+# are not ASCII, not alphanumeric or not printable (a zero-width space is
+# no whitespace to str.isspace)
+_SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003",
+           "\u2028", "\u3000"]
+_LETTERS = ["a", "b", "Z", "0", "#", "+", ".", "é", "ß", "Ω", "字", "\u200b", "\U0001d538"]
+
+_regex_texts = st.recursive(
+    st.sampled_from(_LETTERS + ["~"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map("|".join),
+        inner.map(lambda t: t + "*"),
+        inner.map(lambda t: f"({t})"),
+        inner.map(lambda t: f"({t})*")),
+    max_leaves=12)
+
+
+def _ast_letters(node) -> set:
+    """The letters of a parsed regex, walked node by node."""
+    if isinstance(node, Letter):
+        return {node.symbol}
+    if isinstance(node, (Concat, Union)):
+        return set().union(*map(_ast_letters, node.parts))
+    if isinstance(node, Star):
+        return _ast_letters(node.inner)
+    return set()
+
+
+@given(_regex_texts, st.data())
+def test_inferred_alphabet_is_the_letters_of_the_parsed_regex(text, data):
+    # whitespace may stand before, between and after any two characters
+    spaces = data.draw(st.lists(st.text(st.sampled_from(_SPACES), max_size=2),
+                                min_size=len(text) + 1, max_size=len(text) + 1))
+    spaced = spaces[0] + "".join(c + sp for c, sp in zip(text, spaces[1:]))
+    r = parse_regex(spaced)
+    assert r.alphabet == tuple(sorted(_ast_letters(r.root)))
+    assert r.root == parse_regex(text).root
 
 
 @pytest.mark.parametrize("text,pos", [
@@ -215,3 +259,54 @@ def test_all_words_matches_the_product_enumeration(alphabet, max_len, min_len):
     assert words[shorter:] == expect
     assert words[:shorter] == ["".join(t) for length in range(min(min_len, max_len + 1))
                                for t in itertools.product(alphabet, repeat=length)]
+
+
+# every boundary str.splitlines splits at, "\r\n" among them
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _kept_lines(text: str) -> list[str]:
+    """The lines the file readers keep, filtered one line at a time."""
+    return [s for s in (raw.strip() for raw in text.splitlines()) if s and not s.startswith("#")]
+
+
+def _with_breaks(lines: list[str], rng: random.Random) -> str:
+    """lines, padded with spaces and tabs, with blank and comment lines
+    among them and after them, ended by every kind of line boundary."""
+    out = []
+    for i, line in enumerate(lines):
+        out += [" \t", line, "  ", _BREAKS[i % len(_BREAKS)],
+                rng.choice(["", " ", "\t", "#", "  # note"]), rng.choice(_BREAKS)]
+    return "".join(out + [f"# {i}{b}" for i, b in enumerate(_BREAKS)])
+
+
+@given(st.lists(st.sampled_from(_BREAKS + ["a", "b c", "#", " # x", " ", "\t", "\xa0"]),
+                max_size=40))
+def test_line_blocks_keep_the_lines_of_the_one_line_filter(pieces):
+    text = "".join(pieces)
+    for chars in (1, 2, 5, 1 << 18):
+        automata._LINE_CHARS = chars
+        try:
+            assert [s for block, _ in automata._line_blocks(text) for s in block] == _kept_lines(text)
+        finally:
+            automata._LINE_CHARS = 1 << 18
+
+
+def test_both_file_formats_share_the_line_filter(monkeypatch):
+    # small blocks end inside every file; each format reads its text as
+    # it reads the lines the one-line filter keeps, one to a line
+    rng = random.Random(4)
+    dfa_text = _with_breaks(DFA_AB_STAR.splitlines(), rng)
+    mono = transition_monoid(regex_to_min_dfa(parse_regex("(ab)*a(a|b)")))
+    mono_text = _with_breaks(monoid_text(mono).splitlines(), rng)
+    assert all(b in dfa_text and b in mono_text for b in _BREAKS)
+    plain_dfa = parse_dfa_file("\n".join(_kept_lines(dfa_text)))
+    plain_mono = parse_monoid_file("\n".join(_kept_lines(mono_text)))
+    assert plain_dfa == parse_dfa_file(DFA_AB_STAR)
+    assert plain_mono.table.tolist() == mono.table.tolist() and plain_mono.gens == mono.gens
+    for chars in (1, 3, 16, 1 << 18):
+        monkeypatch.setattr(automata, "_LINE_CHARS", chars)
+        assert parse_dfa_file(dfa_text) == plain_dfa
+        got = parse_monoid_file(mono_text)
+        assert got.table.tolist() == mono.table.tolist()
+        assert (got.identity, got.gens) == (mono.identity, mono.gens)

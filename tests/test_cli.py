@@ -378,6 +378,16 @@ def test_corpus_command(capsys):
     assert out == out2  # byte-identical for the same seed
 
 
+def test_corpus_refuses_an_alphabet_too_large_for_its_word_triples(capsys):
+    # 26 letters give 18 279 words up to length 3: the alphabet-stability
+    # triples are counted and refused before any word is built
+    code, out, err = run(capsys, "corpus", "--count", "1", "--max-states", "1", "--letters", "26")
+    assert code == 3
+    assert err == ("budget exceeded: alphabet stability: 18279^3 word triples up to length 3 "
+                   "exceed the budget of 10000000\n")
+    assert out.startswith("corpus: seed=0 count=1 max_states=1 letters=26\n")
+
+
 def test_corpus_empty(capsys):
     code, out, _ = run(capsys, "corpus", "--count", "0")
     assert code == 0

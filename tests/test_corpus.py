@@ -64,7 +64,7 @@ def test_word_level_checks_small():
     assert check_inner_segment(alpha, max_len=5).ok
     assert check_relation_congruence(alpha, max_len=5, samples=200, seed=1).ok
     assert check_subword_direction(alpha, max_len=4).ok
-    assert check_condensed_semantics(alpha, max_len=5, max_depth=3).ok
+    assert check_condensed_semantics(alpha, max_len=5).ok
 
 
 def test_condensed_semantics_reads_the_table(monkeypatch):
@@ -79,7 +79,7 @@ def test_condensed_semantics_reads_the_table(monkeypatch):
 
     monkeypatch.setattr(RankerTable, "condensed", property(flipped))
     table = RankerTable(("a", "b"), 3, 3, 5)
-    res = check_condensed_semantics(("a", "b"), max_len=5, max_depth=3)
+    res = check_condensed_semantics(("a", "b"), max_len=5)
     assert not res.ok and res.checked == 40 * 63 + 38
     assert res.detail == f"ranker {table.rankers[40]} on {table.words[37]!r}"
 

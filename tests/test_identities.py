@@ -12,8 +12,7 @@ from conftest import (cyclic_two, dfas, direct_product, large_dfa, left_zero, le
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
 from fo2level import identities
 from fo2level.identities import (IdentitiesLevel, IdentityBudgetError, IdentityCheck,
-                                 Omega, Prod, Var, aperiodicity_identity,
-                                 build_G, build_I, check_straubing,
+                                 Omega, Prod, Var, build_G, build_I, check_straubing,
                                  da_identity, format_term,
                                  identities_level, in_Lm_by_identities,
                                  in_Rm_by_identities, mirror, phi_of,
@@ -107,6 +106,11 @@ def test_satisfies_identity_matches_bruteforce():
         assert satisfies_identity(mono, lhs, rhs).holds == brute
 
 
+def aperiodicity_identity():
+    """x1^w x1 = x1^w, the identity of the aperiodic monoids."""
+    return Prod((Omega(Var(1)), Var(1))), Omega(Var(1))
+
+
 def test_aperiodicity_identity():
     lhs, rhs = aperiodicity_identity()
     assert satisfies_identity(two_element_zero(), lhs, rhs).holds
@@ -121,13 +125,17 @@ def test_identity_budget():
 
 
 def test_phi_identity_budget_counts_idempotents():
-    # |M| = 6 and |E| = 4: 16 <= 20 < 36
+    # |M| = 6 and |E| = 4: the search's first step takes |E| x |E| = 16
+    # candidates, within a budget of 16 that refuses the |M|^2 = 36 of an
+    # exhaustive check
     m = monoid_of("(ab)*")
     assert (m.size, len(m.idempotent_array)) == (6, 4)
-    lhs, rhs = phi_word(build_G(2)), phi_word(build_I(2))
-    assert satisfies_identity(m, lhs, rhs, max_assignments=20) == satisfies_identity(m, lhs, rhs)
+    first = next(identities._phi_search(m, 10_000_000))
+    assert next(identities._phi_search(m, 16)) == first
+    with pytest.raises(IdentityBudgetError, match="4 failing tuples x 4 idempotents at depth 2 "):
+        next(identities._phi_search(m, 15))
     with pytest.raises(IdentityBudgetError, match="too large: 6\\^2"):
-        satisfies_identity(m, *da_identity(), max_assignments=20)
+        satisfies_identity(m, *da_identity(), max_assignments=16)
 
 
 def reference_check(m, lhs, rhs):
@@ -158,15 +166,15 @@ def test_identity_domains_match_full_enumeration(dfa, minimal):
         m = transition_monoid(minimize(dfa) if minimal else dfa, max_size=20)
     except MonoidTooLargeError:
         reject()
-    n, e = m.size, len(m.idempotent_array)
-    # phi-word identities range over one element per idempotent ...
+    n = m.size
+    # every identity ranges over all of M, phi words ...
     for level in (2, 3):
         for lhs, rhs in ((phi_word(build_G(level)), phi_word(build_I(level))),
                          (phi_word(mirror(build_G(level))), phi_word(mirror(build_I(level))))):
             assert satisfies_identity(m, lhs, rhs) == reference_check(m, lhs, rhs)
-            with pytest.raises(IdentityBudgetError, match=f": {e}\\^{level} "):
+            with pytest.raises(IdentityBudgetError, match=f": {n}\\^{level} "):
                 satisfies_identity(m, lhs, rhs, max_assignments=0)
-    # ... terms with raw variables over all of M
+    # ... and terms with raw variables
     for lhs, rhs in (aperiodicity_identity(), straubing_terms(1)):
         assert satisfies_identity(m, lhs, rhs) == reference_check(m, lhs, rhs)
         with pytest.raises(IdentityBudgetError, match=f": {n}\\^"):
@@ -278,6 +286,35 @@ def test_check_straubing():
     # at level 1 the conjectured identities characterize J-triviality
     for mono in [two_element_zero(), left_zero(), right_zero(), monoid_of("(ab)*")]:
         assert check_straubing(mono, 1) == mono.is_j_trivial()
+
+
+def test_check_straubing_matches_the_identity_definition(monkeypatch, distinct_monoids,
+                                                         da_chain_members):
+    # check_straubing reads aperiodicity off the omega table where it once
+    # checked x^w x = x^w exhaustively before u_k = v_k.  satisfies_identity
+    # is pure, so its answers are kept: check_straubing's u_k = v_k is then
+    # answered by the definition's own call, and only the aperiodicity test
+    # differs between the two
+    answers = {}
+    check = identities.satisfies_identity
+
+    def kept(m, lhs, rhs):
+        key = (id(m), id(lhs), id(rhs))
+        if key not in answers:
+            answers[key] = check(m, lhs, rhs)
+        return answers[key]
+
+    monkeypatch.setattr(identities, "satisfies_identity", kept)
+    aperiodicity = aperiodicity_identity()
+    monoids = distinct_monoids + da_chain_members
+    outcomes = set()
+    for m in monoids:
+        for k in (1, 2):
+            old = kept(m, *aperiodicity).holds and kept(m, *straubing_terms(k)).holds
+            assert check_straubing(m, k) == old, (k, m.table.tolist())
+            outcomes.add((m.is_aperiodic(), old))
+    # not aperiodic, aperiodic and failing u_k = v_k, and holding, all occur
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 # -- the forward search behind the phi-word identities ----------------------

@@ -623,8 +623,8 @@ def test_folded_labels_match_one_sort_of_the_whole_rows():
             for dt in (np.int32, np.uint8, np.int16):
                 rows = rng.integers(0, distinct, size=(count, width)).astype(dt)
                 got = monoid_module._fold_labels(rows)
-                assert got.dtype == np.int32 and np.array_equal(
-                    got, monoid_module._first_seen_labels(rows)), (count, width, distinct, dt)
+                hashed = monoid_module._labels_of_firsts(monoid_module._first_equal_rows(rows))
+                assert got.dtype == np.int32 and np.array_equal(got, hashed), (count, width, distinct, dt)
 
 
 def test_hashed_labels_fall_back_to_the_dict_on_a_collision(monkeypatch):
@@ -637,5 +637,5 @@ def test_hashed_labels_fall_back_to_the_dict_on_a_collision(monkeypatch):
             rows = rng.integers(0, distinct, size=(count, width)).astype(np.int16)
             first: dict = {}
             want = [first.setdefault(row.tobytes(), len(first)) for row in rows]
-            got = monoid_module._first_seen_labels(rows)
+            got = monoid_module._labels_of_firsts(monoid_module._first_equal_rows(rows))
             assert got.dtype == np.int32 and got.tolist() == want, (count, width, distinct)

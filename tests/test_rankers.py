@@ -39,8 +39,8 @@ def test_parse_ranker():
     for bad in ["", "Za", "X", "xa", "Xab", "Xa Xbc"]:
         with pytest.raises(RankerSyntaxError):
             parse_ranker(bad)
-    with pytest.raises(RankerSyntaxError):
-        parse_ranker("Xd", alphabet=("a", "b"))
+    # any character after the direction is a letter, whatever the word holds
+    assert parse_ranker("Xd Yé").steps == (("X", "d"), ("Y", "é"))
 
 
 def test_next_prev_pos():

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -383,3 +384,47 @@ def test_benchmark_tracer_wraps_the_ranker_layer(monkeypatch, capsys):
     assert rec.counts[(-1, "rankers.words")] == 511        # up to length 8
     names = {span[0] for span in rec.spans}
     assert {"rankers.oracle", "rankers.table_build", "rankers.partition_equiv"} <= names
+
+
+def _package_bindings():
+    """Every callable attribute of the package's modules and every member of
+    its classes, by owner and name: what the tracer may replace."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "fo2level" or name.startswith("fo2level."):
+            for attr, value in vars(mod).items():
+                if callable(value):
+                    out[(name, attr)] = value
+                if isinstance(value, type) and value.__module__.startswith("fo2level"):
+                    out.update(((value, member), inner) for member, inner in vars(value).items())
+    return out
+
+
+def test_benchmark_tracer_spans_every_layer_and_comes_off_again(monkeypatch, capsys):
+    # the tracer binds satisfies_identity, term_num_vars, sim_d and others by
+    # attribute: one analyze and one oracle call reach a span of each layer,
+    # and remove() puts back every binding it replaced
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracer
+    before = _package_bindings()
+    rec = tracer.Recorder()
+    rec.install()
+    try:
+        rec.input = 0
+        assert cli.main(["analyze", "--regex", "a(a|b)*"]) == 0
+        rec.input = 1
+        assert cli.main(["oracle", "--regex", "(a|b)*a(a|b)*", "--m", "1",
+                         "--max-n", "4", "--max-len", "6"]) == 0
+    finally:
+        rec.remove()
+    capsys.readouterr()
+    names = {span[0] for span in rec.spans}
+    assert {"cli.main", "identities.level", "identities.check", "varieties.fo2_level",
+            "varieties.congruence", "varieties.quotient", "rankers.table_build",
+            "rankers.partition_equiv"} <= names
+    assert {span[1] for span in rec.spans} == {0, 1}
+    assert rec.counts[(0, "identities.checks")] > 0
+    assert rec.counts[(1, "rankers.partition_calls")] > 0
+    after = _package_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
