@@ -272,12 +272,17 @@ def cmd_corpus(args) -> int:
         check_congruence_quotients(da),
         check_action_agreement(da),
         check_alphabet_stability(da, max_len=3),
+    ]
+    # the word-level check with a budget runs first, so an alphabet too
+    # large for it is refused before any word-level check builds a word
+    semantics = check_condensed_semantics(alpha, max_len=5)
+    gating += [
         check_factor_compat(alpha, max_len=5),
         check_equiv_factor(alpha, max_len=5),
         check_inner_segment(alpha, max_len=5),
         check_relation_congruence(alpha, max_len=5, samples=300, seed=args.seed),
         check_subword_direction(alpha, max_len=4),
-        check_condensed_semantics(alpha, max_len=5),
+        semantics,
     ]
     for res in gating:
         print(res.line())

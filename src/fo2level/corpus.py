@@ -25,8 +25,8 @@ from .automata import Dfa, all_words, minimize
 from .identities import (check_straubing, in_Lm_by_identities,
                          in_Rm_by_identities)
 from .monoid import FiniteMonoid, reverse_monoid, transition_monoid
-from .rankers import (RankerBudgetError, RankerTable, is_condensed, left_factorization,
-                      right_factorization, subwords_upto)
+from .rankers import (RankerBudgetError, RankerTable, _all_words_size, _ranker_count, is_condensed,
+                      left_factorization, right_factorization, subwords_upto)
 from .varieties import LevelResult, fo2_level, in_Lm, in_Rm, quotient, sim_d, sim_k, sim_li
 
 
@@ -383,10 +383,21 @@ def check_subword_direction(alphabet=("a", "b"), max_len: int = 5,
     return CheckResult("subword-direction", True, checked, f"words up to {max_len}, n <= {_MAX_MN}")
 
 
+# Most ranker x word cells ``check_condensed_semantics`` may compare (5 letters: 1110 x 3906; 6: 1884 x 9331)
+MAX_CELLS = 10_000_000
+
+
 def check_condensed_semantics(alphabet=("a", "b"), max_len: int = 6) -> CheckResult:
     """The condensedness rows of a ``RankerTable``, which the one-sided
     partitions read, agree with the scalar interval chain ``is_condensed``,
-    cell by cell in ranker-major order, on all words up to max_len."""
+    cell by cell in ranker-major order, on all words up to max_len;
+    RankerBudgetError past ``MAX_CELLS`` cells, counted before any word is
+    built."""
+    k = len(alphabet)
+    rankers, words = _ranker_count(k, _MAX_MN, _MAX_MN), _all_words_size(k, max_len)[0]
+    if rankers * words > MAX_CELLS:
+        raise RankerBudgetError(f"condensed semantics: {rankers} rankers x {words} words up to length "
+                                f"{max_len} exceed the budget of {MAX_CELLS} cells")
     table = RankerTable(alphabet, _MAX_MN, _MAX_MN, max_len)
     checked = 0
     for r, row in zip(table.rankers, table.condensed.tolist()):

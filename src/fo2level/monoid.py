@@ -58,7 +58,7 @@ _FILL_CELLS = 1 << 20
 # and its rows' text stay a small part of the file.
 _READ_CELLS = 1 << 17
 
-# ``_first_equal_rows`` hashes a row by weighing its 64-bit word i by this to the power i + 1
+# ``_first_equal_rows`` weighs entry i of a row by the high half of this to the power i + 1
 _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -91,32 +91,32 @@ class GreensData:
 
 
 def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
-    """For each row of a 2-D array, the index of the first row equal to it.
+    """For each row of a 2-D integer array, the index of the first row equal to it.
 
-    The rows, as bytes padded to whole 64-bit words, are grouped by a hash
-    (one sort of hash and row index together, so each group begins with its
-    first row), and each is compared with the first row of its group; on a
-    collision ``_fold_labels`` groups them."""
-    count, width = rows.shape[0], rows.shape[1] * rows.dtype.itemsize
-    rows = np.ascontiguousarray(rows).view(np.uint8).reshape(count, width)
-    if width % 8:
-        rows = np.concatenate([rows, np.zeros((count, -width % 8), dtype=np.uint8)], axis=1)
-    words = rows.view(np.uint64)
-    h = words >> np.uint64(29)
-    h ^= words
-    h = h @ np.full(words.shape[1], _HASH_BASE).cumprod()
-    low = np.uint64((1 << max(count - 1, 1).bit_length()) - 1)  # bits of a row index
-    h &= ~low
+    The rows are grouped by a 32-bit hash, the sum of their entries
+    weighed by the high halves of the powers of ``_HASH_BASE``, taken in
+    one pass down the columns of rows (fastest when rows is the transpose
+    of a C-contiguous array), by one sort of hash and row index together,
+    so each group begins with its first row; each row is compared with the
+    first row of its group, and on a collision ``_fold_labels`` groups
+    them."""
+    cols = rows.T
+    count = cols.shape[1]
+    bits = max(count - 1, 1).bit_length()  # of a row index
+    weights = (np.full(len(cols), _HASH_BASE).cumprod() >> np.uint64(32)).astype(np.uint32)
+    h = np.einsum("ij,i->j", cols, weights).astype(np.uint64)
+    h <<= np.uint64(bits)
     h |= np.arange(count, dtype=np.uint64)
     h.sort()  # by hash, then by row
-    order = (h & low).astype(np.intp)
-    start = np.empty(count, dtype=bool)  # where a run of equal hashes starts
-    start[:1] = True
-    np.greater(h[1:] ^ h[:-1], low, out=start[1:])
-    starts = np.flatnonzero(start)
+    low = np.uint64((1 << bits) - 1)
+    order = (h & low).view(np.intp)
+    # each sorted place, zeroed where the hash equals the one before: the
+    # running maximum is the place where its run of equal hashes starts
+    head = np.arange(count)
+    head[1:] *= np.greater(h[1:] ^ h[:-1], low)
     rep = np.empty(count, dtype=np.intp)
-    rep[order] = np.repeat(order.take(starts), np.diff(starts, append=count))
-    if (words.take(rep, axis=0) == words).all():
+    rep[order] = order.take(np.maximum.accumulate(head, out=head))
+    if (cols.take(rep, axis=1) == cols).all():
         return rep
     labels = _fold_labels(rows)
     return np.unique(labels, return_index=True)[1].take(labels)
@@ -136,9 +136,9 @@ def _fold_labels(rows: np.ndarray) -> np.ndarray:
     the row bytes.
 
     The same labels as ``_labels_of_firsts(_first_equal_rows(rows))``, but
-    faster on few wide rows (19 x 11 int64 rows: about 9 against 49 us;
-    1 771 x 778: 6.2 against 8.2 ms, one core of a 2-core x86 host); many
-    narrow rows hash faster.
+    faster on few wide C-contiguous rows (19 x 11 int64 rows: about 9
+    against 44 us; 1 771 x 778: 6.6 against 18 ms, one core of a 2-core
+    x86 host); many narrow rows hash faster (2 036 x 17: 0.39 against 0.18 ms).
     """
     rows = np.ascontiguousarray(rows)
     width = rows.shape[1] * rows.itemsize
@@ -499,15 +499,17 @@ def _band_slices(m: FiniteMonoid, rel: str):
             yield e, (ef == e) & (fe == idems)
 
 
+try:  # physical memory, read once: it does not change while the process runs
+    _PHYSICAL = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):
+    _PHYSICAL = None
+
+
 def _physical_memory() -> int | None:
     """Bytes of memory this process may use: physical memory, or the soft
     address-space limit (``ulimit -v``) where that is lower; None where the
     platform says neither."""
-    limits = []
-    try:
-        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        pass
+    limits = [] if _PHYSICAL is None else [_PHYSICAL]
     if resource is not None:
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
@@ -515,10 +517,12 @@ def _physical_memory() -> int | None:
     return min(limits, default=None)
 
 
-def _check_fits(need: int, what: str, error: type[Exception]) -> None:
-    """Refuse an allocation of need bytes larger than the memory available,
-    before making it: raise error, whose message starts with what."""
-    have = _physical_memory()
+def _check_fits(need: int, what: str, error: type[Exception], have: int | None = None) -> None:
+    """Refuse an allocation of need bytes larger than the memory available
+    (have, read here unless given), before making it: raise error, whose
+    message starts with what."""
+    if have is None:
+        have = _physical_memory()
     if have is not None and need > have:
         raise error(f"{what} {need / 2**30:.1f} GiB but {have / 2**30:.1f} GiB is available")
 
@@ -541,13 +545,16 @@ def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
     row j is row parent[j] read at the left graph's row b, and a parent
     always lies on an earlier level.  A level is taken in row slices whose
     index holds about _FILL_CELLS cells.  Cost O(|M|*|A|*states) for the
-    closure and O(|M|^2) for the fill; the table is checked against the
-    memory available before allocation.
+    closure and O(|M|^2) for the fill.  Before each level the memory
+    available, read once, must hold the level's candidate block twice (the
+    gather and its contiguous copy) and the index's keys of every element
+    the level may add; the table is checked the same way before allocation.
     """
     S, A = dfa.n_states, len(dfa.alphabet)
     letter_maps = np.array(dfa.delta, dtype=np.min_scalar_type(S - 1)).T.copy()
     frontier = np.arange(S, dtype=letter_maps.dtype)[None, :]
     key_type = np.dtype((np.void, frontier.nbytes))
+    have = _physical_memory()
     index = {frontier.tobytes(): 0}
     words = [""]
     parent = [0]
@@ -556,6 +563,11 @@ def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
     starts = [0, 1]     # level k holds the elements starts[k] .. starts[k+1] - 1
     n = 1
     while starts[-1] > starts[-2]:
+        grown = len(frontier) * A  # the level's candidates, and the most elements it adds
+        need = (3 * grown + n) * key_type.itemsize  # the candidate block twice, then the index
+        if have is not None and need > have:  # the message is made only to be raised
+            _check_fits(need, f"transition monoid closure at {n} elements: {grown} candidates of "
+                        f"{S} states need", MonoidTooLargeError, have)
         cands = np.ascontiguousarray(letter_maps[:, frontier].transpose(1, 0, 2)).reshape(-1, S)
         fresh = []
         for c, key in enumerate(cands.view(key_type).ravel().tolist()):
@@ -577,7 +589,7 @@ def transition_monoid(dfa: Dfa, max_size: int = 100_000) -> FiniteMonoid:
         frontier = np.frombuffer(b"".join(fresh), dtype=letter_maps.dtype).reshape(-1, S)
         starts.append(n)
     _check_fits(n * n * np.dtype(np.int32).itemsize,
-                f"transition monoid has {n} elements; its {n}x{n} table needs", MonoidTooLargeError)
+                f"transition monoid has {n} elements; its {n}x{n} table needs", MonoidTooLargeError, have)
     R = np.array(right, dtype=np.intp).reshape(n, A)
     parent = np.array(parent, dtype=np.intp)
     letter = np.array(letter, dtype=np.intp)

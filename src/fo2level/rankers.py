@@ -222,8 +222,9 @@ def _all_word_letters(alphabet: tuple, max_len: int) -> _Words:
     lens = np.repeat(np.arange(len(counts)), counts)
     letters = np.full((len(counts) - 1, len(lens)), k, dtype=np.min_scalar_type(k))
     longest = letters[:, len(lens) - counts[-1]:]
+    digits = np.arange(k, dtype=letters.dtype)[:, None]
     for x, row in enumerate(longest):  # a row is contiguous: its reshape is a view
-        row.reshape(counts[x], k, -1)[...] = np.arange(k)[:, None]
+        row.reshape(counts[x], k, -1)[...] = digits
     start = 1
     for length in range(1, len(counts) - 1):
         letters[:length, start:start + counts[length]] = longest[:length, ::counts[-1 - length]]
@@ -254,8 +255,9 @@ def _accumulate_rows(ufunc, a: np.ndarray) -> np.ndarray:
     one short loop per column, which is several times slower when the rows
     are few and long.
     """
-    for x in range(1, len(a)):
-        ufunc(a[x - 1], a[x], out=a[x])
+    rows = list(a)
+    for before, row in zip(rows, rows[1:]):
+        ufunc(before, row, out=row)
     return a
 
 
@@ -632,8 +634,9 @@ class RankerTable:
         mask = self._class_mask(Y, m, n) | self._class_mask(X, m - 1, n - 1)
         return self._condensed_labels("L", m, n, mask)
 
-    def partition_equiv(self, m: int, n: int) -> np.ndarray:
-        """Label words by their ranker-equivalence signature at (m, n).
+    def partition_equiv(self, m: int, n: int, *, firsts: bool = False) -> np.ndarray:
+        """Label words by their ranker-equivalence signature at (m, n), or
+        with firsts give each word the first word of its class instead.
 
         Rankers with equal value rows are merged into P profiles.  The
         comparison families put in force the profile pairs of two blocks:
@@ -657,85 +660,94 @@ class RankerTable:
         Cost: O(W * (P + max length)) for W words, in a fixed number of
         numpy steps per chunk of about 2**20 cells.  One dict of the row
         bytes (a byte a position for words of up to 254 letters) finds the
-        profiles and their rankers' roles, by which they are ordered: per
-        run of equal roles one assignment sets both blocks' level types in
-        its own plane of a level-major grid, one OR joins the planes,
-        running maxima of 4 * level + type and running sums along the level
-        axis give the ranks, and one take reads them.  The keys are checked
-        against the memory available first, then grouped by one hash of
-        their bytes (``_first_equal_rows``), which gives each word the first
-        word of its class; the labels, numbered by first appearance in the
-        word list, and the bookkeeping of ``least_oracle_n`` are both read
-        off that grouping.
+        profiles and their rankers' roles, by which they are ordered.  Per
+        run of equal roles one assignment sets both blocks' level types in a
+        plane of a level-major grid: the first plane whose last run's roles
+        its own include, so where two runs of a plane meet the later write
+        holds the types of both.  The usual six runs take two planes, and
+        one OR joins them.  Running maxima of 4 * level + type and running
+        sums along the level axis give the ranks, and one take reads them
+        into the profiles x words keys, checked against the memory available
+        first.  The keys are grouped by one 32-bit hash per word, a weighted
+        sum down its column (``_first_equal_rows``), which gives each word
+        the first word of its class.  With firsts those are returned, as
+        ``least_oracle_n`` reads them; otherwise the labels, numbered by
+        first appearance in the word list, are made from them once and kept.
         """
         key = ("E", m, n)
-        if key in self._partitions:
-            return self._partitions[key]
-        end = self._fill(n) if self._nonempty_class(m, n) else 0  # the class's rows' end
-        W = len(self.words)
-        row_type = np.dtype((np.void, self._position_type.itemsize * W))
-        # each ranker's role, 0 outside the class
-        blocks = self.blocks[:end]
-        role = 2 * self.start[:end] + (blocks < m)
-        role[:self._ends[n - 1]] += 4  # the rows of depth < n
-        role = _ROLES.take(role)
-        role *= blocks <= m
-        each = iter(role.tolist())
-        roles: dict[bytes, int] = {}
-        for block in self._value_blocks[:n] if end else ():
-            for row, r in zip(block.view(row_type).ravel().tolist(), each):
-                if r:
-                    roles[row] = roles.get(row, 0) | r
-        rows = sorted(roles, key=roles.__getitem__)
-        codes = [roles[row] for row in rows]
-        P = len(rows)
-        profiles = np.frombuffer(b"".join(rows), dtype=self._position_type).reshape(P, W)
-        if any(c & 10 for c in codes):
-            keys = self._equiv_keys(profiles, codes)
-        else:  # definedness, padded to whole 64-bit words
-            keys = np.zeros((W, -(-P // 8) * 8), dtype=bool)
-            np.greater(profiles.T, 0, out=keys[:, :P])
-        rep = _first_equal_rows(keys)
-        self._firsts.setdefault(key, rep)
-        return self._partitions.setdefault(key, _labels_of_firsts(rep))
+        if key not in self._firsts:
+            end = self._fill(n) if self._nonempty_class(m, n) else 0  # the class's rows' end
+            W = len(self.words)
+            row_type = np.dtype((np.void, self._position_type.itemsize * W))
+            # each ranker's role, 0 outside the class
+            blocks = self.blocks[:end]
+            role = 2 * self.start[:end] + (blocks < m)
+            role[:self._ends[n - 1]] += 4  # the rows of depth < n
+            role = _ROLES.take(role)
+            role *= blocks <= m
+            each = iter(role.tolist())
+            roles: dict[bytes, int] = {}
+            for block in self._value_blocks[:n] if end else ():
+                for row, r in zip(block.view(row_type).ravel().tolist(), each):
+                    if r:
+                        roles[row] = roles.get(row, 0) | r
+            rows = sorted(roles, key=roles.__getitem__)
+            codes = [roles[row] for row in rows]
+            profiles = np.frombuffer(b"".join(rows), dtype=self._position_type).reshape(len(rows), W)
+            keys = self._equiv_keys(profiles, codes) if any(c & 10 for c in codes) else profiles != 0
+            self._firsts.setdefault(key, _first_equal_rows(keys.T))
+        if firsts:
+            return self._firsts[key]
+        if key not in self._partitions:
+            self._partitions.setdefault(key, _labels_of_firsts(self._firsts[key]))
+        return self._partitions[key]
 
     def _equiv_keys(self, profiles: np.ndarray, codes: list[int]) -> np.ndarray:
         """Each word's compressed ranks in the profiles, ordered by role code,
-        as a row padded to whole 64-bit words (``partition_equiv``)."""
+        as a column of a profiles x words array (``partition_equiv``)."""
         P, W = profiles.shape
         runs = [i for i in range(P) if not i or codes[i] != codes[i - 1]]
         types = _TYPES16.take([codes[i] for i in runs])
+        # each run's plane: the first whose last code it includes, so the
+        # codes of a plane grow by inclusion in run order
+        planes, lasts = [], []
+        for i in runs:
+            plane = 0
+            while plane < len(lasts) and codes[i] & lasts[plane] != lasts[plane]:
+                plane += 1
+            lasts[plane:plane + 1] = [codes[i]]  # the plane's new last code, or a new plane
+            planes.append(plane)
         runs.append(P)
         levels = self._maxlen + 1  # values 0 (undefined) .. maxlen
         rank = np.dtype(np.uint8 if levels <= 255 else np.uint16)  # ranks <= levels
         pair = np.dtype(f"u{2 * rank.itemsize}")  # a profile's ranks in X and Y
-        keep = _KEEP[rank.itemsize - 1].view(pair).take(codes)
-        lanes = -(-P * pair.itemsize // 8)
-        _check_fits(W * (16 * lanes + 48), f"signatures of {P} profiles need", RankerBudgetError)
-        keys = np.zeros((W, 8 * lanes // pair.itemsize), dtype=pair)
-        step = max(1, (1 << 20) // (P + (len(types) + 2) * levels))
+        keep = _KEEP[rank.itemsize - 1].view(pair).take(codes)[:, None]
+        _check_fits(W * (2 * P * pair.itemsize + 48), f"signatures of {P} profiles need", RankerBudgetError)
+        keys = np.empty((P, W), dtype=pair)
+        step = max(1, (1 << 20) // (P + (len(lasts) + 2) * levels))
         for lo in range(0, W, step):
             vals = profiles[:, lo:lo + step]
             c = vals.shape[1]
             top = int(vals.max(initial=0)) + 1  # levels in this chunk
             cells = np.multiply(vals, c, dtype=np.intp)  # level-major cell of each value
             cells += np.arange(c)
-            # per run of equal roles, its level types at its profiles' cells;
+            # per run of equal roles, its level types at its profiles' cells
+            # in its plane, where a later run's types include an earlier's;
             # per cell its level's types in X and Y: 0 absent, 1 (2) pure
             # row- (column-)only, 3 mixed
-            grid = np.zeros((len(types), top * c), dtype=np.uint16)
-            for g, t, a, b in zip(grid, types, runs, runs[1:]):
-                g[cells[a:b]] = t
+            grid = np.zeros((len(lasts), top * c), dtype=np.uint16)
+            for plane, t, a, b in zip(planes, types, runs, runs[1:]):
+                grid[plane][cells[a:b]] = t
             grid = np.bitwise_or.reduce(grid, axis=0).view(np.uint8).reshape(top, c, 2)
             grid[0] = 3
-            new = np.minimum(grid, 1, dtype=rank)  # present levels, narrowed to the new ones below
+            new = (grid != 0).astype(rank)  # present levels, narrowed to the new ones below
             last = np.arange(0, 4 * top, 4, dtype=np.min_scalar_type(4 * top))[:, None, None] + grid
             last *= new
             _accumulate_rows(np.maximum, last)
             last &= 3
             new[1:] &= (grid[1:] == 3) | (grid[1:] != last[:-1])
             ranks = _accumulate_rows(np.add, new).view(pair).ravel().take(cells)
-            np.bitwise_and(ranks.T, keep, out=keys[lo:lo + c, :P])
+            np.bitwise_and(ranks, keep, out=keys[:, lo:lo + c])
         return keys
 
 
@@ -764,8 +776,9 @@ def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
     position one flat take from the monoid table's columns of the letter
     indices' generators (the identity for the padding), at image * letters
     + letter index, taking the letter matrix in slices of about 2**16
-    cells.  The first word with a letter the monoid lacks raises
-    ``eval_word``'s error."""
+    cells.  The table's entries are kept multiplied by the letter count,
+    so a take gives the next position's base index at once.  The first
+    word with a letter the monoid lacks raises ``eval_word``'s error."""
     words = table.words
     gen = np.array([monoid.gens.get(a, -1) for a in words.names] + [monoid.identity], dtype=np.intp)
     lacks = gen < 0
@@ -774,13 +787,14 @@ def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
         if hit.any():
             monoid.eval_word(words.word(int(np.argmax(hit))))  # raises
     flat = monoid.table.take(gen, axis=1).astype(np.intp).reshape(-1)  # x * each letter's generator
-    images = np.full(len(words), monoid.identity, dtype=np.intp)
+    flat *= len(gen)
+    images = np.full(len(words), monoid.identity * len(gen), dtype=np.intp)
     rows = max(1, (1 << 16) // max(len(words), 1))
     for x in range(0, len(words.letters), rows):
         for letter in words.letters[x:x + rows].take(words.cols, axis=1):
-            images *= len(gen)
             images += letter
             images = flat.take(images)
+    images //= len(gen)
     return images
 
 
@@ -813,15 +827,14 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
     tests' ``oracle_equiv_refines_morphism``) tried at n = 1, 2, ...,
     while the deeper depths fill and partition only the kept words.  The
     violations and the kept words are read off the first word of each
-    word's class, which ``partition_equiv`` keeps from the grouping its
-    labels come from.  The given table is read (and filled) at n = 1 only.
+    word's class, which ``partition_equiv`` gives with firsts, so no depth
+    numbers the classes.  The given table is read (and filled) at n = 1 only.
     """
     table = _oracle_table(monoid, m, max_n, max_len, table)
     images = _word_images(monoid, table)
     words = pair = None  # the counterexample's indices among the words of the last n tried
     for n in range(1, max_n + 1):
-        table.partition_equiv(m, n)
-        rep = table._firsts[("E", m, n)]
+        rep = table.partition_equiv(m, n, firsts=True)
         bad = images != images.take(rep)
         if not bad.any():
             return n, None

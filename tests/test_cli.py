@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -386,6 +387,32 @@ def test_corpus_refuses_an_alphabet_too_large_for_its_word_triples(capsys):
     assert err == ("budget exceeded: alphabet stability: 18279^3 word triples up to length 3 "
                    "exceed the budget of 10000000\n")
     assert out.startswith("corpus: seed=0 count=1 max_states=1 letters=26\n")
+
+
+def test_corpus_refuses_condensed_semantics_past_its_cell_budget(capsys):
+    # one non-DA draw over 6 letters: the 1884 rankers x 9331 words of the
+    # condensedness check are counted and refused before any word-level
+    # check builds a word
+    start = time.perf_counter()
+    code, out, err = run(capsys, "corpus", "--seed", "5", "--count", "1", "--max-states", "3",
+                         "--letters", "6")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert err == ("budget exceeded: condensed semantics: 1884 rankers x 9331 words up to length 5 "
+                   "exceed the budget of 10000000 cells\n")
+    assert out == "corpus: seed=5 count=1 max_states=3 letters=6\ngenerated: 1\nin_da: 0\n"
+
+
+def test_corpus_closure_checked_against_memory_before_each_level(capsys, monkeypatch):
+    # the first draw's minimal DFA has 40384 states: with 64 MiB the closure
+    # refuses the level whose candidate block and index growth exceed it,
+    # before allocating them
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 64 * 2**20)
+    code, out, err = run(capsys, "corpus", "--count", "1", "--max-states", "100000")
+    assert code == 3
+    assert err.startswith("budget exceeded: transition monoid closure at ")
+    assert "candidates of 40384 states need" in err and "0.1 GiB is available" in err
+    assert out == "corpus: seed=0 count=1 max_states=100000 letters=2\n"
 
 
 def test_corpus_empty(capsys):

@@ -364,6 +364,26 @@ def test_element_names_are_shortest_words():
     assert m.element_name(m.identity) == "eps"
 
 
+def test_closure_checked_against_memory_before_each_level(monkeypatch):
+    # (ab)*: 3 one-byte states; the first level's 2 candidates need twice
+    # their 6 bytes and the keys of up to 3 elements, 21 bytes; the memory
+    # is read once per closure
+    d = regex_to_min_dfa(parse_regex("(ab)*"))
+    reads = []
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: reads.append(20) or 20)
+    with pytest.raises(MonoidTooLargeError, match="closure at 1 elements: 2 candidates of 3 states need"):
+        transition_monoid(d)
+    reads.clear()
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: reads.append(144) or 144)
+    assert transition_monoid(d).size == 6
+    assert reads == [144]
+    # a closure refused at a deeper level: (a|b)*a(a|b)(a|b) has 8 states
+    d = regex_to_min_dfa(parse_regex("(a|b)*a(a|b)(a|b)"))
+    monkeypatch.setattr(monoid_module, "_physical_memory", lambda: 200)
+    with pytest.raises(MonoidTooLargeError, match="closure at [1-9][0-9]* elements"):
+        transition_monoid(d)
+
+
 def test_table_checked_against_memory_before_allocation(monkeypatch):
     # 2**24 elements need a 1 PiB table; the check refuses it without allocating
     with pytest.raises(MonoidTooLargeError, match="GiB"):

@@ -543,6 +543,53 @@ def test_least_oracle_n_matches_the_per_n_loop_on_distinct_monoids(distinct_mono
     assert answers.count(None) >= 20 and len(answers) - answers.count(None) >= 20
 
 
+def test_the_search_builds_no_labels(monkeypatch):
+    # the search reads each word's first class word, never the labels;
+    # partition_equiv called directly still numbers them by first appearance
+    from test_cli import ORACLE_FAILING, ORACLE_GOLDEN
+
+    def refuse(_rep):
+        raise AssertionError("labels built inside the search")
+
+    monkeypatch.setattr(fo2level.rankers, "_labels_of_firsts", refuse)
+    for regex, m, max_len, _size in ORACLE_GOLDEN:
+        assert least_oracle_n(monoid_of(regex), m, 6, max_len) == (4, None), regex
+    for regex, _size, pair, _swapped in ORACLE_FAILING:
+        n, (u, v) = least_oracle_n(monoid_of(regex), 2, 3, 10)
+        assert n is None and f"{u!r} vs {v!r}" == pair, regex
+    monkeypatch.undo()
+    table = RankerTable(("a", "b"), 2, 3, all_words(("a", "b"), 5))
+    for m in range(1, 3):
+        for n in range(1, 4):
+            labels = table.partition_equiv(m, n)
+            assert np.array_equal(labels, _per_word_equiv_labels(table, m, n)), (m, n)
+            assert np.array_equal(labels, _first_seen(labels.tolist())), (m, n)
+
+
+_TINY_BASE = RankerTable(("a", "b"), 2, 4, all_words(("a", "b"), 6))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, len(_TINY_BASE.words) - 1), max_size=40, unique=True),
+       st.integers(1, 2), st.integers(1, 4), st.booleans(), st.randoms(use_true_random=False))
+def test_tiny_restricted_tables_partition_and_search_like_the_references(keep, m, n, collide, rng):
+    # 0-40 words restricted from a table of all words up to length 6, at the
+    # real hash base and at 0, where every key hashes alike and the grouping
+    # falls back to the dict of the keys
+    keep = np.array(sorted(keep), dtype=np.intp)
+    mono = transition_monoid(minimize(random_dfa(rng, 4, ("a", "b"))))
+    base = fo2level.monoid._HASH_BASE
+    try:
+        if collide:
+            fo2level.monoid._HASH_BASE = np.uint64(0)
+        table = _fresh(_TINY_BASE).restricted(keep)
+        assert np.array_equal(table.partition_equiv(m, n), _per_word_equiv_labels(table, m, n))
+        assert least_oracle_n(mono, m, n, 6, table=_fresh(_TINY_BASE).restricted(keep)) == \
+            _per_n_search(mono, m, n, 6, table)
+    finally:
+        fo2level.monoid._HASH_BASE = base
+
+
 def test_oracle_images_refuse_unknown_letters():
     # c is outside the monoid's generators, as eval_word reports
     table = _shuffled_with_foreign_letter()
@@ -755,9 +802,9 @@ def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
     calls = []
     partition = RankerTable.partition_equiv
 
-    def counting(self, m, n):
+    def counting(self, m, n, **kwargs):
         calls.append((self, n, len(self.words)))
-        return partition(self, m, n)
+        return partition(self, m, n, **kwargs)
 
     monkeypatch.setattr(RankerTable, "partition_equiv", counting)
     table = RankerTable(("a", "b"), 1, 6, all_words(("a", "b"), 10))
