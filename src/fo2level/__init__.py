@@ -5,8 +5,8 @@ the library computes its syntactic monoid and decides the least alternation
 depth m at which the language is definable in two-variable first-order
 logic over ordered positions, by two independent routes: the Mal'cev
 quotient recursion for the R_m/L_m variety hierarchy, and omega-term
-identity checking.  Condensed-ranker machinery provides a third,
-brute-force view used for cross-validation at desk scale.
+identity checking.  Ranker equivalence provides a third, brute-force
+view used for cross-validation at desk scale (``least_oracle_n``).
 """
 
 from .automata import (
@@ -32,7 +32,6 @@ from .identities import (
 from .rankers import (
     Ranker, RankerSyntaxError, RankerBudgetError, RankerTable,
     parse_ranker, eval_ranker, is_condensed, least_oracle_n,
-    left_factorization, right_factorization, subwords_upto,
 )
 
 __version__ = "0.1.0"

@@ -14,11 +14,8 @@ import sys
 from .automata import (DfaFormatError, RegexSyntaxError, minimize,
                        parse_dfa_file, parse_regex, regex_to_min_dfa)
 from .corpus import (check_action_agreement, check_alphabet_stability,
-                     check_condensed_semantics, check_congruence_quotients,
-                     check_dual_route, check_equiv_factor, check_factor_compat,
-                     check_inner_segment, check_level_anchors,
-                     check_monotonicity, check_relation_congruence,
-                     check_subword_direction, corpus_alphabet, make_entries,
+                     check_congruence_quotients, check_dual_route,
+                     check_level_anchors, check_monotonicity, make_entries,
                      straubing_tally)
 from .identities import IdentityBudgetError, identities_level
 from .monoid import (FiniteMonoid, MonoidFormatError, MonoidTooLargeError,
@@ -260,11 +257,11 @@ def cmd_corpus(args) -> int:
     print(f"in_da: {len(da)}")
     for key in sorted(n_level):
         print(f"  {key}: {n_level[key]}")
+    print(f"distinct: {len({(e.monoid.table.tobytes(), e.monoid.identity) for e in entries})}")
     if not entries:
         print("result: PASS (empty corpus)")
         return 0
 
-    alpha = corpus_alphabet(args.letters)
     gating = [
         check_dual_route(da),
         check_level_anchors(entries),
@@ -273,21 +270,8 @@ def cmd_corpus(args) -> int:
         check_action_agreement(da),
         check_alphabet_stability(da, max_len=3),
     ]
-    # the word-level check with a budget runs first, so an alphabet too
-    # large for it is refused before any word-level check builds a word
-    semantics = check_condensed_semantics(alpha, max_len=5)
-    gating += [
-        check_factor_compat(alpha, max_len=5),
-        check_equiv_factor(alpha, max_len=5),
-        check_inner_segment(alpha, max_len=5),
-        check_relation_congruence(alpha, max_len=5, samples=300, seed=args.seed),
-        check_subword_direction(alpha, max_len=4),
-        semantics,
-    ]
     for res in gating:
         print(res.line())
-    suffix = check_factor_compat(alpha, max_len=5, include_suffix_clause=True)
-    print(f"informational {suffix.line()} [non-gating: clause has known counterexamples]")
     for row in straubing_tally(da):
         print(row.line())
     ok = all(r.ok for r in gating)

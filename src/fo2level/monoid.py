@@ -375,16 +375,23 @@ class FiniteMonoid:
         R-class of a D-class meets each of its L-classes, so the least
         element of x's J-class is the least L-class minimum over the R-class
         of x: two passes over the elements, no third graph.  Cost O(|M|*|A|)
-        with a generator map, O(|M|^2) without, or none when the reverse
-        monoid has them: its right graph is this one's left graph, so they
-        are its classes, label for label, with R and L swapped.
+        with a generator map, O(|M|^2) without (its successor lists checked
+        against the memory available before they are built), or none when
+        the reverse monoid has them: its right graph is this one's left
+        graph, so they are its classes, label for label, with R and L
+        swapped.
         """
         if self._greens is None and self._reverse is not None and self._reverse._greens is not None:
             g = self._reverse._greens   # the opposite monoid's, with R and L swapped
             self._greens = GreensData(g.j_class, g.l_class, g.r_class)
         if self._greens is None:
             T = self._table
-            gens = list(self.gens.values()) if self.gens is not None else slice(None)
+            if self.gens is not None:
+                gens = list(self.gens.values())
+            else:  # |M| successor lists of |M| Python ints, about 37 bytes a cell
+                _check_fits(37 * self.size ** 2, f"Green's classes of {self.size} elements with no "
+                            "generator map need", MonoidTooLargeError)
+                gens = slice(None)
             r_class = _scc_labels(T[:, gens].tolist())
             l_class = _scc_labels(T[gens, :].T.tolist())
             l_min = []                  # labels are numbered by least element

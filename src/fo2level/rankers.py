@@ -1,4 +1,4 @@
-"""Rankers, condensed evaluation, and the word relations they induce.
+"""Rankers, their evaluation, and the ranker-equivalence oracle.
 
 A ranker is a nonempty sequence of instructions Xa ("go to the next
 a-position") and Ya ("go to the previous a-position"), executed left to
@@ -11,25 +11,15 @@ inward: maintaining an open interval that starts at (0, len+1), every
 instruction must land strictly inside the current interval, and the landed
 position replaces the left endpoint when the next instruction moves right,
 or the right endpoint when it moves left.  ``is_condensed`` implements this
-interval-chain recurrence for one ranker and word; ``RankerTable.condensed``
-computes it for a whole class over a word list, and the ``corpus`` command
-checks the two against each other cell by cell.
+interval-chain recurrence for one ranker and word.
 
 ``RankerTable`` vectorizes evaluation of a whole ranker class over a fixed
-word list and exposes the partitions of the word relations the rankers
-induce:
-
-* the right relation at (m, n): the same rankers among the X-starting ones
-  of depth <= n with <= m blocks, plus the Y-starting ones of depth <= n-1
-  with <= m-1 blocks, are condensed on both words; the left relation is the
-  mirror image;
-* ranker equivalence at (m, n): the same rankers of depth <= n and <= m
-  blocks are defined on both words, and four families of ranker pairs
-  induce identical order types on both.
-
-The brute-force oracles (morphism refinement, factorization compatibility,
-subword invariance) are built on these partitions.  Signature computation
-per word is independent; everything here is pure.
+word list and partitions the words by ranker equivalence at (m, n): the
+same rankers of depth <= n and <= m blocks are defined on both words, and
+four families of ranker pairs induce identical order types on both.  The
+morphism-refinement oracle ``least_oracle_n`` is built on these
+partitions.  Signature computation per word is independent; everything
+here is pure.
 """
 
 from __future__ import annotations
@@ -268,19 +258,6 @@ _TYPES16 = _TYPES.view(np.uint16).ravel()
 # per role code, the mask of the ranks a profile keeps, for one- and two-byte ranks
 _KEEP = [np.where(_TYPES > 0, ~t(0), t(0)).ravel() for t in (np.uint8, np.uint16)]
 
-_BIT_WEIGHTS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)[:, None]
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """``np.packbits(bits, axis=0)`` for a 2-D bool array, as one weighted
-    sum over the rows of each group of 8, which is several times faster
-    than numpy's packing along the short axis when the rows are long."""
-    groups = (len(bits) + 7) // 8
-    padded = np.zeros((8 * groups, bits.shape[1]), dtype=np.uint8)
-    padded[:len(bits)] = bits
-    return (padded.reshape(groups, 8, bits.shape[1]) * _BIT_WEIGHTS).sum(axis=1, dtype=np.uint8)
-
-
 # positions are unsigned, one byte for words of up to 254 letters and two
 # below this bound, and len + 1, the Y-instructions' start, is int16
 _MAX_WORD_LEN = 32_766
@@ -338,7 +315,7 @@ class _Words(Sequence):
 
 
 class RankerTable:
-    """Positions and condensedness of every ranker in a class over a word list.
+    """Positions of every ranker in a class over a word list.
 
     Built once per (alphabet, max_blocks, max_depth, words); partitions for
     any smaller (m, n) are derived from the same table and cached.  The
@@ -346,12 +323,12 @@ class RankerTable:
     builds any word or row: an int max_len's word count against
     ``MAX_WORDS``, the class size, counted in closed form, against
     ``MAX_RANKERS``, and the full table (3 bytes per ranker and word at
-    ``max_depth``: positions of at most two bytes, bool ``condensed``) with
-    the letter and occurrence tables against the memory available; words
+    ``max_depth``, which covers positions of at most two bytes) with the
+    letter and occurrence tables against the memory available; words
     longer than int16 allows are refused.
 
-    The constructor enumerates the class as arrays (each ranker's start,
-    depth, blocks, parent and last instruction, at O(rankers); the
+    The constructor enumerates the class as arrays, depth by depth (each
+    ranker's start, blocks, parent and last instruction, at O(rankers); the
     ``Ranker`` objects are built on first read of ``rankers``).  words is a
     list of distinct words, or an int max_len for all words over the
     one-character letters up to that length in ``all_words`` order; either
@@ -360,15 +337,12 @@ class RankerTable:
     (``_Words``).  The next/previous-occurrence tables are laid out the
     same way, (max length + 2) x words per instruction, and filled by
     running minima and maxima along the position axis, in one byte a
-    position for words of up to 254 letters, else two.  The word rows are
-    two products, each filled on demand one depth at a time and kept as
-    one block per depth: positions (``filled_depth`` says
-    how deep), each depth one gather from the positions of the depth
-    before, and condensedness, built from the position blocks only when
-    ``condensed``, ``partition_right`` or ``partition_left`` first needs
-    the depth, so ``partition_equiv`` and the oracles compute none.  A
-    partition at depth n fills and reads only depths <= n; reading
-    ``values`` fills every depth of positions, ``condensed`` of both.
+    position for words of up to 254 letters, else two.  The word rows,
+    the positions, are filled on demand one depth at a time and kept as
+    one block per depth (``filled_depth`` says how deep), each depth one
+    gather from the positions of the depth before.  A partition at depth
+    n fills and reads only depths <= n; reading ``values`` fills every
+    depth.
 
     The equivalence partition uses exact signatures, the compressed ranks of
     the distinct ranker value rows (``partition_equiv``): two words get the
@@ -449,21 +423,14 @@ class RankerTable:
             self._ends.append(self._ends[-1] + count)
 
         self.start = np.concatenate(start_l or [[]]).astype(np.int8)   # 0 = X, 1 = Y
-        self.depth = np.repeat(np.arange(1, len(self._ends), dtype=np.int16), np.diff(self._ends))
         self.blocks = np.concatenate(blocks_l or [[]]).astype(np.int16)
         self._rankers: list[Ranker] | None = None
-        # one (rankers of the depth) x words block per filled depth, of
-        # positions and, built after them, of condensedness
+        # one (rankers of the depth) x words block of positions per filled depth
         self._value_blocks: list[np.ndarray] = []
-        self._condensed_blocks: list[np.ndarray] = []
         self.filled_depth = 0
-        # per ranker of the last condensed depth and word, the open interval
-        # (lo, hi) its position was reached in and whether it is condensed;
-        # None before depth 1 and once every depth is condensed
-        self._interval = None
         self._fill_lock = threading.Lock()
-        self._partitions: dict[tuple[str, int, int], np.ndarray] = {}
-        self._firsts: dict[tuple[str, int, int], np.ndarray] = {}  # per word, its class's first word
+        self._partitions: dict[tuple[int, int], np.ndarray] = {}
+        self._firsts: dict[tuple[int, int], np.ndarray] = {}  # per word, its class's first word
 
     def _fill(self, n: int) -> int:
         """Fill the positions of every depth up to n; returns their rows'
@@ -499,57 +466,14 @@ class RankerTable:
                     self._occ = None
         return self._ends[n]
 
-    def _fill_condensed(self, n: int) -> int:
-        """Fill the positions and then the condensedness of every depth up
-        to n; returns their rows' count.  A depth's (lo, hi, alive) follows
-        from its parent's and the positions of both depths: X moves right
-        from the parent's position p inside (p, hi), Y left inside (lo, p)."""
-        end = self._fill(n)
-        n = min(n, len(self._ends) - 1)
-        with self._fill_lock:
-            while len(self._condensed_blocks) < n:
-                depth = len(self._condensed_blocks) + 1
-                if depth == 1:  # (0, len + 1) and alive, one row for all rankers
-                    top = self.words.lens.take(self.words.cols) + 1
-                    lo, hi, alive = np.zeros((1, len(top)), dtype=np.int16), top.astype(np.int16)[None], True
-                else:
-                    lo, hi, alive = self._interval
-                    parent, t = self._growth[depth - 2]
-                    is_y = (t >= len(self.alphabet))[:, None]
-                    pp = self._value_blocks[depth - 2][parent]
-                    # only depth 1's bounds have one row (for all of its >= 2 rankers)
-                    lo = np.where(is_y, lo[parent] if len(lo) > 1 else lo, pp)
-                    hi = np.where(is_y, pp, hi[parent] if len(hi) > 1 else hi)
-                    alive = alive[parent]
-                p = self._value_blocks[depth - 1]
-                alive = alive & (lo < p) & (p < hi)
-                self._condensed_blocks.append(alive)
-                self._interval = (lo, hi, alive) if depth < len(self._ends) - 1 else None
-        return end
-
-    def _rows(self, blocks: list[np.ndarray], dtype, mask: np.ndarray | None = None) -> np.ndarray:
-        """The rows of the per-depth blocks, all or those where mask (over
-        the rows of depths <= some n) holds, copied once into one array;
-        ``np.compress`` reads no block row past the mask's end."""
-        if mask is None:
-            mask = np.ones(self._ends[len(blocks)], dtype=bool)
-        out = np.empty((int(np.count_nonzero(mask)), len(self.words)), dtype=dtype)
-        at = 0
-        for block, lo, hi in zip(blocks, self._ends, self._ends[1:]):
-            count = int(np.count_nonzero(mask[lo:hi]))
-            np.compress(mask[lo:hi], block, axis=0, out=out[at:at + count])
-            at += count
-        return out
-
     def restricted(self, keep: np.ndarray) -> RankerTable:
         """The table over the words at the increasing indices keep, filled as
-        deep as this one, in positions and in condensedness.
+        deep as this one.
 
         It shares the class arrays, the letter matrix and the occurrence
         tables, whose word columns it reads through its own slice of the
         word-column index, and slices the word axis of the blocks filled so
-        far and of the frontiers they grow from (depth 1's positions until
-        they are filled, the last condensed depth's intervals), so its
+        far (and of depth 1's positions until they are filled), so its
         deeper depths fill only the kept words; it builds no string.  Every
         partition compares the words two at a time, so each partition of
         the restricted table is this one's restricted to keep, up to the
@@ -559,11 +483,8 @@ class RankerTable:
             sub = object.__new__(RankerTable)
             sub.__dict__.update(self.__dict__)
             sub._value_blocks = [b.take(keep, axis=1) for b in self._value_blocks]
-            sub._condensed_blocks = [b.take(keep, axis=1) for b in self._condensed_blocks]
             if self._first is not None:
                 sub._first = self._first.take(keep, axis=1)
-            if self._interval is not None:
-                sub._interval = tuple(a.take(keep, axis=1) for a in self._interval)
         w = self.words
         sub.words = _Words(w.letters, w.lens, w.names, w.cols[keep])
         sub._fill_lock = threading.Lock()
@@ -589,14 +510,10 @@ class RankerTable:
         """Position of each ranker (row) on each word (column), 0 where it is
         undefined; reading it fills every depth."""
         self._fill(self.max_depth)
-        return self._rows(self._value_blocks, self._position_type).astype(np.int16)
-
-    @property
-    def condensed(self) -> np.ndarray:
-        """Whether each ranker (row) is condensed on each word (column);
-        reading it fills every depth."""
-        self._fill_condensed(self.max_depth)
-        return self._rows(self._condensed_blocks, bool)
+        out = np.empty((self._ends[-1], len(self.words)), dtype=np.int16)
+        for block, lo, hi in zip(self._value_blocks, self._ends, self._ends[1:]):
+            out[lo:hi] = block
+        return out
 
     def _nonempty_class(self, m: int, n: int) -> bool:
         """Whether the class at (m, n) has rankers; ValueError past the table's bounds."""
@@ -605,34 +522,6 @@ class RankerTable:
         if m > self.max_blocks or n > self.max_depth:
             raise ValueError("requested class exceeds the table bounds")
         return True
-
-    def _class_mask(self, start: str | None, m: int, n: int) -> np.ndarray:
-        if not self._nonempty_class(m, n):
-            return np.zeros(len(self.depth), dtype=bool)
-        mask = (self.depth <= n) & (self.blocks <= m)
-        if start == X:
-            mask &= self.start == 0
-        elif start == Y:
-            mask &= self.start == 1
-        return mask
-
-    def _condensed_labels(self, kind: str, m: int, n: int, mask: np.ndarray) -> np.ndarray:
-        key = (kind, m, n)
-        if key not in self._partitions:
-            end = self._fill_condensed(n)
-            rows = self._rows(self._condensed_blocks, bool, mask[:end])
-            self._partitions[key] = _labels_of_firsts(_first_equal_rows(_pack_rows(rows).T))
-        return self._partitions[key]
-
-    def partition_right(self, m: int, n: int) -> np.ndarray:
-        """Label words by which rankers of the right-relation class are condensed."""
-        mask = self._class_mask(X, m, n) | self._class_mask(Y, m - 1, n - 1)
-        return self._condensed_labels("R", m, n, mask)
-
-    def partition_left(self, m: int, n: int) -> np.ndarray:
-        """Label words by which rankers of the left-relation class are condensed."""
-        mask = self._class_mask(Y, m, n) | self._class_mask(X, m - 1, n - 1)
-        return self._condensed_labels("L", m, n, mask)
 
     def partition_equiv(self, m: int, n: int, *, firsts: bool = False) -> np.ndarray:
         """Label words by their ranker-equivalence signature at (m, n), or
@@ -674,7 +563,7 @@ class RankerTable:
         ``least_oracle_n`` reads them; otherwise the labels, numbered by
         first appearance in the word list, are made from them once and kept.
         """
-        key = ("E", m, n)
+        key = (m, n)
         if key not in self._firsts:
             end = self._fill(n) if self._nonempty_class(m, n) else 0  # the class's rows' end
             W = len(self.words)
@@ -843,32 +732,3 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
         keep = _mixed_words(rep, bad)
         table, images = table.restricted(keep), images.take(keep)
     return None, None if pair is None else tuple(map(words.word, pair))
-
-
-# ---------------------------------------------------------------------------
-# Word combinatorics helpers used by the property suites
-# ---------------------------------------------------------------------------
-
-def left_factorization(u: str, a: str) -> tuple[str, str] | None:
-    """u = u_minus a u_plus at the first a-position, or None if a is absent."""
-    i = u.find(a)
-    if i < 0:
-        return None
-    return u[:i], u[i + 1:]
-
-
-def right_factorization(u: str, a: str) -> tuple[str, str] | None:
-    """u = u_minus a u_plus at the last a-position, or None if a is absent."""
-    i = u.rfind(a)
-    if i < 0:
-        return None
-    return u[:i], u[i + 1:]
-
-
-def subwords_upto(u: str, n: int) -> frozenset[str]:
-    """All scattered subwords of u of length 1..n."""
-    out = {""}
-    for ch in u:
-        out |= {w + ch for w in out if len(w) < n}
-    out.discard("")
-    return frozenset(out)

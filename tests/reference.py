@@ -1,7 +1,8 @@
 """Direct definitions that the tests compare the fast paths against.
 
 None of these is called by the package.  They follow the definitions word
-by word and ranker by ranker, so they are slow but easy to check by eye:
+by word and ranker by ranker, so they are slow but easy to check by eye.
+The word-level lemma suites, which read some of them, are in ``lemmas.py``.
 
 * ``reference_rankers(alphabet, m, n, start)``: the rankers of depth <= n
   with <= m blocks, filtered by the starting direction, grown one
@@ -9,13 +10,12 @@ by word and ranker by ranker, so they are slow but easy to check by eye:
   parent and instruction arrays.
 * ``is_condensed_no_overrun(r, u)``: condensedness as a simulation, which
   fails when a move lands on or passes a visited position; the tests check
-  it against the interval chain of ``is_condensed``, and the ``corpus``
-  command checks ``RankerTable.condensed`` against ``is_condensed``.
+  it against the interval chain of ``is_condensed``, the only
+  condensedness in the package.
 * ``rel_right(u, v, m, n)``: the same rankers among the X-starting ones of
   depth <= n with <= m blocks, plus the Y-starting ones of depth <= n-1
   with <= m-1 blocks, are condensed on u and on v; ``rel_left`` is the
-  mirror image.  ``RankerTable.partition_right`` and ``partition_left``
-  label words by these relations.
+  mirror image.  ``lemmas.OneSided`` labels words by these relations.
 * ``equiv_wi(u, v, m, n)``: the same rankers of depth <= n and <= m blocks
   are defined on both, and four families of ranker pairs induce identical
   order types on both words.  ``RankerTable.partition_equiv`` labels words

@@ -12,14 +12,13 @@ from fo2level.automata import parse_regex, regex_to_min_dfa
 from fo2level.cli import main as cli_main
 from fo2level.corpus import (check_action_agreement, check_alphabet_stability,
                              check_congruence_quotients, check_dual_route,
-                             check_equiv_factor, check_factor_compat,
-                             check_inner_segment, check_level_anchors,
-                             check_monotonicity,
-                             check_relation_congruence)
+                             check_level_anchors, check_monotonicity)
 from fo2level.identities import identities_level
 from fo2level.monoid import transition_monoid
 from fo2level.rankers import eval_ranker, is_condensed, parse_ranker
 from fo2level.varieties import fo2_level
+from lemmas import (check_equiv_factor, check_factor_compat, check_inner_segment,
+                    check_relation_congruence)
 from reference import check_oracle_bounds
 
 

@@ -7,20 +7,17 @@ import fo2level.corpus
 from fo2level.automata import all_words
 from fo2level.corpus import (check_action_agreement,
                              check_alphabet_stability,
-                             check_condensed_semantics,
                              check_congruence_quotients, check_dual_route,
-                             check_equiv_factor, check_factor_compat,
-                             check_inner_segment, check_level_anchors,
-                             check_monotonicity,
-                             check_relation_congruence,
-                             check_subword_direction, corpus_alphabet,
-                             make_entries, random_dfa,
+                             check_level_anchors, check_monotonicity,
+                             corpus_alphabet, make_entries, random_dfa,
                              straubing_tally)
 from fo2level.monoid import reverse_monoid
 from fo2level.rankers import RankerTable
 from fo2level.varieties import in_Lm, in_Rm, sim_d, sim_k
 
 from conftest import da_entries
+from lemmas import (OneSided, check_equiv_factor, check_factor_compat, check_inner_segment,
+                    check_relation_congruence, check_subword_direction)
 from reference import check_oracle_bounds
 
 
@@ -58,30 +55,24 @@ def test_monoid_level_checks_small():
 
 
 def test_word_level_checks_small():
+    # the lemma suites at the parameters and verdicts the corpus command ran
+    # them with, over two letters and seed 7
     alpha = corpus_alphabet(2)
-    assert check_factor_compat(alpha, max_len=5).ok
-    assert check_equiv_factor(alpha, max_len=5).ok
-    assert check_inner_segment(alpha, max_len=5).ok
-    assert check_relation_congruence(alpha, max_len=5, samples=200, seed=1).ok
-    assert check_subword_direction(alpha, max_len=4).ok
-    assert check_condensed_semantics(alpha, max_len=5).ok
-
-
-def test_condensed_semantics_reads_the_table(monkeypatch):
-    # one flipped cell of the rows the one-sided partitions read is the
-    # check's first and only failure
-    condensed = RankerTable.condensed.fget
-
-    def flipped(table):
-        cells = condensed(table)
-        cells[40, 37] = not cells[40, 37]
-        return cells
-
-    monkeypatch.setattr(RankerTable, "condensed", property(flipped))
-    table = RankerTable(("a", "b"), 3, 3, 5)
-    res = check_condensed_semantics(("a", "b"), max_len=5)
-    assert not res.ok and res.checked == 40 * 63 + 38
-    assert res.detail == f"ranker {table.rankers[40]} on {table.words[37]!r}"
+    lines = [res.line() for res in (
+        check_factor_compat(alpha, max_len=5),
+        check_equiv_factor(alpha, max_len=5),
+        check_inner_segment(alpha, max_len=5),
+        check_relation_congruence(alpha, max_len=5, samples=300, seed=7),
+        check_subword_direction(alpha, max_len=4),
+        check_factor_compat(alpha, max_len=5, include_suffix_clause=True))]
+    assert lines == [
+        "check factor-compat: PASS [2480 checked] (words up to 5, m,n <= 3,3)",
+        "check equiv-factor-compat: PASS [88 checked] (words up to 5, m,n <= 3,3)",
+        "check inner-segment-equiv: PASS [8 checked] (words up to 5, m,n <= 3,3)",
+        "check relation-congruence: PASS [300 checked] (300 sampled extensions)",
+        "check subword-direction: PASS [245 checked] (words up to 4, n <= 3)",
+        "check factor-compat-with-suffix-clause: FAIL [270 checked] "
+        "(right/last-suffix 'abab' 'abba' a='a' (m=2,n=2))"]
 
 
 def test_factor_suffix_clause_has_counterexample():
@@ -147,12 +138,12 @@ def test_action_agreement_failures_on_both_sides(monkeypatch):
     assert sides == {"right", "left"}
 
 
-def _right_relation_refines(images, m: int, n: int, table: RankerTable) -> bool:
-    """Whether the right relation at (m, n) on the table's words refines the
-    word morphism with the given images, word by word."""
+def _right_relation_refines(images, m: int, n: int, relations: OneSided) -> bool:
+    """Whether the right relation at (m, n) on the words refines the word
+    morphism with the given images, word by word."""
     image_of = {}
     return all(image_of.setdefault(lab, img) == img
-               for lab, img in zip(table.partition_right(m, n).tolist(), images))
+               for lab, img in zip(relations.right(m, n).tolist(), images))
 
 
 def test_oracle_bounds_small():
@@ -160,7 +151,7 @@ def test_oracle_bounds_small():
     assert check_oracle_bounds(entries, max_n=8, max_len=5).ok
     # the right relation of an R_m member's least m refines its morphism at
     # some n <= 8
-    tables = {}
+    relations = {}
     members = 0
     for e in entries:
         mono = e.monoid
@@ -168,9 +159,9 @@ def test_oracle_bounds_small():
         if m is None:
             continue
         alpha = tuple(mono.gens)
-        table = tables.setdefault((alpha, m), RankerTable(alpha, m, 8, all_words(alpha, 5)))
-        images = [mono.eval_word(w) for w in table.words]
-        assert any(_right_relation_refines(images, m, n, table) for n in range(1, 9))
+        rel = relations.setdefault(alpha, OneSided(alpha, all_words(alpha, 5)))
+        images = [mono.eval_word(w) for w in rel.words]
+        assert any(_right_relation_refines(images, m, n, rel) for n in range(1, 9))
         members += 1
     assert members >= 20
 

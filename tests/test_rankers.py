@@ -18,9 +18,10 @@ from fo2level.corpus import random_dfa
 from fo2level.monoid import FiniteMonoid, _first_equal_rows, transition_monoid
 from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError,
                               RankerTable, eval_ranker, is_condensed,
-                              _mixed_words, _pack_rows, _word_images,
+                              _mixed_words, _word_images,
                               least_oracle_n, next_pos, parse_ranker,
-                              prev_pos, subwords_upto)
+                              prev_pos)
+from lemmas import OneSided, subwords_upto
 from reference import (equiv_wi, first_class_words, is_condensed_no_overrun, l_factorize,
                        mixed_class_words, oracle_equiv_refines_morphism, r_factorize,
                        reference_rankers, rel_left, rel_right)
@@ -112,6 +113,20 @@ def test_condensed_semantics_agree_deep_sample():
         assert is_condensed(r, w) == is_condensed_no_overrun(r, w), (r, w)
 
 
+_MIRROR = {X: Y, Y: X}
+
+
+@settings(max_examples=300)
+@given(st.text("abc", max_size=9),
+       st.lists(st.tuples(st.sampled_from((X, Y)), st.sampled_from("abc")), min_size=1, max_size=6))
+def test_condensedness_is_mirror_symmetric(u, steps):
+    # reversing the word and swapping X and Y maps one interval chain onto
+    # the other, which is what the left relation, the right relation of the
+    # reversed words, relies on
+    mirrored = Ranker(tuple((_MIRROR[d], a) for d, a in steps))
+    assert is_condensed(Ranker(tuple(steps)), u) == is_condensed(mirrored, u[::-1])
+
+
 def test_enumerate_rankers_counts_and_order():
     def x_start(m, n):
         return [r for r in RankerTable(("a", "b"), m, n, []).rankers if r.start == X]
@@ -183,15 +198,13 @@ def test_relations_are_equivalences_on_sample():
 
 def test_refinement_in_parameters(table_ab6):
     words = table_ab6.words
+    part = table_ab6.partition_equiv
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        for kind, part in [("E", table_ab6.partition_equiv),
-                           ("R", table_ab6.partition_right),
-                           ("L", table_ab6.partition_left)]:
-            coarse = part(m, n)
-            for finer in [part(m + 1, n), part(m, n + 1)]:
-                seen = {}
-                for i in range(len(words)):
-                    assert seen.setdefault(int(finer[i]), int(coarse[i])) == int(coarse[i])
+        coarse = part(m, n)
+        for finer in [part(m + 1, n), part(m, n + 1)]:
+            seen = {}
+            for i in range(len(words)):
+                assert seen.setdefault(int(finer[i]), int(coarse[i])) == int(coarse[i])
 
 
 def _shuffled_with_foreign_letter():
@@ -208,7 +221,6 @@ def test_table_matches_scalar(table_ab6):
             for j, w in enumerate(table.words):
                 pos = eval_ranker(r, w)
                 assert int(table.values[i, j]) == (pos if pos is not None else 0), (r, w)
-                assert bool(table.condensed[i, j]) == is_condensed(r, w), (r, w)
 
 
 def test_partitions_match_scalar_definitions():
@@ -216,14 +228,25 @@ def test_partitions_match_scalar_definitions():
     tab = RankerTable(("a", "b"), 2, 2, words)
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         E = tab.partition_equiv(m, n)
-        R = tab.partition_right(m, n)
-        L = tab.partition_left(m, n)
         for i, u in enumerate(words):
             for j in range(i, len(words)):
                 v = words[j]
                 assert (E[i] == E[j]) == equiv_wi(u, v, m, n, ("a", "b"))
-                assert (R[i] == R[j]) == rel_right(u, v, m, n, ("a", "b"))
-                assert (L[i] == L[j]) == rel_left(u, v, m, n, ("a", "b"))
+
+
+def test_one_sided_labels_match_the_definitions():
+    # the lemma suites' labels of the right and left relations, class for
+    # class against the relations word pair by word pair
+    words = all_words(("a", "b"), 4)
+    relations = OneSided(("a", "b"), words)
+    for m in range(1, 4):
+        for n in range(1, 4):
+            R, L = relations.right(m, n), relations.left(m, n)
+            for i, u in enumerate(words):
+                for j in range(i, len(words)):
+                    v = words[j]
+                    assert (R[i] == R[j]) == rel_right(u, v, m, n, ("a", "b")), (u, v, m, n)
+                    assert (L[i] == L[j]) == rel_left(u, v, m, n, ("a", "b")), (u, v, m, n)
 
 
 def test_subwords():
@@ -276,10 +299,22 @@ def _first_seen(keys):
     return np.array([lab.setdefault(k, len(lab)) for k in keys], dtype=np.int32)
 
 
+def _class_mask(table, start, m, n):
+    """The table's rows of depth <= n (its first _ends[n]) with <= m blocks
+    that start with start (X, Y, or either for None)."""
+    mask = np.zeros(len(table.blocks), dtype=bool)
+    if m >= 1 and n >= 1:
+        end = table._ends[n]
+        mask[:end] = table.blocks[:end] <= m
+        if start is not None:
+            mask &= table.start == (0 if start == X else 1)
+    return mask
+
+
 def _per_word_equiv_labels(table, m, n):
     """One key per word: definedness bytes plus the P x P sign matrix, with
     sentinel 2 where no comparison is in force."""
-    sub = np.nonzero(table._class_mask(None, m, n))[0]
+    sub = np.nonzero(_class_mask(table, None, m, n))[0]
     profiles, inv = np.unique(table.values[sub], axis=0, return_inverse=True)
     inv = inv.ravel()
     P = profiles.shape[0]
@@ -289,10 +324,10 @@ def _per_word_equiv_labels(table, m, n):
         out[inv[global_mask[sub]]] = True
         return out
 
-    is_x = prof_mask(table._class_mask(X, m, n))
-    is_y = prof_mask(table._class_mask(Y, m, n))
-    col_for_x = prof_mask(table._class_mask(Y, m, n - 1)) | prof_mask(table._class_mask(X, m - 1, n - 1))
-    col_for_y = prof_mask(table._class_mask(X, m, n - 1)) | prof_mask(table._class_mask(Y, m - 1, n - 1))
+    is_x = prof_mask(_class_mask(table, X, m, n))
+    is_y = prof_mask(_class_mask(table, Y, m, n))
+    col_for_x = prof_mask(_class_mask(table, Y, m, n - 1)) | prof_mask(_class_mask(table, X, m - 1, n - 1))
+    col_for_y = prof_mask(_class_mask(table, X, m, n - 1)) | prof_mask(_class_mask(table, Y, m - 1, n - 1))
     pair_mask = (is_x[:, None] & col_for_x[None, :]) | (is_y[:, None] & col_for_y[None, :])
     keys = []
     for j in range(len(table.words)):
@@ -302,11 +337,6 @@ def _per_word_equiv_labels(table, m, n):
         sign[~(pair_mask & defined[:, None] & defined[None, :])] = 2
         keys.append(defined.tobytes() + sign.tobytes())
     return _first_seen(keys)
-
-
-def _per_word_condensed_labels(table, mask):
-    packed = np.packbits(table.condensed[mask], axis=0)
-    return _first_seen(packed[:, j].tobytes() for j in range(packed.shape[1]))
 
 
 def _equiv_tables():
@@ -323,12 +353,6 @@ def test_partitions_match_per_word_signatures(table_ab6):
             for n in range(1, table.max_depth + 1):
                 assert np.array_equal(table.partition_equiv(m, n),
                                       _per_word_equiv_labels(table, m, n)), (m, n)
-                right = table._class_mask(X, m, n) | table._class_mask(Y, m - 1, n - 1)
-                left = table._class_mask(Y, m, n) | table._class_mask(X, m - 1, n - 1)
-                assert np.array_equal(table.partition_right(m, n),
-                                      _per_word_condensed_labels(table, right))
-                assert np.array_equal(table.partition_left(m, n),
-                                      _per_word_condensed_labels(table, left))
 
 
 @st.composite
@@ -360,9 +384,6 @@ def test_equiv_partitions_match_per_word_signatures_on_random_lists(case):
                                   _per_word_equiv_labels(table, m, n)), (alpha, words, m, n)
 
 
-_PARTITIONS = ("partition_equiv", "partition_right", "partition_left")
-
-
 @settings(max_examples=60)
 @given(_shuffled_word_lists(), st.integers(0, 4), st.randoms(use_true_random=False))
 def test_restricted_tables_partition_like_the_full_table(case, depth, rng):
@@ -372,14 +393,12 @@ def test_restricted_tables_partition_like_the_full_table(case, depth, rng):
     keep = np.flatnonzero([rng.random() < 0.4 for _ in words])
     sub = full.restricted(keep)
     assert sub.words == [words[i] for i in keep] and sub.filled_depth == depth
-    got = {(kind, m, n): getattr(sub, kind)(m, n)
-           for kind in _PARTITIONS for m in range(1, 4) for n in range(1, 5)}
+    got = {(m, n): sub.partition_equiv(m, n) for m in range(1, 4) for n in range(1, 5)}
     assert full.filled_depth == depth  # filling the restricted table leaves this one alone
     assert np.array_equal(sub.values, full.values[:, keep])
-    assert np.array_equal(sub.condensed, full.condensed[:, keep])
-    for (kind, m, n), labels in got.items():
-        expect = _first_seen(getattr(full, kind)(m, n)[keep].tolist())
-        assert np.array_equal(labels, expect), (kind, m, n, depth)
+    for (m, n), labels in got.items():
+        expect = _first_seen(full.partition_equiv(m, n)[keep].tolist())
+        assert np.array_equal(labels, expect), (m, n, depth)
 
 
 @settings(max_examples=60)
@@ -387,15 +406,14 @@ def test_restricted_tables_partition_like_the_full_table(case, depth, rng):
 def test_deeper_partitions_refine_shallower_ones(case):
     alpha, words = case
     table = RankerTable(alpha, 3, 4, words)
-    for kind in _PARTITIONS:
-        for m in range(1, 4):
-            for n in range(1, 4):
-                coarse, fine = getattr(table, kind)(m, n), getattr(table, kind)(m, n + 1)
-                # each class at n + 1 lies in one class at n
-                assert len(set(zip(fine.tolist(), coarse.tolist()))) == int(fine.max()) + 1, (kind, m, n)
-        # an empty class, asked for once the table is filled, relates every word
-        for m, n in ((0, 2), (2, 0), (1, -1)):
-            assert not getattr(table, kind)(m, n).any(), (kind, m, n)
+    for m in range(1, 4):
+        for n in range(1, 4):
+            coarse, fine = table.partition_equiv(m, n), table.partition_equiv(m, n + 1)
+            # each class at n + 1 lies in one class at n
+            assert len(set(zip(fine.tolist(), coarse.tolist()))) == int(fine.max()) + 1, (m, n)
+    # an empty class, asked for once the table is filled, relates every word
+    for m, n in ((0, 2), (2, 0), (1, -1)):
+        assert not table.partition_equiv(m, n).any(), (m, n)
 
 
 @pytest.mark.parametrize("alpha,m,n,words", [((), 1, 1, ["", "a"]), (("a",), 1, 2, []),
@@ -406,8 +424,7 @@ def test_partitions_of_degenerate_tables(alpha, m, n, words):
     table = RankerTable(alpha, m, n, words)
     for mm in range(1, m + 1):
         for nn in range(1, n + 1):
-            for kind in _PARTITIONS:
-                assert len(getattr(table, kind)(mm, nn)) == len(words)
+            assert len(table.partition_equiv(mm, nn)) == len(words)
             expect = (_per_word_equiv_labels(table, mm, nn) if alpha and words
                       else np.zeros(len(words), dtype=np.int32))
             assert np.array_equal(table.partition_equiv(mm, nn), expect), (mm, nn)
@@ -740,60 +757,16 @@ def test_partitions_in_any_order_match_a_completed_table(table_ab6):
     for base in _lazy_table_cases(table_ab6):
         done, lazy = _fresh(base), _fresh(base)
         assert done.values.shape[0] == len(done.rankers) and done.filled_depth == done.max_depth
-        order = [(kind, m, n) for kind in ("partition_equiv", "partition_right", "partition_left")
-                 for m in range(1, base.max_blocks + 1) for n in range(1, base.max_depth + 1)]
-        expect = {(kind, m, n): getattr(done, kind)(m, n) for kind, m, n in order}
+        order = [(m, n) for m in range(1, base.max_blocks + 1) for n in range(1, base.max_depth + 1)]
+        expect = {(m, n): done.partition_equiv(m, n) for m, n in order}
         rng.shuffle(order)
         deepest = 0
         assert lazy.filled_depth == 0
-        for kind, m, n in order:
-            assert np.array_equal(getattr(lazy, kind)(m, n), expect[kind, m, n]), (kind, m, n)
+        for m, n in order:
+            assert np.array_equal(lazy.partition_equiv(m, n), expect[m, n]), (m, n)
             deepest = max(deepest, n)
             assert lazy.filled_depth == deepest
         assert np.array_equal(lazy.values, done.values)
-        assert np.array_equal(lazy.condensed, done.condensed)
-
-
-def _scalar_condensed(table):
-    return np.array([[is_condensed(r, w) for w in table.words] for r in table.rankers], dtype=bool)
-
-
-def test_condensedness_read_after_the_positions_matches_a_completed_table(table_ab6):
-    # positions and condensedness are separate on-demand products: an
-    # equivalence partition fills positions only, and condensedness read
-    # afterwards, one depth at a time, is what a completed table holds
-    for base in _lazy_table_cases(table_ab6):
-        done, lazy = _fresh(base), _fresh(base)
-        expect = done.condensed
-        assert np.array_equal(expect, _scalar_condensed(done))
-        lazy.partition_equiv(1, base.max_depth)
-        assert lazy.filled_depth == base.max_depth and lazy._condensed_blocks == []
-        m = base.max_blocks
-        for n in range(1, base.max_depth + 1):
-            for kind in ("partition_right", "partition_left"):
-                assert np.array_equal(getattr(lazy, kind)(m, n), getattr(done, kind)(m, n)), (kind, n)
-            assert len(lazy._condensed_blocks) == n
-            lo, hi = lazy._ends[n - 1], lazy._ends[n]
-            assert np.array_equal(lazy._condensed_blocks[-1], expect[lo:hi]), n
-        assert np.array_equal(lazy.condensed, expect)
-
-
-@settings(max_examples=60)
-@given(_shuffled_word_lists(), st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
-def test_condensedness_first_read_on_a_restricted_table(case, depth, condensed, rng):
-    # the full table is filled to depth in positions and to at most that in
-    # condensedness before it is restricted
-    alpha, words = case
-    full = RankerTable(alpha, 3, 4, words)
-    full._fill(depth)
-    full._fill_condensed(min(depth, condensed))
-    keep = np.flatnonzero([rng.random() < 0.4 for _ in words])
-    sub = full.restricted(keep)
-    assert len(sub._condensed_blocks) == min(depth, condensed) and sub.filled_depth == depth
-    got = sub.condensed
-    assert np.array_equal(got, _scalar_condensed(sub))
-    assert np.array_equal(got, _fresh(full).condensed[:, keep])
-    assert full.filled_depth == depth and len(full._condensed_blocks) == min(depth, condensed)
 
 
 def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
@@ -813,8 +786,6 @@ def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
     assert calls[0][2] == len(table.words) == 2047
     assert calls[3][2] <= 0.1 * len(table.words)
     assert table.filled_depth <= max(n for t, n, _ in calls if t is table)
-    # the search reads positions only: no table builds a condensed block
-    assert all(t._condensed_blocks == [] for t, _, _ in calls)
 
 
 def test_least_oracle_n_encodes_its_words_once(monkeypatch):
@@ -875,12 +846,6 @@ def test_occurrence_tables_match_scalar_next_and_prev(case, depth, rng):
                 assert np.array_equal(got, np.reshape(expect, (-1, top + 1))), (a, scalar)
 
 
-@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 53])
-def test_pack_rows_matches_packbits(rows):
-    bits = np.random.default_rng(rows).random((rows, 37)) < 0.5
-    assert np.array_equal(_pack_rows(bits), np.packbits(bits, axis=0))
-
-
 @settings(max_examples=200)
 @given(st.lists(st.integers(0, 6), max_size=80),
        st.sampled_from(["drawn", "one class", "singletons"]), st.randoms(use_true_random=False))
@@ -908,20 +873,18 @@ def test_construction_fills_no_row(monkeypatch):
 
 
 def test_concurrent_partitions_fill_each_depth_once(table_ab6):
-    # positions and condensedness are filled under one lock, in either order
-    requests = [(kind, m, n) for kind in ("partition_equiv", "partition_right")
-                for m in range(1, 4) for n in range(1, 4)] * 2
+    # the depths of positions are filled under one lock, in any order
+    requests = [(m, n) for m in range(1, 4) for n in range(1, 4)] * 2
     random.Random(8).shuffle(requests)
-    expect = {r: getattr(table_ab6, r[0])(*r[1:]) for r in requests}
+    expect = {r: table_ab6.partition_equiv(*r) for r in requests}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
             lazy = _fresh(table_ab6)
             with ThreadPoolExecutor(max_workers=6) as pool:
-                got = list(pool.map(lambda r: getattr(lazy, r[0])(*r[1:]), requests, timeout=60))
+                got = list(pool.map(lambda r: lazy.partition_equiv(*r), requests, timeout=60))
             assert np.array_equal(lazy.values, table_ab6.values)
-            assert np.array_equal(lazy.condensed, table_ab6.condensed)
             for r, labels in zip(requests, got):
                 assert np.array_equal(labels, expect[r]), r
     finally:
