@@ -17,10 +17,12 @@ for regex in ["(a|b)*a(a|b)*", "a(a|b)*", "(a|b)(a|b)(a|b)"]:
     level = fo2_level(monoid)
     m = level.m
     print(f"{regex}: monoid size {monoid.size}, depth {level}")
+    least, counterexample = least_oracle_n(monoid, m, 6, 6)
     table = RankerTable(("a", "b"), m, 6, 6)  # all words up to length 6
-    least, counterexample = least_oracle_n(monoid, m, 6, 6, table=table)
     for n in range(1, (least or 6) + 1):
-        classes = int(table.partition_equiv(m, n).max()) + 1
+        # per word, the first word of its class: one word per class is its own
+        first = table.partition_equiv(m, n)
+        classes = sum(i == f for i, f in enumerate(first.tolist()))
         verdict = "refines the morphism" if n == least else "some class mixes images"
         print(f"    n={n}: {classes:4d} classes, {verdict}")
     if least is None:

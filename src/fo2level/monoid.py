@@ -122,23 +122,15 @@ def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
     return np.unique(labels, return_index=True)[1].take(labels)
 
 
-def _labels_of_firsts(rep: np.ndarray) -> np.ndarray:
-    """Labels numbered by first appearance, from each row's first equal row:
-    the rows that are their own first take 0, 1, ... in order."""
-    first = np.flatnonzero(rep == np.arange(len(rep)))
-    labels = np.empty(len(rep), dtype=np.int32)
-    labels[first] = np.arange(len(first), dtype=np.int32)
-    return labels.take(rep)
-
-
 def _fold_labels(rows: np.ndarray) -> np.ndarray:
     """First-seen labels of the rows of a 2-D array, through a dict keyed by
     the row bytes.
 
-    The same labels as ``_labels_of_firsts(_first_equal_rows(rows))``, but
-    faster on few wide C-contiguous rows (19 x 11 int64 rows: about 9
-    against 44 us; 1 771 x 778: 6.6 against 18 ms, one core of a 2-core
-    x86 host); many narrow rows hash faster (2 036 x 17: 0.39 against 0.18 ms).
+    The classes of ``_first_equal_rows(rows)``, numbered in the order of
+    their first rows, but faster on few wide C-contiguous rows (19 x 11
+    int64 rows: about 9 against 44 us; 1 771 x 778: 6.6 against 18 ms, one
+    core of a 2-core x86 host); many narrow rows hash faster (2 036 x 17:
+    0.39 against 0.18 ms).
     """
     rows = np.ascontiguousarray(rows)
     width = rows.shape[1] * rows.itemsize

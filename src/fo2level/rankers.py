@@ -16,7 +16,8 @@ interval-chain recurrence for one ranker and word.
 ``RankerTable`` vectorizes evaluation of a whole ranker class over a fixed
 word list and partitions the words by ranker equivalence at (m, n): the
 same rankers of depth <= n and <= m blocks are defined on both words, and
-four families of ranker pairs induce identical order types on both.  The
+four families of ranker pairs induce identical order types on both.  A
+partition gives each word the first word of its class.  The
 morphism-refinement oracle ``least_oracle_n`` is built on these
 partitions.  Signature computation per word is independent; everything
 here is pure.
@@ -25,12 +26,11 @@ here is pure.
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _check_fits, _first_equal_rows, _labels_of_firsts
+from .monoid import FiniteMonoid, _check_fits, _first_equal_rows
 
 X = "X"
 Y = "Y"
@@ -268,8 +268,8 @@ def _word_table_bytes(k: int, count: int, letters: int, maxlen: int) -> int:
     letters) holds besides its ranker rows, counted before any word exists.
 
     An upper bound, the same for every table: the words as strings (str
-    objects, list and index entries, which a table over all words builds
-    only when ``words`` is read), the UTF-32 buffer and letter indices
+    objects, list and index entries, which a table over all words never
+    builds), the UTF-32 buffer and letter indices
     ``_letter_codes`` encodes a list through, and, per cell of the
     (maxlen + 2) x words grid, the letter matrix (one byte a cell, counted
     as four), the 2k occurrence tables (counted at two bytes a position)
@@ -280,38 +280,20 @@ def _word_table_bytes(k: int, count: int, letters: int, maxlen: int) -> int:
     return 200 * count + 9 * letters + (12 + 4 * k) * count * (maxlen + 2)
 
 
-class _Words(Sequence):
+class _Words:
     """A table's words: the letter matrix, the word lengths, the letter
-    names and the words' columns in the matrix.  As a sequence of strings
-    its length is known at once and the strings are decoded all together,
-    once, on the first read; ``word(i)`` decodes one alone."""
+    names and the words' columns in the matrix; ``word(i)`` decodes one."""
 
     def __init__(self, letters: np.ndarray, lens: np.ndarray, names: tuple, cols=None):
         self.letters, self.lens, self.names = letters, lens, names
         self.cols = np.arange(len(lens)) if cols is None else cols
-        self._list, self._lock = None, threading.Lock()
 
     def word(self, i) -> str:
         col = self.cols[i]
         return "".join(map(self.names.__getitem__, self.letters[:self.lens[col], col].tolist()))
 
-    def _decoded(self) -> list[str]:
-        with self._lock:
-            if self._list is None:
-                self._list = [self.word(i) for i in range(len(self.cols))]
-        return self._list
-
     def __len__(self):
         return len(self.cols)
-
-    def __getitem__(self, i):
-        return self._decoded()[i]
-
-    def __iter__(self):
-        return iter(self._decoded())
-
-    def __eq__(self, other):
-        return self._decoded() == other
 
 
 class RankerTable:
@@ -333,20 +315,19 @@ class RankerTable:
     list of distinct words, or an int max_len for all words over the
     one-character letters up to that length in ``all_words`` order; either
     way the table holds them as one letter matrix, position-major
-    (positions x words), and decodes strings only when they are read
-    (``_Words``).  The next/previous-occurrence tables are laid out the
+    (positions x words), and decodes a word only when it is asked for
+    (``_Words.word``).  The next/previous-occurrence tables are laid out the
     same way, (max length + 2) x words per instruction, and filled by
     running minima and maxima along the position axis, in one byte a
     position for words of up to 254 letters, else two.  The word rows,
     the positions, are filled on demand one depth at a time and kept as
     one block per depth (``filled_depth`` says how deep), each depth one
     gather from the positions of the depth before.  A partition at depth
-    n fills and reads only depths <= n; reading ``values`` fills every
-    depth.
+    n fills and reads only depths <= n.
 
     The equivalence partition uses exact signatures, the compressed ranks of
-    the distinct ranker value rows (``partition_equiv``): two words get the
-    same label precisely when the direct definition relates them.
+    the distinct ranker value rows (``partition_equiv``): two words share a
+    first class word precisely when the direct definition relates them.
     """
 
     def __init__(self, alphabet, max_blocks: int, max_depth: int, words):
@@ -429,7 +410,6 @@ class RankerTable:
         self._value_blocks: list[np.ndarray] = []
         self.filled_depth = 0
         self._fill_lock = threading.Lock()
-        self._partitions: dict[tuple[int, int], np.ndarray] = {}
         self._firsts: dict[tuple[int, int], np.ndarray] = {}  # per word, its class's first word
 
     def _fill(self, n: int) -> int:
@@ -475,9 +455,10 @@ class RankerTable:
         word-column index, and slices the word axis of the blocks filled so
         far (and of depth 1's positions until they are filled), so its
         deeper depths fill only the kept words; it builds no string.  Every
-        partition compares the words two at a time, so each partition of
-        the restricted table is this one's restricted to keep, up to the
-        numbering of the labels.
+        partition compares the words two at a time, so each class of the
+        restricted table is a class of this one's restricted to keep, and
+        each kept word's first class word is the first kept word of its
+        class here.
         """
         with self._fill_lock:
             sub = object.__new__(RankerTable)
@@ -488,7 +469,7 @@ class RankerTable:
         w = self.words
         sub.words = _Words(w.letters, w.lens, w.names, w.cols[keep])
         sub._fill_lock = threading.Lock()
-        sub._partitions, sub._firsts = {}, {}
+        sub._firsts = {}
         return sub
 
     @property
@@ -505,16 +486,6 @@ class RankerTable:
             self._rankers = [Ranker(s) for s in out]
         return self._rankers
 
-    @property
-    def values(self) -> np.ndarray:
-        """Position of each ranker (row) on each word (column), 0 where it is
-        undefined; reading it fills every depth."""
-        self._fill(self.max_depth)
-        out = np.empty((self._ends[-1], len(self.words)), dtype=np.int16)
-        for block, lo, hi in zip(self._value_blocks, self._ends, self._ends[1:]):
-            out[lo:hi] = block
-        return out
-
     def _nonempty_class(self, m: int, n: int) -> bool:
         """Whether the class at (m, n) has rankers; ValueError past the table's bounds."""
         if m < 1 or n < 1:
@@ -523,9 +494,9 @@ class RankerTable:
             raise ValueError("requested class exceeds the table bounds")
         return True
 
-    def partition_equiv(self, m: int, n: int, *, firsts: bool = False) -> np.ndarray:
-        """Label words by their ranker-equivalence signature at (m, n), or
-        with firsts give each word the first word of its class instead.
+    def partition_equiv(self, m: int, n: int) -> np.ndarray:
+        """Per word, the index of the first word of its ranker-equivalence
+        class at (m, n), from the words' signatures.
 
         Rankers with equal value rows are merged into P profiles.  The
         comparison families put in force the profile pairs of two blocks:
@@ -559,9 +530,7 @@ class RankerTable:
         into the profiles x words keys, checked against the memory available
         first.  The keys are grouped by one 32-bit hash per word, a weighted
         sum down its column (``_first_equal_rows``), which gives each word
-        the first word of its class.  With firsts those are returned, as
-        ``least_oracle_n`` reads them; otherwise the labels, numbered by
-        first appearance in the word list, are made from them once and kept.
+        the first word of its class; they are kept per (m, n).
         """
         key = (m, n)
         if key not in self._firsts:
@@ -585,11 +554,7 @@ class RankerTable:
             profiles = np.frombuffer(b"".join(rows), dtype=self._position_type).reshape(len(rows), W)
             keys = self._equiv_keys(profiles, codes) if any(c & 10 for c in codes) else profiles != 0
             self._firsts.setdefault(key, _first_equal_rows(keys.T))
-        if firsts:
-            return self._firsts[key]
-        if key not in self._partitions:
-            self._partitions.setdefault(key, _labels_of_firsts(self._firsts[key]))
-        return self._partitions[key]
+        return self._firsts[key]
 
     def _equiv_keys(self, profiles: np.ndarray, codes: list[int]) -> np.ndarray:
         """Each word's compressed ranks in the profiles, ordered by role code,
@@ -644,19 +609,17 @@ class RankerTable:
 # Morphism refinement oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int,
-                  table: RankerTable | None) -> RankerTable:
-    """The given table, or a ``RankerTable`` over all words up to max_len
-    over the generator names, which must be single letters.  The table's
-    constructor makes the word, ranker and memory checks before it builds
-    any word; a given table is read as it is, whatever max_len."""
+def _oracle_table(monoid: FiniteMonoid, m: int, n: int, max_len: int) -> RankerTable:
+    """A ``RankerTable`` over all words up to max_len over the generator
+    names, which must be single letters.  The table's constructor makes the
+    word, ranker and memory checks before it builds any word."""
     if monoid.gens is None:
         raise ValueError("oracle needs a monoid with a generator map")
     alphabet = tuple(monoid.gens)
     for a in alphabet:
         if len(a) != 1:
             raise ValueError(f"oracle needs one-letter generator names, not {a!r}")
-    return RankerTable(alphabet, m, n, max_len) if table is None else table
+    return RankerTable(alphabet, m, n, max_len)
 
 
 def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
@@ -666,15 +629,10 @@ def _word_images(monoid: FiniteMonoid, table: RankerTable) -> np.ndarray:
     indices' generators (the identity for the padding), at image * letters
     + letter index, taking the letter matrix in slices of about 2**16
     cells.  The table's entries are kept multiplied by the letter count,
-    so a take gives the next position's base index at once.  The first
-    word with a letter the monoid lacks raises ``eval_word``'s error."""
+    so a take gives the next position's base index at once.  Every letter
+    of the table is a generator of the monoid."""
     words = table.words
-    gen = np.array([monoid.gens.get(a, -1) for a in words.names] + [monoid.identity], dtype=np.intp)
-    lacks = gen < 0
-    if lacks.any():
-        hit = lacks.take(words.letters.take(words.cols, axis=1)).any(axis=0)
-        if hit.any():
-            monoid.eval_word(words.word(int(np.argmax(hit))))  # raises
+    gen = np.array([monoid.gens[a] for a in words.names] + [monoid.identity], dtype=np.intp)
     flat = monoid.table.take(gen, axis=1).astype(np.intp).reshape(-1)  # x * each letter's generator
     flat *= len(gen)
     images = np.full(len(words), monoid.identity * len(gen), dtype=np.intp)
@@ -696,8 +654,7 @@ def _mixed_words(rep: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mixed[rep])
 
 
-def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
-                   table: RankerTable | None = None
+def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int
                    ) -> tuple[int | None, tuple[str, str] | None]:
     """Smallest n <= max_n at which ranker equivalence at (m, n) refines
     the word morphism on the words up to max_len (None when no n does), and
@@ -716,14 +673,14 @@ def least_oracle_n(monoid: FiniteMonoid, m: int, max_n: int, max_len: int,
     tests' ``oracle_equiv_refines_morphism``) tried at n = 1, 2, ...,
     while the deeper depths fill and partition only the kept words.  The
     violations and the kept words are read off the first word of each
-    word's class, which ``partition_equiv`` gives with firsts, so no depth
-    numbers the classes.  The given table is read (and filled) at n = 1 only.
+    word's class, which ``partition_equiv`` gives, so no depth numbers the
+    classes.
     """
-    table = _oracle_table(monoid, m, max_n, max_len, table)
+    table = _oracle_table(monoid, m, max_n, max_len)
     images = _word_images(monoid, table)
     words = pair = None  # the counterexample's indices among the words of the last n tried
     for n in range(1, max_n + 1):
-        rep = table.partition_equiv(m, n, firsts=True)
+        rep = table.partition_equiv(m, n)
         bad = images != images.take(rep)
         if not bad.any():
             return n, None

@@ -3,11 +3,12 @@ paper's proof rests on, checked on all words up to a length.
 
 None of these is called by the package; the acceptance suite and the
 corpus tests run them.  The equivalence suites read the package's
-``RankerTable.partition_equiv``, which the oracle also uses.  The one-sided
-suites read ``OneSided``, which labels words by the right and left
-relations straight from the definition (``rel_right``, ``rel_left`` in
-``reference.py``), through the scalar ``is_condensed``.  Each suite returns
-a ``CheckResult``.
+``RankerTable.partition_equiv``, which the oracle also uses: two words are
+related when they share a first class word.  The one-sided suites read
+``OneSided``, which labels words by the right and left relations straight
+from the definition (``rel_right``, ``rel_left`` in ``reference.py``),
+through the scalar ``is_condensed``.  Each suite returns a
+``CheckResult``.
 """
 
 import random
@@ -16,7 +17,7 @@ import numpy as np
 
 from fo2level.corpus import CheckResult
 from fo2level.rankers import X, Y, RankerTable, is_condensed
-from reference import reference_rankers
+from reference import reference_rankers, table_words
 
 _MAX_MN = 3  # the block and depth bounds of the suites
 
@@ -88,7 +89,7 @@ def _word_table(alphabet, max_len: int, max_m: int, table: RankerTable | None):
     alphabet = tuple(alphabet)
     if table is None:
         table = RankerTable(alphabet, max_m, _MAX_MN, max_len)
-    words = list(table.words)
+    words = table_words(table)
     views = [(view, {w: k for k, w in enumerate(view)}) for view in (words, [w[::-1] for w in words])]
     return alphabet, table, views
 
@@ -125,7 +126,8 @@ def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, include_suffix_cl
     right side's clause code on the mirror images, with R and L swapped.
     """
     alphabet, table, views = _word_table(alphabet, max_len, _MAX_MN, table)
-    relations = OneSided(table.alphabet, table.words)
+    listed = views[0][0]
+    relations = OneSided(table.alphabet, listed)
     checked = 0
     name = "factor-compat" + ("-with-suffix-clause" if include_suffix_clause else "")
     for m in range(2, _MAX_MN + 1):
@@ -135,7 +137,7 @@ def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, include_suffix_cl
                       relations.left(m - 1, n - 1)),
                      (_FACTOR_CLAUSES[1], *views[1], relations.left(m, n - 1),
                       relations.right(m - 1, n - 1)))
-            for i, j, related in _related_pairs(table.words, R, L):
+            for i, j, related in _related_pairs(listed, R, L):
                 for a in alphabet:
                     for (clauses, words, index, near, far), rel in zip(sides, related):
                         x, y = words[i], words[j]
@@ -154,8 +156,8 @@ def check_factor_compat(alphabet=("a", "b"), max_len: int = 6, include_suffix_cl
                             elif include_suffix_clause and not _agree(far, index, gx[1], gy[1]):
                                 failed = clauses[2]
                         if failed:
-                            return CheckResult(name, False, checked, f"{failed} {table.words[i]!r} "
-                                               f"{table.words[j]!r} a={a!r} (m={m},n={n})")
+                            return CheckResult(name, False, checked, f"{failed} {listed[i]!r} "
+                                               f"{listed[j]!r} a={a!r} (m={m},n={n})")
     return CheckResult(name, True, checked, f"words up to {max_len}, m,n <= {_MAX_MN},{_MAX_MN}")
 
 
@@ -165,12 +167,13 @@ def check_equiv_factor(alphabet=("a", "b"), max_len: int = 6,
     gives prefixes at (m-1, n-1) and suffixes at (m, n-1); mirrored for
     last-a factors, which is the first-a clause on the mirror images."""
     alphabet, table, views = _word_table(alphabet, max_len, _MAX_MN, table)
+    listed = views[0][0]
     checked = 0
     for m in range(2, _MAX_MN + 1):
         for n in range(2, _MAX_MN + 1):
             Edown = table.partition_equiv(m - 1, n - 1)
             Esame = table.partition_equiv(m, n - 1)
-            for i, j, _ in _related_pairs(table.words, table.partition_equiv(m, n)):
+            for i, j, _ in _related_pairs(listed, table.partition_equiv(m, n)):
                 for a in alphabet:
                     for clause, (words, index) in zip(("first-a", "last-a"), views):
                         x, y = words[i], words[j]
@@ -180,7 +183,7 @@ def check_equiv_factor(alphabet=("a", "b"), max_len: int = 6,
                         fx, fy = left_factorization(x, a), left_factorization(y, a)
                         if not (_agree(Edown, index, fx[0], fy[0]) and _agree(Esame, index, fx[1], fy[1])):
                             return CheckResult("equiv-factor-compat", False, checked,
-                                               f"{clause} {table.words[i]!r} {table.words[j]!r} "
+                                               f"{clause} {listed[i]!r} {listed[j]!r} "
                                                f"a={a!r} (m={m},n={n})")
     return CheckResult("equiv-factor-compat", True, checked,
                        f"words up to {max_len}, m,n <= {_MAX_MN},{_MAX_MN}")
@@ -223,7 +226,7 @@ def check_relation_congruence(alphabet=("a", "b"), max_len: int = 6, samples: in
     stay related under prepending and appending a letter."""
     # extensions lengthen words by one, so a built table covers max_len + 1
     alphabet, table, [(words, wi), _] = _word_table(alphabet, max_len + 1, _MAX_MN, table)
-    relations = OneSided(table.alphabet, table.words)
+    relations = OneSided(table.alphabet, words)
     short = [w for w in words if len(w) <= max_len]
     rng = random.Random(seed)
     checked = 0
@@ -246,16 +249,16 @@ def check_relation_congruence(alphabet=("a", "b"), max_len: int = 6, samples: in
 def check_subword_direction(alphabet=("a", "b"), max_len: int = 5,
                             table: RankerTable | None = None) -> CheckResult:
     """One-block equivalence at depth n forces equal subword sets up to n."""
-    _, table, _ = _word_table(alphabet, max_len, 1, table)
+    _, table, [(words, _), _] = _word_table(alphabet, max_len, 1, table)
     checked = 0
     for n in range(1, _MAX_MN + 1):
         E = table.partition_equiv(1, n)
-        subs = [subwords_upto(w, n) for w in table.words]
-        for i in range(len(table.words)):
-            for j in range(i + 1, len(table.words)):
+        subs = [subwords_upto(w, n) for w in words]
+        for i in range(len(words)):
+            for j in range(i + 1, len(words)):
                 if E[i] == E[j]:
                     checked += 1
                     if subs[i] != subs[j]:
                         return CheckResult("subword-direction", False, checked,
-                                           f"{table.words[i]!r} {table.words[j]!r} n={n}")
+                                           f"{words[i]!r} {words[j]!r} n={n}")
     return CheckResult("subword-direction", True, checked, f"words up to {max_len}, n <= {_MAX_MN}")

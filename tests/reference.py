@@ -18,8 +18,12 @@ The word-level lemma suites, which read some of them, are in ``lemmas.py``.
   mirror image.  ``lemmas.OneSided`` labels words by these relations.
 * ``equiv_wi(u, v, m, n)``: the same rankers of depth <= n and <= m blocks
   are defined on both, and four families of ranker pairs induce identical
-  order types on both words.  ``RankerTable.partition_equiv`` labels words
-  by it.
+  order types on both words.  ``RankerTable.partition_equiv`` gives each
+  word the first word of its class under it.
+* ``labels(table, m, n)``: those classes numbered by first appearance
+  (``labels_of_firsts``); ``positions(table)``: every ranker's position on
+  every word, 0 where undefined, as one rankers x words array;
+  ``table_words(table)``: the table's words as a list of strings.
 * ``r_factorize`` and ``l_factorize``: a word split along the strict drops
   of its prefixes' R-classes (suffixes' L-classes).
 * ``regex_matches``: regex matching by symbolic derivatives, independent
@@ -33,10 +37,10 @@ The word-level lemma suites, which read some of them, are in ``lemmas.py``.
   value tuple to the next depth; ``identities._phi_search`` carries only
   the failing ones.
 * ``oracle_equiv_refines_morphism``: the refinement oracle at one n, on
-  the full table; ``least_oracle_n`` gives the answers of trying it at
-  n = 1, 2, ... while it restricts the table to the words still in doubt.
-  ``check_oracle_bounds``: a corpus check that every monoid at Level(m)
-  passes ``least_oracle_n`` at some n <= max_n.
+  the full table or one it is given; ``least_oracle_n`` gives the answers
+  of trying it at n = 1, 2, ... while it restricts the table to the words
+  still in doubt.  ``check_oracle_bounds``: a corpus check that every
+  monoid at Level(m) passes ``least_oracle_n`` at some n <= max_n.
 * ``first_class_words`` and ``mixed_class_words``: the sorting forms of
   the oracle's refinement bookkeeping (``np.unique`` and ``np.isin``).
 * ``refines``: whether one congruence's classes lie inside another's,
@@ -436,17 +440,18 @@ def oracle_equiv_refines_morphism(monoid: FiniteMonoid, m: int, n: int, max_len:
                                   table: RankerTable | None = None) -> OracleOutcome:
     """Check that ranker equivalence at (m, n) refines the word morphism.
 
-    Enumerates all words up to max_len over the generator alphabet,
-    partitions them by ranker-equivalence signature, and verifies the
-    morphism image is constant on every class.  The first violating pair
-    (in word enumeration order) is returned as a counterexample.
+    Enumerates all words up to max_len over the generator alphabet (or
+    reads the given table, whatever max_len), partitions them by
+    ranker-equivalence signature, and verifies the morphism image is
+    constant on every class.  The first violating pair (in word list
+    order) is returned as a counterexample.
     """
-    table = _oracle_table(monoid, m, n, max_len, table)
-    labels = table.partition_equiv(m, n)
+    if table is None:
+        table = _oracle_table(monoid, m, n, max_len)
+    rep = table.partition_equiv(m, n)
     images = _word_images(monoid, table)
-    rep = first_class_words(labels)
     bad = images != images[rep]
-    classes = int(labels.max(initial=-1)) + 1
+    classes = int(np.count_nonzero(rep == np.arange(len(rep))))
     if bad.any():
         j = int(np.argmax(bad))
         return OracleOutcome(False, (table.words.word(rep[j]), table.words.word(j)), classes)
@@ -457,16 +462,11 @@ def check_oracle_bounds(entries, max_n: int = 8, max_len: int = 6) -> CheckResul
     """Every corpus monoid at Level(m) admits n <= max_n with the
     equivalence-refines-morphism oracle passing on words up to max_len."""
     checked = 0
-    tables: dict[tuple, RankerTable] = {}
     for e in entries:
         if not e.level.is_level:
             continue
         m = e.level.m
-        alpha = tuple(e.monoid.gens)
-        key = (alpha, m)
-        if key not in tables:
-            tables[key] = RankerTable(alpha, m, max_n, max_len)
-        n, counterexample = least_oracle_n(e.monoid, m, max_n, max_len, table=tables[key])
+        n, counterexample = least_oracle_n(e.monoid, m, max_n, max_len)
         checked += 1
         if n is None:
             return CheckResult("equivalence-oracle-bound", False, checked,
@@ -474,6 +474,35 @@ def check_oracle_bounds(entries, max_n: int = 8, max_len: int = 6) -> CheckResul
                                f"counterexample {counterexample}")
     return CheckResult("equivalence-oracle-bound", True, checked,
                        f"n <= {max_n}, words up to {max_len}")
+
+
+def labels_of_firsts(rep: np.ndarray) -> np.ndarray:
+    """Labels numbered by first appearance, from each row's first equal row:
+    the rows that are their own first take 0, 1, ... in order."""
+    first = np.flatnonzero(rep == np.arange(len(rep)))
+    out = np.empty(len(rep), dtype=np.int32)
+    out[first] = np.arange(len(first), dtype=np.int32)
+    return out.take(rep)
+
+
+def labels(table: RankerTable, m: int, n: int) -> np.ndarray:
+    """The table's equivalence classes at (m, n), numbered by first appearance."""
+    return labels_of_firsts(table.partition_equiv(m, n))
+
+
+def positions(table: RankerTable) -> np.ndarray:
+    """Position of each ranker (row) on each word (column), 0 where it is
+    undefined; fills every depth of the table."""
+    table._fill(table.max_depth)
+    out = np.empty((table._ends[-1], len(table.words)), dtype=np.int16)
+    for block, lo, hi in zip(table._value_blocks, table._ends, table._ends[1:]):
+        out[lo:hi] = block
+    return out
+
+
+def table_words(table: RankerTable) -> list[str]:
+    """The table's words, decoded one by one."""
+    return [table.words.word(i) for i in range(len(table.words))]
 
 
 def first_class_words(labels: np.ndarray) -> np.ndarray:

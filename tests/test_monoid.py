@@ -15,7 +15,7 @@ from fo2level.monoid import (FiniteMonoid, MonoidFormatError,
                              MonoidTooLargeError, parse_monoid_file,
                              reverse_monoid, transition_monoid)
 from fo2level.varieties import quotient_chain
-from reference import omega_power
+from reference import labels_of_firsts, omega_power
 
 
 def monoid_of(text: str) -> FiniteMonoid:
@@ -643,7 +643,7 @@ def test_folded_labels_match_one_sort_of_the_whole_rows():
             for dt in (np.int32, np.uint8, np.int16):
                 rows = rng.integers(0, distinct, size=(count, width)).astype(dt)
                 got = monoid_module._fold_labels(rows)
-                hashed = monoid_module._labels_of_firsts(monoid_module._first_equal_rows(rows))
+                hashed = labels_of_firsts(monoid_module._first_equal_rows(rows))
                 assert got.dtype == np.int32 and np.array_equal(got, hashed), (count, width, distinct, dt)
 
 
@@ -657,5 +657,5 @@ def test_hashed_labels_fall_back_to_the_dict_on_a_collision(monkeypatch):
             rows = rng.integers(0, distinct, size=(count, width)).astype(np.int16)
             first: dict = {}
             want = [first.setdefault(row.tobytes(), len(first)) for row in rows]
-            got = monoid_module._labels_of_firsts(monoid_module._first_equal_rows(rows))
+            got = labels_of_firsts(monoid_module._first_equal_rows(rows))
             assert got.dtype == np.int32 and got.tolist() == want, (count, width, distinct)

@@ -22,9 +22,9 @@ from fo2level.rankers import (X, Y, Ranker, RankerBudgetError, RankerSyntaxError
                               least_oracle_n, next_pos, parse_ranker,
                               prev_pos)
 from lemmas import OneSided, subwords_upto
-from reference import (equiv_wi, first_class_words, is_condensed_no_overrun, l_factorize,
-                       mixed_class_words, oracle_equiv_refines_morphism, r_factorize,
-                       reference_rankers, rel_left, rel_right)
+from reference import (equiv_wi, first_class_words, is_condensed_no_overrun, l_factorize, labels,
+                       mixed_class_words, oracle_equiv_refines_morphism, positions, r_factorize,
+                       reference_rankers, rel_left, rel_right, table_words)
 
 XYBXC = parse_ranker("Xa Yb Xc")
 
@@ -216,11 +216,12 @@ def _shuffled_with_foreign_letter():
 
 def test_table_matches_scalar(table_ab6):
     for table in (table_ab6, _shuffled_with_foreign_letter()):
-        assert "" in table.words
+        words, values = table_words(table), positions(table)
+        assert "" in words
         for i, r in enumerate(table.rankers):
-            for j, w in enumerate(table.words):
+            for j, w in enumerate(words):
                 pos = eval_ranker(r, w)
-                assert int(table.values[i, j]) == (pos if pos is not None else 0), (r, w)
+                assert int(values[i, j]) == (pos if pos is not None else 0), (r, w)
 
 
 def test_partitions_match_scalar_definitions():
@@ -247,6 +248,21 @@ def test_one_sided_labels_match_the_definitions():
                     v = words[j]
                     assert (R[i] == R[j]) == rel_right(u, v, m, n, ("a", "b")), (u, v, m, n)
                     assert (L[i] == L[j]) == rel_left(u, v, m, n, ("a", "b")), (u, v, m, n)
+    # the second class of rankers (Y-starting at (m-1, n-1) on the right,
+    # X-starting on the left) first separates words at (3, 3) on length 6:
+    # the pairs the first class alone leaves together, checked one by one
+    words = all_words(("a", "b"), 6)
+    relations = OneSided(("a", "b"), words)
+    for first, got, relation in ((X, relations.right(3, 3), rel_right), (Y, relations.left(3, 3), rel_left)):
+        rankers = reference_rankers(("a", "b"), 3, 3, first)
+        keys = [tuple(is_condensed(r, w) for r in rankers) for w in words]
+        pairs = [(i, j) for i in range(len(words)) for j in range(i + 1, len(words)) if keys[i] == keys[j]]
+        split = 0
+        for i, j in pairs:
+            related = relation(words[i], words[j], 3, 3, ("a", "b"))
+            assert (got[i] == got[j]) == related, (words[i], words[j], first)
+            split += not related
+        assert (len(pairs), split) == (74, 4), first
 
 
 def test_subwords():
@@ -315,7 +331,7 @@ def _per_word_equiv_labels(table, m, n):
     """One key per word: definedness bytes plus the P x P sign matrix, with
     sentinel 2 where no comparison is in force."""
     sub = np.nonzero(_class_mask(table, None, m, n))[0]
-    profiles, inv = np.unique(table.values[sub], axis=0, return_inverse=True)
+    profiles, inv = np.unique(positions(table)[sub], axis=0, return_inverse=True)
     inv = inv.ravel()
     P = profiles.shape[0]
 
@@ -351,8 +367,7 @@ def test_partitions_match_per_word_signatures(table_ab6):
     for table in (table_ab6, *_equiv_tables()):
         for m in range(1, table.max_blocks + 1):
             for n in range(1, table.max_depth + 1):
-                assert np.array_equal(table.partition_equiv(m, n),
-                                      _per_word_equiv_labels(table, m, n)), (m, n)
+                assert np.array_equal(labels(table, m, n), _per_word_equiv_labels(table, m, n)), (m, n)
 
 
 @st.composite
@@ -380,25 +395,38 @@ def test_equiv_partitions_match_per_word_signatures_on_random_lists(case):
     table = RankerTable(alpha, 3, 4, words)
     for m in range(1, 4):
         for n in range(1, 5):
-            assert np.array_equal(table.partition_equiv(m, n),
+            assert np.array_equal(labels(table, m, n),
                                   _per_word_equiv_labels(table, m, n)), (alpha, words, m, n)
+
+
+def _assert_first_words(rep):
+    """rep gives each word the first word of its class: the first words
+    are their own, and every other word points back at one."""
+    index = np.arange(len(rep))
+    assert np.array_equal(rep.take(rep), rep) and (rep <= index).all()
+    assert np.array_equal(np.flatnonzero(rep == index), np.unique(rep, return_index=True)[1])
 
 
 @settings(max_examples=60)
 @given(_shuffled_word_lists(), st.integers(0, 4), st.randoms(use_true_random=False))
 def test_restricted_tables_partition_like_the_full_table(case, depth, rng):
+    # each word's first class word, the form the search's bookkeeping and
+    # the restriction rely on, on the full table and on the restricted one,
+    # whose classes are the full table's restricted to the kept words
     alpha, words = case
     full = RankerTable(alpha, 3, 4, words)
     full._fill(depth)
     keep = np.flatnonzero([rng.random() < 0.4 for _ in words])
     sub = full.restricted(keep)
-    assert sub.words == [words[i] for i in keep] and sub.filled_depth == depth
+    assert table_words(sub) == [words[i] for i in keep] and sub.filled_depth == depth
     got = {(m, n): sub.partition_equiv(m, n) for m in range(1, 4) for n in range(1, 5)}
     assert full.filled_depth == depth  # filling the restricted table leaves this one alone
-    assert np.array_equal(sub.values, full.values[:, keep])
-    for (m, n), labels in got.items():
-        expect = _first_seen(full.partition_equiv(m, n)[keep].tolist())
-        assert np.array_equal(labels, expect), (m, n, depth)
+    assert np.array_equal(positions(sub), positions(full)[:, keep])
+    for (m, n), rep in got.items():
+        whole = full.partition_equiv(m, n)
+        _assert_first_words(whole)
+        _assert_first_words(rep)
+        assert np.array_equal(rep, first_class_words(_first_seen(whole[keep].tolist()))), (m, n, depth)
 
 
 @settings(max_examples=60)
@@ -408,7 +436,7 @@ def test_deeper_partitions_refine_shallower_ones(case):
     table = RankerTable(alpha, 3, 4, words)
     for m in range(1, 4):
         for n in range(1, 4):
-            coarse, fine = table.partition_equiv(m, n), table.partition_equiv(m, n + 1)
+            coarse, fine = labels(table, m, n), labels(table, m, n + 1)
             # each class at n + 1 lies in one class at n
             assert len(set(zip(fine.tolist(), coarse.tolist()))) == int(fine.max()) + 1, (m, n)
     # an empty class, asked for once the table is filled, relates every word
@@ -427,7 +455,7 @@ def test_partitions_of_degenerate_tables(alpha, m, n, words):
             assert len(table.partition_equiv(mm, nn)) == len(words)
             expect = (_per_word_equiv_labels(table, mm, nn) if alpha and words
                       else np.zeros(len(words), dtype=np.int32))
-            assert np.array_equal(table.partition_equiv(mm, nn), expect), (mm, nn)
+            assert np.array_equal(labels(table, mm, nn), expect), (mm, nn)
 
 
 def test_equiv_partitions_on_words_longer_than_255_letters():
@@ -438,14 +466,15 @@ def test_equiv_partitions_on_words_longer_than_255_letters():
     table = RankerTable(("a", "b"), 2, 3, words + ["b" * 280 + "a", "ab" * 140])
     for m in range(1, 3):
         for n in range(1, 4):
-            assert np.array_equal(table.partition_equiv(m, n),
-                                  _per_word_equiv_labels(table, m, n)), (m, n)
-    # and the search's classes on them: one fails at every n, one holds
-    for text in ("(aa|b)*", "(a|b)*b"):
+            assert np.array_equal(labels(table, m, n), _per_word_equiv_labels(table, m, n)), (m, n)
+    # and the search's classes on the unary words up to 300 letters: one
+    # fails at every n, one holds
+    unary = RankerTable(("a",), 2, 3, 300)
+    for text, holds in (("(aa)*", False), ("aaa*", True)):
         mono = monoid_of(text)
         for m in range(1, 3):
-            assert least_oracle_n(mono, m, 3, 0, table=_fresh(table)) == \
-                _per_n_search(mono, m, 3, 0, _fresh(table)), (text, m)
+            got = least_oracle_n(mono, m, 3, 300)
+            assert got == _per_n_search(mono, m, 3, 300, unary) and (got[0] is not None) == holds, (text, m)
 
 
 def test_equiv_partitions_survive_hash_collisions(monkeypatch):
@@ -456,13 +485,11 @@ def test_equiv_partitions_survive_hash_collisions(monkeypatch):
     table = RankerTable(("a", "b"), 2, 3, all_words(("a", "b"), 5))
     for m in range(1, 3):
         for n in range(1, 4):
-            assert np.array_equal(table.partition_equiv(m, n),
-                                  _per_word_equiv_labels(table, m, n)), (m, n)
+            assert np.array_equal(labels(table, m, n), _per_word_equiv_labels(table, m, n)), (m, n)
     for text in ("(ab)*", "(a|b)*abb(a|b)*", "(aa|b)*"):  # the last fails at every n
         mono = monoid_of(text)
         for m in range(1, 3):
-            assert least_oracle_n(mono, m, 3, 5, table=_fresh(table)) == \
-                _per_n_search(mono, m, 3, 5, _fresh(table)), (text, m)
+            assert least_oracle_n(mono, m, 3, 5) == _per_n_search(mono, m, 3, 5, _fresh(table)), (text, m)
 
 
 def test_equiv_partition_memory_is_linear_in_profiles():
@@ -504,7 +531,7 @@ def test_oracles_match_per_word_loop(regex, m, ns):
     failures = 0
     first_pass = None
     for n in ns:
-        old_e = _per_word_oracle(mono, table.partition_equiv(m, n), table.words)
+        old_e = _per_word_oracle(mono, labels(table, m, n), table_words(table))
         assert _triple(oracle_equiv_refines_morphism(mono, m, n, 7)) == old_e
         assert _triple(oracle_equiv_refines_morphism(mono, m, n, 7, table=table)) == old_e
         failures += not old_e[0]
@@ -514,10 +541,10 @@ def test_oracles_match_per_word_loop(regex, m, ns):
     # ns runs 1, 2, ..., so the search finds the first passing n, or no n
     # and the counterexample at the last one
     expect = (first_pass, None) if first_pass else (None, old_e[1])
-    assert least_oracle_n(mono, m, max(ns), 7, table=_fresh(table)) == expect
+    assert least_oracle_n(mono, m, max(ns), 7) == expect
 
 
-def _per_n_search(monoid, m, max_n, max_len, table):
+def _per_n_search(monoid, m, max_n, max_len, table=None):
     """least_oracle_n as the plain loop over n of the fixed-n oracle."""
     for n in range(1, max_n + 1):
         outcome = oracle_equiv_refines_morphism(monoid, m, n, max_len, table=table)
@@ -527,60 +554,32 @@ def _per_n_search(monoid, m, max_n, max_len, table):
 
 
 @settings(max_examples=60)
-@given(_shuffled_word_lists(), st.integers(1, 3), st.randoms(use_true_random=False))
-def test_least_oracle_n_matches_the_per_n_loop_on_random_lists(case, m, rng):
-    # the monoid reads every letter of the words, the foreign d included,
-    # while the rankers see only the table's alphabet
-    alpha, words = case
-    letters = tuple(sorted(set("".join(words)) | set(alpha)))
-    mono = transition_monoid(minimize(random_dfa(rng, 4, letters)))
-    max_len = max(map(len, words))
-    table = RankerTable(alpha, m, 4, words)
-    got = least_oracle_n(mono, m, 4, max_len, table=table)
-    assert got == _per_n_search(mono, m, 4, max_len, table)
-    # once more on the table the loop filled to every depth
-    assert least_oracle_n(mono, m, 4, max_len, table=table) == got
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_least_oracle_n_matches_the_per_n_loop_on_random_monoids(k, m, shorter, rng):
+    # random monoids over 1-3 letters, on all words up to a length near the
+    # largest the per-n loop checks quickly
+    alpha = tuple("abc"[:k])
+    max_len = (10, 6, 4)[k - 1] - shorter
+    mono = transition_monoid(minimize(random_dfa(rng, 4, alpha)))
+    assert tuple(mono.gens) == alpha
+    table = RankerTable(alpha, m, 4, max_len)
+    assert least_oracle_n(mono, m, 4, max_len) == _per_n_search(mono, m, 4, max_len, table)
 
 
 def test_least_oracle_n_matches_the_per_n_loop_on_distinct_monoids(distinct_monoids):
-    # one table per alphabet and m, shared by every monoid as in
-    # check_oracle_bounds, so later searches start on a filled table
+    # the per-n loop reads one table per alphabet and m, shared by every monoid
     tables = {}
     answers = []
     for mono in distinct_monoids[::2]:
         alpha = tuple(mono.gens)
         for m in (1, 2):
             max_len = 8 if len(alpha) == 2 else 5
-            table = tables.setdefault((alpha, m), RankerTable(alpha, m, 4, all_words(alpha, max_len)))
-            got = least_oracle_n(mono, m, 4, max_len, table=table)
+            table = tables.setdefault((alpha, m), RankerTable(alpha, m, 4, max_len))
+            got = least_oracle_n(mono, m, 4, max_len)
             assert got == _per_n_search(mono, m, 4, max_len, table), (mono.size, alpha, m)
-            assert least_oracle_n(mono, m, 4, max_len) == got
             answers.append(got[0])
     # both the passing path and the one where no n works are taken
     assert answers.count(None) >= 20 and len(answers) - answers.count(None) >= 20
-
-
-def test_the_search_builds_no_labels(monkeypatch):
-    # the search reads each word's first class word, never the labels;
-    # partition_equiv called directly still numbers them by first appearance
-    from test_cli import ORACLE_FAILING, ORACLE_GOLDEN
-
-    def refuse(_rep):
-        raise AssertionError("labels built inside the search")
-
-    monkeypatch.setattr(fo2level.rankers, "_labels_of_firsts", refuse)
-    for regex, m, max_len, _size in ORACLE_GOLDEN:
-        assert least_oracle_n(monoid_of(regex), m, 6, max_len) == (4, None), regex
-    for regex, _size, pair, _swapped in ORACLE_FAILING:
-        n, (u, v) = least_oracle_n(monoid_of(regex), 2, 3, 10)
-        assert n is None and f"{u!r} vs {v!r}" == pair, regex
-    monkeypatch.undo()
-    table = RankerTable(("a", "b"), 2, 3, all_words(("a", "b"), 5))
-    for m in range(1, 3):
-        for n in range(1, 4):
-            labels = table.partition_equiv(m, n)
-            assert np.array_equal(labels, _per_word_equiv_labels(table, m, n)), (m, n)
-            assert np.array_equal(labels, _first_seen(labels.tolist())), (m, n)
 
 
 _TINY_BASE = RankerTable(("a", "b"), 2, 4, all_words(("a", "b"), 6))
@@ -588,11 +587,14 @@ _TINY_BASE = RankerTable(("a", "b"), 2, 4, all_words(("a", "b"), 6))
 
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, len(_TINY_BASE.words) - 1), max_size=40, unique=True),
-       st.integers(1, 2), st.integers(1, 4), st.booleans(), st.randoms(use_true_random=False))
-def test_tiny_restricted_tables_partition_and_search_like_the_references(keep, m, n, collide, rng):
-    # 0-40 words restricted from a table of all words up to length 6, at the
-    # real hash base and at 0, where every key hashes alike and the grouping
-    # falls back to the dict of the keys
+       st.integers(1, 2), st.integers(1, 4), st.integers(0, 3), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_tiny_restricted_tables_partition_and_search_like_the_references(keep, m, n, max_len,
+                                                                         collide, rng):
+    # 0-40 words restricted from a table of all words up to length 6, and a
+    # search over the 1-15 words up to length 3, at the real hash base and
+    # at 0, where every key hashes alike and the grouping falls back to the
+    # dict of the keys
     keep = np.array(sorted(keep), dtype=np.intp)
     mono = transition_monoid(minimize(random_dfa(rng, 4, ("a", "b"))))
     base = fo2level.monoid._HASH_BASE
@@ -600,18 +602,10 @@ def test_tiny_restricted_tables_partition_and_search_like_the_references(keep, m
         if collide:
             fo2level.monoid._HASH_BASE = np.uint64(0)
         table = _fresh(_TINY_BASE).restricted(keep)
-        assert np.array_equal(table.partition_equiv(m, n), _per_word_equiv_labels(table, m, n))
-        assert least_oracle_n(mono, m, n, 6, table=_fresh(_TINY_BASE).restricted(keep)) == \
-            _per_n_search(mono, m, n, 6, table)
+        assert np.array_equal(labels(table, m, n), _per_word_equiv_labels(table, m, n))
+        assert least_oracle_n(mono, m, n, max_len) == _per_n_search(mono, m, n, max_len)
     finally:
         fo2level.monoid._HASH_BASE = base
-
-
-def test_oracle_images_refuse_unknown_letters():
-    # c is outside the monoid's generators, as eval_word reports
-    table = _shuffled_with_foreign_letter()
-    with pytest.raises(ValueError, match="unknown letter 'c'"):
-        oracle_equiv_refines_morphism(monoid_of("(ab)*"), 1, 1, 4, table=table)
 
 
 @settings(max_examples=80)
@@ -627,16 +621,16 @@ def test_word_matrices_decode_and_map_like_the_word_strings(k, max_len, rng):
     assert direct.words.names == encoded.words.names == alpha
     assert np.array_equal(direct.words.letters, encoded.words.letters)
     assert np.array_equal(direct.words.lens, encoded.words.lens)
-    assert [direct.words.word(i) for i in range(len(words))] == words == direct.words
+    assert table_words(direct) == words
     with pytest.raises(ValueError, match="one character per letter"):
         RankerTable(alpha + ("de",), 1, 1, max_len)
     keep = np.flatnonzero([rng.random() < 0.4 for _ in words])
     sub = direct.restricted(keep)
-    assert sub.words == [words[i] for i in keep] == [sub.words.word(i) for i in range(len(keep))]
+    assert table_words(sub) == [words[i] for i in keep]
     foreign = all_words(alpha + ("d",), min(max_len, 4))
     rng.shuffle(foreign)
     shuffled = RankerTable(alpha, 1, 1, foreign)
-    assert shuffled.words == foreign and shuffled.words.names == alpha + (("d",) if max_len else ())
+    assert table_words(shuffled) == foreign and shuffled.words.names == alpha + (("d",) if max_len else ())
     built = transition_monoid(minimize(random_dfa(rng, 4, alpha + ("d",))))
     # relabelled so that the identity, which pads the words, is the last element
     perm = (np.arange(built.size) - 1) % built.size
@@ -645,17 +639,7 @@ def test_word_matrices_decode_and_map_like_the_word_strings(k, max_len, rng):
     mono = FiniteMonoid(relabelled, int(perm[built.identity]),
                         {a: int(perm[g]) for a, g in built.gens.items()})
     for table in (direct, sub, encoded, shuffled, shuffled.restricted(keep[keep < len(foreign)])):
-        assert _word_images(mono, table).tolist() == [mono.eval_word(w) for w in table.words]
-    # a passed-in table with a letter the monoid lacks: eval_word's error on
-    # the first word that holds one
-    lacking = transition_monoid(minimize(random_dfa(rng, 4, alpha)))
-    if "d" in shuffled.words.names:
-        with pytest.raises(ValueError) as expect:
-            [lacking.eval_word(w) for w in shuffled.words]
-        with pytest.raises(ValueError, match=f"^{expect.value}$"):
-            _word_images(lacking, shuffled)
-        with pytest.raises(ValueError, match=f"^{expect.value}$"):
-            oracle_equiv_refines_morphism(lacking, 1, 1, max_len, table=shuffled)
+        assert _word_images(mono, table).tolist() == [mono.eval_word(w) for w in table_words(table)]
 
 
 def test_oracle_budget_checked_before_enumerating(monkeypatch, capsys):
@@ -669,21 +653,6 @@ def test_oracle_budget_checked_before_enumerating(monkeypatch, capsys):
     mono = monoid_of("(a|b)*a")
     with pytest.raises(RankerBudgetError):
         oracle_equiv_refines_morphism(mono, 1, 1, 40)
-
-
-def test_a_passed_table_is_read_whatever_max_len(monkeypatch):
-    # max_len over the word budget enumerates nothing when a table is given
-    mono = monoid_of("(a|b)*abb(a|b)*")
-    table = RankerTable(tuple(mono.gens), 1, 3, 5)
-    expect = oracle_equiv_refines_morphism(mono, 1, 1, 5), least_oracle_n(mono, 1, 3, 5)
-    assert not expect[0].holds and expect[1] == (2, None)
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("words enumerated for a given table")
-
-    monkeypatch.setattr(fo2level.rankers, "_all_word_letters", refuse)
-    assert oracle_equiv_refines_morphism(mono, 1, 1, 40, table=table) == expect[0]
-    assert least_oracle_n(mono, 1, 3, 40, table=table) == expect[1]
 
 
 def test_oracle_word_tables_checked_before_enumerating(monkeypatch, capsys):
@@ -714,7 +683,7 @@ def test_table_budgets_are_checked_before_any_row(monkeypatch):
                 count = len(reference_rankers(alpha, m, n))
                 monkeypatch.setattr(fo2level.rankers, "MAX_RANKERS", count)
                 table = RankerTable(alpha, m, n, ["", "ab", "ca"])
-                assert len(table.rankers) == count == table.values.shape[0]
+                assert len(table.rankers) == count == positions(table).shape[0]
                 if count:
                     monkeypatch.setattr(fo2level.rankers, "MAX_RANKERS", count - 1)
                     with pytest.raises(RankerBudgetError):
@@ -743,7 +712,7 @@ def test_table_budgets_are_checked_before_any_row(monkeypatch):
 
 def _fresh(table):
     """An unfilled table over the same class and word list."""
-    return RankerTable(table.alphabet, table.max_blocks, table.max_depth, table.words)
+    return RankerTable(table.alphabet, table.max_blocks, table.max_depth, table_words(table))
 
 
 def _lazy_table_cases(table_ab6):
@@ -756,7 +725,7 @@ def test_partitions_in_any_order_match_a_completed_table(table_ab6):
     rng = random.Random(5)
     for base in _lazy_table_cases(table_ab6):
         done, lazy = _fresh(base), _fresh(base)
-        assert done.values.shape[0] == len(done.rankers) and done.filled_depth == done.max_depth
+        assert positions(done).shape[0] == len(done.rankers) and done.filled_depth == done.max_depth
         order = [(m, n) for m in range(1, base.max_blocks + 1) for n in range(1, base.max_depth + 1)]
         expect = {(m, n): done.partition_equiv(m, n) for m, n in order}
         rng.shuffle(order)
@@ -766,7 +735,7 @@ def test_partitions_in_any_order_match_a_completed_table(table_ab6):
             assert np.array_equal(lazy.partition_equiv(m, n), expect[m, n]), (m, n)
             deepest = max(deepest, n)
             assert lazy.filled_depth == deepest
-        assert np.array_equal(lazy.values, done.values)
+        assert np.array_equal(positions(lazy), positions(done))
 
 
 def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
@@ -775,14 +744,14 @@ def test_least_oracle_n_fills_only_the_depths_it_reads(monkeypatch):
     calls = []
     partition = RankerTable.partition_equiv
 
-    def counting(self, m, n, **kwargs):
+    def counting(self, m, n):
         calls.append((self, n, len(self.words)))
-        return partition(self, m, n, **kwargs)
+        return partition(self, m, n)
 
     monkeypatch.setattr(RankerTable, "partition_equiv", counting)
-    table = RankerTable(("a", "b"), 1, 6, all_words(("a", "b"), 10))
-    assert least_oracle_n(monoid_of("(ab)*"), 1, 6, 10, table=table) == (4, None)
+    assert least_oracle_n(monoid_of("(ab)*"), 1, 6, 10) == (4, None)
     assert [n for _, n, _ in calls] == [1, 2, 3, 4]
+    table = calls[0][0]
     assert calls[0][2] == len(table.words) == 2047
     assert calls[3][2] <= 0.1 * len(table.words)
     assert table.filled_depth <= max(n for t, n, _ in calls if t is table)
@@ -813,15 +782,10 @@ def test_least_oracle_n_encodes_its_words_once(monkeypatch):
     got = least_oracle_n(mono, 1, 6, 8)
     assert got == (3, None) and len(restricted) == 2
     assert all(sub.words.letters is parent.words.letters for parent, sub in restricted)
-    # a table passed in is read as it is
-    restricted.clear()
-    assert least_oracle_n(mono, 1, 6, 8, table=table) == got
-    assert restricted[0][0] is table
-    assert all(sub.words.letters is table.words.letters for _, sub in restricted)
     # a restricted table reads its words' images off the shared matrix
     sub = table.restricted(np.arange(0, len(words), 3))
     outcome = oracle_equiv_refines_morphism(mono, 1, 2, 8, table=sub)
-    assert _triple(outcome) == _per_word_oracle(mono, sub.partition_equiv(1, 2), sub.words)
+    assert _triple(outcome) == _per_word_oracle(mono, labels(sub, 1, 2), table_words(sub))
 
 
 @settings(max_examples=30)
@@ -841,7 +805,7 @@ def test_occurrence_tables_match_scalar_next_and_prev(case, depth, rng):
         for i, a in enumerate(alpha):
             for t, scalar in ((i, next_pos), (k + i, prev_pos)):
                 # position 0 reads 0 (undefined) once depth 1 is built
-                expect = [[0] + [scalar(w, a, x) or 0 for x in range(1, top + 1)] for w in tab.words]
+                expect = [[0] + [scalar(w, a, x) or 0 for x in range(1, top + 1)] for w in table_words(tab)]
                 got = tab._occ[t][:, tab.words.cols].T
                 assert np.array_equal(got, np.reshape(expect, (-1, top + 1))), (a, scalar)
 
@@ -884,26 +848,9 @@ def test_concurrent_partitions_fill_each_depth_once(table_ab6):
             lazy = _fresh(table_ab6)
             with ThreadPoolExecutor(max_workers=6) as pool:
                 got = list(pool.map(lambda r: lazy.partition_equiv(*r), requests, timeout=60))
-            assert np.array_equal(lazy.values, table_ab6.values)
+            assert np.array_equal(positions(lazy), positions(table_ab6))
             for r, labels in zip(requests, got):
                 assert np.array_equal(labels, expect[r]), r
-    finally:
-        sys.setswitchinterval(switch)
-
-
-def test_concurrent_reads_decode_the_words_once(table_ab6):
-    # every reader gets the one list the first read decoded, restricted
-    # tables included
-    keep = np.arange(0, len(table_ab6.words), 3)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            for words, expect in ((RankerTable(("a", "b"), 1, 1, 6).words, table_ab6.words),
-                                  (table_ab6.restricted(keep).words, [table_ab6.words[i] for i in keep])):
-                with ThreadPoolExecutor(max_workers=6) as pool:
-                    got = list(pool.map(lambda _: words._decoded(), range(12), timeout=60))
-                assert all(g is got[0] for g in got) and got[0] == expect
     finally:
         sys.setswitchinterval(switch)
 
