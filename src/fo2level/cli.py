@@ -11,17 +11,15 @@ import argparse
 import json
 import sys
 
-from .automata import (DfaFormatError, RegexSyntaxError, minimize,
-                       parse_dfa_file, parse_regex, regex_to_min_dfa)
+from .automata import minimize, parse_dfa_file, parse_regex, regex_to_min_dfa
 from .corpus import (check_action_agreement, check_alphabet_stability,
                      check_congruence_quotients, check_dual_route,
                      check_level_anchors, check_monotonicity, make_entries,
                      straubing_tally)
 from .identities import IdentityBudgetError, identities_level
-from .monoid import (FiniteMonoid, MonoidFormatError, MonoidTooLargeError,
-                     parse_monoid_file, transition_monoid)
-from .rankers import (RankerBudgetError, RankerSyntaxError, eval_ranker,
-                      is_condensed, least_oracle_n, parse_ranker)
+from .monoid import FiniteMonoid, MonoidTooLargeError, parse_monoid_file, transition_monoid
+from .rankers import (RankerBudgetError, eval_ranker, is_condensed, least_oracle_n,
+                      parse_ranker)
 from .varieties import (InternalInconsistencyError, LevelResult,
                         NotACongruenceError, fo2_level)
 
@@ -300,8 +298,7 @@ def main(argv=None) -> int:
     except (NotACongruenceError, InternalInconsistencyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
-    except (RegexSyntaxError, DfaFormatError, MonoidFormatError,
-            RankerSyntaxError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:     # every parse error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,12 +12,11 @@ omega powers, Green's classes, DA membership, triviality flags) is computed
 lazily and cached, and all operations are pure, so concurrent reads are
 safe.
 
-J-, R- and L-trivial monoids all lie in DA, so the triviality tests decide
-DA first and answer "no" outside it; inside DA they answer from the table
-alone, since every regular D-class of a DA monoid is a rectangular band
-(Tesson & Thérien, "Diamonds are forever: the variety DA", 2002).  DA
-membership, once decided, is passed on to the reverse monoid (and, by
-``varieties.quotient``, to quotients), since DA is closed under both.
+DA membership and R- and L-triviality are decided together, by one scan of
+E[x, y] = (xy)^omega in row slices that checks the three identities that
+define them (J-trivial is R- and L-trivial).  DA membership, once decided,
+is passed on to the reverse monoid (and, by ``varieties.quotient``, to
+quotients), since DA is closed under both.
 """
 
 from __future__ import annotations
@@ -46,12 +45,9 @@ class MonoidTooLargeError(ValueError):
     """Transition monoid exceeds the configured size cap."""
 
 
-# bytes of idempotent-pair rows taken per step by the triviality tests; each
-# step's gathers make a few temporaries of that size
-_SIG_BYTES = 1 << 20
-
 # Cells per slice of the transition monoid's row fill (its intp index, about
-# 8 MB) and of Light's associativity test.
+# 8 MB), of Light's associativity test, of the identities scan and of
+# ``varieties.quotient``'s congruence gate.
 _FILL_CELLS = 1 << 20
 
 # Entries per slice of a monoid file's table read: its int64 read (1 MB)
@@ -68,9 +64,9 @@ class GreensData:
 
     r_class, l_class and j_class label each element by its R-, L- and
     J-class; labels are numbered by smallest contained element.  The
-    decision routes never ask for them: inside DA the table answers, and
-    outside DA there is nothing to ask.  The ``greens`` command prints them,
-    and the corpus checks and tests use them as references.
+    decision routes never ask for them: the identities scan answers
+    triviality, and the congruences read the table.  The ``greens`` command
+    prints them, and the corpus checks and tests use them as references.
     """
 
     j_class: np.ndarray
@@ -213,6 +209,12 @@ def _generated(table: np.ndarray, identity: int, gens: list[int]) -> bool:
     return reached == n
 
 
+def _row_slices(n: int) -> Iterator[slice]:
+    """Consecutive row slices of an array of n columns, about _FILL_CELLS cells each."""
+    step = max(1, _FILL_CELLS // n)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _light_associative(table: np.ndarray, gens: Iterable[int]) -> bool:
     """Light's test: (x*a)*y == x*(a*y) for all x, y and each generator a.
 
@@ -223,13 +225,11 @@ def _light_associative(table: np.ndarray, gens: Iterable[int]) -> bool:
     x*(s*(t*y)) = x*((s*t)*y).  Cost O(|M|^2*|A|), taken in slices of rows
     x of about _FILL_CELLS cells, so each comparison stays in cache.
     """
-    n = table.shape[0]
     gens = list(gens)
-    step = max(1, _FILL_CELLS // n)
-    for lo in range(0, n, step):
-        rows = table[lo:lo + step]
+    for rows in _row_slices(len(table)):
+        block = table[rows]
         for a in gens:
-            if not np.array_equal(table.take(rows[:, a], axis=0), rows.take(table[a], axis=1)):
+            if not np.array_equal(table.take(block[:, a], axis=0), block.take(table[a], axis=1)):
                 return False
     return True
 
@@ -286,7 +286,7 @@ class FiniteMonoid:
         self._greens = None
         self._idempotents = None
         self._in_da = in_da
-        self._trivial: dict[str, bool] = {}
+        self._scan = None
         self._reverse = None
 
     # -- basic structure ---------------------------------------------------
@@ -368,14 +368,8 @@ class FiniteMonoid:
         element of x's J-class is the least L-class minimum over the R-class
         of x: two passes over the elements, no third graph.  Cost O(|M|*|A|)
         with a generator map, O(|M|^2) without (its successor lists checked
-        against the memory available before they are built), or none when
-        the reverse monoid has them: its right graph is this one's left
-        graph, so they are its classes, label for label, with R and L
-        swapped.
+        against the memory available before they are built).
         """
-        if self._greens is None and self._reverse is not None and self._reverse._greens is not None:
-            g = self._reverse._greens   # the opposite monoid's, with R and L swapped
-            self._greens = GreensData(g.j_class, g.l_class, g.r_class)
         if self._greens is None:
             T = self._table
             if self.gens is not None:
@@ -401,44 +395,46 @@ class FiniteMonoid:
 
     # -- variety predicates --------------------------------------------------
 
-    def _is_trivial(self, rel: str) -> bool:
-        """Whether every rel-class ("J", "R" or "L") is one element, computed
-        once: J-, R- and L-trivial monoids lie in DA, and inside DA no
-        idempotent of ``_band_slices`` pairs with another (the predicates
-        below give the proofs)."""
-        if rel not in self._trivial:
-            self._trivial[rel] = self.is_in_da() and all(
-                np.count_nonzero(hit) == len(hit) for _, hit in _band_slices(self, rel))
-        return self._trivial[rel]
+    def _identities(self) -> tuple[bool, bool, bool]:
+        """Whether the identities of DA, R and L hold, computed in one scan.
+
+        With E[x, y] = (xy)^w they are E x E = E, E x = E and y E = E (Pin,
+        "Varieties of Formal Languages", 1986; J-trivial is both).  y = 1
+        (or x = 1) in each gives x^(w+1) = x^w, so a monoid that is not
+        aperiodic is refused at once, and one whose DA membership is known
+        is not checked for it again.  E is read in row slices of about
+        _FILL_CELLS cells, up to the first slice outside DA, or, when DA is
+        known, until R and L have both failed.
+        """
+        if self._scan is None:
+            known = self._in_da
+            da = r = l = self.is_aperiodic() if known is None else known
+            T, ar = self._table, np.arange(self.size)
+            for rows in _row_slices(self.size) if da else ():
+                E = self.omega_table[T[rows]]
+                Ex = T[E, ar[rows, None]]
+                held = np.array_equal(Ex, E)    # then E x E = E E = E, as E is idempotent
+                r = r and held
+                l = l and np.array_equal(T[ar, E], E)
+                if known is None and not held and not np.array_equal(T[Ex, E], E):
+                    da = r = l = False
+                if not (da and (known is None or r or l)):
+                    break
+            self._in_da = da
+            self._scan = (da, r, l)
+        return self._scan
 
     def is_j_trivial(self) -> bool:
-        """Every J-class is a single element.
-
-        Exactly when the monoid lies in DA and no two distinct idempotents
-        have efe = e and fef = f.  Such a pair is J-equivalent in any monoid;
-        conversely, in DA the regular J-class of e is a rectangular band, so
-        f J e gives efe = e and fef = f.  An aperiodic monoid whose regular
-        J-classes are trivial satisfies x^w x = x^w, and (xy)^w = (yx)^w
-        because conjugate idempotents are J-equivalent: those are the
-        identities of J.  The pairs are tested in row slices of about
-        _SIG_BYTES, up to the first slice that holds one.
-        """
-        return self._is_trivial("J")
+        """Every J-class is a single element: R- and L-trivial, as J = R o L."""
+        return self.is_r_trivial() and self.is_l_trivial()
 
     def is_r_trivial(self) -> bool:
-        """Every R-class is a single element.
-
-        Exactly when the monoid lies in DA and no two distinct idempotents
-        have ef = f and fe = e, which is e R f.  The identity
-        (xy)^w x = (xy)^w of R then holds, as its sides are R-equivalent and
-        the right one idempotent.
-        """
-        return self._is_trivial("R")
+        """Every R-class is a single element: (xy)^w x = (xy)^w."""
+        return self._identities()[1]
 
     def is_l_trivial(self) -> bool:
-        """Every L-class is a single element; the mirror of ``is_r_trivial``
-        (ef = e and fe = f, which is e L f, and x (yx)^w = (yx)^w)."""
-        return self._is_trivial("L")
+        """Every L-class is a single element: y (xy)^w = (xy)^w."""
+        return self._identities()[2]
 
     def is_aperiodic(self) -> bool:
         """x * x^omega == x^omega for every x."""
@@ -447,22 +443,9 @@ class FiniteMonoid:
         return bool(np.array_equal(self._table[ar, om], om))
 
     def is_in_da(self) -> bool:
-        """(xy)^omega x (xy)^omega == (xy)^omega for all x, y; computed once,
-        or passed on at construction.
-
-        y = 1 gives x^(omega+1) = x^omega, so DA lies inside the aperiodic
-        monoids, and a monoid that is not aperiodic is refused without the
-        |M|^2 gathers.
-        """
-        if self._in_da is None and not self.is_aperiodic():
-            self._in_da = False
-        if self._in_da is None:
-            T = self._table
-            n = self.size
-            E = self.omega_table[T]                      # E[x, y] = (x*y)^omega
-            X = np.broadcast_to(np.arange(n)[:, None], (n, n))
-            self._in_da = bool(np.array_equal(T[T[E, X], E], E))
-        return self._in_da
+        """(xy)^w x (xy)^w = (xy)^w for all x, y; passed on at construction
+        or decided with R- and L-triviality (``_identities``)."""
+        return self._in_da if self._in_da is not None else self._identities()[0]
 
     # -- presentation --------------------------------------------------------
 
@@ -474,28 +457,6 @@ class FiniteMonoid:
 
     def __repr__(self):
         return f"FiniteMonoid(size={self.size})"
-
-
-def _band_slices(m: FiniteMonoid, rel: str):
-    """Yield (e, hit) per slice of about _SIG_BYTES of idempotent-pair rows:
-    e a column of idempotents, and hit[i, j] whether e[i] and the j-th
-    idempotent f are rel-equivalent ("J", "R" or "L"), read off the table.
-
-    e R f is ef = f and fe = e, and e L f is ef = e and fe = f, in any
-    monoid.  efe = e and fef = f make e J f in any monoid; in DA they are
-    all the J-equivalent pairs of idempotents.
-    """
-    T, idems = m.table, m.idempotent_array
-    step = max(1, _SIG_BYTES // (T.itemsize * len(idems)))
-    for lo in range(0, len(idems), step):
-        e = idems[lo:lo + step, None]
-        ef, fe = T[e, idems], T[idems, e]
-        if rel == "J":
-            yield e, (T[ef, e] == e) & (T[fe, idems] == idems)
-        elif rel == "R":
-            yield e, (ef == idems) & (fe == e)
-        else:
-            yield e, (ef == e) & (fe == idems)
 
 
 try:  # physical memory, read once: it does not change while the process runs
@@ -620,8 +581,7 @@ def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
     passed on: DA is closed under reversal.  Built once per monoid and kept,
     like its other derived structure, so callers that mirror a monoid again
     and again (a loop over words that reads its L-classes as the reverse's
-    R-classes, say) share one copy.  The two are each other's reverse and
-    share their Green's classes (see ``FiniteMonoid.greens``).
+    R-classes, say) share one copy.  The two are each other's reverse.
     """
     if m._reverse is None:
         m._reverse = FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False,

@@ -50,7 +50,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .monoid import FiniteMonoid, _fold_labels
+from .monoid import FiniteMonoid, _fold_labels, _row_slices
 
 
 class NotACongruenceError(ValueError):
@@ -120,8 +120,10 @@ def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
 
     The compatibility check is exhaustive: the class of u*v must agree with
     the class of rep(u)*rep(v) for every pair, which is equivalent to full
-    well-definedness.  Each class is represented by its least element.  A
-    quotient of a DA monoid lies in DA.
+    well-definedness.  It runs in row slices of about ``_FILL_CELLS`` cells,
+    in row-major order, so the first split pair is the one named.  Each
+    class is represented by its least element; the quotient's elements are
+    unnamed.  A quotient of a DA monoid lies in DA.
     """
     if c.monoid is not m:
         raise ValueError("congruence belongs to a different monoid")
@@ -129,21 +131,19 @@ def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
     reps = np.full(c.num_classes, m.size, dtype=np.int32)
     np.minimum.at(reps, cls, np.arange(m.size, dtype=np.int32))
     rep_of = reps[cls]
-    via_reps = cls[m.table[rep_of[:, None], rep_of]]
-    direct = cls[m.table]
-    if not np.array_equal(direct, via_reps):
-        u, v = map(int, np.argwhere(direct != via_reps)[0])
-        raise NotACongruenceError(
-            f"not a congruence: products of class-equal pairs split at ({u}, {v})")
+    for rows in _row_slices(m.size):
+        direct = cls[m.table[rows]]
+        via_reps = cls[m.table[rep_of[rows, None], rep_of]]
+        if not np.array_equal(direct, via_reps):
+            u, v = map(int, np.argwhere(direct != via_reps)[0])
+            raise NotACongruenceError("not a congruence: products of class-equal pairs split "
+                                      f"at ({u + rows.start}, {v})")
     new_table = cls[m.table[reps[:, None], reps]]
     gens = None
     if m.gens is not None:
         gens = {a: int(cls[x]) for a, x in m.gens.items()}
-    words = None
-    if m.words is not None:
-        words = [m.words[r] for r in reps.tolist()]
-    return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, words=words,
-                        validate=False, in_da=m.is_in_da() or None)
+    return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, validate=False,
+                        in_da=m.is_in_da() or None)
 
 
 def quotient_chain(m: FiniteMonoid, side: str) -> Iterator[FiniteMonoid]:

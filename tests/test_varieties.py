@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import (cyclic_two, dfas, direct_product, left_zero, level_three, 
 from fo2level import cli, varieties
 from fo2level import monoid as monoid_module
 from fo2level.automata import minimize, parse_regex, regex_to_min_dfa
-from fo2level.identities import identities_level
+from fo2level.identities import da_identity, identities_level, satisfies_identity
 from fo2level.monoid import (FiniteMonoid, MonoidTooLargeError, reverse_monoid,
                              transition_monoid)
 from fo2level.rankers import RankerTable
@@ -57,7 +58,7 @@ def test_sim_li_coarser_than_one_sided(da_corpus):
         assert refines(sim_d(e.monoid), li)
 
 
-# -- the DA path: rectangular-band tests against the J-class ones --------------
+# -- the identities scan and the congruences against Green's classes ----------
 
 def fresh(m, in_da=None):
     """The same table with no cached structure, DA membership given or unknown."""
@@ -127,24 +128,56 @@ def test_da_path_memory_is_bounded():
     assert peak < 16 * 2**20, peak
 
 
-def test_j_triviality_fold_stops_at_first_pair(monkeypatch):
-    # one idempotent row per slice: the first slice (the identity) has no
-    # pair, the second (an element of the band) has one, and no third is read
-    m = rectangular_band_with_identity(4)
-    assert m.is_in_da()
-    slices = []
-    band_slices = monoid_module._band_slices
+def test_identities_scan_in_small_slices(monkeypatch, distinct_monoids, da_chain_members):
+    # each monoid read one row per slice, or a few rows: the flags still
+    # match Green's classes and DA still matches satisfies_identity, with DA
+    # unknown (in and outside DA, aperiodic or not) or passed on
+    seen = Counter()
+    outside = [monoid_of(r) for r in ("(ab)*", "(a|b)*aa(a|b)*")]   # aperiodic, not in DA
+    outside += [direct_product(o, q) for o in outside for q in da_chain_members[:20]]
+    cases = [(m, None) for m in distinct_monoids + outside]
+    cases += [(q, True) for q in da_chain_members]
+    for cells in (1, 50):
+        monkeypatch.setattr(monoid_module, "_FILL_CELLS", cells)
+        for m, known in cases:
+            for mono in (m, reverse_monoid(m)):
+                f = fresh(mono, in_da=known)
+                assert (f.is_in_da(), *trivialities(f)) == (
+                    satisfies_identity(mono, *da_identity()).holds, *greens_flags(mono))
+                seen[known, f.is_aperiodic(), f.is_in_da()] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 40, seen  # counts each monoid 4 times
 
-    def counted(*args):
-        for block in band_slices(*args):
-            slices.append(block)
-            yield block
 
-    monkeypatch.setattr(monoid_module, "_SIG_BYTES", m.table.itemsize * len(m.idempotent_array))
-    monkeypatch.setattr(monoid_module, "_band_slices", counted)
-    assert not m.is_j_trivial()
-    assert len(slices) == 2
-    assert not fresh(m, in_da=True).is_j_trivial() and len(slices) == 4
+def test_identities_scan_stops(monkeypatch):
+    # one row per slice: with DA unknown the scan stops at the first row
+    # outside DA, and reads every row of a DA monoid; with DA known it stops
+    # once R and L have both failed; outside the aperiodic monoids, or with
+    # DA known to fail, it reads none
+    read = []
+    row_slices = monoid_module._row_slices
+
+    def counted(n):
+        for rows in row_slices(n):
+            read.append(rows.start)
+            yield rows
+
+    monkeypatch.setattr(monoid_module, "_FILL_CELLS", 1)
+    monkeypatch.setattr(monoid_module, "_row_slices", counted)
+    ab = monoid_of("(ab)*")
+    assert ab.eval_word("a") == 1      # (ab)^w a (ab)^w = abaab = 0 != ab: row 1 fails
+    band = rectangular_band_with_identity(4)
+    for m, known, rows, flags in [
+            (ab, None, 2, (False, False, False)),
+            (band, None, band.size, (True, False, False)),
+            (band, True, 2, (True, False, False)),
+            (left_zero(), True, 3, (True, True, False)),
+            (two_element_zero(), None, 2, (True, True, True)),
+            (cyclic_two(), None, 0, (False, False, False)),
+            (band, False, 0, (False, False, False))]:
+        read.clear()
+        m = fresh(m, in_da=known)
+        assert (m.is_in_da(), m.is_r_trivial(), m.is_l_trivial()) == flags
+        assert read == list(range(rows)), (m, known)
 
 
 def identity_congruence(m):
@@ -174,6 +207,35 @@ def test_quotient_rejects_non_congruence():
     bad = Congruence(m, labels.astype(np.int32), int(labels.max()) + 1)
     with pytest.raises(NotACongruenceError):
         quotient(m, bad)
+
+
+def test_congruence_gate_names_the_first_split_pair_in_any_slices(monkeypatch, distinct_monoids):
+    # random merges of two elements: the gate in slices of one row and in
+    # one slice agree with the whole-table comparison, on congruences and
+    # on non-congruences, and name its first split pair in row-major order
+    rng = np.random.default_rng(11)
+    outcomes = Counter()
+    for m in (m for m in distinct_monoids if 3 <= m.size <= 80):
+        u, v = rng.choice(m.size, size=2, replace=False)
+        labels = np.unique(np.where(np.arange(m.size) == u, v, np.arange(m.size)),
+                           return_inverse=True)[1].astype(np.int32)
+        c = Congruence(m, labels, int(labels.max()) + 1)
+        rep_of = np.unique(labels, return_index=True)[1].astype(np.int32)[labels]
+        split = np.argwhere(labels[m.table] != labels[m.table[rep_of[:, None], rep_of]])
+        got = []
+        for cells in (1, 1 << 20):
+            monkeypatch.setattr(monoid_module, "_FILL_CELLS", cells)
+            try:
+                got.append(quotient(m, c).table)
+            except NotACongruenceError as exc:
+                got.append(str(exc))
+        if len(split):
+            want = f"not a congruence: products of class-equal pairs split at {tuple(split[0].tolist())}"
+            assert got == [want, want]
+        else:
+            assert np.array_equal(got[0], got[1])
+        outcomes[bool(len(split))] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_quotient_gens_and_words_remap():
