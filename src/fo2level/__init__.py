@@ -19,7 +19,7 @@ from .monoid import (
     transition_monoid, reverse_monoid, parse_monoid_file,
 )
 from .varieties import (
-    Congruence, LevelResult, NotACongruenceError, InternalInconsistencyError,
+    LevelResult, NotACongruenceError, InternalInconsistencyError,
     sim_k, sim_d, sim_li, quotient, quotient_chain,
     in_Rm, in_Lm, fo2_level, NOT_FO2,
 )

@@ -142,7 +142,7 @@ def check_action_agreement(entries) -> CheckResult:
     checked = 0
     for e in entries:
         n = e.monoid.size
-        sides = [(side, mono.table, mono.greens().r_class, sim_k(mono).class_of)
+        sides = [(side, mono.table, mono.greens().r_class, sim_k(mono))
                  for side, mono in (("right", e.monoid), ("left", reverse_monoid(e.monoid)))]
         for x in range(n):
             for y in range(n):

@@ -14,9 +14,8 @@ safe.
 
 DA membership and R- and L-triviality are decided together, by one scan of
 E[x, y] = (xy)^omega in row slices that checks the three identities that
-define them (J-trivial is R- and L-trivial).  DA membership, once decided,
-is passed on to the reverse monoid (and, by ``varieties.quotient``, to
-quotients), since DA is closed under both.
+define them (J-trivial is R- and L-trivial).  Every monoid decides them
+from its own table, the reverse and quotients included.
 """
 
 from __future__ import annotations
@@ -241,13 +240,10 @@ class FiniteMonoid:
     files) also checks the identity law, associativity (by Light's test when
     the generators reach every element) and that the generators generate;
     the package's own constructors pass validate=False, since their tables
-    hold all three by construction.  in_da is a known DA membership (None:
-    unknown), trusted like validate=False; the reverse and quotients of a
-    monoid pass on what is known of it.
+    hold all three by construction.
     """
 
-    def __init__(self, table, identity: int, gens=None, words=None, validate: bool = True,
-                 in_da: bool | None = None):
+    def __init__(self, table, identity: int, gens=None, words=None, validate: bool = True):
         try:
             table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
         except OverflowError:       # an entry outside int32 is outside the table too
@@ -282,12 +278,7 @@ class FiniteMonoid:
             # built monoids (validate=False) are generated by construction
             if validate and not generated:
                 raise MonoidFormatError("generators do not generate the monoid")
-        self._omega = None
-        self._greens = None
-        self._idempotents = None
-        self._in_da = in_da
-        self._scan = None
-        self._reverse = None
+        self._omega = self._greens = self._idempotents = self._scan = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -401,14 +392,11 @@ class FiniteMonoid:
         With E[x, y] = (xy)^w they are E x E = E, E x = E and y E = E (Pin,
         "Varieties of Formal Languages", 1986; J-trivial is both).  y = 1
         (or x = 1) in each gives x^(w+1) = x^w, so a monoid that is not
-        aperiodic is refused at once, and one whose DA membership is known
-        is not checked for it again.  E is read in row slices of about
-        _FILL_CELLS cells, up to the first slice outside DA, or, when DA is
-        known, until R and L have both failed.
+        aperiodic is refused at once.  E is read in row slices of about
+        _FILL_CELLS cells, up to the first slice outside DA.
         """
         if self._scan is None:
-            known = self._in_da
-            da = r = l = self.is_aperiodic() if known is None else known
+            da = r = l = self.is_aperiodic()
             T, ar = self._table, np.arange(self.size)
             for rows in _row_slices(self.size) if da else ():
                 E = self.omega_table[T[rows]]
@@ -416,11 +404,9 @@ class FiniteMonoid:
                 held = np.array_equal(Ex, E)    # then E x E = E E = E, as E is idempotent
                 r = r and held
                 l = l and np.array_equal(T[ar, E], E)
-                if known is None and not held and not np.array_equal(T[Ex, E], E):
+                if not (held or np.array_equal(T[Ex, E], E)):
                     da = r = l = False
-                if not (da and (known is None or r or l)):
                     break
-            self._in_da = da
             self._scan = (da, r, l)
         return self._scan
 
@@ -443,9 +429,9 @@ class FiniteMonoid:
         return bool(np.array_equal(self._table[ar, om], om))
 
     def is_in_da(self) -> bool:
-        """(xy)^w x (xy)^w = (xy)^w for all x, y; passed on at construction
-        or decided with R- and L-triviality (``_identities``)."""
-        return self._in_da if self._in_da is not None else self._identities()[0]
+        """(xy)^w x (xy)^w = (xy)^w for all x, y; decided with R- and
+        L-triviality (``_identities``)."""
+        return self._identities()[0]
 
     # -- presentation --------------------------------------------------------
 
@@ -577,17 +563,10 @@ def reverse_monoid(m: FiniteMonoid) -> FiniteMonoid:
     """The monoid with the opposite product (x *' y = y * x).
 
     Generator images are preserved; they now evaluate mirror words, so the
-    stored shortest-word names are dropped.  DA membership, where known, is
-    passed on: DA is closed under reversal.  Built once per monoid and kept,
-    like its other derived structure, so callers that mirror a monoid again
-    and again (a loop over words that reads its L-classes as the reverse's
-    R-classes, say) share one copy.  The two are each other's reverse.
+    stored shortest-word names are dropped.  Each call builds a fresh
+    monoid, which decides its own facts from its own table.
     """
-    if m._reverse is None:
-        m._reverse = FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False,
-                                  in_da=m._in_da)
-        m._reverse._reverse = m
-    return m._reverse
+    return FiniteMonoid(m.table.T.copy(), m.identity, gens=m.gens, validate=False)
 
 
 # A sign not followed by a digit: numpy reads "-" alone as 0 and "- 1" as

@@ -9,7 +9,9 @@ idempotents absorb them:
 * ``sim_li``: the two-sided version over J-equivalent idempotent pairs.
 
 Each labels u by its signature, the products eu (uf, eue) with -1 where one
-leaves the J-class of its idempotent, in O(|E|·|M|) with no n×n relation.
+leaves the J-class of its idempotent, in O(|E|·|M|) with no n×n relation,
+and returns the labels as a read-only array, one per element, with the
+classes numbered 0..k-1 by smallest contained element.
 
 They are defined on DA monoids only, and raise ``ValueError`` elsewhere:
 every R_m and L_m lies in DA, so ``quotient_chain`` yields a monoid outside
@@ -26,9 +28,6 @@ are forever: the variety DA", 2002):
   of the row of (e, e), so the |E| diagonal pairs give the same classes as
   all |E|^2: euf <=_J eu <=_J e, and if eu J e then eu lies in e's row of
   the rectangular band, so euf = ef; and eu J e exactly when eue J e.
-
-DA is closed under quotients and reversal, so ``quotient`` passes the fact
-on, and a chain decides it once, on its first member.
 
 Membership in R_m / L_m is decided by the Mal'cev recursion: R_1 = L_1 is
 the J-trivial monoids, R_{m+1} holds when the quotient by sim_k lies in L_m,
@@ -61,21 +60,7 @@ class InternalInconsistencyError(RuntimeError):
     """A theory-guaranteed invariant failed; indicates an implementation bug."""
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """A monoid congruence, stored as a class label per element.
-
-    Classes are numbered by smallest contained element, so labelings are
-    reproducible.  Compatibility with the product is verified by
-    ``quotient``, not at construction.
-    """
-
-    monoid: FiniteMonoid
-    class_of: np.ndarray
-    num_classes: int
-
-
-def _by_signature(m: FiniteMonoid, table: np.ndarray, products: np.ndarray) -> Congruence:
+def _by_signature(m: FiniteMonoid, table: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Classes of equal columns of products, one row per idempotent e.
 
     A product p stays in the J-class of its row's e exactly when
@@ -89,10 +74,10 @@ def _by_signature(m: FiniteMonoid, table: np.ndarray, products: np.ndarray) -> C
     e = m.idempotent_array[:, None]
     labels = _fold_labels(np.where(table[products, e] == e, products, -1).T)
     labels.setflags(write=False)
-    return Congruence(m, labels, int(labels.max()) + 1)
+    return labels
 
 
-def sim_k(m: FiniteMonoid) -> Congruence:
+def sim_k(m: FiniteMonoid) -> np.ndarray:
     """u ~ v iff for all idempotents e: eu, ev both strictly below e, or eu == ev.
 
     eu lies J-below e, so it is strictly below exactly when it leaves the
@@ -101,12 +86,12 @@ def sim_k(m: FiniteMonoid) -> Congruence:
     return _by_signature(m, m.table, m.table[m.idempotent_array])
 
 
-def sim_d(m: FiniteMonoid) -> Congruence:
+def sim_d(m: FiniteMonoid) -> np.ndarray:
     """u ~ v iff for all idempotents f: uf, vf both strictly below f, or uf == vf."""
     return _by_signature(m, m.table.T, m.table.T[m.idempotent_array])
 
 
-def sim_li(m: FiniteMonoid) -> Congruence:
+def sim_li(m: FiniteMonoid) -> np.ndarray:
     """Two-sided variant over J-equivalent idempotent pairs (e, f), read off
     the diagonal pairs (e, e): the signature of eue, |E| x |M| like
     ``sim_k`` (the module docstring proves the other pairs add nothing)."""
@@ -115,21 +100,26 @@ def sim_li(m: FiniteMonoid) -> Congruence:
     return _by_signature(m, T, T[T[idems], idems[:, None]])
 
 
-def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
-    """Monoid on the classes of c, after verifying c is a congruence.
+def quotient(m: FiniteMonoid, labels: np.ndarray) -> FiniteMonoid:
+    """Monoid on the classes of labels, after verifying they form a congruence.
 
-    The compatibility check is exhaustive: the class of u*v must agree with
+    The labels must be 1-D integers, one per element, numbering the classes
+    0..k-1 with every class used (``ValueError`` otherwise).  The
+    compatibility check is exhaustive: the class of u*v must agree with
     the class of rep(u)*rep(v) for every pair, which is equivalent to full
     well-definedness.  It runs in row slices of about ``_FILL_CELLS`` cells,
     in row-major order, so the first split pair is the one named.  Each
     class is represented by its least element; the quotient's elements are
-    unnamed.  A quotient of a DA monoid lies in DA.
+    unnamed.
     """
-    if c.monoid is not m:
-        raise ValueError("congruence belongs to a different monoid")
-    cls = c.class_of
-    reps = np.full(c.num_classes, m.size, dtype=np.int32)
-    np.minimum.at(reps, cls, np.arange(m.size, dtype=np.int32))
+    cls = np.asarray(labels)
+    if cls.shape != (m.size,) or cls.dtype.kind not in "iu":
+        raise ValueError(f"labels must be 1-D integers, one per element: got {cls.dtype} "
+                         f"of shape {cls.shape} for {m.size} elements")
+    used, reps = np.unique(cls, return_index=True)     # each class and its least element
+    if not np.array_equal(used, np.arange(len(used))):
+        raise ValueError("labels must number the classes 0..k-1 with every class used: got "
+                         f"{len(used)} distinct labels from {used[0]} to {used[-1]}")
     rep_of = reps[cls]
     for rows in _row_slices(m.size):
         direct = cls[m.table[rows]]
@@ -139,11 +129,8 @@ def quotient(m: FiniteMonoid, c: Congruence) -> FiniteMonoid:
             raise NotACongruenceError("not a congruence: products of class-equal pairs split "
                                       f"at ({u + rows.start}, {v})")
     new_table = cls[m.table[reps[:, None], reps]]
-    gens = None
-    if m.gens is not None:
-        gens = {a: int(cls[x]) for a, x in m.gens.items()}
-    return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, validate=False,
-                        in_da=m.is_in_da() or None)
+    gens = None if m.gens is None else {a: int(cls[x]) for a, x in m.gens.items()}
+    return FiniteMonoid(new_table, int(cls[m.identity]), gens=gens, validate=False)
 
 
 def quotient_chain(m: FiniteMonoid, side: str) -> Iterator[FiniteMonoid]:

@@ -74,8 +74,8 @@ def da_chain_members(distinct_monoids, da_corpus):
     ``da_corpus`` and their reverses; ``level_three()``, its reverse and its
     products with each of those; their products with ``two_element_zero()``
     and with each other (consecutive pairs), which add J-trivial monoids;
-    and rectangular bands with identity.  Each is known to lie in DA, by its
-    own check (the chains' first members) or passed on (the other members)."""
+    and rectangular bands with identity.  Each lies in DA, which each
+    decides from its own table."""
     l3 = level_three()
     bases = [m for m in distinct_monoids if m.is_in_da()] + [e.monoid for e in da_corpus]
     bases = _by_table(bases + [reverse_monoid(m) for m in bases])

@@ -25,7 +25,9 @@ The word-level lemma suites, which read some of them, are in ``lemmas.py``.
   every word, 0 where undefined, as one rankers x words array;
   ``table_words(table)``: the table's words as a list of strings.
 * ``r_factorize`` and ``l_factorize``: a word split along the strict drops
-  of its prefixes' R-classes (suffixes' L-classes).
+  of its prefixes' R-classes (suffixes' L-classes); ``l_factorize`` reads
+  the R-classes of the reverse monoid, built once per monoid
+  (``memo_reverse``).
 * ``regex_matches``: regex matching by symbolic derivatives, independent
   of the automaton pipeline.
 * ``reference_minimize``: DFA minimization in two walks, the reachable
@@ -44,7 +46,7 @@ The word-level lemma suites, which read some of them, are in ``lemmas.py``.
 * ``first_class_words`` and ``mixed_class_words``: the sorting forms of
   the oracle's refinement bookkeeping (``np.unique`` and ``np.isin``).
 * ``refines``: whether one congruence's classes lie inside another's,
-  element by element.
+  element by element, both given as label arrays.
 * ``reference_sim_k``, ``reference_sim_d`` and ``reference_sim_li``: the
   congruences as n x n relations over Green's J-classes, on any finite
   monoid, ~LI over every J-equivalent pair of idempotents;
@@ -54,6 +56,7 @@ The word-level lemma suites, which read some of them, are in ``lemmas.py``.
 """
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +69,7 @@ from fo2level.corpus import CheckResult
 from fo2level.monoid import FiniteMonoid, reverse_monoid
 from fo2level.rankers import (X, Y, Ranker, RankerTable, _oracle_table, _word_images,
                               eval_ranker, is_condensed, least_oracle_n, ranker_positions)
-from fo2level.varieties import Congruence, LevelResult, quotient
+from fo2level.varieties import LevelResult, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,19 @@ def r_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
     return segments, markers
 
 
+_REVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def memo_reverse(monoid: FiniteMonoid) -> FiniteMonoid:
+    """``reverse_monoid(monoid)``, built once per monoid and kept while the
+    monoid lives, so a loop over words that reads its L-classes as the
+    reverse's R-classes builds one copy."""
+    rev = _REVERSES.get(monoid)
+    if rev is None:
+        rev = _REVERSES[monoid] = reverse_monoid(monoid)
+    return rev
+
+
 def l_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
     """Right-to-left dual of ``r_factorize``, along strict drops in the L-order.
 
@@ -221,7 +237,7 @@ def l_factorize(monoid: FiniteMonoid, u: str) -> tuple[list[str], list[str]]:
     identity.  L-classes are the R-classes of the reverse monoid, so this
     is ``r_factorize`` there on the reversed word, read back in reverse.
     """
-    segments, markers = r_factorize(reverse_monoid(monoid), u[::-1])
+    segments, markers = r_factorize(memo_reverse(monoid), u[::-1])
     return [s[::-1] for s in reversed(segments)], markers[::-1]
 
 
@@ -519,13 +535,13 @@ def mixed_class_words(labels: np.ndarray, bad: np.ndarray) -> np.ndarray:
 # Congruences
 # ---------------------------------------------------------------------------
 
-def refines(fine: Congruence, coarse: Congruence) -> bool:
-    """Every class of `fine` lies inside a single class of `coarse`."""
-    if fine.monoid is not coarse.monoid:
-        raise ValueError("congruences on different monoids")
+def refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
+    """Every class of the labels `fine` lies inside a single class of `coarse`."""
+    if len(fine) != len(coarse):
+        raise ValueError("labels of different monoids")
     seen = {}
-    for x in range(fine.monoid.size):
-        f, c = int(fine.class_of[x]), int(coarse.class_of[x])
+    for x in range(len(fine)):
+        f, c = int(fine[x]), int(coarse[x])
         if seen.setdefault(f, c) != c:
             return False
     return True
@@ -565,8 +581,7 @@ def reference_sim_li(m):
 
 
 def reference_quotient(m, reference):
-    labels = reference(m)
-    return quotient(m, Congruence(m, labels, int(labels.max()) + 1))
+    return quotient(m, reference(m))
 
 
 def reference_j_trivial(m):

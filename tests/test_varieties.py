@@ -17,7 +17,7 @@ from fo2level.identities import da_identity, identities_level, satisfies_identit
 from fo2level.monoid import (FiniteMonoid, MonoidTooLargeError, reverse_monoid,
                              transition_monoid)
 from fo2level.rankers import RankerTable
-from fo2level.varieties import (Congruence, InternalInconsistencyError,
+from fo2level.varieties import (InternalInconsistencyError,
                                 LevelResult, NotACongruenceError, fo2_level,
                                 in_Lm, in_Rm, quotient, quotient_chain,
                                 sim_d, sim_k, sim_li)
@@ -30,24 +30,28 @@ def monoid_of(text):
     return transition_monoid(regex_to_min_dfa(parse_regex(text)))
 
 
-def classes_as_sets(c: Congruence):
-    return {frozenset(np.flatnonzero(c.class_of == k).tolist()) for k in range(c.num_classes)}
+def num_classes(labels):
+    return int(labels.max()) + 1
+
+
+def classes_as_sets(labels):
+    return {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(num_classes(labels))}
 
 
 def test_sim_k_examples():
-    assert sim_k(trivial()).num_classes == 1
+    assert num_classes(sim_k(trivial())) == 1
     assert classes_as_sets(sim_k(left_zero())) == {frozenset({0}), frozenset({1, 2})}
     assert classes_as_sets(sim_k(two_element_zero())) == {frozenset({0}), frozenset({1})}
 
 
 def test_sim_d_examples():
-    assert sim_d(trivial()).num_classes == 1
-    assert sim_d(left_zero()).num_classes == 3
+    assert num_classes(sim_d(trivial())) == 1
+    assert num_classes(sim_d(left_zero())) == 3
     assert classes_as_sets(sim_d(right_zero())) == {frozenset({0}), frozenset({1, 2})}
 
 
 def test_sim_li_examples():
-    assert sim_li(trivial()).num_classes == 1
+    assert num_classes(sim_li(trivial())) == 1
     assert classes_as_sets(sim_li(two_element_zero())) == {frozenset({0}), frozenset({1})}
 
 
@@ -60,9 +64,9 @@ def test_sim_li_coarser_than_one_sided(da_corpus):
 
 # -- the identities scan and the congruences against Green's classes ----------
 
-def fresh(m, in_da=None):
-    """The same table with no cached structure, DA membership given or unknown."""
-    return FiniteMonoid(m.table, m.identity, gens=m.gens, validate=False, in_da=in_da)
+def fresh(m):
+    """The same table with no cached structure."""
+    return FiniteMonoid(m.table, m.identity, gens=m.gens, validate=False)
 
 
 def trivialities(m):
@@ -76,25 +80,21 @@ def greens_flags(m):
 
 
 def test_da_path_matches_greens_path(da_chain_members):
+    # every chain member, rebuilt with nothing cached, and its reverse (a
+    # fresh monoid too) decide DA from their own scans
     seen = np.zeros((3, 2), dtype=int)     # (J, R, L) x (not trivial, trivial)
     for q in da_chain_members:
-        assert q._in_da is True
+        assert reverse_monoid(q).is_in_da()
         table = fresh(q)
+        assert table.is_in_da()
         want = greens_flags(q)
         assert trivialities(table) == want
         for rel, reference in ((sim_k, reference_sim_k), (sim_d, reference_sim_d),
                                (sim_li, reference_sim_li)):
-            assert np.array_equal(rel(table).class_of, reference(q)), rel
+            assert np.array_equal(rel(table), reference(q)), rel
         assert table._greens is None
         seen[[0, 1, 2], list(map(int, want))] += 1
     assert seen[0].min() >= 30 and seen.min() >= 10, seen
-
-
-def test_passed_on_da_membership_holds(da_chain_members):
-    for q in da_chain_members:
-        for m in (q, reverse_monoid(q)):
-            assert m._in_da is True and fresh(m).is_in_da()
-            assert quotient(m, sim_k(m))._in_da is True     # passed on, not decided again
 
 
 def test_da_path_is_never_taken_outside_da(distinct_monoids):
@@ -102,7 +102,7 @@ def test_da_path_is_never_taken_outside_da(distinct_monoids):
     outside += [fresh(m) for m in distinct_monoids if m.size <= 60 and not m.is_in_da()]
     assert len(outside) >= 100
     for m in outside:
-        assert not m.is_in_da() and reverse_monoid(m)._in_da is False
+        assert not m.is_in_da() and not reverse_monoid(m).is_in_da()
         assert trivialities(m) == greens_flags(m) == (False, False, False)
         for rel in (sim_k, sim_d, sim_li):
             with pytest.raises(ValueError, match="DA monoids only"):
@@ -124,35 +124,32 @@ def test_da_path_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert flags == (False, False, False) and m._greens is None
-    assert c.num_classes == 2 and c.class_of[0] == 0 and (c.class_of[1:] == 1).all()
+    assert num_classes(c) == 2 and c[0] == 0 and (c[1:] == 1).all()
     assert peak < 16 * 2**20, peak
 
 
 def test_identities_scan_in_small_slices(monkeypatch, distinct_monoids, da_chain_members):
     # each monoid read one row per slice, or a few rows: the flags still
-    # match Green's classes and DA still matches satisfies_identity, with DA
-    # unknown (in and outside DA, aperiodic or not) or passed on
+    # match Green's classes and DA still matches satisfies_identity, in and
+    # outside DA, aperiodic or not
     seen = Counter()
     outside = [monoid_of(r) for r in ("(ab)*", "(a|b)*aa(a|b)*")]   # aperiodic, not in DA
     outside += [direct_product(o, q) for o in outside for q in da_chain_members[:20]]
-    cases = [(m, None) for m in distinct_monoids + outside]
-    cases += [(q, True) for q in da_chain_members]
     for cells in (1, 50):
         monkeypatch.setattr(monoid_module, "_FILL_CELLS", cells)
-        for m, known in cases:
+        for m in distinct_monoids + outside + da_chain_members:
             for mono in (m, reverse_monoid(m)):
-                f = fresh(mono, in_da=known)
+                f = fresh(mono)
                 assert (f.is_in_da(), *trivialities(f)) == (
                     satisfies_identity(mono, *da_identity()).holds, *greens_flags(mono))
-                seen[known, f.is_aperiodic(), f.is_in_da()] += 1
-    assert len(seen) == 4 and min(seen.values()) >= 40, seen  # counts each monoid 4 times
+                seen[f.is_aperiodic(), f.is_in_da()] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 40, seen  # counts each monoid 4 times
 
 
 def test_identities_scan_stops(monkeypatch):
-    # one row per slice: with DA unknown the scan stops at the first row
-    # outside DA, and reads every row of a DA monoid; with DA known it stops
-    # once R and L have both failed; outside the aperiodic monoids, or with
-    # DA known to fail, it reads none
+    # one row per slice: the scan stops at the first row outside DA, and
+    # reads every row of a DA monoid; outside the aperiodic monoids it
+    # reads none
     read = []
     row_slices = monoid_module._row_slices
 
@@ -166,29 +163,27 @@ def test_identities_scan_stops(monkeypatch):
     ab = monoid_of("(ab)*")
     assert ab.eval_word("a") == 1      # (ab)^w a (ab)^w = abaab = 0 != ab: row 1 fails
     band = rectangular_band_with_identity(4)
-    for m, known, rows, flags in [
-            (ab, None, 2, (False, False, False)),
-            (band, None, band.size, (True, False, False)),
-            (band, True, 2, (True, False, False)),
-            (left_zero(), True, 3, (True, True, False)),
-            (two_element_zero(), None, 2, (True, True, True)),
-            (cyclic_two(), None, 0, (False, False, False)),
-            (band, False, 0, (False, False, False))]:
+    for m, rows, flags in [
+            (ab, 2, (False, False, False)),
+            (band, band.size, (True, False, False)),
+            (left_zero(), 3, (True, True, False)),
+            (two_element_zero(), 2, (True, True, True)),
+            (cyclic_two(), 0, (False, False, False))]:
         read.clear()
-        m = fresh(m, in_da=known)
+        m = fresh(m)
         assert (m.is_in_da(), m.is_r_trivial(), m.is_l_trivial()) == flags
-        assert read == list(range(rows)), (m, known)
+        assert read == list(range(rows)), m
 
 
 def identity_congruence(m):
-    return Congruence(m, np.arange(m.size, dtype=np.int32), m.size)
+    return np.arange(m.size, dtype=np.int32)
 
 
 def test_quotient_basics():
     lz = left_zero()
     iso = quotient(lz, identity_congruence(lz))
     assert iso.size == lz.size and np.array_equal(iso.table, lz.table)
-    assert quotient(lz, Congruence(lz, np.zeros(lz.size, dtype=np.int32), 1)).size == 1
+    assert quotient(lz, np.zeros(lz.size, dtype=np.int32)).size == 1
     q = quotient(lz, sim_k(lz))
     assert q.size == 2
     e = 1 - q.identity
@@ -204,9 +199,28 @@ def test_quotient_rejects_non_congruence():
                       dtype=np.int32)
     # renumber to consecutive labels
     _, labels = np.unique(labels, return_inverse=True)
-    bad = Congruence(m, labels.astype(np.int32), int(labels.max()) + 1)
     with pytest.raises(NotACongruenceError):
-        quotient(m, bad)
+        quotient(m, labels.astype(np.int32))
+
+
+NUMBERING = "labels must number the classes 0..k-1 with every class used: got "
+SHAPE = "labels must be 1-D integers, one per element: got "
+
+
+@pytest.mark.parametrize("labels, fault", [
+    ([0, 2, 2], NUMBERING + "2 distinct labels from 0 to 2"),
+    ([0, 1, 5], NUMBERING + "3 distinct labels from 0 to 5"),
+    ([-1, 0, 0], NUMBERING + "2 distinct labels from -1 to 0"),
+    ([0, 1], SHAPE + "int64 of shape (2,) for 3 elements"),
+    ([[0, 1, 1]], SHAPE + "int64 of shape (1, 3) for 3 elements"),
+    ([0.0, 1.0, 1.0], SHAPE + "float64 of shape (3,) for 3 elements"),
+], ids=["skipped-class", "out-of-range", "negative", "wrong-length", "2-d", "floats"])
+def test_quotient_refuses_malformed_labels(labels, fault):
+    # a ValueError that names the fault, not numpy's IndexError or
+    # broadcasting error, and not NotACongruenceError
+    with pytest.raises(ValueError) as exc:
+        quotient(left_zero(), np.array(labels))
+    assert type(exc.value) is ValueError and str(exc.value) == fault
 
 
 def test_congruence_gate_names_the_first_split_pair_in_any_slices(monkeypatch, distinct_monoids):
@@ -219,7 +233,7 @@ def test_congruence_gate_names_the_first_split_pair_in_any_slices(monkeypatch, d
         u, v = rng.choice(m.size, size=2, replace=False)
         labels = np.unique(np.where(np.arange(m.size) == u, v, np.arange(m.size)),
                            return_inverse=True)[1].astype(np.int32)
-        c = Congruence(m, labels, int(labels.max()) + 1)
+        c = labels
         rep_of = np.unique(labels, return_index=True)[1].astype(np.int32)[labels]
         split = np.argwhere(labels[m.table] != labels[m.table[rep_of[:, None], rep_of]])
         got = []
@@ -317,8 +331,8 @@ def test_stable_action_agreement_zoo():
         p = preorders(m)
         req = p.rleq & p.rleq.T
         leq = p.lleq & p.lleq.T
-        ck = sim_k(m).class_of
-        cd = sim_d(m).class_of
+        ck = sim_k(m)
+        cd = sim_d(m)
         for x in range(m.size):
             for y in range(m.size):
                 for s in range(m.size):
@@ -336,8 +350,7 @@ def assert_matches_references(m):
                 fast(m)
             continue
         c = fast(m)
-        assert np.array_equal(c.class_of, reference(m))
-        assert c.num_classes == int(c.class_of.max()) + 1
+        assert np.array_equal(c, reference(m)) and not c.flags.writeable
     for level in range(1, 6):
         assert in_Rm(m, level) == reference_in_Rm(m, level)
         assert in_Lm(m, level) == reference_in_Lm(m, level)
