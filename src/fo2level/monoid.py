@@ -188,12 +188,9 @@ def _scc_labels(succ: list[list[int]]) -> list[int]:
 def _generated(table: np.ndarray, identity: int, gens: list[int]) -> bool:
     """Whether the identity and its right products by gens reach every element.
 
-    A walk over the right Cayley graph, O(|M|*|A|); False also when a
-    generator is out of range.
+    A walk over the right Cayley graph, O(|M|*|A|); gens must be in range.
     """
     n = table.shape[0]
-    if not all(0 <= g < n for g in gens):
-        return False
     succ = table[:, gens].tolist()
     seen = [False] * n
     seen[identity] = True
@@ -236,9 +233,10 @@ def _light_associative(table: np.ndarray, gens: Iterable[int]) -> bool:
 class FiniteMonoid:
     """Multiplication-table monoid with optional generator map.
 
-    Shape and ranges are always checked.  validate=True (tables read from
-    files) also checks the identity law, associativity (by Light's test when
-    the generators reach every element) and that the generators generate;
+    Shape and ranges, the generators' included, are always checked.
+    validate=True (tables read from files) also checks the identity law,
+    that the generators generate, and then associativity, by Light's test
+    on the generators (on every element when there is no generator map);
     the package's own constructors pass validate=False, since their tables
     hold all three by construction.
     """
@@ -258,26 +256,23 @@ class FiniteMonoid:
         if not (0 <= identity < n):
             raise MonoidFormatError("identity out of range")
         gens = dict(gens) if gens is not None else None
+        for a, x in (gens or {}).items():
+            if not (0 <= x < n):
+                raise MonoidFormatError(f"generator {a!r} out of range")
         if validate:
             ar = np.arange(n, dtype=np.int32)
             if not (np.array_equal(table[identity], ar) and np.array_equal(table[:, identity], ar)):
                 raise MonoidFormatError("identity law fails")
-            images = list(gens.values()) if gens is not None else None
-            generated = images is not None and _generated(table, identity, images)
-            if not _light_associative(table, images if generated else range(n)):
+            images = list(gens.values()) if gens is not None else range(n)
+            if gens is not None and not _generated(table, identity, images):
+                raise MonoidFormatError("generators do not generate the monoid")
+            if not _light_associative(table, images):
                 raise MonoidFormatError("table is not associative")
         table.setflags(write=False)
         self._table = table
         self.identity = int(identity)
         self.gens = gens
         self.words = tuple(words) if words is not None else None
-        if gens is not None:
-            for a, x in gens.items():
-                if not (0 <= x < n):
-                    raise MonoidFormatError(f"generator {a!r} out of range")
-            # built monoids (validate=False) are generated by construction
-            if validate and not generated:
-                raise MonoidFormatError("generators do not generate the monoid")
         self._omega = self._greens = self._idempotents = self._scan = None
 
     # -- basic structure ---------------------------------------------------
@@ -316,34 +311,27 @@ class FiniteMonoid:
 
     @property
     def omega_table(self) -> np.ndarray:
-        """x^omega for every x, by raising all elements to their powers at once.
+        """x^omega for every x, computed by ceil(log2 |M|) squarings of all
+        elements at once, then one walk round each cyclic group.
 
-        p holds x^j after j steps; the first idempotent p is x^omega.  The
-        powers beyond it cycle through the group of x^omega back to it,
-        which is walked once more to check that it holds no other
-        idempotent.  Both walks take at most |M| steps of one gather each.
+        The squarings give p = x^(2^K) with 2^K >= |M|, past the index of
+        every x, so p lies in the cyclic group of x^omega, whose only
+        idempotent is x^omega.  Multiplying by p walks that group to it in
+        fewer than |M| steps; a table that needs more is not associative.
         """
         if self._omega is None:
             T = self._table
-            ar = np.arange(self.size, dtype=np.int32)
-            out = np.full(self.size, -1, dtype=np.int32)
-            p = ar
+            p = np.arange(self.size, dtype=np.int32)
+            for _ in range((self.size - 1).bit_length()):
+                p = T[p, p]
+            out = p
             for _ in range(self.size):
-                hit = (out < 0) & (T[p, p] == p)
-                out[hit] = p[hit]
-                if out.min() >= 0:
+                done = T[out, out] == out
+                if done.all():
                     break
-                p = T[p, ar]
-            q = T[out, ar]
-            live = q != out
-            for _ in range(self.size):
-                if not live.any():
-                    break
-                assert not (live & (T[q, q] == q)).any(), \
-                    "cyclic subsemigroup must have one idempotent"
-                q = T[q, ar]
-                live &= q != out
-            assert out.min() >= 0 and not live.any(), "powers must reach x^omega"
+                out = np.where(done, out, T[out, p])
+            else:
+                raise MonoidFormatError("table is not associative")
             out.setflags(write=False)
             self._omega = out
         return self._omega

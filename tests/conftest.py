@@ -1,6 +1,10 @@
+import os
 import random
 import string
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -14,6 +18,7 @@ from fo2level.rankers import RankerTable
 from fo2level.varieties import quotient_chain
 
 CORPUS_SEED = 7
+ROOT = Path(__file__).resolve().parent.parent
 
 # every property test draws the same examples on every run, and none has a
 # deadline: a slow example on a loaded host is not a failure
@@ -125,6 +130,19 @@ def cyclic_two():
     return FiniteMonoid([[0, 1], [1, 0]], 0, gens={"a": 1}, words=["", "a"])
 
 
+def cyclic_group(k):
+    # Z_k, generated by 1
+    ar = np.arange(k, dtype=np.int32)
+    return FiniteMonoid((ar[:, None] + ar) % k, 0, gens={"a": 1 % k}, validate=False)
+
+
+def chain_monoid(n):
+    # {0, ..., n-1} with x*y = min(x + y, n - 1), generated by 1: the monoid of a^n = a^(n-1)
+    ar = np.arange(n, dtype=np.int32)
+    return FiniteMonoid(np.minimum(ar[:, None] + ar, n - 1), 0, gens={"a": min(1, n - 1)},
+                        validate=False)
+
+
 def trivial():
     return FiniteMonoid([[0]], 0, gens={"a": 0, "b": 0}, words=[""])
 
@@ -205,6 +223,14 @@ def dfas(draw):
     delta = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n))
     finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
     return Dfa(tuple("abc"[:k]), delta, 0, finals)
+
+
+def run_python(*args):
+    """Run the interpreter on args from the repository root, with src/ importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def monoid_text(m):

@@ -1,22 +1,11 @@
-"""Every walkthrough in demos/, and the README's library example, runs to completion."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every walkthrough in demos/, and the README's library and file-format
+examples, runs to completion."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-
-
-def run_python(*args):
-    """Run the interpreter on args from the repository root, with src/ importable."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -32,3 +21,16 @@ def test_readme_library_example_runs():
     proc = run_python("-c", block)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "Level(2)\nLevel(2)\n"
+
+
+@pytest.mark.parametrize("heading,flag,level", [("DFA file format", "--dfa", "none"),
+                                                ("Monoid file format", "--monoid", "2")])
+def test_readme_file_examples_run(tmp_path, heading, flag, level):
+    # the first block under each file-format heading, written to a file and analyzed
+    text = (ROOT / "README.md").read_text()
+    block = text.split(f"\n### {heading}\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example"
+    path.write_text(block)
+    proc = run_python("-m", "fo2level", "analyze", flag, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert f"fo2_level: {level}\n" in proc.stdout

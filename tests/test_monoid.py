@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import (associative, cyclic_two, dfas, large_dfa, left_zero, preorders, right_zero,
+from conftest import (associative, chain_monoid, cyclic_group, cyclic_two, dfas, direct_product,
+                      large_dfa, left_zero, level_three, preorders, right_zero, run_python,
                       trivial, two_element_zero)
 from fo2level import monoid as monoid_module
 from fo2level.automata import all_words, minimize, parse_regex, regex_to_min_dfa
@@ -132,7 +133,7 @@ def test_is_in_da_is_computed_once(monkeypatch):
 def test_non_aperiodic_monoid_skips_the_da_gathers():
     # Z_1000: one |M|^2 int32 gather alone would take 4 MB
     n = 1000
-    z = FiniteMonoid((np.arange(n)[:, None] + np.arange(n)) % n, 0, validate=False)
+    z = cyclic_group(n)
     assert not z.is_aperiodic()
     tracemalloc.start()
     try:
@@ -145,9 +146,7 @@ def test_non_aperiodic_monoid_skips_the_da_gathers():
 
 def test_identities_scan_memory_is_below_the_table():
     # x*y = min(x + y, n - 1) is J-trivial, so the scan reads every row slice
-    n = 2000
-    ar = np.arange(n)
-    m = FiniteMonoid(np.minimum(ar[:, None] + ar, n - 1), 0, gens={"a": 1}, validate=False)
+    m = chain_monoid(2000)
     tracemalloc.start()
     try:
         flags = m.is_in_da(), m.is_j_trivial(), m.is_r_trivial(), m.is_l_trivial()
@@ -220,9 +219,9 @@ TWO = "size: 2\nidentity: 0\ngen a 1\ntable\n"
     ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 1 1\n2 2 2\n", "generate"),
     # a generates: Light's test finds the failure
     ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 2 1\n2 1 1\n", "associative"),
-    # a does not generate, or is out of range: the exhaustive check reports first
-    ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 0 0\n2 0 0\n", "associative"),
-    ("size: 3\nidentity: 0\ngen a 7\ntable\n0 1 2\n1 2 1\n2 1 1\n", "associative"),
+    # a does not generate, or is out of range: refused before associativity is tested
+    ("size: 3\nidentity: 0\ngen a 1\ntable\n0 1 2\n1 0 0\n2 0 0\n", "generate"),
+    ("size: 3\nidentity: 0\ngen a 7\ntable\n0 1 2\n1 2 1\n2 1 1\n", "out of range"),
     ("size: 3\nidentity: 0\ngen a 7\ntable\n0 1 2\n1 1 1\n2 2 2\n", "out of range"),
     # entries outside int32 (and outside C long) are out of range, not an overflow
     ("size: 2\nidentity: 0\ntable\n0 1\n1 99999999999\n", "table entry out of range"),
@@ -264,6 +263,23 @@ def test_parse_monoid_file_errors(text, msg):
     else:
         with pytest.raises(MonoidFormatError, match=msg):
             parse_monoid_file(text)
+
+
+def test_generator_faults_are_refused_before_the_associativity_test(monkeypatch):
+    # x*y = max(x, y) on 600 elements, where the test on every element takes
+    # about a second: a generator out of range, or one that does not generate,
+    # is refused without any associativity test
+    def refuse(*_):
+        raise AssertionError("the associativity test ran")
+
+    monkeypatch.setattr(monoid_module, "_light_associative", refuse)
+    n = 600
+    ar = np.arange(n)
+    rows = "\n".join(" ".join(map(str, row)) for row in np.maximum(ar[:, None], ar).tolist())
+    for gen, msg in (("9999", "generator 'a' out of range"),
+                     ("1", "generators do not generate the monoid")):
+        with pytest.raises(MonoidFormatError, match=msg):
+            parse_monoid_file(f"size: {n}\nidentity: 0\ngen a {gen}\ntable\n{rows}\n")
 
 
 def _int_reader_outcome(rows, n):
@@ -565,6 +581,97 @@ def test_omega_table_and_da_match_scalar_references(dfa, minimal):
     assert m.is_aperiodic() == all(T[om[x]][x] == om[x] for x in range(m.size))
 
 
+def test_omega_table_matches_the_power_walk_on_long_indices_and_periods():
+    # index and period above 1: the cyclic groups Z_k, chain monoids times
+    # Z_k and times DA monoids, their quotient-chain members and the reverses
+    # of all of these, against the scalar walk of the powers
+    monoids = [cyclic_group(k) for k in range(1, 65)]
+    monoids += [direct_product(chain_monoid(c), cyclic_group(k))
+                for c in (2, 5, 9) for k in (1, 2, 3, 6, 7, 12)]
+    monoids += [direct_product(chain_monoid(c), d) for c in (3, 8) for d in (left_zero(), level_three())]
+    checked = 0
+    for m in monoids:
+        for q in {*quotient_chain(m, "R"), *quotient_chain(m, "L")}:
+            for r in (q, reverse_monoid(q)):
+                assert r.omega_table.tolist() == [omega_power(r, x) for x in range(r.size)]
+                checked += 1
+    assert checked > 2 * len(monoids)
+
+
+class _CountedTable(np.ndarray):
+    """A table that counts the gathers taken from it."""
+    gathers = 0
+
+    def __getitem__(self, key):
+        _CountedTable.gathers += 1
+        return np.asarray(super().__getitem__(key))
+
+
+def omega_gathers(m):
+    """m's omega table and the number of gathers from m's table it took."""
+    m._table = m.table.view(_CountedTable)
+    _CountedTable.gathers = 0
+    return m.omega_table, _CountedTable.gathers
+
+
+def test_omega_table_of_a_long_chain_takes_the_squarings_alone():
+    # x^omega = n - 1 for x >= 1 and 0^omega = 0, after ceil(log2 n) squarings
+    # and one check that every entry is idempotent
+    n = 6002
+    om, gathers = omega_gathers(chain_monoid(n))
+    assert om[0] == 0 and (om[1:] == n - 1).all()
+    assert gathers == (n - 1).bit_length() + 1
+
+
+def test_omega_table_walks_each_group_once():
+    # Z_k: ceil(log2 k) squarings, then at most k checks with a product between
+    # each two (Z_63 takes them all: 2^6 = 1 mod 63, and 1 has order 63)
+    for k in range(1, 65):
+        om, gathers = omega_gathers(cyclic_group(k))
+        assert (om == 0).all()
+        assert gathers <= (k - 1).bit_length() + 2 * k - 1
+    assert omega_gathers(cyclic_group(63))[1] == 6 + 2 * 63 - 1
+
+
+def test_omega_table_keeps_each_power_once_idempotent():
+    # Z_2, Z_3, Z_5 and Z_7, with products across them sent to a zero and an
+    # identity adjoined: 19 elements whose groups' orders have lcm 210, so
+    # the walk ends after 7 checks only if each entry stays at its idempotent
+    orders = (2, 3, 5, 7)
+    n = 2 + sum(orders)
+    table = np.full((n, n), n - 1, dtype=np.int32)
+    table[0] = table[:, 0] = np.arange(n)
+    lo = 1
+    for q in orders:
+        ar = np.arange(q)
+        table[lo:lo + q, lo:lo + q] = lo + (ar[:, None] + ar) % q
+        lo += q
+    m = FiniteMonoid(table, 0)
+    om, gathers = omega_gathers(m)
+    assert om.tolist() == [omega_power(m, x) for x in range(n)]
+    assert gathers == (n - 1).bit_length() + 2 * 7 - 1
+
+
+# 1*1 = 2, 2*2 = 1 and 2*1 = 1: the powers of 1 and of 2 hold no idempotent
+NOT_ASSOCIATIVE = [[0, 1, 2], [1, 2, 1], [2, 1, 1]]
+
+
+def test_omega_table_refuses_a_table_that_is_not_associative():
+    m = FiniteMonoid(NOT_ASSOCIATIVE, 0, validate=False)
+    with pytest.raises(MonoidFormatError, match="table is not associative"):
+        m.omega_table
+    # the same with asserts compiled out
+    code = ("import sys\n"
+            "from fo2level.monoid import FiniteMonoid, MonoidFormatError\n"
+            f"m = FiniteMonoid({NOT_ASSOCIATIVE}, 0, validate=False)\n"
+            "try:\n"
+            "    print(sys.flags.optimize, m.omega_table.tolist())\n"
+            "except MonoidFormatError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n")
+    proc = run_python("-O", "-c", code)
+    assert proc.stdout == "1 table is not associative\n", proc.stderr
+
+
 def test_reverse_monoid_swaps_greens_classes(distinct_monoids, da_chain_members):
     # the reverse's R-classes are the monoid's L-classes and its L-classes
     # the R-classes, label for label (both numbered by least element); the
@@ -633,8 +740,8 @@ def test_light_associativity_matches_exhaustive_check(mixed_entries, monkeypatch
         gen_map = {f"g{i}": g for i, g in enumerate(gens)}
         if exhaustive:
             assert FiniteMonoid(t, 0, validate=True).size == len(t)
-        else:
-            with pytest.raises(MonoidFormatError, match="associative"):
+        else:   # a generator map that misses an element is refused before the test
+            with pytest.raises(MonoidFormatError, match="associative" if generated else "generate"):
                 FiniteMonoid(t, 0, gens=gen_map, validate=True)
     assert min(outcomes.values()) >= 200, outcomes
 
